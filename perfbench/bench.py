@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import hashlib
 import importlib
 import io
@@ -29,6 +30,7 @@ import subprocess
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import forkserver, resource_tracker
 from pathlib import Path
 
 import numpy as np
@@ -195,7 +197,9 @@ def run_untraced(pkg, workload, seed, seconds, workdir, setup_runs):
     tally = Tally()
     if workload.workers > 1:
         n = workload.workers - 1
-        with ProcessPoolExecutor(n, mp_context=multiprocessing.get_context("spawn")) as helpers:
+        # fork, like the package's own pool: spawn would start a resource
+        # tracker process that outlives this one
+        with ProcessPoolExecutor(n, mp_context=multiprocessing.get_context("fork")) as helpers:
             clock = Clock(sample=False, helpers=helpers, n_helpers=n)
             walls, units = _job_loop(pkg, workload, seed, seconds, workdir, clock, tally)
             rss = peak_rss_mb()  # helpers are not reaped yet, so they do not count
@@ -293,6 +297,19 @@ def run_benchmark(workload, seed: int, seconds: float, trace: bool,
     return result
 
 
+def stop_servers() -> None:
+    """Stop and reap the server processes multiprocessing may have started.
+
+    The package's pool, or this benchmark's, may use a start method that
+    launches a forkserver or a resource tracker; both would otherwise
+    outlive this process. Objects that still hold named semaphores are
+    collected first, so that no finalizer restarts the tracker at exit.
+    """
+    gc.collect()
+    forkserver._forkserver._stop()
+    resource_tracker._resource_tracker._stop()
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
@@ -306,5 +323,7 @@ def main(argv: list[str] | None = None) -> int:
     except SetupError as exc:
         print(f"perfbench: {exc}", file=sys.stderr)
         return 2
+    finally:
+        stop_servers()
     print(json.dumps(result))
     return 0

@@ -6,7 +6,11 @@ repository root.
 
 import dataclasses
 import json
+import multiprocessing
+import os
 import tempfile
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import resource_tracker
 from pathlib import Path
 
 import pytest
@@ -86,3 +90,16 @@ def test_gate_counts_corrupted_rows():
 def test_missing_source_is_refused(tmp_path):
     with pytest.raises(bench.SetupError):
         bench.load_package(tmp_path)
+
+
+def test_stop_servers_reaps_the_resource_tracker():
+    # a spawn pool launches the tracker, which would outlive the benchmark
+    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
+        assert pool.submit(abs, -1).result() == 1
+    del pool
+    pid = resource_tracker._resource_tracker._pid
+    assert pid is not None
+    bench.stop_servers()
+    assert resource_tracker._resource_tracker._pid is None
+    with pytest.raises(ChildProcessError):  # already reaped
+        os.waitpid(pid, 0)
