@@ -12,17 +12,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
-from .model import (
-    DetectorSettings,
-    EncounterGeometry,
-    find_peak_velocity,
-    negativity,
-    spacelike_min_distance,
-)
+from .model import DetectorSettings, find_peak_velocity
 from .quadrature import QuadratureSettings
-from .sweep import GridSpec, SweepSpec, run_sweep, run_region_scan, write_region_csv, write_sweep_csv
+from .sweep import (
+    GridSpec,
+    SweepSpec,
+    _sweep_point,
+    run_region_scan,
+    run_sweep,
+    write_region_csv,
+    write_sweep_csv,
+)
 from .validate import run_validation
 
 
@@ -45,21 +47,11 @@ def _add_quad_flags(parser: argparse.ArgumentParser) -> None:
 def _cmd_point(args: argparse.Namespace) -> int:
     quad = _quad_from_args(QuadratureSettings(), args)
     det = DetectorSettings(sigma=args.sigma, omega=args.omega)
-    geom = EncounterGeometry(d=args.d, v=args.v)
-    q = negativity(det, geom, quad)
-    payload = {
-        "d_over_sigma": geom.d / det.sigma,
-        "v": geom.v,
-        "sigma_omega": det.gap,
-        "p": q.p,
-        "x_re": q.x.real,
-        "x_im": q.x.imag,
-        "x_abs": abs(q.x),
-        "m": q.m,
-        "negativity": q.negativity,
-        "x_error_estimate": q.x_error_estimate,
-        "spacelike": geom.d >= spacelike_min_distance(geom.v, det.sigma),
-    }
+    payload = asdict(_sweep_point((args.d / det.sigma, det.gap, args.v, quad)))
+    error = payload.pop("error")
+    if error:
+        print(error, file=sys.stderr)
+        return 1
     json.dump(payload, sys.stdout, indent=2)
     sys.stdout.write("\n")
     return 0

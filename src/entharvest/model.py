@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.special import dawsn as _dawsn_vec
@@ -53,6 +53,8 @@ __all__ = [
     "second_derivative_at_rest",
     "find_peak_velocity",
     "classify_region",
+    "velocity_profile",
+    "VelocityProfile",
     "velocity_scan_grid",
 ]
 
@@ -133,6 +135,15 @@ class PeakResult:
     v_star: float
     n_star: float
     multimodal: bool = False
+
+
+class VelocityProfile(NamedTuple):
+    """One velocity scan at fixed (d, omega): grid, negativities, label, peak."""
+
+    v: np.ndarray
+    n: np.ndarray
+    label: RegionLabel
+    peak: Optional[PeakResult]
 
 
 class NoFiniteThresholdError(ValueError):
@@ -326,17 +337,6 @@ def velocity_scan_grid(n: int = 64, min_one_minus_v: float = 1e-4) -> np.ndarray
     return v
 
 
-def _scan_negativity(
-    det: DetectorSettings, d: float, v_grid: np.ndarray, settings: QuadratureSettings
-) -> np.ndarray:
-    p = transition_probability(det)
-    out = np.empty(v_grid.size)
-    for i, v in enumerate(v_grid):
-        x = _x_integral(d / det.sigma, float(v), det.gap, settings)
-        out[i] = max(abs(x.value) - p, 0.0)
-    return out
-
-
 def _golden_section_max(fun, lo: float, hi: float, xtol: float) -> float:
     inv_phi = 0.5 * (math.sqrt(5.0) - 1.0)
     a, b = lo, hi
@@ -355,49 +355,57 @@ def _golden_section_max(fun, lo: float, hi: float, xtol: float) -> float:
     return 0.5 * (a + b)
 
 
+def velocity_profile(
+    det: DetectorSettings,
+    d: float,
+    settings: QuadratureSettings | None = None,
+    scan_points: int = 64,
+) -> VelocityProfile:
+    """Scan N over v once at fixed (d, omega), then label and refine the profile.
+
+    The scan grid densifies toward v = 1; its highest interior local maximum
+    above N(0) is refined by golden section to |dv| <= 1e-4. The label is
+    `peaked` when the refined maximum still beats N(0), `no-entanglement`
+    when N vanishes on the whole scan, and `monotone-decreasing` otherwise.
+    """
+    if settings is None:
+        settings = QuadratureSettings()
+    if not (d > 0.0):
+        raise ValueError(f"d must be > 0, got {d!r}")
+    p = transition_probability(det)
+
+    def n_of_v(v: float) -> float:
+        x = _x_integral(d / det.sigma, v, det.gap, settings)
+        return max(abs(x.value) - p, 0.0)
+
+    v_grid = velocity_scan_grid(scan_points)
+    n_vals = np.array([n_of_v(float(v)) for v in v_grid])
+    if not np.any(n_vals > 0.0):
+        return VelocityProfile(v_grid, n_vals, RegionLabel.NO_ENTANGLEMENT, None)
+
+    interior = range(1, v_grid.size - 1)
+    maxima = [i for i in interior if n_vals[i] > n_vals[i - 1] and n_vals[i] >= n_vals[i + 1]]
+    i_star = max(maxima, key=lambda i: n_vals[i], default=0)
+    # N >= 0 on the scan, so beating N(0) also means N > 0
+    if n_vals[i_star] > n_vals[0]:
+        v_star = _golden_section_max(
+            n_of_v, float(v_grid[i_star - 1]), float(v_grid[i_star + 1]), 1e-4
+        )
+        n_star = n_of_v(v_star)
+        if n_star > n_vals[0]:
+            peak = PeakResult(v_star, n_star, multimodal=len(maxima) > 1)
+            return VelocityProfile(v_grid, n_vals, RegionLabel.PEAKED, peak)
+    return VelocityProfile(v_grid, n_vals, RegionLabel.MONOTONE_DECREASING, None)
+
+
 def find_peak_velocity(
     det: DetectorSettings,
     d: float,
     settings: QuadratureSettings | None = None,
     scan_points: int = 64,
 ) -> Optional[PeakResult]:
-    """Locate an interior maximizer of N over v in (0, 1), if one exists.
-
-    Coarse bracketing on a grid densified toward v = 1, then golden-section
-    refinement to |dv| <= 1e-4. Returns None when the scan shows no interior
-    maximum exceeding both zero and the static value.
-    """
-    if settings is None:
-        settings = QuadratureSettings()
-    if not (d > 0.0):
-        raise ValueError(f"d must be > 0, got {d!r}")
-    v_grid = velocity_scan_grid(scan_points)
-    n_vals = _scan_negativity(det, d, v_grid, settings)
-    if not np.any(n_vals > 0.0):
-        return None
-
-    interior = range(1, v_grid.size - 1)
-    local_maxima = [
-        i for i in interior if n_vals[i] > n_vals[i - 1] and n_vals[i] >= n_vals[i + 1]
-    ]
-    if not local_maxima:
-        return None
-    multimodal = len(local_maxima) > 1
-    i_star = max(local_maxima, key=lambda i: n_vals[i])
-    if not (n_vals[i_star] > n_vals[0] and n_vals[i_star] > 0.0):
-        return None
-
-    def n_of_v(v: float) -> float:
-        x = _x_integral(d / det.sigma, v, det.gap, settings)
-        return max(abs(x.value) - transition_probability(det), 0.0)
-
-    v_star = _golden_section_max(
-        n_of_v, float(v_grid[i_star - 1]), float(v_grid[i_star + 1]), 1e-4
-    )
-    n_star = n_of_v(v_star)
-    if not (n_star > n_vals[0] and n_star > 0.0):
-        return None
-    return PeakResult(v_star=v_star, n_star=n_star, multimodal=multimodal)
+    """Interior maximizer of N over v in (0, 1), or None: the profile's peak."""
+    return velocity_profile(det, d, settings, scan_points).peak
 
 
 def classify_region(
@@ -407,14 +415,4 @@ def classify_region(
     scan_points: int = 64,
 ) -> RegionLabel:
     """Classify a (d, omega) point by its negativity-vs-velocity profile."""
-    if settings is None:
-        settings = QuadratureSettings()
-    if not (d > 0.0):
-        raise ValueError(f"d must be > 0, got {d!r}")
-    v_grid = velocity_scan_grid(scan_points)
-    n_vals = _scan_negativity(det, d, v_grid, settings)
-    if not np.any(n_vals > 0.0):
-        return RegionLabel.NO_ENTANGLEMENT
-    if find_peak_velocity(det, d, settings, scan_points) is not None:
-        return RegionLabel.PEAKED
-    return RegionLabel.MONOTONE_DECREASING
+    return velocity_profile(det, d, settings, scan_points).label

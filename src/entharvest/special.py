@@ -14,7 +14,7 @@ import math
 
 from scipy.special import dawsn, erfcx
 
-__all__ = ["erfc_real", "erfcx_real", "dawson", "erfi_scaled"]
+__all__ = ["erfcx_real", "dawson", "erfi_scaled"]
 
 _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
@@ -24,11 +24,6 @@ def _require_finite(x: float, name: str) -> float:
     if not math.isfinite(x):
         raise ValueError(f"{name} must be finite, got {x!r}")
     return x
-
-
-def erfc_real(x: float) -> float:
-    """Complementary error function erfc(x) = 1 - erf(x)."""
-    return math.erfc(_require_finite(x, "x"))
 
 
 def erfcx_real(x: float) -> float:

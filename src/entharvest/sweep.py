@@ -3,8 +3,8 @@
 Grid points are independent pure-function evaluations; sweeps may run
 across a process pool, but rows are always emitted in row-major
 (d, omega, v) order, so output is byte-identical for any worker count.
-Per-point quadrature failures are recorded in a failure-marker column
-instead of aborting the sweep.
+Per-point failures of any kind are recorded in the error column instead
+of aborting the sweep.
 """
 
 from __future__ import annotations
@@ -21,12 +21,14 @@ from .model import (
     DetectorSettings,
     EncounterGeometry,
     RegionLabel,
+    # not called here: perfbench's tracer wraps these two names on this module
     classify_region,
     find_peak_velocity,
     negativity,
     spacelike_min_distance,
+    velocity_profile,
 )
-from .quadrature import QuadratureError, QuadratureSettings
+from .quadrature import QuadratureSettings
 
 __all__ = [
     "GridSpec",
@@ -167,14 +169,19 @@ class RegionRow:
     error: str = ""
 
 
+def _error_text(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
 def _sweep_point(args: tuple[float, float, float, QuadratureSettings]) -> SweepRow:
     d, so, v, quad = args
-    spacelike = d >= spacelike_min_distance(v, 1.0)
+    spacelike = False
     try:
+        spacelike = d >= spacelike_min_distance(v, 1.0)
         q = negativity(DetectorSettings(1.0, so), EncounterGeometry(d, v), quad)
-    except QuadratureError as exc:
+    except Exception as exc:  # any per-point failure is recorded, never raised
         return SweepRow(d_over_sigma=d, v=v, sigma_omega=so, spacelike=spacelike,
-                        error=f"{type(exc).__name__}: {exc}")
+                        error=_error_text(exc))
     return SweepRow(
         d_over_sigma=d,
         v=v,
@@ -193,16 +200,12 @@ def _sweep_point(args: tuple[float, float, float, QuadratureSettings]) -> SweepR
 def _region_point(args: tuple[float, float, QuadratureSettings]) -> RegionRow:
     d, so, quad = args
     try:
-        det = DetectorSettings(1.0, so)
-        label = classify_region(det, d, quad)
-        if label is RegionLabel.PEAKED:
-            peak = find_peak_velocity(det, d, quad)
-            # classification already found a peak; guard anyway
-            if peak is not None:
-                return RegionRow(d, so, label, peak.v_star, peak.n_star)
-        return RegionRow(d, so, label)
-    except QuadratureError as exc:
-        return RegionRow(d, so, error=f"{type(exc).__name__}: {exc}")
+        profile = velocity_profile(DetectorSettings(1.0, so), d, quad)
+    except Exception as exc:  # any per-point failure is recorded, never raised
+        return RegionRow(d, so, error=_error_text(exc))
+    if profile.peak is None:
+        return RegionRow(d, so, profile.label)
+    return RegionRow(d, so, profile.label, profile.peak.v_star, profile.peak.n_star)
 
 
 def _run_tasks(fn, tasks: list, workers: int) -> list:
@@ -245,6 +248,11 @@ def _fmt(x: float) -> str:
     return "%.17g" % x
 
 
+def _text_cell(text: str) -> str:
+    # a multi-line message must not split its row, nor a comma its cell
+    return " ".join(text.splitlines()).replace(",", ";")
+
+
 def write_sweep_csv(rows: Iterable[SweepRow], fh: IO[str], columns: Sequence[str] = SWEEP_COLUMNS) -> None:
     fh.write(",".join(columns) + "\n")
     for row in rows:
@@ -254,7 +262,7 @@ def write_sweep_csv(rows: Iterable[SweepRow], fh: IO[str], columns: Sequence[str
             if col == "spacelike":
                 cells.append("true" if value else "false")
             elif col == "error":
-                cells.append(value.replace(",", ";"))
+                cells.append(_text_cell(value))
             else:
                 cells.append(_fmt(value))
         fh.write(",".join(cells) + "\n")
@@ -269,6 +277,6 @@ def write_region_csv(rows: Iterable[RegionRow], fh: IO[str]) -> None:
             row.region.value if row.region is not None else "",
             _fmt(row.v_star) if row.v_star is not None else "",
             _fmt(row.n_star) if row.n_star is not None else "",
-            row.error.replace(",", ";"),
+            _text_cell(row.error),
         ]
         fh.write(",".join(cells) + "\n")

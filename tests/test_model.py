@@ -18,11 +18,11 @@ from entharvest.model import (
     static_negativity,
     static_x_abs,
     transition_probability,
+    velocity_profile,
     velocity_scan_grid,
     zero_gap_x,
 )
 from entharvest.quadrature import QuadratureSettings
-from entharvest.special import erfc_real
 
 QUAD = QuadratureSettings()
 ONE_OVER_4PI = 1.0 / (4.0 * math.pi)
@@ -42,7 +42,7 @@ class TestTransitionProbability:
     def test_unit_gap(self):
         p = transition_probability(det(omega=1.0))
         # reassemble from the unscaled complementary error function
-        direct = (math.exp(-1.0) - math.sqrt(math.pi) * erfc_real(1.0)) / (4.0 * math.pi)
+        direct = (math.exp(-1.0) - math.sqrt(math.pi) * math.erfc(1.0)) / (4.0 * math.pi)
         assert p == pytest.approx(direct, rel=1e-12)
         assert p == pytest.approx(0.0070883, abs=1e-7)
 
@@ -227,6 +227,20 @@ class TestRegionClassification:
 
     def test_extinct(self):
         assert classify_region(det(omega=0.5), 8.0, QUAD) is RegionLabel.NO_ENTANGLEMENT
+
+    @pytest.mark.parametrize("omega, d, label", [
+        (2.0, 1.0, RegionLabel.PEAKED),
+        (0.5, 0.5, RegionLabel.MONOTONE_DECREASING),
+        (0.5, 8.0, RegionLabel.NO_ENTANGLEMENT),
+    ])
+    def test_profile_agrees_with_views(self, omega, d, label):
+        profile = velocity_profile(det(omega=omega), d, QUAD)
+        assert profile.label is label
+        assert classify_region(det(omega=omega), d, QUAD) is label
+        assert find_peak_velocity(det(omega=omega), d, QUAD) == profile.peak
+        assert (profile.peak is not None) == (label is RegionLabel.PEAKED)
+        assert profile.v.tolist() == velocity_scan_grid(64).tolist()
+        assert profile.n.shape == profile.v.shape
 
 
 class TestInputValidation:

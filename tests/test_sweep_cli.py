@@ -5,12 +5,17 @@ import math
 import numpy as np
 import pytest
 
+from entharvest import model
+from entharvest import sweep as sweep_mod
 from entharvest import validate as validate_mod
 from entharvest.cli import main
+from entharvest.model import RegionLabel
 from entharvest.quadrature import QuadratureSettings
 from entharvest.sweep import (
     SWEEP_COLUMNS,
     GridSpec,
+    RegionRow,
+    SweepRow,
     SweepSpec,
     run_region_scan,
     run_sweep,
@@ -125,6 +130,14 @@ class TestSweep:
         assert len(line.split(",")) == 2
         assert tail == ""
 
+    def test_multiline_error_stays_on_one_line(self):
+        buf = io.StringIO()
+        write_sweep_csv([SweepRow(1.0, 0.0, 0.0, error="a\nb,c")], buf)
+        header, line, tail = buf.getvalue().split("\n")
+        assert tail == ""
+        assert line.split(",")[-1] == "a b;c"
+        assert len(line.split(",")) == len(SWEEP_COLUMNS)
+
     def test_rejects_unknown_columns(self):
         with pytest.raises(ValueError):
             SweepSpec(GridSpec(1.0, 1.0, 1), GridSpec(0.0, 0.0, 1), GridSpec(0.0, 0.0, 1),
@@ -174,6 +187,35 @@ class TestRegionScan:
         assert lines[0].startswith("d_over_sigma,sigma_omega,region")
         assert "monotone-decreasing" in lines[1]
 
+    def test_csv_escapes_error_cell(self):
+        buf = io.StringIO()
+        write_region_csv([RegionRow(1.0, 0.0, error="a\r\nb,c")], buf)
+        header, line, tail = buf.getvalue().split("\n")
+        assert tail == "" and "\r" not in line
+        assert line == "1,0,,,,a b;c"
+
+    def test_any_exception_becomes_an_error_row(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("bad\nprofile")
+
+        monkeypatch.setattr(sweep_mod, "velocity_profile", broken)
+        row = sweep_mod._region_point((1.0, 1.0, QuadratureSettings()))
+        assert row.region is None
+        assert row.error == "ValueError: bad\nprofile"
+
+    def test_peaked_point_costs_one_scan_and_one_search(self, monkeypatch):
+        calls = []
+        real = model._x_integral
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(model, "_x_integral", counted)
+        row = sweep_mod._region_point((1.0, 2.0, QuadratureSettings()))
+        assert row.region is RegionLabel.PEAKED
+        assert len(calls) <= 64 + 30
+
 
 class TestCli:
     def test_point(self, capsys):
@@ -182,7 +224,14 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["negativity"] == pytest.approx(0.049378, abs=1e-6)
         assert payload["spacelike"] is False
-        assert set(payload) >= {"p", "x_re", "x_im", "x_abs", "m", "x_error_estimate"}
+        assert list(payload) == [c for c in SWEEP_COLUMNS if c != "error"]
+
+    def test_point_error_goes_to_stderr(self, capsys):
+        rc = main(["point", "--d", "1.0", "--v", "1.5", "--omega", "0.0"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("ValueError: v must satisfy")
 
     def test_point_quad_flag(self, capsys):
         rc = main(["point", "--d", "1.0", "--v", "0.3", "--omega", "1.0",
