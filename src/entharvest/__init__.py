@@ -7,6 +7,7 @@ from .model import (
     NoFiniteThresholdError,
     PeakResult,
     RegionLabel,
+    VelocityProfile,
     classify_region,
     correlation_x,
     find_peak_velocity,
@@ -18,7 +19,6 @@ from .model import (
     static_x_abs,
     transition_probability,
     velocity_profile,
-    zero_gap_x,
 )
 from .oracle import OracleSettings, p_momentum_oracle, x_momentum_oracle
 from .quadrature import (
@@ -27,12 +27,7 @@ from .quadrature import (
     NonFiniteIntegrandError,
     QuadratureError,
     QuadratureSettings,
-    integrate_halfline,
-    integrate_interval,
-    integrate_line,
 )
-from .special import dawson, erfcx_real, erfi_scaled
-from .sweep import GridSpec, RegionRow, SweepRow, SweepSpec, run_region_scan, run_sweep
 from .validate import run_validation
 
 __version__ = "0.1.0"
@@ -40,42 +35,30 @@ __version__ = "0.1.0"
 __all__ = [
     "DetectorSettings",
     "EncounterGeometry",
-    "HarvestQuantities",
-    "NoFiniteThresholdError",
-    "PeakResult",
-    "RegionLabel",
-    "classify_region",
+    "QuadratureSettings",
+    "OracleSettings",
+    "transition_probability",
     "correlation_x",
-    "find_peak_velocity",
     "negativity",
+    "static_x_abs",
+    "static_negativity",
+    "spacelike_min_distance",
     "omega_peak_threshold",
     "second_derivative_at_rest",
-    "spacelike_min_distance",
-    "static_negativity",
-    "static_x_abs",
-    "transition_probability",
     "velocity_profile",
-    "zero_gap_x",
-    "OracleSettings",
+    "find_peak_velocity",
+    "classify_region",
     "p_momentum_oracle",
     "x_momentum_oracle",
-    "ConvergenceError",
-    "IntegralResult",
-    "NonFiniteIntegrandError",
-    "QuadratureError",
-    "QuadratureSettings",
-    "integrate_halfline",
-    "integrate_interval",
-    "integrate_line",
-    "dawson",
-    "erfcx_real",
-    "erfi_scaled",
-    "GridSpec",
-    "RegionRow",
-    "SweepRow",
-    "SweepSpec",
-    "run_region_scan",
-    "run_sweep",
     "run_validation",
+    "HarvestQuantities",
+    "IntegralResult",
+    "PeakResult",
+    "RegionLabel",
+    "VelocityProfile",
+    "NoFiniteThresholdError",
+    "QuadratureError",
+    "ConvergenceError",
+    "NonFiniteIntegrandError",
     "__version__",
 ]

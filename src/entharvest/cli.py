@@ -4,7 +4,9 @@ Subcommands map one-to-one onto the reproduction artifacts: `point` for a
 single evaluation (JSON to stdout), `sweep` and `region` for CSV files
 driven by a JSON config, `peak` for the velocity maximizer at one (d,
 omega), and `validate` for the self-check report. All configuration is
-explicit; no environment variables are consulted.
+explicit; no environment variables are consulted. Bad input or a failed
+integral ends a command with one `Type: message` line on stderr and exit
+code 1.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import sys
 from dataclasses import asdict, replace
 
 from .model import DetectorSettings, find_peak_velocity
-from .quadrature import QuadratureSettings
+from .quadrature import QuadratureError, QuadratureSettings
 from .sweep import (
     GridSpec,
     SweepSpec,
@@ -165,7 +167,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, QuadratureError) as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -30,10 +30,9 @@ from enum import Enum
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.special import dawsn as _dawsn_vec
+from scipy.special import dawsn, erfcx
 
 from .quadrature import IntegralResult, QuadratureSettings, integrate_line
-from .special import dawson, erfcx_real, erfi_scaled
 
 __all__ = [
     "DetectorSettings",
@@ -44,7 +43,6 @@ __all__ = [
     "NoFiniteThresholdError",
     "transition_probability",
     "correlation_x",
-    "zero_gap_x",
     "negativity",
     "static_x_abs",
     "static_negativity",
@@ -166,7 +164,7 @@ def transition_probability(det: DetectorSettings) -> float:
     large-gap cancellation is benign.
     """
     a = det.gap
-    return math.exp(-a * a) * (1.0 - _SQRT_PI * a * erfcx_real(a)) / (4.0 * math.pi)
+    return math.exp(-a * a) * (1.0 - _SQRT_PI * a * float(erfcx(a))) / (4.0 * math.pi)
 
 
 def _x_integral(d: float, v: float, gap: float, settings: QuadratureSettings) -> IntegralResult:
@@ -181,7 +179,7 @@ def _x_integral(d: float, v: float, gap: float, settings: QuadratureSettings) ->
         q2 = v * v * u * u + d2
         q = np.sqrt(q2)
         real = np.exp(-0.25 * (d2 * b2 + u * u * b4))
-        imag = np.exp(-0.25 * b2 * u * u) * _TWO_OVER_SQRT_PI * _dawsn_vec(0.5 * sqrt_b2 * q)
+        imag = np.exp(-0.25 * b2 * u * u) * _TWO_OVER_SQRT_PI * dawsn(0.5 * sqrt_b2 * q)
         phase = np.exp(-1j * freq * u)
         return (real + 1j * imag) * phase / q
 
@@ -199,38 +197,6 @@ def correlation_x(
     if settings is None:
         settings = QuadratureSettings()
     return _x_integral(geom.d / det.sigma, geom.v, det.gap, settings)
-
-
-def zero_gap_x(
-    geom: EncounterGeometry,
-    sigma: float,
-    settings: QuadratureSettings | None = None,
-) -> IntegralResult:
-    """Zero-gap limit of X, as a distinct code path for cross-checking.
-
-    The integrand exponent is written as (1-v^2)(d^2 + u^2 (1+v^2))/4sigma^2,
-    which must agree with correlation_x at omega = 0 to quadrature tolerance.
-    """
-    if settings is None:
-        settings = QuadratureSettings()
-    if not (sigma > 0.0):
-        raise ValueError(f"sigma must be > 0, got {sigma!r}")
-    d = geom.d / sigma
-    v = geom.v
-    b2 = 1.0 - v * v
-    sqrt_b2 = math.sqrt(b2)
-    d2 = d * d
-
-    def integrand(u: np.ndarray) -> np.ndarray:
-        q2 = v * v * u * u + d2
-        q = np.sqrt(q2)
-        real = np.exp(-0.25 * b2 * (d2 + u * u * (1.0 + v * v)))
-        imag = np.exp(-0.25 * b2 * u * u) * _TWO_OVER_SQRT_PI * _dawsn_vec(0.5 * sqrt_b2 * q)
-        return (real + 1j * imag) / q
-
-    result = integrate_line(integrand, 2.0 / math.sqrt(1.0 - v ** 4), settings)
-    pref = b2 / (8.0 * math.pi)
-    return IntegralResult(-1j * pref * result.value, pref * result.error_estimate)
 
 
 def negativity(
@@ -251,6 +217,25 @@ def negativity(
     )
 
 
+def _static_terms(d: float, sigma: float) -> tuple[float, float, float, float]:
+    """Check d and sigma; return the v = 0 pieces shared by the closed forms.
+
+    Returns (ds, F, s, e) with ds = d/sigma, F the Dawson function at
+    x = ds/2, s = e^{-x^2} erfi(x) = (2/sqrt(pi)) F and
+    e = e^{-2x^2} + s^2 = (1 + erfi(x)^2) e^{-2x^2}. erfi only ever enters
+    through s, which stays bounded where erfi(x) alone overflows (x >~ 27).
+    """
+    if not (d > 0.0 and math.isfinite(d)):
+        raise ValueError(f"d must be finite and > 0, got {d!r}")
+    if not (sigma > 0.0 and math.isfinite(sigma)):
+        raise ValueError(f"sigma must be finite and > 0, got {sigma!r}")
+    ds = d / sigma
+    x = 0.5 * ds
+    f = float(dawsn(x))
+    s = _TWO_OVER_SQRT_PI * f
+    return ds, f, s, math.exp(-2.0 * x * x) + s * s
+
+
 def static_x_abs(det: DetectorSettings, d: float) -> float:
     """|X| at v = 0 in closed form.
 
@@ -259,14 +244,9 @@ def static_x_abs(det: DetectorSettings, d: float) -> float:
     e^{-d^2/4sigma^2} sqrt(1 + erfi^2) = sqrt(e^{-d^2/2sigma^2} + s^2),
     s = e^{-x^2} erfi(x), so large separations never overflow.
     """
-    if not (d > 0.0):
-        raise ValueError(f"d must be > 0, got {d!r}")
-    ds = d / det.sigma
+    ds, _, _, e = _static_terms(d, det.sigma)
     gap = det.gap
-    x = 0.5 * ds
-    s = erfi_scaled(x)
-    root = math.sqrt(math.exp(-2.0 * x * x) + s * s)
-    return math.exp(-gap * gap) * root / (4.0 * ds * _SQRT_PI)
+    return math.exp(-gap * gap) * math.sqrt(e) / (4.0 * ds * _SQRT_PI)
 
 
 def static_negativity(det: DetectorSettings, d: float) -> float:
@@ -278,8 +258,8 @@ def spacelike_min_distance(v: float, sigma: float) -> float:
     """Minimal distance 6 sigma / sqrt(1 - v^2) for spacelike separation."""
     if not (0.0 <= v < 1.0):
         raise ValueError(f"v must satisfy 0 <= v < 1, got {v!r}")
-    if not (sigma > 0.0):
-        raise ValueError(f"sigma must be > 0, got {sigma!r}")
+    if not (sigma > 0.0 and math.isfinite(sigma)):
+        raise ValueError(f"sigma must be finite and > 0, got {sigma!r}")
     return 6.0 * sigma / math.sqrt(1.0 - v * v)
 
 
@@ -287,21 +267,15 @@ def omega_peak_threshold(d: float, sigma: float = 1.0) -> float:
     """Gap threshold above which |X|^2 initially grows with v^2.
 
     Closed form with numerator and denominator of the inner ratio both
-    multiplied by e^{-d^2/2sigma^2}, so only e^{-2x^2} and the bounded
-    s = e^{-x^2} erfi(x) appear (x = d/2sigma). Raises
-    NoFiniteThresholdError where the radicand goes negative.
+    multiplied by ds^2 e^{-ds^2/2} (ds = d/sigma), so only the bounded e
+    and s of _static_terms appear and nothing is divided by ds, which keeps
+    the d -> 0 limit 1/sqrt(2) finite. Raises NoFiniteThresholdError where
+    the radicand goes negative.
     """
-    if not (d > 0.0):
-        raise ValueError(f"d must be > 0, got {d!r}")
-    if not (sigma > 0.0):
-        raise ValueError(f"sigma must be > 0, got {sigma!r}")
-    ds = d / sigma
-    x = 0.5 * ds
-    s = erfi_scaled(x)
-    e2 = math.exp(-2.0 * x * x)
-    one_plus_erfi2 = e2 + s * s  # (1 + erfi(x)^2) e^{-2x^2}
-    denom = _SQRT_PI * (1.0 + 2.0 / (ds * ds)) * one_plus_erfi2 - (2.0 / ds) * s
-    radicand = 2.0 - ds * ds + 4.0 * _SQRT_PI * one_plus_erfi2 / denom
+    ds, _, s, e = _static_terms(d, sigma)
+    d2 = ds * ds
+    denom = _SQRT_PI * (d2 + 2.0) * e - 2.0 * ds * s
+    radicand = 2.0 - d2 + 4.0 * _SQRT_PI * e * d2 / denom
     if radicand < 0.0:
         raise NoFiniteThresholdError(ds, radicand)
     return math.sqrt(radicand) / (2.0 * sigma)
@@ -312,18 +286,12 @@ def second_derivative_at_rest(det: DetectorSettings, d: float) -> float:
 
     Positive exactly when omega exceeds the gap threshold at this d.
     """
-    if not (d > 0.0):
-        raise ValueError(f"d must be > 0, got {d!r}")
-    ds = d / det.sigma
-    gap = det.gap
-    x = 0.5 * ds
-    s = erfi_scaled(x)
-    one_plus_erfi2 = math.exp(-2.0 * x * x) + s * s
-    g2 = gap * gap
+    ds, f, _, e = _static_terms(d, det.sigma)
+    g2 = det.gap * det.gap
     d2 = ds * ds
     poly_a = d2 * d2 + 4.0 * d2 * (g2 - 1.0) + 8.0 * g2 - 4.0
     poly_b = d2 + 4.0 * g2 - 2.0
-    bracket = math.pi * one_plus_erfi2 * poly_a - 4.0 * ds * dawson(x) * poly_b
+    bracket = math.pi * e * poly_a - 4.0 * ds * f * poly_b
     return math.exp(-2.0 * g2) * bracket / (32.0 * math.pi * math.pi * d2 * d2)
 
 
@@ -370,12 +338,11 @@ def velocity_profile(
     """
     if settings is None:
         settings = QuadratureSettings()
-    if not (d > 0.0):
-        raise ValueError(f"d must be > 0, got {d!r}")
+    ds = _static_terms(d, det.sigma)[0]
     p = transition_probability(det)
 
     def n_of_v(v: float) -> float:
-        x = _x_integral(d / det.sigma, v, det.gap, settings)
+        x = _x_integral(ds, v, det.gap, settings)
         return max(abs(x.value) - p, 0.0)
 
     v_grid = velocity_scan_grid(scan_points)

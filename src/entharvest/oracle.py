@@ -36,7 +36,7 @@ complex values can be compared directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import dawsn as _dawsn_vec
@@ -111,12 +111,7 @@ def p_momentum_oracle(
 
     # radial decay scale 1/(1-v): exponent >= (r (1-v) + g)^2
     width = 1.0 / (1.0 - v)
-    outer_quad = QuadratureSettings(
-        rel_tol=quad.rel_tol,
-        abs_tol=quad.abs_tol,
-        truncation_sigmas=settings.k_truncation_sigmas,
-        max_subdivisions=quad.max_subdivisions,
-    )
+    outer_quad = replace(quad, truncation_sigmas=settings.k_truncation_sigmas)
     res = integrate_halfline(outer, width, outer_quad)
     pref = (1.0 - v * v) / (4.0 * math.pi)
     window = settings.k_truncation_sigmas * width

@@ -233,6 +233,27 @@ def _gaussian_tail_bound(edge_magnitude: float, envelope_width: float, edge: flo
     return edge_magnitude * envelope_width * envelope_width / (2.0 * edge)
 
 
+def _integrate_window(
+    integrand: Integrand,
+    envelope_width: float,
+    settings: QuadratureSettings,
+    max_frequency: float,
+    two_sided: bool,
+) -> IntegralResult:
+    """[-a, a] (two_sided) or [0, a] with a = truncation_sigmas * width,
+    plus the Gaussian tail bound beyond each truncated edge."""
+    w = float(envelope_width)
+    if not (w > 0.0 and math.isfinite(w)):
+        raise ValueError(f"envelope_width must be finite and > 0, got {envelope_width!r}")
+    a = settings.truncation_sigmas * w
+    lo = -a if two_sided else 0.0
+    value, err = _adaptive(integrand, lo, a, settings, _initial_spacing(w, max_frequency))
+    edges = np.array([-a, a] if two_sided else [a])
+    edge = np.abs(np.asarray(integrand(edges), dtype=complex))
+    tail = _gaussian_tail_bound(float(edge.sum()), w, a)
+    return IntegralResult(value, err + tail)
+
+
 def integrate_line(
     integrand: Integrand,
     envelope_width: float,
@@ -245,14 +266,7 @@ def integrate_line(
     exp(-u^2/w^2); max_frequency declares the largest angular frequency of
     any oscillatory factor and sets the initial panel spacing.
     """
-    w = float(envelope_width)
-    if not (w > 0.0 and math.isfinite(w)):
-        raise ValueError(f"envelope_width must be finite and > 0, got {envelope_width!r}")
-    a = settings.truncation_sigmas * w
-    value, err = _adaptive(integrand, -a, a, settings, _initial_spacing(w, max_frequency))
-    edge = np.abs(np.asarray(integrand(np.array([-a, a])), dtype=complex))
-    tail = _gaussian_tail_bound(float(edge.sum()), w, a)
-    return IntegralResult(value, err + tail)
+    return _integrate_window(integrand, envelope_width, settings, max_frequency, True)
 
 
 def integrate_halfline(
@@ -262,14 +276,7 @@ def integrate_halfline(
     max_frequency: float = 0.0,
 ) -> IntegralResult:
     """As integrate_line, on the domain [0, truncation_sigmas * width]."""
-    w = float(envelope_width)
-    if not (w > 0.0 and math.isfinite(w)):
-        raise ValueError(f"envelope_width must be finite and > 0, got {envelope_width!r}")
-    a = settings.truncation_sigmas * w
-    value, err = _adaptive(integrand, 0.0, a, settings, _initial_spacing(w, max_frequency))
-    edge = np.abs(np.asarray(integrand(np.array([a])), dtype=complex))
-    tail = _gaussian_tail_bound(float(edge[0]), w, a)
-    return IntegralResult(value, err + tail)
+    return _integrate_window(integrand, envelope_width, settings, max_frequency, False)
 
 
 def integrate_interval(

@@ -1,7 +1,8 @@
 """Self-validation battery: oracle equivalence grids and model invariants.
 
-Each check returns a CheckResult with the measured deviation and the
-tolerance it was held to; run_validation collects them into a
+Every check takes (oracle, grid, quad) and returns a CheckResult with the
+measured deviation and the tolerance it was held to; run_validation
+resolves the settings once and collects the results into a
 machine-readable report. The "coarse" grid shrinks the sweep axes for a
 quick smoke run; "full" runs the complete desk-scale grids.
 """
@@ -29,7 +30,6 @@ from .model import (
     transition_probability,
     velocity_profile,
     velocity_scan_grid,
-    zero_gap_x,
 )
 from .oracle import OracleSettings
 from .quadrature import QuadratureSettings
@@ -51,9 +51,8 @@ def _check(name: str, measured: float, tolerance: float, detail: str = "") -> Ch
     return CheckResult(name, bool(measured <= tolerance), float(measured), float(tolerance), detail)
 
 
-def check_p_oracle_vs_closed_form(
-    oracle: OracleSettings, grid: str = "full"
-) -> CheckResult:
+def check_p_oracle_vs_closed_form(oracle: OracleSettings, grid: str,
+                                  quad: QuadratureSettings) -> CheckResult:
     vs = (0.0, 0.3, 0.6, 0.9, 0.99) if grid == "full" else (0.0, 0.9)
     gaps = (0.0, 1.0, 4.0) if grid == "full" else (0.0, 1.0)
     worst = 0.0
@@ -67,7 +66,8 @@ def check_p_oracle_vs_closed_form(
                   f"{len(vs) * len(gaps)} (v, gap) points")
 
 
-def check_p_closed_form_limits(_: OracleSettings, grid: str = "full") -> CheckResult:
+def check_p_closed_form_limits(_: OracleSettings, grid: str,
+                               quad: QuadratureSettings) -> CheckResult:
     dev0 = abs(transition_probability(DetectorSettings(1.0, 0.0)) - 1.0 / (4.0 * math.pi))
     dev1 = abs(transition_probability(DetectorSettings(1.0, 1.0)) - 0.0070883)
     measured = max(dev0 / 1e-12, dev1 / 1e-7)  # normalized to each tolerance
@@ -81,10 +81,8 @@ def _x_grid(grid: str):
     return (0.5, 2.0), (0.0, 0.9), (0.0, 1.0, 4.0)
 
 
-def check_x_oracle_vs_fast_path(
-    oracle: OracleSettings, grid: str = "full", quad: QuadratureSettings | None = None
-) -> CheckResult:
-    quad = quad if quad is not None else QuadratureSettings()
+def check_x_oracle_vs_fast_path(oracle: OracleSettings, grid: str,
+                                quad: QuadratureSettings) -> CheckResult:
     ds, vs, gaps = _x_grid(grid)
     worst = 0.0
     for d in ds:
@@ -100,9 +98,7 @@ def check_x_oracle_vs_fast_path(
                   f"{len(ds) * len(vs) * len(gaps)} (d, v, gap) points, relative with 1e-10 floor")
 
 
-def check_static_reduction(_: OracleSettings, grid: str = "full",
-                           quad: QuadratureSettings | None = None) -> CheckResult:
-    quad = quad if quad is not None else QuadratureSettings()
+def check_static_reduction(_: OracleSettings, grid: str, quad: QuadratureSettings) -> CheckResult:
     ds = np.linspace(0.25, 6.0, 5)
     gaps = np.linspace(0.0, 4.0, 5)
     worst = 0.0
@@ -119,9 +115,8 @@ def check_static_reduction(_: OracleSettings, grid: str = "full",
                        f"5x5 grid; N(1, 0, 0) dev {n_dev:.2e} (tol 1e-6)")
 
 
-def check_degenerate_gap_extinction(_: OracleSettings, grid: str = "full",
-                                    quad: QuadratureSettings | None = None) -> CheckResult:
-    quad = quad if quad is not None else QuadratureSettings()
+def check_degenerate_gap_extinction(_: OracleSettings, grid: str,
+                                    quad: QuadratureSettings) -> CheckResult:
     det = DetectorSettings(1.0, 0.0)
     n_points = 50 if grid == "full" else 10
     vs = np.linspace(0.0, 0.99, n_points)
@@ -134,9 +129,7 @@ def check_degenerate_gap_extinction(_: OracleSettings, grid: str = "full",
                        f"max N over {n_points} v at d=2 (must be 0); N(0.5, 0, 0) = {n_small:.4e} > 0")
 
 
-def check_scale_invariance(_: OracleSettings, grid: str = "full",
-                           quad: QuadratureSettings | None = None) -> CheckResult:
-    quad = quad if quad is not None else QuadratureSettings()
+def check_scale_invariance(_: OracleSettings, grid: str, quad: QuadratureSettings) -> CheckResult:
     worst = 0.0
     for v in (0.0, 0.5):
         a = negativity(DetectorSettings(1.0, 0.0), EncounterGeometry(1.0, v), quad)
@@ -153,11 +146,10 @@ def _fd_slope(d: float, gap: float, quad: QuadratureSettings, eta: float = 1e-3)
     return (xh - x0) / eta
 
 
-def bisect_gap_threshold(d: float, quad: QuadratureSettings | None = None,
+def bisect_gap_threshold(d: float, quad: QuadratureSettings,
                          lo: float = 0.3, hi: float = 1.5, tol: float = 1e-3) -> float:
     """Independent threshold estimate: bisection on the finite-difference
     slope of |X|^2 in v^2 at v = 0."""
-    quad = quad if quad is not None else QuadratureSettings()
     f_lo, f_hi = _fd_slope(d, lo, quad), _fd_slope(d, hi, quad)
     if not (f_lo < 0.0 < f_hi):
         raise ValueError(f"threshold not bracketed on [{lo}, {hi}] at d = {d}")
@@ -170,9 +162,8 @@ def bisect_gap_threshold(d: float, quad: QuadratureSettings | None = None,
     return 0.5 * (lo + hi)
 
 
-def check_threshold_equivalence(_: OracleSettings, grid: str = "full",
-                                quad: QuadratureSettings | None = None) -> CheckResult:
-    quad = quad if quad is not None else QuadratureSettings()
+def check_threshold_equivalence(_: OracleSettings, grid: str,
+                                quad: QuadratureSettings) -> CheckResult:
     ds = (0.5, 1.0, 2.0, 3.0) if grid == "full" else (1.0,)
     for d in ds:
         omega_p = omega_peak_threshold(d)
@@ -190,9 +181,8 @@ def check_threshold_equivalence(_: OracleSettings, grid: str = "full",
                   "closed-form sign flips plus bisection on quadrature finite differences")
 
 
-def check_peak_phenomenology(_: OracleSettings, grid: str = "full",
-                             quad: QuadratureSettings | None = None) -> CheckResult:
-    quad = quad if quad is not None else QuadratureSettings()
+def check_peak_phenomenology(_: OracleSettings, grid: str,
+                             quad: QuadratureSettings) -> CheckResult:
     peak = find_peak_velocity(DetectorSettings(1.0, 1.0), 1.0, quad)
     n0 = static_negativity(DetectorSettings(1.0, 1.0), 1.0)
     if peak is None or not (0.0 < peak.v_star < 1.0 and peak.n_star > n0 > 0.0):
@@ -222,9 +212,8 @@ def check_peak_phenomenology(_: OracleSettings, grid: str = "full",
                        "peak at (1,1), monotone at (1,0.5), extinction on the grid")
 
 
-def check_spacelike_criterion(_: OracleSettings, grid: str = "full",
-                              quad: QuadratureSettings | None = None) -> CheckResult:
-    quad = quad if quad is not None else QuadratureSettings()
+def check_spacelike_criterion(_: OracleSettings, grid: str,
+                              quad: QuadratureSettings) -> CheckResult:
     # binary 0.8 is not exactly 4/5; correctly rounded output is 10 + 1 ulp
     if abs(spacelike_min_distance(0.8, 1.0) - 10.0) > 2.0 * math.ulp(10.0):
         return CheckResult("spacelike_criterion", False, math.inf, 0.0,
@@ -255,19 +244,7 @@ def check_spacelike_criterion(_: OracleSettings, grid: str = "full",
                        "no spacelike harvesting point found at gap 4")
 
 
-def check_zero_gap_consistency(_: OracleSettings, grid: str = "full",
-                               quad: QuadratureSettings | None = None) -> CheckResult:
-    quad = quad if quad is not None else QuadratureSettings()
-    geom = EncounterGeometry(1.0, 0.3)
-    a = zero_gap_x(geom, 1.0, quad)
-    b = correlation_x(DetectorSettings(1.0, 0.0), geom, quad)
-    dev = abs(a.value - b.value)
-    return _check("zero_gap_consistency", dev, 1e-9,
-                  "dedicated zero-gap path vs correlation_x at omega = 0")
-
-
-def check_sweep_determinism(_: OracleSettings, grid: str = "full",
-                            quad: QuadratureSettings | None = None) -> CheckResult:
+def check_sweep_determinism(_: OracleSettings, grid: str, quad: QuadratureSettings) -> CheckResult:
     if grid == "full":
         counts, worker_sets = 20, (1, 4, 8)
     else:
@@ -276,7 +253,7 @@ def check_sweep_determinism(_: OracleSettings, grid: str = "full",
         d_over_sigma=GridSpec(0.5, 4.0, counts),
         sigma_omega=GridSpec(0.0, 4.0, counts),
         v=GridSpec(0.0, 0.99, counts),
-        quad=quad if quad is not None else QuadratureSettings(),
+        quad=quad,
     )
     outputs = []
     for workers in worker_sets:
@@ -298,7 +275,6 @@ _CHECKS = (
     check_threshold_equivalence,
     check_peak_phenomenology,
     check_spacelike_criterion,
-    check_zero_gap_consistency,
     check_sweep_determinism,
 )
 
@@ -312,13 +288,11 @@ def run_validation(
     if grid not in ("coarse", "full"):
         raise ValueError(f"grid must be 'coarse' or 'full', got {grid!r}")
     oracle = oracle if oracle is not None else OracleSettings()
+    quad = quad if quad is not None else QuadratureSettings()
     results = []
     for fn in _CHECKS:
         try:
-            if fn in (check_p_oracle_vs_closed_form, check_p_closed_form_limits):
-                results.append(fn(oracle, grid))
-            else:
-                results.append(fn(oracle, grid, quad))
+            results.append(fn(oracle, grid, quad))
         except Exception as exc:  # a crashed check is a failed check
             results.append(CheckResult(fn.__name__.removeprefix("check_"), False,
                                        math.inf, 0.0, f"{type(exc).__name__}: {exc}"))

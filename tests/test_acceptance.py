@@ -34,7 +34,7 @@ def _report(criterion: int, chk, elapsed: float | None = None) -> None:
 
 def test_criterion_1_p_oracle_agreement():
     t0 = time.perf_counter()
-    chk = check_p_oracle_vs_closed_form(ORACLE, grid="full")
+    chk = check_p_oracle_vs_closed_form(ORACLE, grid="full", quad=QUAD)
     elapsed = time.perf_counter() - t0
     _report(1, chk, elapsed)
     assert chk.passed, chk.detail
@@ -42,14 +42,14 @@ def test_criterion_1_p_oracle_agreement():
 
 
 def test_criterion_2_p_closed_form_limits():
-    chk = check_p_closed_form_limits(ORACLE, grid="full")
+    chk = check_p_closed_form_limits(ORACLE, grid="full", quad=QUAD)
     _report(2, chk)
     assert chk.passed, chk.detail
 
 
 def test_criterion_3_x_oracle_agreement():
     t0 = time.perf_counter()
-    chk = check_x_oracle_vs_fast_path(ORACLE, grid="full")
+    chk = check_x_oracle_vs_fast_path(ORACLE, grid="full", quad=QUAD)
     elapsed = time.perf_counter() - t0
     _report(3, chk, elapsed)
     assert chk.passed, chk.detail

@@ -20,7 +20,6 @@ from entharvest.model import (
     transition_probability,
     velocity_profile,
     velocity_scan_grid,
-    zero_gap_x,
 )
 from entharvest.quadrature import QuadratureSettings
 
@@ -89,23 +88,15 @@ class TestCorrelationX:
         b = correlation_x(det(sigma=3.0, omega=2.0 / 3.0), EncounterGeometry(d=4.5, v=0.6), QUAD)
         assert abs(a.value - b.value) <= 1e-9 * abs(a.value)
 
+    def test_scale_invariance_is_exact(self):
+        # at omega = 0 the rescaled inputs are bit-identical: 6/3 is exactly 2
+        a = correlation_x(det(sigma=1.0), EncounterGeometry(d=2.0, v=0.5))
+        b = correlation_x(det(sigma=3.0), EncounterGeometry(d=6.0, v=0.5))
+        assert a.value == b.value
+
     def test_error_estimate_present(self):
         x = correlation_x(det(omega=1.0), EncounterGeometry(d=1.0, v=0.3), QUAD)
         assert 0.0 < x.error_estimate < 1e-9
-
-
-class TestZeroGapX:
-    def test_matches_general_path(self):
-        for d in (0.5, 1.0, 3.0):
-            for v in (0.0, 0.4, 0.9):
-                a = zero_gap_x(EncounterGeometry(d=d, v=v), sigma=1.0, settings=QUAD)
-                b = correlation_x(det(omega=0.0), EncounterGeometry(d=d, v=v), QUAD)
-                assert abs(a.value - b.value) <= 1e-9 * abs(b.value)
-
-    def test_scale_invariance_is_exact(self):
-        a = zero_gap_x(EncounterGeometry(d=2.0, v=0.5), sigma=1.0)
-        b = zero_gap_x(EncounterGeometry(d=6.0, v=0.5), sigma=3.0)
-        assert a.value == b.value
 
 
 class TestStaticClosedForms:
@@ -243,7 +234,31 @@ class TestRegionClassification:
         assert profile.n.shape == profile.v.shape
 
 
+BAD_D = (0.0, -1.0, math.nan, math.inf)
+BAD_SIGMA = (0.0, math.inf)
+D_CALLS = {
+    "static_x_abs": lambda d: static_x_abs(det(), d),
+    "omega_peak_threshold": omega_peak_threshold,
+    "second_derivative_at_rest": lambda d: second_derivative_at_rest(det(), d),
+    "velocity_profile": lambda d: velocity_profile(det(), d, QUAD),
+}
+SIGMA_CALLS = {
+    "omega_peak_threshold": lambda sigma: omega_peak_threshold(1.0, sigma),
+    "spacelike_min_distance": lambda sigma: spacelike_min_distance(0.5, sigma),
+}
+
+
 class TestInputValidation:
+    @pytest.mark.parametrize("call, value", [
+        *(pytest.param(call, d, id=f"{name}-d={d}")
+          for name, call in D_CALLS.items() for d in BAD_D),
+        *(pytest.param(call, sigma, id=f"{name}-sigma={sigma}")
+          for name, call in SIGMA_CALLS.items() for sigma in BAD_SIGMA),
+    ])
+    def test_rejects_bad_scale(self, call, value):
+        with pytest.raises(ValueError):
+            call(value)
+
     def test_detector(self):
         with pytest.raises(ValueError):
             DetectorSettings(sigma=0.0, omega=1.0)

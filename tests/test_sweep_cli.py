@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import math
@@ -233,6 +234,13 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("ValueError: v must satisfy")
 
+    def test_point_bad_input_goes_to_stderr(self, capsys):
+        rc = main(["point", "--d", "1", "--v", "0.3", "--omega", "1", "--sigma", "0"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == "ValueError: sigma must be finite and > 0, got 0.0\n"
+
     def test_point_quad_flag(self, capsys):
         rc = main(["point", "--d", "1.0", "--v", "0.3", "--omega", "1.0",
                    "--rel-tol", "1e-6"])
@@ -264,6 +272,15 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert 0.25 < payload["peak"]["v_star"] < 0.35
 
+    def test_peak_failed_integral_goes_to_stderr(self, capsys):
+        rc = main(["peak", "--d", "1", "--omega", "4", "--max-subdivisions", "1",
+                   "--rel-tol", "1e-14", "--abs-tol", "1e-300"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("ConvergenceError: no convergence")
+        assert captured.err.count("\n") == 1
+
     def test_peak_absent(self, capsys):
         rc = main(["peak", "--d", "1.0", "--omega", "0.5"])
         assert rc == 0
@@ -282,9 +299,19 @@ class TestCli:
         assert "peaked" in out.read_text()
 
 
+@pytest.fixture(scope="module")
+def coarse_cli_run(tmp_path_factory):
+    """One `validate --grid coarse` run through the CLI: (exit code, stderr, report)."""
+    out = tmp_path_factory.mktemp("validate") / "report.json"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(["validate", "--grid", "coarse", "--out", str(out)])
+    return rc, err.getvalue(), json.loads(out.read_text())
+
+
 class TestValidationBattery:
-    def test_coarse_all_pass(self):
-        report = validate_mod.run_validation(grid="coarse")
+    def test_coarse_all_pass(self, coarse_cli_run):
+        _, _, report = coarse_cli_run
         assert report["all_passed"]
         names = {c["name"] for c in report["checks"]}
         assert len(names) == len(report["checks"])  # unique names
@@ -302,11 +329,8 @@ class TestValidationBattery:
         failed = {c["name"] for c in report["checks"] if not c["passed"]}
         assert any("x_oracle" in name for name in failed)
 
-    def test_cli_validate_exit_code(self, tmp_path, capsys):
-        out = tmp_path / "report.json"
-        rc = main(["validate", "--grid", "coarse", "--out", str(out)])
-        captured = capsys.readouterr()
+    def test_cli_validate_exit_code(self, coarse_cli_run):
+        rc, err, report = coarse_cli_run
         assert rc == 0
-        assert "PASS" in captured.err
-        report = json.loads(out.read_text())
+        assert "PASS" in err
         assert report["all_passed"]
