@@ -4,9 +4,9 @@ Subcommands map one-to-one onto the reproduction artifacts: `point` for a
 single evaluation (JSON to stdout), `sweep` and `region` for CSV files
 driven by a JSON config, `peak` for the velocity maximizer at one (d,
 omega), and `validate` for the self-check report. All configuration is
-explicit; no environment variables are consulted. Bad input or a failed
-integral ends a command with one `Type: message` line on stderr and exit
-code 1.
+explicit; no environment variables are consulted. Bad input, a bad
+config, a file that cannot be read or written, or a failed integral ends a
+command with one `Type: message` line on stderr and exit code 1.
 """
 
 from __future__ import annotations
@@ -19,8 +19,9 @@ from dataclasses import asdict, replace
 from .model import DetectorSettings, find_peak_velocity
 from .quadrature import QuadratureError, QuadratureSettings
 from .sweep import (
-    GridSpec,
     SweepSpec,
+    _load_json,
+    _read_config,
     _sweep_point,
     run_region_scan,
     run_sweep,
@@ -59,50 +60,38 @@ def _cmd_point(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    spec = SweepSpec.from_json(args.config)
-    spec = replace(spec, quad=_quad_from_args(spec.quad, args))
-    rows = run_sweep(spec, workers=args.workers)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        write_sweep_csv(rows, fh, spec.outputs)
+def _write_rows(out: str, rows: list, write, *columns) -> int:
+    """Write the rows as CSV to out; exit code 1 if any row records an error."""
+    with open(out, "w", encoding="utf-8", newline="\n") as fh:
+        write(rows, fh, *columns)
     failures = sum(1 for row in rows if row.error)
     if failures:
         print(f"{failures}/{len(rows)} points failed; see the error column", file=sys.stderr)
-        return 1
-    return 0
+    return 1 if failures else 0
+
+
+# run_* and write_*_csv are looked up in this module's globals at call time,
+# where perfbench's tracer replaces them
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    spec = SweepSpec.from_json(args.config)
+    spec = replace(spec, quad=_quad_from_args(spec.quad, args))
+    return _write_rows(args.out, run_sweep(spec, workers=args.workers), write_sweep_csv, spec.outputs)
+
+
+def _cmd_region(args: argparse.Namespace) -> int:
+    (d_grid, omega_grid), quad = _read_config(_load_json(args.config), ("d_over_sigma", "sigma_omega"))
+    rows = run_region_scan(d_grid, omega_grid, _quad_from_args(quad, args), workers=args.workers)
+    return _write_rows(args.out, rows, write_region_csv)
 
 
 def _cmd_peak(args: argparse.Namespace) -> int:
     quad = _quad_from_args(QuadratureSettings(), args)
     det = DetectorSettings(sigma=args.sigma, omega=args.omega)
     peak = find_peak_velocity(det, args.d, quad)
-    payload = {"d_over_sigma": args.d / args.sigma, "sigma_omega": det.gap}
-    if peak is None:
-        payload["peak"] = None
-    else:
-        payload["peak"] = {
-            "v_star": peak.v_star,
-            "n_star": peak.n_star,
-            "multimodal": peak.multimodal,
-        }
+    payload = {"d_over_sigma": args.d / args.sigma, "sigma_omega": det.gap,
+               "peak": None if peak is None else asdict(peak)}
     json.dump(payload, sys.stdout, indent=2)
     sys.stdout.write("\n")
-    return 0
-
-
-def _cmd_region(args: argparse.Namespace) -> int:
-    with open(args.config, encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    d_grid = GridSpec.from_dict(cfg["d_over_sigma"])
-    omega_grid = GridSpec.from_dict(cfg["sigma_omega"])
-    quad = _quad_from_args(QuadratureSettings(**cfg.get("quadrature", {})), args)
-    rows = run_region_scan(d_grid, omega_grid, quad, workers=args.workers)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        write_region_csv(rows, fh)
-    failures = sum(1 for row in rows if row.error)
-    if failures:
-        print(f"{failures}/{len(rows)} points failed; see the error column", file=sys.stderr)
-        return 1
     return 0
 
 
@@ -169,7 +158,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, QuadratureError) as exc:
+    except (ValueError, OSError, QuadratureError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

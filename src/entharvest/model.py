@@ -92,10 +92,6 @@ class EncounterGeometry:
         if not (0.0 <= self.v < 1.0):
             raise ValueError(f"v must satisfy 0 <= v < 1, got {self.v!r}")
 
-    @property
-    def lorentz_factor(self) -> float:
-        return 1.0 / math.sqrt(1.0 - self.v * self.v)
-
 
 @dataclass(frozen=True)
 class HarvestQuantities:
@@ -183,7 +179,11 @@ def _x_integral(d: float, v: float, gap: float, settings: QuadratureSettings) ->
         phase = np.exp(-1j * freq * u)
         return (real + 1j * imag) * phase / q
 
-    result = integrate_line(integrand, 2.0 / math.sqrt(b4), settings, max_frequency=freq)
+    # where d*d underflows, 1/q divides by zero at u = 0: the inf or NaN that
+    # results is caught by the quadrature's finiteness check, so only
+    # overflow warnings are left on
+    with np.errstate(divide="ignore", invalid="ignore"):
+        result = integrate_line(integrand, 2.0 / math.sqrt(b4), settings, max_frequency=freq)
     pref = b2 / (8.0 * math.pi)  # times 1/i
     return IntegralResult(-1j * pref * result.value, pref * result.error_estimate)
 
@@ -327,7 +327,6 @@ def velocity_profile(
     det: DetectorSettings,
     d: float,
     settings: QuadratureSettings | None = None,
-    scan_points: int = 64,
 ) -> VelocityProfile:
     """Scan N over v once at fixed (d, omega), then label and refine the profile.
 
@@ -345,7 +344,7 @@ def velocity_profile(
         x = _x_integral(ds, v, det.gap, settings)
         return max(abs(x.value) - p, 0.0)
 
-    v_grid = velocity_scan_grid(scan_points)
+    v_grid = velocity_scan_grid()
     n_vals = np.array([n_of_v(float(v)) for v in v_grid])
     if not np.any(n_vals > 0.0):
         return VelocityProfile(v_grid, n_vals, RegionLabel.NO_ENTANGLEMENT, None)
@@ -369,17 +368,15 @@ def find_peak_velocity(
     det: DetectorSettings,
     d: float,
     settings: QuadratureSettings | None = None,
-    scan_points: int = 64,
 ) -> Optional[PeakResult]:
     """Interior maximizer of N over v in (0, 1), or None: the profile's peak."""
-    return velocity_profile(det, d, settings, scan_points).peak
+    return velocity_profile(det, d, settings).peak
 
 
 def classify_region(
     det: DetectorSettings,
     d: float,
     settings: QuadratureSettings | None = None,
-    scan_points: int = 64,
 ) -> RegionLabel:
     """Classify a (d, omega) point by its negativity-vs-velocity profile."""
-    return velocity_profile(det, d, settings, scan_points).label
+    return velocity_profile(det, d, settings).label

@@ -156,6 +156,12 @@ _WG = np.array(
 )
 
 
+# Start panels allowed before any evaluation. The count grows like 51 * gap
+# for the X integral at v = 0, so the limit falls near gap 1300, where P has
+# long underflowed to 0; past it the start arrays alone would need gigabytes.
+_MAX_START_PANELS = 1 << 16
+
+
 def _eval_panels(f: Integrand, lo: np.ndarray, hi: np.ndarray):
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
@@ -183,7 +189,10 @@ def _adaptive(
     if not (width > 0.0):
         raise ValueError(f"empty integration interval [{a!r}, {b!r}]")
     spacing = width if initial_spacing is None else min(initial_spacing, width)
-    n0 = max(4, math.ceil(width / spacing))
+    n0 = width / spacing
+    if n0 > _MAX_START_PANELS:
+        raise QuadratureError(f"{n0:.3g} start panels exceed the limit of {_MAX_START_PANELS}")
+    n0 = max(4, math.ceil(n0))
     edges = np.linspace(a, b, n0 + 1)
     lo, hi = edges[:-1], edges[1:]
     vals, errs = _eval_panels(f, lo, hi)

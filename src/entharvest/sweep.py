@@ -1,19 +1,22 @@
 """Parameter sweeps, region scans, and deterministic CSV emission.
 
-Grid points are independent pure-function evaluations; sweeps may run
-across a process pool, but rows are always emitted in row-major
-(d, omega, v) order, so output is byte-identical for any worker count.
-Per-point failures of any kind are recorded in the error column instead
-of aborting the sweep.
+Both grid jobs share one pipeline: a JSON config gives the axes and the
+quadrature block, every axis tuple is evaluated in row-major order, and
+each row is written as one CSV line whose cells are formatted by type.
+Grid points are independent pure-function evaluations; they may run
+across a process pool, but rows keep their row-major order, so output is
+byte-identical for any worker count. Per-point failures of any kind are
+recorded in the error column instead of aborting the grid.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import IO, Iterable, Optional, Sequence
+from dataclasses import dataclass, field, fields
+from typing import IO, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -89,60 +92,6 @@ class GridSpec:
         )
 
 
-SWEEP_COLUMNS = (
-    "d_over_sigma",
-    "v",
-    "sigma_omega",
-    "p",
-    "x_re",
-    "x_im",
-    "x_abs",
-    "m",
-    "negativity",
-    "x_error_estimate",
-    "spacelike",
-    "error",
-)
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """Full sweep configuration: three axes plus quadrature settings."""
-
-    d_over_sigma: GridSpec
-    sigma_omega: GridSpec
-    v: GridSpec
-    quad: QuadratureSettings = field(default_factory=QuadratureSettings)
-    outputs: Sequence[str] = SWEEP_COLUMNS
-
-    def __post_init__(self) -> None:
-        if not (self.d_over_sigma.min > 0.0):
-            raise ValueError("d_over_sigma grid must be > 0")
-        if not (0.0 <= self.v.min and self.v.max < 1.0):
-            raise ValueError("v grid must lie in [0, 1)")
-        if self.sigma_omega.min < 0.0:
-            raise ValueError("sigma_omega grid must be >= 0")
-        unknown = set(self.outputs) - set(SWEEP_COLUMNS)
-        if unknown:
-            raise ValueError(f"unknown output columns: {sorted(unknown)}")
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "SweepSpec":
-        quad = QuadratureSettings(**obj.get("quadrature", {}))
-        return cls(
-            d_over_sigma=GridSpec.from_dict(obj["d_over_sigma"]),
-            sigma_omega=GridSpec.from_dict(obj["sigma_omega"]),
-            v=GridSpec.from_dict(obj["v"]),
-            quad=quad,
-            outputs=tuple(obj.get("outputs", SWEEP_COLUMNS)),
-        )
-
-    @classmethod
-    def from_json(cls, path: str) -> "SweepSpec":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
-
-
 @dataclass(frozen=True)
 class SweepRow:
     d_over_sigma: float
@@ -167,6 +116,74 @@ class RegionRow:
     v_star: Optional[float] = None
     n_star: Optional[float] = None
     error: str = ""
+
+
+# a row's fields are its CSV columns, in order
+SWEEP_COLUMNS = tuple(f.name for f in fields(SweepRow))
+_REGION_COLUMNS = tuple(f.name for f in fields(RegionRow))
+
+
+def _check_axes(d_over_sigma: GridSpec, sigma_omega: GridSpec) -> None:
+    if not (d_over_sigma.min > 0.0):
+        raise ValueError("d_over_sigma grid must be > 0")
+    if sigma_omega.min < 0.0:
+        raise ValueError("sigma_omega grid must be >= 0")
+
+
+def _read_config(obj: dict, axes: Sequence[str]) -> tuple[list[GridSpec], QuadratureSettings]:
+    """The named axes and the optional `quadrature` block of a JSON grid config.
+
+    A missing key or a misnamed field raises ValueError naming where it is.
+    """
+    try:
+        grids = []
+        for axis in axes:
+            where = "config"
+            section = obj[axis]
+            where = f"config axis {axis!r}"
+            grids.append(GridSpec.from_dict(section))
+        where = "config 'quadrature'"
+        return grids, QuadratureSettings(**obj.get("quadrature", {}))
+    except KeyError as exc:
+        raise ValueError(f"{where} is missing key {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
+def _load_json(path: str) -> dict:
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@dataclass(frozen=True)
+class SweepSpec:
+    """Full sweep configuration: three axes plus quadrature settings."""
+
+    d_over_sigma: GridSpec
+    sigma_omega: GridSpec
+    v: GridSpec
+    quad: QuadratureSettings = field(default_factory=QuadratureSettings)
+    outputs: Sequence[str] = SWEEP_COLUMNS
+
+    def __post_init__(self) -> None:
+        _check_axes(self.d_over_sigma, self.sigma_omega)
+        if not (0.0 <= self.v.min and self.v.max < 1.0):
+            raise ValueError("v grid must lie in [0, 1)")
+        unknown = set(self.outputs) - set(SWEEP_COLUMNS)
+        if unknown:
+            raise ValueError(f"unknown output columns: {sorted(unknown)}")
+
+    @classmethod
+    def from_dict(cls, obj: dict) -> "SweepSpec":
+        grids, quad = _read_config(obj, ("d_over_sigma", "sigma_omega", "v"))
+        outputs = obj.get("outputs", SWEEP_COLUMNS)
+        if not isinstance(outputs, (list, tuple)):
+            raise ValueError(f"config 'outputs' must be a list of column names, got {outputs!r}")
+        return cls(*grids, quad=quad, outputs=tuple(outputs))
+
+    @classmethod
+    def from_json(cls, path: str) -> "SweepSpec":
+        return cls.from_dict(_load_json(path))
 
 
 def _error_text(exc: Exception) -> str:
@@ -208,23 +225,19 @@ def _region_point(args: tuple[float, float, QuadratureSettings]) -> RegionRow:
     return RegionRow(d, so, profile.label, profile.peak.v_star, profile.peak.n_star)
 
 
-def _run_tasks(fn, tasks: list, workers: int) -> list:
+def _run_grid(point: Callable, axes: Sequence[GridSpec], quad: QuadratureSettings, workers: int) -> list:
+    """point((*axis values, quad)) for every axis tuple, in row-major order."""
+    tasks = [(*xs, quad) for xs in itertools.product(*(g.points().tolist() for g in axes))]
     if workers <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
+        return [point(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         chunk = max(1, len(tasks) // (workers * 8))
-        return list(pool.map(fn, tasks, chunksize=chunk))
+        return list(pool.map(point, tasks, chunksize=chunk))
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRow]:
     """Evaluate every grid tuple in row-major (d, omega, v) order."""
-    tasks = [
-        (float(d), float(so), float(v), spec.quad)
-        for d in spec.d_over_sigma.points()
-        for so in spec.sigma_omega.points()
-        for v in spec.v.points()
-    ]
-    return _run_tasks(_sweep_point, tasks, workers)
+    return _run_grid(_sweep_point, (spec.d_over_sigma, spec.sigma_omega, spec.v), spec.quad, workers)
 
 
 def run_region_scan(
@@ -234,49 +247,34 @@ def run_region_scan(
     workers: int = 1,
 ) -> list[RegionRow]:
     """Classify every (d, omega) grid point; failures flagged per point."""
+    _check_axes(d_grid, omega_grid)
     quad = settings if settings is not None else QuadratureSettings()
-    tasks = [
-        (float(d), float(so), quad)
-        for d in d_grid.points()
-        for so in omega_grid.points()
-    ]
-    return _run_tasks(_region_point, tasks, workers)
+    return _run_grid(_region_point, (d_grid, omega_grid), quad, workers)
 
 
-def _fmt(x: float) -> str:
+def _cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if value is None:
+        return ""
+    if isinstance(value, RegionLabel):
+        return value.value
+    if isinstance(value, str):
+        # a multi-line message must not split its row, nor a comma its cell
+        return " ".join(value.splitlines()).replace(",", ";")
     # IEEE-754 round-trip decimal, locale-independent
-    return "%.17g" % x
+    return "%.17g" % value
 
 
-def _text_cell(text: str) -> str:
-    # a multi-line message must not split its row, nor a comma its cell
-    return " ".join(text.splitlines()).replace(",", ";")
+def _write_csv(rows: Iterable, fh: IO[str], columns: Sequence[str]) -> None:
+    fh.write(",".join(columns) + "\n")
+    for row in rows:
+        fh.write(",".join([_cell(getattr(row, col)) for col in columns]) + "\n")
 
 
 def write_sweep_csv(rows: Iterable[SweepRow], fh: IO[str], columns: Sequence[str] = SWEEP_COLUMNS) -> None:
-    fh.write(",".join(columns) + "\n")
-    for row in rows:
-        cells = []
-        for col in columns:
-            value = getattr(row, col)
-            if col == "spacelike":
-                cells.append("true" if value else "false")
-            elif col == "error":
-                cells.append(_text_cell(value))
-            else:
-                cells.append(_fmt(value))
-        fh.write(",".join(cells) + "\n")
+    _write_csv(rows, fh, columns)
 
 
 def write_region_csv(rows: Iterable[RegionRow], fh: IO[str]) -> None:
-    fh.write("d_over_sigma,sigma_omega,region,v_star,n_star,error\n")
-    for row in rows:
-        cells = [
-            _fmt(row.d_over_sigma),
-            _fmt(row.sigma_omega),
-            row.region.value if row.region is not None else "",
-            _fmt(row.v_star) if row.v_star is not None else "",
-            _fmt(row.n_star) if row.n_star is not None else "",
-            _text_cell(row.error),
-        ]
-        fh.write(",".join(cells) + "\n")
+    _write_csv(rows, fh, _REGION_COLUMNS)

@@ -7,6 +7,7 @@ from hypothesis import given, settings as hyp_settings, strategies as st
 from entharvest.quadrature import (
     ConvergenceError,
     NonFiniteIntegrandError,
+    QuadratureError,
     QuadratureSettings,
     integrate_halfline,
     integrate_interval,
@@ -162,3 +163,16 @@ def test_budget_exhaustion_raises_with_partial_result():
         integrate_line(f, 1.0, s, max_frequency=40.0)
     assert info.value.error_estimate > 0.0
     assert math.isfinite(abs(info.value.value))
+
+
+def test_start_panel_limit_raises_before_any_evaluation():
+    calls = []
+
+    def f(u):
+        calls.append(u.size)
+        return np.exp(-u * u)
+
+    # window 20 at spacing pi/12000: about 76000 start panels, over the limit
+    with pytest.raises(QuadratureError, match="start panels exceed the limit"):
+        integrate_line(f, 1.0, DEFAULT, max_frequency=3000.0)
+    assert calls == []

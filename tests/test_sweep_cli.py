@@ -139,6 +139,16 @@ class TestSweep:
         assert line.split(",")[-1] == "a b;c"
         assert len(line.split(",")) == len(SWEEP_COLUMNS)
 
+    def test_outputs_must_be_a_list(self):
+        cfg = {
+            "d_over_sigma": {"min": 1.0, "max": 1.0, "count": 1},
+            "sigma_omega": {"min": 0.0, "max": 0.0, "count": 1},
+            "v": {"min": 0.0, "max": 0.0, "count": 1},
+            "outputs": 5,
+        }
+        with pytest.raises(ValueError, match="config 'outputs' must be a list of column names"):
+            SweepSpec.from_dict(cfg)
+
     def test_rejects_unknown_columns(self):
         with pytest.raises(ValueError):
             SweepSpec(GridSpec(1.0, 1.0, 1), GridSpec(0.0, 0.0, 1), GridSpec(0.0, 0.0, 1),
@@ -187,6 +197,17 @@ class TestRegionScan:
         lines = buf.getvalue().split("\n")
         assert lines[0].startswith("d_over_sigma,sigma_omega,region")
         assert "monotone-decreasing" in lines[1]
+
+    def test_peaked_row_cells(self):
+        buf = io.StringIO()
+        write_region_csv([RegionRow(1.0, 2.0, RegionLabel.PEAKED, 0.5, 0.25)], buf)
+        assert buf.getvalue().split("\n")[1] == "1,2,peaked,0.5,0.25,"
+
+    def test_rejects_bad_axes(self):
+        with pytest.raises(ValueError, match="d_over_sigma grid must be > 0"):
+            run_region_scan(GridSpec(0.0, 1.0, 2), GridSpec(0.5, 0.5, 1))
+        with pytest.raises(ValueError, match="sigma_omega grid must be >= 0"):
+            run_region_scan(GridSpec(1.0, 1.0, 1), GridSpec(-0.5, 0.5, 2))
 
     def test_csv_escapes_error_cell(self):
         buf = io.StringIO()
@@ -281,6 +302,15 @@ class TestCli:
         assert captured.err.startswith("ConvergenceError: no convergence")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.filterwarnings("error")
+    def test_peak_tiny_d_prints_one_line(self, capsys):
+        rc = main(["peak", "--d", "1e-300", "--omega", "1"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("NonFiniteIntegrandError: ")
+        assert captured.err.count("\n") == 1
+
     def test_peak_absent(self, capsys):
         rc = main(["peak", "--d", "1.0", "--omega", "0.5"])
         assert rc == 0
@@ -297,6 +327,71 @@ class TestCli:
         rc = main(["region", "--config", str(config), "--out", str(out)])
         assert rc == 0
         assert "peaked" in out.read_text()
+
+    def test_region_failure_exits_1(self, tmp_path, capsys):
+        cfg = {
+            "d_over_sigma": {"min": 0.5, "max": 0.5, "count": 1},
+            "sigma_omega": {"min": 0.5, "max": 0.5, "count": 1},
+            "quadrature": {"rel_tol": 1e-14, "abs_tol": 1e-300, "max_subdivisions": 1},
+        }
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(cfg))
+        out = tmp_path / "region.csv"
+        rc = main(["region", "--config", str(config), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == "1/1 points failed; see the error column\n"
+        assert ",ConvergenceError: no convergence" in out.read_text()
+
+
+@pytest.mark.parametrize("command", ["sweep", "region"])
+class TestConfigErrors:
+    """A bad config or an unusable file ends `sweep` and `region` in one stderr line."""
+
+    def run(self, command, tmp_path, capsys, edit=None, config=None, out=None) -> str:
+        cfg = {
+            "d_over_sigma": {"min": 1.0, "max": 1.0, "count": 1},
+            "sigma_omega": {"min": 0.0, "max": 0.0, "count": 1},
+        }
+        if command == "sweep":
+            cfg["v"] = {"min": 0.0, "max": 0.0, "count": 1}
+        if edit is not None:
+            edit(cfg)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = out or tmp_path / "out.csv"
+        rc = main([command, "--config", str(config or path), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        return captured.err
+
+    def test_missing_config_file(self, command, tmp_path, capsys):
+        err = self.run(command, tmp_path, capsys, config=tmp_path / "nope.json")
+        assert err.startswith("FileNotFoundError: ") and "nope.json" in err
+
+    def test_unwritable_out(self, command, tmp_path, capsys):
+        err = self.run(command, tmp_path, capsys, out=tmp_path / "no-such-dir" / "out.csv")
+        assert err.startswith("FileNotFoundError: ") and "no-such-dir" in err
+
+    def test_missing_axis(self, command, tmp_path, capsys):
+        err = self.run(command, tmp_path, capsys, edit=lambda cfg: cfg.pop("sigma_omega"))
+        assert err == "ValueError: config is missing key 'sigma_omega'\n"
+
+    def test_missing_count(self, command, tmp_path, capsys):
+        err = self.run(command, tmp_path, capsys, edit=lambda cfg: cfg["d_over_sigma"].pop("count"))
+        assert err == "ValueError: config axis 'd_over_sigma' is missing key 'count'\n"
+
+    def test_misnamed_quadrature_field(self, command, tmp_path, capsys):
+        err = self.run(command, tmp_path, capsys,
+                       edit=lambda cfg: cfg.update(quadrature={"rel_tl": 1e-6}))
+        assert err.startswith("ValueError: config 'quadrature': ") and "'rel_tl'" in err
+
+    def test_d_axis_from_zero(self, command, tmp_path, capsys):
+        err = self.run(command, tmp_path, capsys,
+                       edit=lambda cfg: cfg.update(d_over_sigma={"min": 0.0, "max": 1.0, "count": 2}))
+        assert err == "ValueError: d_over_sigma grid must be > 0\n"
+        assert not (tmp_path / "out.csv").exists()
 
 
 @pytest.fixture(scope="module")
@@ -334,3 +429,4 @@ class TestValidationBattery:
         assert rc == 0
         assert "PASS" in err
         assert report["all_passed"]
+
