@@ -32,7 +32,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 from scipy.special import dawsn, erfcx
 
-from .quadrature import IntegralResult, QuadratureSettings, integrate_line
+from .quadrature import IntegralResult, QuadratureError, QuadratureSettings, integrate_line
 
 __all__ = [
     "DetectorSettings",
@@ -44,6 +44,7 @@ __all__ = [
     "transition_probability",
     "correlation_x",
     "negativity",
+    "negativity_row",
     "static_x_abs",
     "static_negativity",
     "spacelike_min_distance",
@@ -163,29 +164,89 @@ def transition_probability(det: DetectorSettings) -> float:
     return math.exp(-a * a) * (1.0 - _SQRT_PI * a * float(erfcx(a))) / (4.0 * math.pi)
 
 
-def _x_integral(d: float, v: float, gap: float, settings: QuadratureSettings) -> IntegralResult:
-    """Shared X machinery in sigma = 1 units (d = d/sigma, gap = sigma*omega)."""
-    b2 = 1.0 - v * v
-    b4 = 1.0 - v ** 4
-    sqrt_b2 = math.sqrt(b2)
-    freq = gap * sqrt_b2
+# Velocities per X integral. A batch shares one panel set, so every member
+# is also evaluated where another one needs refining; the cap keeps a row's
+# scan in a few batches of neighbouring velocities.
+_X_BATCH = 16
+
+
+def _x_integrals(d: float, vs, gap: float, settings: QuadratureSettings) -> list[IntegralResult]:
+    """X at up to _X_BATCH velocities from one integral, in sigma = 1 units.
+
+    In t = u / w(v) with w = 2/sqrt(1 - v^4) every velocity's envelope has
+    width 1, A = d^2 (1-v^2)/4 + t^2 and the Dawson part's Gaussian is
+    e^{-t^2/(1+v^2)}. The bracket in the module docstring is even in u, so
+    the phase's sine half integrates to 0 and X = -i (1-v^2)/(8 pi) (R + i I)
+    with R and I the integrals of its real and imaginary parts times
+    cos(f u), f = gap sqrt(1-v^2): two real components per velocity. The
+    Jacobian w is part of each component, so abs_tol still bounds the
+    u-integral's error. The tail term sees the cosine at the window edge
+    t = 10, where the widest envelope is already below e^{-50}.
+    """
+    v = np.asarray(vs, dtype=float)[:, None]
+    v2 = v * v
+    b2 = 1.0 - v2
+    w = 2.0 / np.sqrt(b2 * (1.0 + v2))
+    freq = 2.0 * gap / np.sqrt(1.0 + v2)  # f w, the phase's frequency in t
     d2 = d * d
+    q_t2 = v2 * w * w  # q^2 = v^2 u^2 + d^2 = q_t2 t^2 + d^2
+    dawsn_q = 0.5 * np.sqrt(b2)
+    im_t2 = -1.0 / (1.0 + v2)
+    re_scale = w * np.exp(-0.25 * d2 * b2)
+    im_scale = w * _TWO_OVER_SQRT_PI
+    m = v.shape[0]
 
-    def integrand(u: np.ndarray) -> np.ndarray:
-        q2 = v * v * u * u + d2
-        q = np.sqrt(q2)
-        real = np.exp(-0.25 * (d2 * b2 + u * u * b4))
-        imag = np.exp(-0.25 * b2 * u * u) * _TWO_OVER_SQRT_PI * dawsn(0.5 * sqrt_b2 * q)
-        phase = np.exp(-1j * freq * u)
-        return (real + 1j * imag) * phase / q
+    def integrand(t: np.ndarray) -> np.ndarray:
+        t2 = t * t
+        q = np.sqrt(q_t2 * t2 + d2)
+        cos_q = np.cos(freq * t) / q
+        out = np.empty((2 * m, t.size))
+        np.multiply(re_scale * np.exp(-t2), cos_q, out=out[:m])
+        imag = np.exp(im_t2 * t2)
+        imag *= dawsn(dawsn_q * q)
+        imag *= cos_q
+        np.multiply(im_scale, imag, out=out[m:])
+        return out
 
-    # where d*d underflows, 1/q divides by zero at u = 0: the inf or NaN that
+    # where d*d underflows, 1/q divides by zero at t = 0: the inf or NaN that
     # results is caught by the quadrature's finiteness check, so only
     # overflow warnings are left on
     with np.errstate(divide="ignore", invalid="ignore"):
-        result = integrate_line(integrand, 2.0 / math.sqrt(b4), settings, max_frequency=freq)
-    pref = b2 / (8.0 * math.pi)  # times 1/i
-    return IntegralResult(-1j * pref * result.value, pref * result.error_estimate)
+        parts = integrate_line(integrand, 1.0, settings, max_frequency=float(freq.max()))
+    pref = b2[:, 0] / (8.0 * math.pi)  # times 1/i
+    return [
+        IntegralResult(
+            complex(c * im.value.real, -c * re.value.real),
+            c * (re.error_estimate + im.error_estimate),
+        )
+        for c, re, im in zip(pref.tolist(), parts[:m], parts[m:])
+    ]
+
+
+def _x_row(d: float, vs, gap: float, settings: QuadratureSettings) -> list:
+    """X at every v in vs, an IntegralResult or the QuadratureError of that v.
+
+    Velocities go in batches of _X_BATCH. A batch that fails is re-run one
+    v at a time, so each failure stays with its own v and every value in
+    that batch is the one the v gets alone.
+    """
+    out: list = []
+    for i in range(0, len(vs), _X_BATCH):
+        batch = vs[i:i + _X_BATCH]
+        try:
+            out.extend(_x_integrals(d, batch, gap, settings))
+        except QuadratureError as exc:
+            if len(batch) == 1:
+                out.append(exc)
+            else:
+                out.extend(_x_row(d, [v], gap, settings)[0] for v in batch)
+    return out
+
+
+def _harvest(p: float, x: IntegralResult) -> HarvestQuantities:
+    m = abs(x.value) - p
+    return HarvestQuantities(p=p, x=x.value, m=m, negativity=max(m, 0.0),
+                             x_error_estimate=x.error_estimate)
 
 
 def correlation_x(
@@ -196,7 +257,7 @@ def correlation_x(
     """Correlation term X with quadrature error estimate."""
     if settings is None:
         settings = QuadratureSettings()
-    return _x_integral(geom.d / det.sigma, geom.v, det.gap, settings)
+    return _x_integrals(geom.d / det.sigma, [geom.v], det.gap, settings)[0]
 
 
 def negativity(
@@ -205,16 +266,28 @@ def negativity(
     settings: QuadratureSettings | None = None,
 ) -> HarvestQuantities:
     """Assemble P, X, M = |X| - P and N = max(M, 0)."""
+    return _harvest(transition_probability(det), correlation_x(det, geom, settings))
+
+
+def negativity_row(
+    det: DetectorSettings,
+    d: float,
+    vs,
+    settings: QuadratureSettings | None = None,
+) -> list:
+    """negativity at (d, v) for every v in vs, batched over v.
+
+    Each entry is HarvestQuantities, or the QuadratureError that v raises on
+    its own. Values agree with negativity() to within the quadrature
+    tolerance; where a batch fails they are identical to it.
+    """
+    if settings is None:
+        settings = QuadratureSettings()
+    for v in vs:
+        EncounterGeometry(d, v)  # the checks negativity() makes
     p = transition_probability(det)
-    x = correlation_x(det, geom, settings)
-    m = abs(x.value) - p
-    return HarvestQuantities(
-        p=p,
-        x=x.value,
-        m=m,
-        negativity=max(m, 0.0),
-        x_error_estimate=x.error_estimate,
-    )
+    return [x if isinstance(x, QuadratureError) else _harvest(p, x)
+            for x in _x_row(d / det.sigma, vs, det.gap, settings)]
 
 
 def _static_terms(d: float, sigma: float) -> tuple[float, float, float, float]:
@@ -341,11 +414,15 @@ def velocity_profile(
     p = transition_probability(det)
 
     def n_of_v(v: float) -> float:
-        x = _x_integral(ds, v, det.gap, settings)
+        x = _x_integrals(ds, [v], det.gap, settings)[0]
         return max(abs(x.value) - p, 0.0)
 
     v_grid = velocity_scan_grid()
-    n_vals = np.array([n_of_v(float(v)) for v in v_grid])
+    xs = _x_row(ds, v_grid.tolist(), det.gap, settings)
+    failed = [x for x in xs if isinstance(x, QuadratureError)]
+    if failed:
+        raise failed[0]
+    n_vals = np.array([max(abs(x.value) - p, 0.0) for x in xs])
     if not np.any(n_vals > 0.0):
         return VelocityProfile(v_grid, n_vals, RegionLabel.NO_ENTANGLEMENT, None)
 

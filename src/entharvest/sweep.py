@@ -3,10 +3,12 @@
 Both grid jobs share one pipeline: a JSON config gives the axes and the
 quadrature block, every axis tuple is evaluated in row-major order, and
 each row is written as one CSV line whose cells are formatted by type.
-Grid points are independent pure-function evaluations; they may run
-across a process pool, but rows keep their row-major order, so output is
-byte-identical for any worker count. Per-point failures of any kind are
-recorded in the error column instead of aborting the grid.
+A sweep hands each (d, omega) row's whole v axis to one task, which
+evaluates X in batches over v; a region scan hands over one (d, omega)
+point per task. Tasks may run across a process pool, but a task's work
+never depends on the pool and results keep their row-major order, so
+output is byte-identical for any worker count. Per-point failures of any
+kind are recorded in the error column instead of aborting the grid.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .model import (
     classify_region,
     find_peak_velocity,
     negativity,
+    negativity_row,
     spacelike_min_distance,
     velocity_profile,
 )
@@ -61,6 +64,8 @@ class GridSpec:
     spacing: str = "linear"
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.min) and math.isfinite(self.max)):
+            raise ValueError(f"grid bounds must be finite, got [{self.min!r}, {self.max!r}]")
         if self.count < 1:
             raise ValueError(f"count must be >= 1, got {self.count!r}")
         if self.count > 1 and not (self.min < self.max):
@@ -190,15 +195,11 @@ def _error_text(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _sweep_point(args: tuple[float, float, float, QuadratureSettings]) -> SweepRow:
-    d, so, v, quad = args
-    spacelike = False
-    try:
-        spacelike = d >= spacelike_min_distance(v, 1.0)
-        q = negativity(DetectorSettings(1.0, so), EncounterGeometry(d, v), quad)
-    except Exception as exc:  # any per-point failure is recorded, never raised
+def _point_row(d: float, so: float, v: float, spacelike: bool, q) -> SweepRow:
+    """The CSV row of one point from its HarvestQuantities or its exception."""
+    if isinstance(q, Exception):
         return SweepRow(d_over_sigma=d, v=v, sigma_omega=so, spacelike=spacelike,
-                        error=_error_text(exc))
+                        error=_error_text(q))
     return SweepRow(
         d_over_sigma=d,
         v=v,
@@ -214,6 +215,27 @@ def _sweep_point(args: tuple[float, float, float, QuadratureSettings]) -> SweepR
     )
 
 
+def _sweep_point(args: tuple[float, float, float, QuadratureSettings]) -> SweepRow:
+    d, so, v, quad = args
+    spacelike = False
+    try:
+        spacelike = d >= spacelike_min_distance(v, 1.0)
+        q = negativity(DetectorSettings(1.0, so), EncounterGeometry(d, v), quad)
+    except Exception as exc:  # any per-point failure is recorded, never raised
+        q = exc
+    return _point_row(d, so, v, spacelike, q)
+
+
+def _sweep_row(args: tuple[float, float, list[float], QuadratureSettings]) -> list[SweepRow]:
+    """The rows of every v at one (d, omega), X batched over v."""
+    d, so, vs, quad = args
+    try:
+        qs = negativity_row(DetectorSettings(1.0, so), d, vs, quad)
+    except Exception:  # input the row rejects as a whole: each point reports its own error
+        return [_sweep_point((d, so, v, quad)) for v in vs]
+    return [_point_row(d, so, v, d >= spacelike_min_distance(v, 1.0), q) for v, q in zip(vs, qs)]
+
+
 def _region_point(args: tuple[float, float, QuadratureSettings]) -> RegionRow:
     d, so, quad = args
     try:
@@ -225,19 +247,21 @@ def _region_point(args: tuple[float, float, QuadratureSettings]) -> RegionRow:
     return RegionRow(d, so, profile.label, profile.peak.v_star, profile.peak.n_star)
 
 
-def _run_grid(point: Callable, axes: Sequence[GridSpec], quad: QuadratureSettings, workers: int) -> list:
-    """point((*axis values, quad)) for every axis tuple, in row-major order."""
-    tasks = [(*xs, quad) for xs in itertools.product(*(g.points().tolist() for g in axes))]
+def _run_grid(task: Callable, axes: Sequence[GridSpec], rest: tuple, workers: int) -> list:
+    """task((*axis values, *rest)) for every axis tuple, in row-major order."""
+    tasks = [(*xs, *rest) for xs in itertools.product(*(g.points().tolist() for g in axes))]
     if workers <= 1 or len(tasks) <= 1:
-        return [point(t) for t in tasks]
+        return [task(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         chunk = max(1, len(tasks) // (workers * 8))
-        return list(pool.map(point, tasks, chunksize=chunk))
+        return list(pool.map(task, tasks, chunksize=chunk))
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRow]:
     """Evaluate every grid tuple in row-major (d, omega, v) order."""
-    return _run_grid(_sweep_point, (spec.d_over_sigma, spec.sigma_omega, spec.v), spec.quad, workers)
+    rows = _run_grid(_sweep_row, (spec.d_over_sigma, spec.sigma_omega),
+                     (spec.v.points().tolist(), spec.quad), workers)
+    return [row for v_axis in rows for row in v_axis]
 
 
 def run_region_scan(
@@ -249,7 +273,7 @@ def run_region_scan(
     """Classify every (d, omega) grid point; failures flagged per point."""
     _check_axes(d_grid, omega_grid)
     quad = settings if settings is not None else QuadratureSettings()
-    return _run_grid(_region_point, (d_grid, omega_grid), quad, workers)
+    return _run_grid(_region_point, (d_grid, omega_grid), (quad,), workers)
 
 
 def _cell(value) -> str:

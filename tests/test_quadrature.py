@@ -174,5 +174,68 @@ def test_start_panel_limit_raises_before_any_evaluation():
 
     # window 20 at spacing pi/12000: about 76000 start panels, over the limit
     with pytest.raises(QuadratureError, match="start panels exceed the limit"):
-        integrate_line(f, 1.0, DEFAULT, max_frequency=3000.0)
+        integrate_line(f, 1.0, DEFAULT, max_frequency=6000.0)
     assert calls == []
+
+
+def test_start_panel_limit_counts_components():
+    calls = []
+
+    def f(u):
+        calls.append(u.size)
+        return np.array([np.exp(-u * u), np.exp(-u * u)])
+
+    # about 38000 start panels: under the limit for one component, over it for two,
+    # so only the two window edges are evaluated
+    with pytest.raises(QuadratureError, match="2 x 3.82e[+]04 start panels exceed the limit"):
+        integrate_line(f, 1.0, DEFAULT, max_frequency=3000.0)
+    assert calls == [2]
+    single = integrate_line(lambda u: np.exp(-u * u), 1.0, DEFAULT, max_frequency=3000.0)
+    assert single.value.real == pytest.approx(math.sqrt(math.pi), rel=1e-12)
+
+
+class TestVector:
+    def test_components_match_their_closed_forms(self):
+        def f(u):
+            g = np.exp(-u * u)
+            return np.array([g, g * np.cos(4.0 * u), u * u * g])
+
+        res = integrate_line(f, 1.0, DEFAULT, max_frequency=4.0)
+        exact = [math.sqrt(math.pi), SQRT_PI_E_M4, 0.5 * math.sqrt(math.pi)]
+        assert len(res) == 3
+        for r, e in zip(res, exact):
+            assert abs(r.value - e) <= 1e-9 * e
+            assert abs(r.value - e) <= r.error_estimate + 1e-15
+
+    def test_each_component_meets_its_own_tolerance(self):
+        # the small, narrow bump is refined for its own rel_tol: held to the
+        # large component's tolerance it would stop at about 2e-6 relative
+        s = QuadratureSettings(abs_tol=1e-300)
+
+        def f(u):
+            return np.array([np.exp(-u * u), 1e-6 * np.exp(-(u / 0.05) ** 2)])
+
+        big, small = integrate_line(f, 1.0, s)
+        exact = 1e-6 * 0.05 * math.sqrt(math.pi)
+        assert abs(small.value - exact) <= 1e-9 * exact
+        assert abs(big.value - math.sqrt(math.pi)) <= 1e-9
+
+    def test_single_component_equals_scalar(self):
+        def g(u):
+            return np.exp(-u * u) * np.cos(3.0 * u)
+
+        (vec,) = integrate_line(lambda u: g(u)[None, :], 1.0, DEFAULT, max_frequency=3.0)
+        scalar = integrate_line(g, 1.0, DEFAULT, max_frequency=3.0)
+        assert vec == scalar
+
+    def test_budget_exhaustion_names_the_unfinished_component(self):
+        s = QuadratureSettings(rel_tol=1e-14, abs_tol=1e-300, max_subdivisions=2)
+
+        def f(u):
+            g = np.exp(-u * u)
+            return np.array([g, g * np.cos(40.0 * u)])
+
+        with pytest.raises(ConvergenceError) as info:
+            integrate_line(f, 1.0, s, max_frequency=40.0)
+        # the oscillating component is the one left unfinished
+        assert abs(info.value.value) < 1e-6

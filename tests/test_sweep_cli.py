@@ -155,6 +155,41 @@ class TestSweep:
                       outputs=("negativity", "entropy"))
 
 
+class TestRowBatches:
+    """A sweep evaluates each (d, omega) row's v axis in batches of X integrals."""
+
+    def test_failure_stays_with_its_point(self):
+        # the near-lightspeed v exhausts 20 subdivisions, so its batch fails and
+        # every v is re-run alone: each row is the one that point gets alone
+        quad = QuadratureSettings(max_subdivisions=20)
+        spec = SweepSpec(GridSpec(1.0, 1.0, 1), GridSpec(1.0, 1.0, 1),
+                         GridSpec(0.0, 1.0 - 1e-9, 4, "lightspeed"), quad=quad)
+        rows = run_sweep(spec)
+        assert rows[0].error == ""
+        assert rows[-1].error.startswith("ConvergenceError: no convergence")
+        alone = [sweep_mod._sweep_point((1.0, 1.0, v, quad)) for v in spec.v.points().tolist()]
+        buf_rows, buf_alone = io.StringIO(), io.StringIO()
+        write_sweep_csv(rows, buf_rows)
+        write_sweep_csv(alone, buf_alone)
+        assert buf_rows.getvalue() == buf_alone.getvalue()
+        q = model.negativity(model.DetectorSettings(1.0, 1.0), model.EncounterGeometry(1.0, 0.0), quad)
+        assert (rows[0].x_re, rows[0].x_im, rows[0].negativity) == (q.x.real, q.x.imag, q.negativity)
+
+    def test_rows_agree_with_single_points(self):
+        spec = SweepSpec(GridSpec(0.5, 3.0, 2), GridSpec(0.0, 3.0, 2),
+                         GridSpec(0.0, 1.0 - 1e-6, 20, "lightspeed"))
+        for row in run_sweep(spec):
+            q = model.negativity(model.DetectorSettings(1.0, row.sigma_omega),
+                                 model.EncounterGeometry(row.d_over_sigma, row.v), spec.quad)
+            assert abs(complex(row.x_re, row.x_im) - q.x) <= 2e-9 * abs(q.x)
+            assert row.p == q.p
+
+    def test_long_v_axis_bytes_match_across_workers(self):
+        spec = SweepSpec(GridSpec(0.5, 2.0, 2), GridSpec(0.0, 1.0, 2), GridSpec(0.0, 0.999, 20))
+        assert spec.v.count > model._X_BATCH
+        assert sweep_text(spec, workers=2) == sweep_text(spec, workers=1)
+
+
 class TestDeterminism:
     def test_repeat_is_byte_identical(self):
         spec = small_spec()
@@ -226,17 +261,17 @@ class TestRegionScan:
         assert row.error == "ValueError: bad\nprofile"
 
     def test_peaked_point_costs_one_scan_and_one_search(self, monkeypatch):
-        calls = []
-        real = model._x_integral
+        velocities = []
+        real = model._x_integrals
 
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
+        def counted(d, vs, gap, settings):
+            velocities.extend(vs)
+            return real(d, vs, gap, settings)
 
-        monkeypatch.setattr(model, "_x_integral", counted)
+        monkeypatch.setattr(model, "_x_integrals", counted)
         row = sweep_mod._region_point((1.0, 2.0, QuadratureSettings()))
         assert row.region is RegionLabel.PEAKED
-        assert len(calls) <= 64 + 30
+        assert len(velocities) <= 64 + 30
 
 
 class TestCli:
@@ -386,6 +421,12 @@ class TestConfigErrors:
         err = self.run(command, tmp_path, capsys,
                        edit=lambda cfg: cfg.update(quadrature={"rel_tl": 1e-6}))
         assert err.startswith("ValueError: config 'quadrature': ") and "'rel_tl'" in err
+
+    def test_non_finite_bounds(self, command, tmp_path, capsys):
+        err = self.run(command, tmp_path, capsys,
+                       edit=lambda cfg: cfg.update(sigma_omega={"min": "nan", "max": "nan", "count": 1}))
+        assert err == "ValueError: grid bounds must be finite, got [nan, nan]\n"
+        assert not (tmp_path / "out.csv").exists()
 
     def test_d_axis_from_zero(self, command, tmp_path, capsys):
         err = self.run(command, tmp_path, capsys,
