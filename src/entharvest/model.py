@@ -32,7 +32,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 from scipy.special import dawsn, erfcx
 
-from .quadrature import IntegralResult, QuadratureError, QuadratureSettings, integrate_line
+from .quadrature import IntegralResult, QuadratureSettings, integrate_line
 
 __all__ = [
     "DetectorSettings",
@@ -224,7 +224,7 @@ def _x_integrals(d: float, vs, gap: float, settings: QuadratureSettings) -> list
 
 
 def _x_row(d: float, vs, gap: float, settings: QuadratureSettings) -> list:
-    """X at every v in vs, an IntegralResult or the QuadratureError of that v.
+    """X at every v in vs, an IntegralResult or the exception of that v.
 
     Velocities go in batches of _X_BATCH. A batch that fails is re-run one
     v at a time, so each failure stays with its own v and every value in
@@ -235,7 +235,7 @@ def _x_row(d: float, vs, gap: float, settings: QuadratureSettings) -> list:
         batch = vs[i:i + _X_BATCH]
         try:
             out.extend(_x_integrals(d, batch, gap, settings))
-        except QuadratureError as exc:
+        except Exception as exc:
             if len(batch) == 1:
                 out.append(exc)
             else:
@@ -277,16 +277,16 @@ def negativity_row(
 ) -> list:
     """negativity at (d, v) for every v in vs, batched over v.
 
-    Each entry is HarvestQuantities, or the QuadratureError that v raises on
-    its own. Values agree with negativity() to within the quadrature
-    tolerance; where a batch fails they are identical to it.
+    Each entry is HarvestQuantities, or the exception that v raises on its
+    own. Values agree with negativity() to within the quadrature tolerance;
+    where a batch fails they are identical to it.
     """
     if settings is None:
         settings = QuadratureSettings()
     for v in vs:
         EncounterGeometry(d, v)  # the checks negativity() makes
     p = transition_probability(det)
-    return [x if isinstance(x, QuadratureError) else _harvest(p, x)
+    return [x if isinstance(x, Exception) else _harvest(p, x)
             for x in _x_row(d / det.sigma, vs, det.gap, settings)]
 
 
@@ -403,26 +403,22 @@ def velocity_profile(
 ) -> VelocityProfile:
     """Scan N over v once at fixed (d, omega), then label and refine the profile.
 
-    The scan grid densifies toward v = 1; its highest interior local maximum
-    above N(0) is refined by golden section to |dv| <= 1e-4. The label is
+    The scan grid densifies toward v = 1 and runs through negativity_row;
+    its highest interior local maximum above N(0) is refined by golden
+    section to |dv| <= 1e-4, one negativity() per step. The label is
     `peaked` when the refined maximum still beats N(0), `no-entanglement`
     when N vanishes on the whole scan, and `monotone-decreasing` otherwise.
     """
-    if settings is None:
-        settings = QuadratureSettings()
-    ds = _static_terms(d, det.sigma)[0]
-    p = transition_probability(det)
 
     def n_of_v(v: float) -> float:
-        x = _x_integrals(ds, [v], det.gap, settings)[0]
-        return max(abs(x.value) - p, 0.0)
+        return negativity(det, EncounterGeometry(d, v), settings).negativity
 
     v_grid = velocity_scan_grid()
-    xs = _x_row(ds, v_grid.tolist(), det.gap, settings)
-    failed = [x for x in xs if isinstance(x, QuadratureError)]
+    qs = negativity_row(det, d, v_grid, settings)
+    failed = [q for q in qs if isinstance(q, Exception)]
     if failed:
         raise failed[0]
-    n_vals = np.array([max(abs(x.value) - p, 0.0) for x in xs])
+    n_vals = np.array([q.negativity for q in qs])
     if not np.any(n_vals > 0.0):
         return VelocityProfile(v_grid, n_vals, RegionLabel.NO_ENTANGLEMENT, None)
 

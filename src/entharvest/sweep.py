@@ -229,10 +229,7 @@ def _sweep_point(args: tuple[float, float, float, QuadratureSettings]) -> SweepR
 def _sweep_row(args: tuple[float, float, list[float], QuadratureSettings]) -> list[SweepRow]:
     """The rows of every v at one (d, omega), X batched over v."""
     d, so, vs, quad = args
-    try:
-        qs = negativity_row(DetectorSettings(1.0, so), d, vs, quad)
-    except Exception:  # input the row rejects as a whole: each point reports its own error
-        return [_sweep_point((d, so, v, quad)) for v in vs]
+    qs = negativity_row(DetectorSettings(1.0, so), d, vs, quad)
     return [_point_row(d, so, v, d >= spacelike_min_distance(v, 1.0), q) for v, q in zip(vs, qs)]
 
 

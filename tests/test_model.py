@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from entharvest import model
 from entharvest.model import (
     DetectorSettings,
     EncounterGeometry,
@@ -12,6 +13,7 @@ from entharvest.model import (
     correlation_x,
     find_peak_velocity,
     negativity,
+    negativity_row,
     omega_peak_threshold,
     second_derivative_at_rest,
     spacelike_min_distance,
@@ -139,6 +141,26 @@ class TestNegativityAssembly:
     def test_ultra_relativistic_extinction(self):
         q = negativity(det(omega=1.0), EncounterGeometry(d=1.0, v=1.0 - 1e-12), QUAD)
         assert q.negativity == 0.0
+
+
+class TestNegativityRow:
+    def test_any_exception_stays_with_its_v(self, monkeypatch):
+        bad = 0.6
+        real = model._x_integrals
+
+        def broken(d, vs, gap, settings):
+            if bad in list(vs):
+                raise ValueError("broken velocity")
+            return real(d, vs, gap, settings)
+
+        monkeypatch.setattr(model, "_x_integrals", broken)
+        vs = [0.0, 0.3, bad, 0.9]
+        row = negativity_row(det(omega=1.0), 1.0, vs, QUAD)
+        for v, q in zip(vs, row):
+            if v == bad:
+                assert isinstance(q, ValueError) and str(q) == "broken velocity"
+            else:
+                assert q == negativity(det(omega=1.0), EncounterGeometry(d=1.0, v=v), QUAD)
 
 
 class TestSpacelike:

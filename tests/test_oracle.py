@@ -1,7 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
+from entharvest import oracle
 from entharvest.model import (
     DetectorSettings,
     EncounterGeometry,
@@ -61,6 +63,22 @@ class TestXOracle:
         slow, err = x_momentum_oracle(det(gap), EncounterGeometry(d=d, v=v), SETTINGS)
         assert abs(slow - fast) <= 1e-5 * max(abs(fast), 1e-10)
         assert err < 1e-5
+
+    def test_each_inner_integral_runs_once(self, monkeypatch):
+        # the outer integrand is even in u, so it is integrated over u >= 0
+        # only: no radial integral may be repeated for the mirror node -u
+        rhos = []
+        real = oracle._sine_tail
+
+        def recorded(a, rho):
+            rhos.append(rho)
+            return real(a, rho)
+
+        monkeypatch.setattr(oracle, "_sine_tail", recorded)
+        x_momentum_oracle(det(1.0), EncounterGeometry(d=1.0, v=0.6), SETTINGS)
+        rho = np.sort(rhos)
+        # +u and -u give rho values a few ulps apart, so compare to 1e-12
+        assert rho.size > 100 and np.all(np.diff(rho) > 1e-12 * rho[1:])
 
     def test_cutoff_extension_within_error(self):
         # doubling the radial cutoff must move the answer by less than the

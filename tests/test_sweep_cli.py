@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings as hyp_settings, strategies as st
 
 from entharvest import model
 from entharvest import sweep as sweep_mod
@@ -188,6 +189,37 @@ class TestRowBatches:
         spec = SweepSpec(GridSpec(0.5, 2.0, 2), GridSpec(0.0, 1.0, 2), GridSpec(0.0, 0.999, 20))
         assert spec.v.count > model._X_BATCH
         assert sweep_text(spec, workers=2) == sweep_text(spec, workers=1)
+
+
+@st.composite
+def accepted_specs(draw) -> SweepSpec:
+    """Any SweepSpec the validators accept, up to three points per axis."""
+    def bounds(lo, hi):
+        a, b = sorted(draw(st.floats(lo, hi)) for _ in range(2))
+        return a, b, draw(st.integers(1, 3))
+
+    log_lo, log_hi, d_count = bounds(-300.0, 8.0)
+    try:
+        return SweepSpec(
+            GridSpec(10.0 ** log_lo, 10.0 ** log_hi, d_count, "log"),
+            GridSpec(*bounds(0.0, 3000.0)),
+            GridSpec(*bounds(0.0, 1.0 - 1e-12), draw(st.sampled_from(["linear", "lightspeed"]))),
+            QuadratureSettings(
+                rel_tol=10.0 ** draw(st.floats(-14.0, -1.0)),
+                abs_tol=10.0 ** draw(st.floats(-20.0, -3.0)),
+                truncation_sigmas=draw(st.floats(6.0, 20.0)),
+                max_subdivisions=draw(st.integers(1, 4000)),
+            ),
+        )
+    except ValueError:
+        assume(False)
+
+
+@given(spec=accepted_specs())
+@hyp_settings(max_examples=25, deadline=None)
+def test_any_accepted_spec_sweeps_without_raising(spec):
+    rows = run_sweep(spec)
+    assert len(rows) == spec.d_over_sigma.count * spec.sigma_omega.count * spec.v.count
 
 
 class TestDeterminism:
