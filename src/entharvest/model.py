@@ -178,10 +178,12 @@ def _x_integrals(d: float, vs, gap: float, settings: QuadratureSettings) -> list
     e^{-t^2/(1+v^2)}. The bracket in the module docstring is even in u, so
     the phase's sine half integrates to 0 and X = -i (1-v^2)/(8 pi) (R + i I)
     with R and I the integrals of its real and imaginary parts times
-    cos(f u), f = gap sqrt(1-v^2): two real components per velocity. The
-    Jacobian w is part of each component, so abs_tol still bounds the
-    u-integral's error. The tail term sees the cosine at the window edge
-    t = 10, where the widest envelope is already below e^{-50}.
+    cos(f u), f = gap sqrt(1-v^2): two real components per velocity. Both
+    are even in t as well, so integrate_line(even=True) integrates them on
+    the window [0, 10] and doubles the result; its one tail term, charged
+    twice, sees the cosine at the edge t = 10, where the widest envelope is
+    already below e^{-50}. The Jacobian w is part of each component, so
+    abs_tol still bounds the u-integral's error.
     """
     v = np.asarray(vs, dtype=float)[:, None]
     v2 = v * v
@@ -208,11 +210,12 @@ def _x_integrals(d: float, vs, gap: float, settings: QuadratureSettings) -> list
         np.multiply(im_scale, imag, out=out[m:])
         return out
 
-    # where d*d underflows, 1/q divides by zero at t = 0: the inf or NaN that
-    # results is caught by the quadrature's finiteness check, so only
-    # overflow warnings are left on
+    # where d*d underflows, 1/q divides by zero at v = 0 (no node sits at
+    # t = 0): the inf or NaN that results is caught by the quadrature's
+    # finiteness check, so only overflow warnings are left on
     with np.errstate(divide="ignore", invalid="ignore"):
-        parts = integrate_line(integrand, 1.0, settings, max_frequency=float(freq.max()))
+        parts = integrate_line(integrand, 1.0, settings, max_frequency=float(freq.max()),
+                               even=True)
     pref = b2[:, 0] / (8.0 * math.pi)  # times 1/i
     return [
         IntegralResult(

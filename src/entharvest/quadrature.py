@@ -161,9 +161,10 @@ _WG = np.array(
 
 
 # Start panels allowed before any evaluation, counted once per component of
-# a vector-valued integrand. One X integral at v = 0 has two components and
-# about 25.5 * gap start panels, so the limit falls near gap 1287, where P has
-# long underflowed to 0; past it the start arrays alone would need gigabytes.
+# a vector-valued integrand. One X integral at v = 0 has two components and,
+# on its even half window, about 12.7 * gap start panels each, so the limit
+# falls near gap 2573 (near 161 for a batch of 16), where P has long
+# underflowed to 0; past it the start arrays alone would need gigabytes.
 _MAX_START_PANELS = 1 << 16
 
 
@@ -177,9 +178,9 @@ def _start_count(width: float, spacing: float, components: int) -> int:
     return max(4, math.ceil(n0))
 
 
-def _eval_panels(f: Integrand, lo: np.ndarray, hi: np.ndarray):
-    """GK15 on every panel: (kronrod, |kronrod - gauss|), each of shape
-    (panels,) for a scalar integrand and (m, panels) for m components."""
+def _eval_panels(f: Integrand, lo: np.ndarray, hi: np.ndarray, scale: float):
+    """GK15 on every panel, times scale: (kronrod, |kronrod - gauss|), each of
+    shape (panels,) for a scalar integrand and (m, panels) for m components."""
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     x = center[:, None] + np.outer(half, _NODES)
@@ -189,23 +190,27 @@ def _eval_panels(f: Integrand, lo: np.ndarray, hi: np.ndarray):
     finite = np.isfinite(y).reshape(-1, flat.size).all(axis=0)
     if not finite.all():
         raise NonFiniteIntegrandError(float(flat[~finite][0]))
-    kron = (y @ _WK) * half
-    gauss = (y[..., 1::2] @ _WG) * half
+    jac = scale * half
+    kron = (y @ _WK) * jac
+    gauss = (y[..., 1::2] @ _WG) * jac
     return kron, np.abs(kron - gauss)
 
 
-def _adaptive(f: Integrand, a: float, b: float, settings: QuadratureSettings, n0: int):
-    """Globally adaptive GK15 on [a, b] from n0 equal start panels.
+def _adaptive(f: Integrand, a: float, b: float, settings: QuadratureSettings, n0: int,
+              scale: float = 1.0):
+    """Globally adaptive GK15 of scale * f on [a, b] from n0 equal start panels.
 
     f returns n values for n nodes, or an (m, n) array of m components that
     share one panel set. Returns (value, refinement error), scalars or of
     shape (m,). A component is finished when its error is at most
     max(abs_tol, rel_tol * |value|); a panel splits when its error in any
-    unfinished component exceeds that component's equal share.
+    unfinished component exceeds that component's equal share. The scale is
+    in the panel weights, so the test and any ConvergenceError see the
+    scaled value at no cost per node.
     """
     edges = np.linspace(a, b, n0 + 1)
     lo, hi = edges[:-1], edges[1:]
-    vals, errs = _eval_panels(f, lo, hi)
+    vals, errs = _eval_panels(f, lo, hi, scale)
     shape = vals.shape[:-1]
     vals, errs = vals.reshape(-1, n0), errs.reshape(-1, n0)
 
@@ -241,7 +246,7 @@ def _adaptive(f: Integrand, a: float, b: float, settings: QuadratureSettings, n0
         mid = 0.5 * (lo[mask] + hi[mask])
         new_lo = np.concatenate([lo[mask], mid])
         new_hi = np.concatenate([mid, hi[mask]])
-        new_vals, new_errs = _eval_panels(f, new_lo, new_hi)
+        new_vals, new_errs = _eval_panels(f, new_lo, new_hi, scale)
         lo = np.concatenate([lo[~mask], new_lo])
         hi = np.concatenate([hi[~mask], new_hi])
         vals = np.concatenate([vals[:, ~mask], new_vals.reshape(-1, new_lo.size)], axis=1)
@@ -276,9 +281,11 @@ def _integrate_window(
     settings: QuadratureSettings,
     max_frequency: float,
     two_sided: bool,
+    scale: float = 1.0,
 ) -> IntegralResult | list[IntegralResult]:
-    """[-a, a] (two_sided) or [0, a] with a = truncation_sigmas * width,
-    plus the Gaussian tail bound beyond each truncated edge."""
+    """scale times the integral on [-a, a] (two_sided) or [0, a], with
+    a = truncation_sigmas * width, plus the Gaussian tail bound beyond each
+    truncated edge, also times scale."""
     w = float(envelope_width)
     if not (w > 0.0 and math.isfinite(w)):
         raise ValueError(f"envelope_width must be finite and > 0, got {envelope_width!r}")
@@ -287,9 +294,9 @@ def _integrate_window(
     spacing = _initial_spacing(w, max_frequency)
     _start_count(a - lo, spacing, 1)  # over even for one component: refuse before any call
     edges = np.array([-a, a] if two_sided else [a])
-    edge = np.abs(np.asarray(integrand(edges)))
+    edge = scale * np.abs(np.asarray(integrand(edges)))
     n0 = _start_count(a - lo, spacing, edge.size // edges.size)
-    value, err = _adaptive(integrand, lo, a, settings, n0)
+    value, err = _adaptive(integrand, lo, a, settings, n0, scale)
     return _results(value, err + _gaussian_tail_bound(edge.sum(axis=-1), w, a))
 
 
@@ -298,14 +305,22 @@ def integrate_line(
     envelope_width: float,
     settings: QuadratureSettings,
     max_frequency: float = 0.0,
+    even: bool = False,
 ) -> IntegralResult | list[IntegralResult]:
     """Integrate over the real line, truncated at +-truncation_sigmas widths.
 
     envelope_width w declares that |integrand(u)| decays at least like
     exp(-u^2/w^2); max_frequency declares the largest angular frequency of
-    any oscillatory factor and sets the initial panel spacing. An integrand
-    that returns m components, shape (m, n), gets a list of m results.
+    any oscillatory factor and sets the initial panel spacing. even declares
+    integrand(-u) == integrand(u): then only [0, truncation_sigmas * w] is
+    integrated, with every panel weighted twice, so the convergence test,
+    the error estimate and the one edge's doubled tail bound all refer to
+    the full-line value, and the start-panel budget counts the half window.
+    An integrand that returns m components, shape (m, n), gets a list of m
+    results.
     """
+    if even:
+        return _integrate_window(integrand, envelope_width, settings, max_frequency, False, 2.0)
     return _integrate_window(integrand, envelope_width, settings, max_frequency, True)
 
 

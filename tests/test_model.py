@@ -62,11 +62,28 @@ class TestTransitionProbability:
 
 class TestCorrelationX:
     def test_static_reduction(self):
+        # from gap ~4.5 on |X| is below abs_tol, which then governs
         for d in (0.5, 1.0, 2.0, 4.0, 8.0):
-            for gap in (0.0, 0.5, 1.0, 2.0):
+            for gap in (0.0, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0):
                 x = correlation_x(det(omega=gap), EncounterGeometry(d=d, v=0.0), QUAD)
-                assert abs(x.value) == pytest.approx(
-                    static_x_abs(det(omega=gap), d), rel=1e-8)
+                closed = static_x_abs(det(omega=gap), d)
+                assert abs(abs(x.value) - closed) <= max(1e-8 * closed, QUAD.abs_tol)
+
+    def test_x_integrand_is_never_evaluated_at_negative_t(self, monkeypatch):
+        # the bracket is even in t, so X integrates it on t >= 0 only
+        smallest = []
+        real = model.integrate_line
+
+        def recording(integrand, *args, **kwargs):
+            def seen(t):
+                smallest.append(t.min())
+                return integrand(t)
+            return real(seen, *args, **kwargs)
+
+        monkeypatch.setattr(model, "integrate_line", recording)
+        row = negativity_row(det(omega=1.0), 1.0, [0.0, 0.5, 0.99, 1.0 - 1e-9], QUAD)
+        assert not any(isinstance(q, Exception) for q in row)
+        assert smallest and min(smallest) >= 0.0
 
     def test_static_reference_value(self):
         x = correlation_x(det(), EncounterGeometry(d=1.0, v=0.0), QUAD)

@@ -78,6 +78,89 @@ class TestHalfline:
         assert res.value.real == pytest.approx(0.5, abs=1e-10)
 
 
+class TestEven:
+    """integrate_line(even=True) integrates [0, a] once and doubles it."""
+
+    KS = (0.0, 1.0, 2.0, 4.0, 8.0)
+
+    @staticmethod
+    def gaussian_cosines(u):
+        return np.exp(-u * u) * np.cos(np.outer(TestEven.KS, u))
+
+    def test_gaussian_cosines_match_closed_form(self):
+        res = integrate_line(self.gaussian_cosines, 1.0, DEFAULT, max_frequency=8.0, even=True)
+        assert len(res) == len(self.KS)
+        for k, r in zip(self.KS, res):
+            exact = math.sqrt(math.pi) * math.exp(-k * k / 4.0)
+            assert abs(r.value - exact) <= max(1e-9 * exact, DEFAULT.abs_tol)
+            assert abs(r.value - exact) <= r.error_estimate + 1e-15
+
+    def test_agrees_with_two_sided_integral(self):
+        def f(u):
+            g = np.exp(-u * u / 4.0) / np.sqrt(0.25 * u * u + 1.0)
+            return np.array([g, g * np.cos(3.0 * u)])
+
+        folded = integrate_line(f, 2.0, DEFAULT, max_frequency=3.0, even=True)
+        full = integrate_line(f, 2.0, DEFAULT, max_frequency=3.0)
+        assert folded[0].value.real == pytest.approx(RADIAL_FACTOR, abs=1e-8)
+        # the estimates bound truncation and refinement, not roundoff: allow
+        # a few ulps of the value on top of them
+        for a, b in zip(folded, full):
+            ulps = 8.0 * np.finfo(float).eps * abs(b.value)
+            assert abs(a.value - b.value) <= a.error_estimate + b.error_estimate + ulps
+
+    def test_never_evaluates_below_zero_and_halves_the_nodes(self):
+        def recorded(sink):
+            def f(u):
+                sink.append(u.copy())
+                return self.gaussian_cosines(u)
+            return f
+
+        half, full = [], []
+        integrate_line(recorded(half), 1.0, DEFAULT, max_frequency=8.0, even=True)
+        integrate_line(recorded(full), 1.0, DEFAULT, max_frequency=8.0)
+        assert min(u.min() for u in half) >= 0.0
+        n_half, n_full = sum(u.size for u in half), sum(u.size for u in full)
+        assert 0.4 * n_full <= n_half <= 0.6 * n_full
+
+    def test_start_panel_budget_counts_the_half_window(self):
+        # about 76000 start panels on [-10, 10] (refused two-sided), 38000 on [0, 10]
+        res = integrate_line(lambda u: np.exp(-u * u), 1.0, DEFAULT,
+                             max_frequency=6000.0, even=True)
+        assert res.value.real == pytest.approx(math.sqrt(math.pi), rel=1e-12)
+
+    def test_tail_is_charged_at_the_edge_and_doubled(self):
+        # bookkeeping only: GK15 is exact on a quadratic, so the estimate is
+        # the tail bound alone, |f(a)| w^2 / 2a for each of the edges +-a
+        s = QuadratureSettings(truncation_sigmas=6.0)
+
+        def f(u):
+            return 1.0 + u * u
+
+        folded = integrate_line(f, 1.0, s, even=True)
+        full = integrate_line(f, 1.0, s)
+        assert folded.value.real == pytest.approx(2.0 * (6.0 + 72.0), rel=1e-14)
+        assert folded.error_estimate == pytest.approx(2.0 * 37.0 / 12.0, rel=1e-12)
+        assert folded.error_estimate == pytest.approx(full.error_estimate, rel=1e-12)
+
+    @pytest.mark.parametrize("k", [10.0, 12.0, 14.0, 16.0, 20.0])
+    def test_small_value_is_held_to_the_full_line_abs_tol(self, k):
+        # |value| <= 2.5e-11 < abs_tol, so abs_tol alone governs; unit start
+        # panels make the refinement loop stop close to it. Held to abs_tol on
+        # the half window and then doubled, k = 12 would report 1.01 * abs_tol.
+        s = QuadratureSettings(abs_tol=1e-12)
+        a = s.truncation_sigmas
+
+        def f(u):
+            return np.exp(-u * u) * np.cos(k * u)
+
+        res = integrate_line(f, 1.0, s, even=True)
+        tail = 2.0 * abs(f(np.array([a]))[0]) / (2.0 * a)
+        exact = math.sqrt(math.pi) * math.exp(-k * k / 4.0)
+        assert res.error_estimate <= s.abs_tol + tail
+        assert abs(res.value - exact) <= res.error_estimate
+
+
 class TestInterval:
     def test_polynomial_exact(self):
         res = integrate_interval(lambda t: t * t * t - 2.0 * t + 1.0, 0.0, 2.0, DEFAULT)

@@ -160,9 +160,9 @@ class TestRowBatches:
     """A sweep evaluates each (d, omega) row's v axis in batches of X integrals."""
 
     def test_failure_stays_with_its_point(self):
-        # the near-lightspeed v exhausts 20 subdivisions, so its batch fails and
+        # the near-lightspeed v exhausts 10 subdivisions, so its batch fails and
         # every v is re-run alone: each row is the one that point gets alone
-        quad = QuadratureSettings(max_subdivisions=20)
+        quad = QuadratureSettings(max_subdivisions=10)
         spec = SweepSpec(GridSpec(1.0, 1.0, 1), GridSpec(1.0, 1.0, 1),
                          GridSpec(0.0, 1.0 - 1e-9, 4, "lightspeed"), quad=quad)
         rows = run_sweep(spec)
