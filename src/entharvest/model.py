@@ -184,6 +184,14 @@ def _x_integrals(d: float, vs, gap: float, settings: QuadratureSettings) -> list
     twice, sees the cosine at the edge t = 10, where the widest envelope is
     already below e^{-50}. The Jacobian w is part of each component, so
     abs_tol still bounds the u-integral's error.
+
+    The Gaussians, cos and dawsn are entire, so the only complex
+    singularities are the branch points t = +-i t_b of
+    q = sqrt(v^2 w^2 t^2 + d^2), with t_b = d / (v w) = d sqrt(1-v^4) / 2v,
+    about d sqrt(1-v) as v -> 1. The smallest t_b in the batch is passed as
+    the integral's singularity_distance, so the start panels are graded
+    toward t = 0 from it and a near-lightspeed X converges on its first
+    pass; a batch at v = 0 alone has t_b = inf and uniform start panels.
     """
     v = np.asarray(vs, dtype=float)[:, None]
     v2 = v * v
@@ -214,8 +222,9 @@ def _x_integrals(d: float, vs, gap: float, settings: QuadratureSettings) -> list
     # t = 0): the inf or NaN that results is caught by the quadrature's
     # finiteness check, so only overflow warnings are left on
     with np.errstate(divide="ignore", invalid="ignore"):
+        t_b = float((d / (v * w)).min())  # inf at v = 0
         parts = integrate_line(integrand, 1.0, settings, max_frequency=float(freq.max()),
-                               even=True)
+                               even=True, singularity_distance=t_b)
     pref = b2[:, 0] / (8.0 * math.pi)  # times 1/i
     return [
         IntegralResult(

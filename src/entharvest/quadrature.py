@@ -13,8 +13,14 @@ m components. All components share one panel set, each is held to its own
 tolerance, and a panel is split while any unfinished component needs it;
 so one call integrates a whole family, such as X at several velocities.
 Start panels are a quarter period of the fastest oscillation wide (at most
-one envelope width), and their count, times the number of components, is
-capped before anything is allocated.
+one envelope width). An integrand may also declare its singularity
+distance: the distance from 0 to its nearest complex singularity, such as
+a branch point at +-i t_b. GK15 converges fast on a panel about as wide
+as its distance from the nearest singularity (Trefethen & Weideman, SIAM
+Rev. 56, 2014), so where that distance is below the uniform width the
+start panels next to 0 are graded geometrically from it. The count of
+start panels, times the number of components, is capped before anything
+is allocated.
 """
 
 from __future__ import annotations
@@ -163,19 +169,50 @@ _WG = np.array(
 # Start panels allowed before any evaluation, counted once per component of
 # a vector-valued integrand. One X integral at v = 0 has two components and,
 # on its even half window, about 12.7 * gap start panels each, so the limit
-# falls near gap 2573 (near 161 for a batch of 16), where P has long
+# falls near gap 2573 (near 161 for a batch of 16, 160.1-160.4 for one that
+# reaches v = 1 - 1e-9 and so carries graded panels too), where P has long
 # underflowed to 0; past it the start arrays alone would need gigabytes.
 _MAX_START_PANELS = 1 << 16
 
+# _adaptive splits no panel narrower than this fraction of its window.
+_MIN_WIDTH = 1e-15
 
-def _start_count(width: float, spacing: float, components: int) -> int:
-    """Number of start panels; raises before anything is allocated past the budget."""
-    n0 = width / spacing
-    if components * n0 > _MAX_START_PANELS:
+
+def _check_start_panels(count: int, components: int) -> None:
+    """Refuse count start panels for components components past the budget."""
+    if components * count > _MAX_START_PANELS:
         raise QuadratureError(
-            f"{components} x {n0:.3g} start panels exceed the limit of {_MAX_START_PANELS}"
+            f"{components} x {count:.3g} start panels exceed the limit of {_MAX_START_PANELS}"
         )
-    return max(4, math.ceil(n0))
+
+
+def _start_edges(lo: float, b: float, spacing: float,
+                 singularity_distance: float = math.inf) -> np.ndarray:
+    """Edges of the start panels on [lo, b], checked for one component.
+
+    Uniform panels, at least 4 and at most spacing wide, of width h. When
+    the singularity distance s, floored at the smallest width _adaptive
+    splits, is below h, the panels from 0 are graded instead: [0, s],
+    [s, 2s], [2s, 4s], ... while narrower than h, then uniform panels of
+    width at most h up to b, and mirrored about 0 when lo < 0 (lo is then
+    -b). Otherwise the edges are np.linspace(lo, b, n + 1).
+    """
+    width = b - lo
+    n = max(4, math.ceil(width / spacing))
+    h = width / n
+    s = max(singularity_distance, _MIN_WIDTH * width)
+    if not s < h:
+        _check_start_panels(n, 1)
+        return np.linspace(lo, b, n + 1)
+    graded, edge = 1, s  # [0, s], then [edge, 2 edge] while edge < h
+    while edge < h:
+        graded, edge = graded + 1, 2.0 * edge
+    uniform = math.ceil((b - edge) / h)
+    sides = 2 if lo < 0.0 else 1
+    _check_start_panels(sides * (graded + uniform), 1)
+    half = np.concatenate(([0.0], s * np.exp2(np.arange(graded)),
+                           np.linspace(edge, b, uniform + 1)[1:]))
+    return np.concatenate((-half[:0:-1], half)) if sides == 2 else half
 
 
 def _eval_panels(f: Integrand, lo: np.ndarray, hi: np.ndarray, scale: float):
@@ -196,9 +233,9 @@ def _eval_panels(f: Integrand, lo: np.ndarray, hi: np.ndarray, scale: float):
     return kron, np.abs(kron - gauss)
 
 
-def _adaptive(f: Integrand, a: float, b: float, settings: QuadratureSettings, n0: int,
+def _adaptive(f: Integrand, edges: np.ndarray, settings: QuadratureSettings,
               scale: float = 1.0):
-    """Globally adaptive GK15 of scale * f on [a, b] from n0 equal start panels.
+    """Globally adaptive GK15 of scale * f from the start panels between edges.
 
     f returns n values for n nodes, or an (m, n) array of m components that
     share one panel set. Returns (value, refinement error), scalars or of
@@ -208,13 +245,12 @@ def _adaptive(f: Integrand, a: float, b: float, settings: QuadratureSettings, n0
     in the panel weights, so the test and any ConvergenceError see the
     scaled value at no cost per node.
     """
-    edges = np.linspace(a, b, n0 + 1)
     lo, hi = edges[:-1], edges[1:]
     vals, errs = _eval_panels(f, lo, hi, scale)
     shape = vals.shape[:-1]
-    vals, errs = vals.reshape(-1, n0), errs.reshape(-1, n0)
+    vals, errs = vals.reshape(-1, lo.size), errs.reshape(-1, lo.size)
 
-    min_width = 1e-15 * (b - a)
+    min_width = _MIN_WIDTH * (edges[-1] - edges[0])
     splits = 0
     while True:
         total = vals.sum(axis=1)
@@ -282,6 +318,7 @@ def _integrate_window(
     max_frequency: float,
     two_sided: bool,
     scale: float = 1.0,
+    singularity_distance: float = math.inf,
 ) -> IntegralResult | list[IntegralResult]:
     """scale times the integral on [-a, a] (two_sided) or [0, a], with
     a = truncation_sigmas * width, plus the Gaussian tail bound beyond each
@@ -291,12 +328,12 @@ def _integrate_window(
         raise ValueError(f"envelope_width must be finite and > 0, got {envelope_width!r}")
     a = settings.truncation_sigmas * w
     lo = -a if two_sided else 0.0
-    spacing = _initial_spacing(w, max_frequency)
-    _start_count(a - lo, spacing, 1)  # over even for one component: refuse before any call
-    edges = np.array([-a, a] if two_sided else [a])
-    edge = scale * np.abs(np.asarray(integrand(edges)))
-    n0 = _start_count(a - lo, spacing, edge.size // edges.size)
-    value, err = _adaptive(integrand, lo, a, settings, n0, scale)
+    # over even for one component: refuse before any call
+    start = _start_edges(lo, a, _initial_spacing(w, max_frequency), singularity_distance)
+    ends = np.array([-a, a] if two_sided else [a])
+    edge = scale * np.abs(np.asarray(integrand(ends)))
+    _check_start_panels(start.size - 1, edge.size // ends.size)
+    value, err = _adaptive(integrand, start, settings, scale)
     return _results(value, err + _gaussian_tail_bound(edge.sum(axis=-1), w, a))
 
 
@@ -306,6 +343,7 @@ def integrate_line(
     settings: QuadratureSettings,
     max_frequency: float = 0.0,
     even: bool = False,
+    singularity_distance: float = math.inf,
 ) -> IntegralResult | list[IntegralResult]:
     """Integrate over the real line, truncated at +-truncation_sigmas widths.
 
@@ -316,12 +354,22 @@ def integrate_line(
     integrated, with every panel weighted twice, so the convergence test,
     the error estimate and the one edge's doubled tail bound all refer to
     the full-line value, and the start-panel budget counts the half window.
+    singularity_distance declares the distance from u = 0 to the
+    integrand's nearest complex singularity, such as the branch points
+    +-i t_b of a factor 1/sqrt(c^2 u^2 + d^2), t_b = d / c. Where it is
+    below the uniform start width, the start panels next to 0 are graded
+    [0, s], [s, 2s], [2s, 4s], ... from s = singularity_distance, so a
+    near-singularity at a known distance is resolved on the first pass;
+    the graded panels count in the start-panel budget. At its default, inf,
+    the start panels are uniform.
     An integrand that returns m components, shape (m, n), gets a list of m
     results.
     """
     if even:
-        return _integrate_window(integrand, envelope_width, settings, max_frequency, False, 2.0)
-    return _integrate_window(integrand, envelope_width, settings, max_frequency, True)
+        return _integrate_window(integrand, envelope_width, settings, max_frequency, False,
+                                 2.0, singularity_distance)
+    return _integrate_window(integrand, envelope_width, settings, max_frequency, True,
+                             singularity_distance=singularity_distance)
 
 
 def integrate_halfline(
@@ -351,5 +399,5 @@ def integrate_interval(
     if not (width > 0.0):
         raise ValueError(f"empty integration interval [{a!r}, {b!r}]")
     spacing = width if initial_spacing is None else min(initial_spacing, width)
-    value, err = _adaptive(integrand, a, b, settings, _start_count(width, spacing, 1))
+    value, err = _adaptive(integrand, _start_edges(a, b, spacing), settings)
     return _results(value, err)

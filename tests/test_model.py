@@ -85,6 +85,44 @@ class TestCorrelationX:
         assert not any(isinstance(q, Exception) for q in row)
         assert smallest and min(smallest) >= 0.0
 
+    def test_near_lightspeed_x_converges_on_the_first_pass(self, monkeypatch):
+        # the start panels are graded toward t = 0 from the branch-point
+        # distance t_b = d sqrt(1-v^4) / 2v, about 3.2e-5 here
+        calls = []
+        real = model.integrate_line
+
+        def counting(integrand, *args, **kwargs):
+            def counted(t):
+                calls.append(t.size)
+                return integrand(t)
+            return real(counted, *args, **kwargs)
+
+        monkeypatch.setattr(model, "integrate_line", counting)
+        model._x_integrals(1.0, [1.0 - 1e-9], 2.0, QUAD)
+        assert len(calls) == 2  # the window edge, then one pass
+
+    def test_batch_agrees_with_single_velocities(self):
+        vs = [0.0, 0.9, 1.0 - 1e-6, 1.0 - 1e-9]
+        batch = model._x_integrals(1.0, vs, 1.0, QUAD)
+        for v, b in zip(vs, batch):
+            (alone,) = model._x_integrals(1.0, [v], 1.0, QUAD)
+            assert abs(b.value - alone.value) <= b.error_estimate + alone.error_estimate
+
+    @pytest.mark.parametrize("d,v,gap", [
+        (0.5, 0.99, 0.0), (1.0, 0.999, 1.0), (2.0, 1.0 - 1e-5, 2.0),
+        (0.5, 1.0 - 1e-6, 3.0), (1.0, 1.0 - 1e-8, 0.5), (4.0, 1.0 - 1e-9, 1.0),
+    ])
+    def test_graded_start_agrees_with_uniform_start(self, monkeypatch, d, v, gap):
+        real = model.integrate_line
+        graded = correlation_x(det(omega=gap), EncounterGeometry(d=d, v=v), QUAD)
+
+        def undeclared(integrand, *args, singularity_distance, **kwargs):
+            return real(integrand, *args, **kwargs)
+
+        monkeypatch.setattr(model, "integrate_line", undeclared)
+        uniform = correlation_x(det(omega=gap), EncounterGeometry(d=d, v=v), QUAD)
+        assert abs(graded.value - uniform.value) <= graded.error_estimate + uniform.error_estimate
+
     def test_static_reference_value(self):
         x = correlation_x(det(), EncounterGeometry(d=1.0, v=0.0), QUAD)
         assert abs(x.value) == pytest.approx(STATIC_X_D1, rel=1e-9)

@@ -85,6 +85,10 @@ class TestXOracle:
         (1.0, 0.6, 1.0),
         (0.5, 0.9, 2.0),
         (2.0, 0.3, 0.5),
+        # near light speed, where X's start panels are graded toward t = 0
+        (1.0, 0.999, 1.0),
+        (0.5, 1.0 - 1e-6, 2.0),
+        (1.0, 1.0 - 1e-9, 0.5),
     ]
 
     @pytest.mark.parametrize("d,v,gap", points)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
+from scipy.special import k0e
 
 from entharvest.quadrature import (
     ConvergenceError,
@@ -159,6 +160,78 @@ class TestEven:
         exact = math.sqrt(math.pi) * math.exp(-k * k / 4.0)
         assert res.error_estimate <= s.abs_tol + tail
         assert abs(res.value - exact) <= res.error_estimate
+
+
+class TestGradedStart:
+    """singularity_distance grades the start panels toward 0 from it."""
+
+    SMALL = (1e-2, 1e-5, 1e-9)
+
+    @staticmethod
+    def radial(s, calls):
+        # e^{-t^2} / sqrt(t^2 + s^2): branch points at t = +-i s; its integral
+        # over the real line is e^{s^2/2} K0(s^2/2)
+        def f(t):
+            calls.append(t.copy())
+            return np.exp(-t * t) / np.sqrt(t * t + s * s)
+        return f
+
+    @pytest.mark.parametrize("s", SMALL)
+    def test_declared_distance_converges_on_the_first_pass(self, s):
+        calls = []
+        res = integrate_line(self.radial(s, calls), 1.0, DEFAULT, even=True,
+                             singularity_distance=s)
+        exact = k0e(0.5 * s * s)
+        assert abs(res.value - exact) <= res.error_estimate + DEFAULT.rel_tol * exact
+        assert len(calls) == 2  # the window edge, then one pass
+
+    @pytest.mark.parametrize("s", SMALL)
+    def test_undeclared_distance_agrees_after_more_passes(self, s):
+        graded_calls, plain_calls = [], []
+        graded = integrate_line(self.radial(s, graded_calls), 1.0, DEFAULT, even=True,
+                                singularity_distance=s)
+        plain = integrate_line(self.radial(s, plain_calls), 1.0, DEFAULT, even=True)
+        assert abs(graded.value - plain.value) <= graded.error_estimate + plain.error_estimate
+        assert len(plain_calls) > len(graded_calls)
+
+    @pytest.mark.parametrize("distance", [math.inf, 1.0, 5.0])
+    def test_distance_at_or_above_the_uniform_width_changes_nothing(self, distance):
+        # max_frequency 0 on [0, 10]: ten uniform start panels of width h = 1
+        declared, plain = [], []
+        a = integrate_line(self.radial(0.3, declared), 1.0, DEFAULT, even=True,
+                           singularity_distance=distance)
+        b = integrate_line(self.radial(0.3, plain), 1.0, DEFAULT, even=True)
+        assert a == b
+        assert len(declared) == len(plain)
+        assert all(np.array_equal(x, y) for x, y in zip(declared, plain))
+
+    def test_tiny_distance_adds_few_panels(self):
+        # the first width is floored at the smallest width that is still split
+        def first_pass_panels(**kwargs):
+            calls = []
+            integrate_line(self.radial(1.0, calls), 1.0, DEFAULT, even=True, **kwargs)
+            return calls[1].size // 15
+
+        plain = first_pass_panels()
+        graded = first_pass_panels(singularity_distance=1e-300)
+        assert plain < graded <= plain + 60
+
+    def test_graded_panels_count_in_the_start_panel_budget(self):
+        # 65530 uniform start panels on [0, 10], under the limit; grading
+        # from 1e-9 adds 19 panels and takes 1 off the uniform ones
+        calls = []
+
+        def f(t):
+            calls.append(t.size)
+            return np.exp(-t * t)
+
+        freq = 65529.5 * math.pi / 20.0
+        with pytest.raises(QuadratureError, match="start panels exceed the limit"):
+            integrate_line(f, 1.0, DEFAULT, max_frequency=freq, even=True,
+                           singularity_distance=1e-9)
+        assert calls == []
+        res = integrate_line(f, 1.0, DEFAULT, max_frequency=freq, even=True)
+        assert res.value.real == pytest.approx(math.sqrt(math.pi), rel=1e-12)
 
 
 class TestInterval:

@@ -12,7 +12,7 @@ from entharvest import sweep as sweep_mod
 from entharvest import validate as validate_mod
 from entharvest.cli import main
 from entharvest.model import RegionLabel
-from entharvest.quadrature import QuadratureSettings
+from entharvest.quadrature import ConvergenceError, QuadratureSettings
 from entharvest.sweep import (
     SWEEP_COLUMNS,
     GridSpec,
@@ -159,10 +159,19 @@ class TestSweep:
 class TestRowBatches:
     """A sweep evaluates each (d, omega) row's v axis in batches of X integrals."""
 
-    def test_failure_stays_with_its_point(self):
-        # the near-lightspeed v exhausts 10 subdivisions, so its batch fails and
-        # every v is re-run alone: each row is the one that point gets alone
-        quad = QuadratureSettings(max_subdivisions=10)
+    def test_failure_stays_with_its_point(self, monkeypatch):
+        # an X integral whose branch points lie closer than 1e-4 to the real
+        # axis fails, which at d = 1 is v = 1-1e-9 alone: its batch fails and
+        # every v is re-run alone, so each row is the one that point gets alone
+        real = model.integrate_line
+
+        def failing(integrand, *args, singularity_distance=math.inf, **kwargs):
+            if singularity_distance < 1e-4:
+                raise ConvergenceError(1.0, 0j, 0.0)
+            return real(integrand, *args, singularity_distance=singularity_distance, **kwargs)
+
+        monkeypatch.setattr(model, "integrate_line", failing)
+        quad = QuadratureSettings()
         spec = SweepSpec(GridSpec(1.0, 1.0, 1), GridSpec(1.0, 1.0, 1),
                          GridSpec(0.0, 1.0 - 1e-9, 4, "lightspeed"), quad=quad)
         rows = run_sweep(spec)
