@@ -50,7 +50,7 @@ def _add_quad_flags(parser: argparse.ArgumentParser) -> None:
 def _cmd_point(args: argparse.Namespace) -> int:
     quad = _quad_from_args(QuadratureSettings(), args)
     det = DetectorSettings(sigma=args.sigma, omega=args.omega)
-    payload = asdict(_sweep_point((args.d / det.sigma, det.gap, args.v, quad)))
+    payload = _sweep_point((args.d / det.sigma, det.gap, args.v, quad))._asdict()
     error = payload.pop("error")
     if error:
         print(error, file=sys.stderr)

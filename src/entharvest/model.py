@@ -20,6 +20,14 @@ exactly, so the integrand is evaluated as
     e^{-A} + i e^{-(1-v^2) u^2 / 4 sigma^2} * (2/sqrt(pi)) F(x)
 
 with F the Dawson function. This is exact algebra, not an approximation.
+
+Rows
+----
+negativity() evaluates one point into HarvestQuantities. negativity_row()
+evaluates a row of velocities at fixed (d, omega) from a few batched X
+integrals and returns a NegativityRow of arrays, one per quantity, with
+NaN at any v that fails and that v's exception in its failures map; no
+object is built per velocity.
 """
 
 from __future__ import annotations
@@ -45,6 +53,7 @@ __all__ = [
     "correlation_x",
     "negativity",
     "negativity_row",
+    "NegativityRow",
     "static_x_abs",
     "static_negativity",
     "spacelike_min_distance",
@@ -113,6 +122,22 @@ class HarvestQuantities:
             raise ValueError(f"m must be finite, got {self.m!r}")
 
 
+class NegativityRow(NamedTuple):
+    """negativity() at every v of a row, one array per quantity, indexed like v.
+
+    A v whose X integral fails holds NaN in x, x_error_estimate, m and
+    negativity, and failures maps its index to the exception it raises
+    on its own.
+    """
+
+    p: float
+    x: np.ndarray
+    x_error_estimate: np.ndarray
+    m: np.ndarray
+    negativity: np.ndarray
+    failures: dict
+
+
 class RegionLabel(Enum):
     NO_ENTANGLEMENT = "no-entanglement"
     MONOTONE_DECREASING = "monotone-decreasing"
@@ -170,8 +195,9 @@ def transition_probability(det: DetectorSettings) -> float:
 _X_BATCH = 16
 
 
-def _x_integrals(d: float, vs, gap: float, settings: QuadratureSettings) -> list[IntegralResult]:
-    """X at up to _X_BATCH velocities from one integral, in sigma = 1 units.
+def _x_integrals(d: float, vs, gap: float, settings: QuadratureSettings) -> tuple[np.ndarray, np.ndarray]:
+    """X and its error estimate at up to _X_BATCH velocities from one
+    integral, in sigma = 1 units: a complex and a float array, like vs.
 
     In t = u / w(v) with w = 2/sqrt(1 - v^4) every velocity's envelope has
     width 1, A = d^2 (1-v^2)/4 + t^2 and the Dawson part's Gaussian is
@@ -226,39 +252,37 @@ def _x_integrals(d: float, vs, gap: float, settings: QuadratureSettings) -> list
         parts = integrate_line(integrand, 1.0, settings, max_frequency=float(freq.max()),
                                even=True, singularity_distance=t_b)
     pref = b2[:, 0] / (8.0 * math.pi)  # times 1/i
-    return [
-        IntegralResult(
-            complex(c * im.value.real, -c * re.value.real),
-            c * (re.error_estimate + im.error_estimate),
-        )
-        for c, re, im in zip(pref.tolist(), parts[:m], parts[m:])
-    ]
+    re, im = parts.value.real[:m], parts.value.real[m:]
+    x = np.empty(m, dtype=complex)
+    x.real = pref * im
+    x.imag = -pref * re
+    return x, pref * (parts.error_estimate[:m] + parts.error_estimate[m:])
 
 
-def _x_row(d: float, vs, gap: float, settings: QuadratureSettings) -> list:
-    """X at every v in vs, an IntegralResult or the exception of that v.
+def _x_row(d: float, vs, gap: float, settings: QuadratureSettings) -> tuple[np.ndarray, np.ndarray, dict]:
+    """X and its error estimate at every v in vs, and {index: exception}.
 
     Velocities go in batches of _X_BATCH. A batch that fails is re-run one
     v at a time, so each failure stays with its own v and every value in
-    that batch is the one the v gets alone.
+    that batch is the one the v gets alone. A failed v holds NaN.
     """
-    out: list = []
-    for i in range(0, len(vs), _X_BATCH):
-        batch = vs[i:i + _X_BATCH]
+    x = np.full(len(vs), complex(math.nan, math.nan))
+    err = np.full(len(vs), math.nan)
+    failures: dict = {}
+
+    def run(i: int, batch) -> None:
         try:
-            out.extend(_x_integrals(d, batch, gap, settings))
+            x[i:i + len(batch)], err[i:i + len(batch)] = _x_integrals(d, batch, gap, settings)
         except Exception as exc:
             if len(batch) == 1:
-                out.append(exc)
+                failures[i] = exc
             else:
-                out.extend(_x_row(d, [v], gap, settings)[0] for v in batch)
-    return out
+                for j in range(i, i + len(batch)):
+                    run(j, vs[j:j + 1])
 
-
-def _harvest(p: float, x: IntegralResult) -> HarvestQuantities:
-    m = abs(x.value) - p
-    return HarvestQuantities(p=p, x=x.value, m=m, negativity=max(m, 0.0),
-                             x_error_estimate=x.error_estimate)
+    for i in range(0, len(vs), _X_BATCH):
+        run(i, vs[i:i + _X_BATCH])
+    return x, err, failures
 
 
 def correlation_x(
@@ -269,7 +293,8 @@ def correlation_x(
     """Correlation term X with quadrature error estimate."""
     if settings is None:
         settings = QuadratureSettings()
-    return _x_integrals(geom.d / det.sigma, [geom.v], det.gap, settings)[0]
+    x, err = _x_integrals(geom.d / det.sigma, [geom.v], det.gap, settings)
+    return IntegralResult(complex(x[0]), float(err[0]))
 
 
 def negativity(
@@ -278,7 +303,11 @@ def negativity(
     settings: QuadratureSettings | None = None,
 ) -> HarvestQuantities:
     """Assemble P, X, M = |X| - P and N = max(M, 0)."""
-    return _harvest(transition_probability(det), correlation_x(det, geom, settings))
+    p = transition_probability(det)
+    x = correlation_x(det, geom, settings)
+    m = abs(x.value) - p
+    return HarvestQuantities(p=p, x=x.value, m=m, negativity=max(m, 0.0),
+                             x_error_estimate=x.error_estimate)
 
 
 def negativity_row(
@@ -286,20 +315,24 @@ def negativity_row(
     d: float,
     vs,
     settings: QuadratureSettings | None = None,
-) -> list:
-    """negativity at (d, v) for every v in vs, batched over v.
+) -> NegativityRow:
+    """negativity at (d, v) for every v in vs, batched over v, as arrays.
 
-    Each entry is HarvestQuantities, or the exception that v raises on its
-    own. Values agree with negativity() to within the quadrature tolerance;
-    where a batch fails they are identical to it.
+    Values agree with negativity() to within the quadrature tolerance;
+    where a batch fails they are identical to it. A v that fails holds NaN
+    and its exception in failures. |X| is np.hypot of its parts, which is
+    the value abs() gives a Python complex.
     """
     if settings is None:
         settings = QuadratureSettings()
     for v in vs:
         EncounterGeometry(d, v)  # the checks negativity() makes
     p = transition_probability(det)
-    return [x if isinstance(x, Exception) else _harvest(p, x)
-            for x in _x_row(d / det.sigma, vs, det.gap, settings)]
+    if not (p >= 0.0 and math.isfinite(p)):
+        raise ValueError(f"p must be finite and >= 0, got {p!r}")
+    x, err, failures = _x_row(d / det.sigma, vs, det.gap, settings)
+    m = np.hypot(x.real, x.imag) - p
+    return NegativityRow(p, x, err, m, np.maximum(m, 0.0), failures)
 
 
 def _static_terms(d: float, sigma: float) -> tuple[float, float, float, float]:
@@ -426,11 +459,10 @@ def velocity_profile(
         return negativity(det, EncounterGeometry(d, v), settings).negativity
 
     v_grid = velocity_scan_grid()
-    qs = negativity_row(det, d, v_grid, settings)
-    failed = [q for q in qs if isinstance(q, Exception)]
-    if failed:
-        raise failed[0]
-    n_vals = np.array([q.negativity for q in qs])
+    row = negativity_row(det, d, v_grid, settings)
+    if row.failures:
+        raise row.failures[min(row.failures)]
+    n_vals = row.negativity
     if not np.any(n_vals > 0.0):
         return VelocityProfile(v_grid, n_vals, RegionLabel.NO_ENTANGLEMENT, None)
 

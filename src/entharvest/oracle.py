@@ -131,8 +131,8 @@ def _inner_integrals(
             chunk = group[start:start + size]
             res = integrate_interval(
                 partial(f, params[chunk, None]), a, b, quad, float(spacing[chunk[-1]]))
-            values[chunk] = [r.value for r in res]
-            errors[chunk] = [r.error_estimate for r in res]
+            values[chunk] = res.value
+            errors[chunk] = res.error_estimate
     return values, errors
 
 

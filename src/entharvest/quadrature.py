@@ -12,6 +12,8 @@ n abscissae and return n values (real or complex), or an (m, n) array of
 m components. All components share one panel set, each is held to its own
 tolerance, and a panel is split while any unfinished component needs it;
 so one call integrates a whole family, such as X at several velocities.
+Such a call returns one IntegralResult whose value and error estimate are
+arrays of shape (m,), so no object is built per component.
 Start panels are a quarter period of the fastest oscillation wide (at most
 one envelope width). An integrand may also declare its singularity
 distance: the distance from 0 to its nearest complex singularity, such as
@@ -78,11 +80,16 @@ class QuadratureSettings:
 
 @dataclass(frozen=True)
 class IntegralResult:
-    value: complex
-    error_estimate: float
+    """An integral and its error estimate: a complex value and a float for a
+    scalar integrand, a complex array and a float array of shape (m,) for one
+    with m components."""
+
+    value: complex | np.ndarray
+    error_estimate: float | np.ndarray
 
     def __post_init__(self) -> None:
-        if not (self.error_estimate >= 0.0 and math.isfinite(self.error_estimate)):
+        err = np.asarray(self.error_estimate)
+        if not ((err >= 0.0) & np.isfinite(err)).all():
             raise ValueError(
                 f"error_estimate must be finite and >= 0, got {self.error_estimate!r}"
             )
@@ -304,11 +311,11 @@ def _gaussian_tail_bound(edge_magnitude, envelope_width: float, edge: float):
     return edge_magnitude * envelope_width * envelope_width / (2.0 * edge)
 
 
-def _results(values: np.ndarray, errors: np.ndarray) -> IntegralResult | list[IntegralResult]:
-    """One IntegralResult for a scalar integrand, a list of m for m components."""
+def _result(values: np.ndarray, errors: np.ndarray) -> IntegralResult:
+    """Scalars for a scalar integrand, arrays of shape (m,) for m components."""
     if values.ndim == 0:
         return IntegralResult(complex(values), float(errors))
-    return [IntegralResult(complex(v), float(e)) for v, e in zip(values, errors)]
+    return IntegralResult(values.astype(complex, copy=False), errors)
 
 
 def _integrate_window(
@@ -319,7 +326,7 @@ def _integrate_window(
     two_sided: bool,
     scale: float = 1.0,
     singularity_distance: float = math.inf,
-) -> IntegralResult | list[IntegralResult]:
+) -> IntegralResult:
     """scale times the integral on [-a, a] (two_sided) or [0, a], with
     a = truncation_sigmas * width, plus the Gaussian tail bound beyond each
     truncated edge, also times scale."""
@@ -334,7 +341,7 @@ def _integrate_window(
     edge = scale * np.abs(np.asarray(integrand(ends)))
     _check_start_panels(start.size - 1, edge.size // ends.size)
     value, err = _adaptive(integrand, start, settings, scale)
-    return _results(value, err + _gaussian_tail_bound(edge.sum(axis=-1), w, a))
+    return _result(value, err + _gaussian_tail_bound(edge.sum(axis=-1), w, a))
 
 
 def integrate_line(
@@ -344,7 +351,7 @@ def integrate_line(
     max_frequency: float = 0.0,
     even: bool = False,
     singularity_distance: float = math.inf,
-) -> IntegralResult | list[IntegralResult]:
+) -> IntegralResult:
     """Integrate over the real line, truncated at +-truncation_sigmas widths.
 
     envelope_width w declares that |integrand(u)| decays at least like
@@ -362,8 +369,8 @@ def integrate_line(
     near-singularity at a known distance is resolved on the first pass;
     the graded panels count in the start-panel budget. At its default, inf,
     the start panels are uniform.
-    An integrand that returns m components, shape (m, n), gets a list of m
-    results.
+    An integrand that returns m components, shape (m, n), gets one result
+    whose value and error estimate have shape (m,).
     """
     if even:
         return _integrate_window(integrand, envelope_width, settings, max_frequency, False,
@@ -377,7 +384,7 @@ def integrate_halfline(
     envelope_width: float,
     settings: QuadratureSettings,
     max_frequency: float = 0.0,
-) -> IntegralResult | list[IntegralResult]:
+) -> IntegralResult:
     """As integrate_line, on the domain [0, truncation_sigmas * width]."""
     return _integrate_window(integrand, envelope_width, settings, max_frequency, False)
 
@@ -388,7 +395,7 @@ def integrate_interval(
     b: float,
     settings: QuadratureSettings,
     initial_spacing: float | None = None,
-) -> IntegralResult | list[IntegralResult]:
+) -> IntegralResult:
     """Adaptive integration on a finite interval, no truncation tail.
 
     Nothing is evaluated before the start panels here, so their budget
@@ -400,4 +407,4 @@ def integrate_interval(
         raise ValueError(f"empty integration interval [{a!r}, {b!r}]")
     spacing = width if initial_spacing is None else min(initial_spacing, width)
     value, err = _adaptive(integrand, _start_edges(a, b, spacing), settings)
-    return _results(value, err)
+    return _result(value, err)

@@ -3,8 +3,10 @@
 Both grid jobs share one pipeline: a JSON config gives the axes and the
 quadrature block, every axis tuple is evaluated in row-major order, and
 each row is written as one CSV line whose cells are formatted by type.
-A sweep hands each (d, omega) row's whole v axis to one task, which
-evaluates X in batches over v; a region scan hands over one (d, omega)
+Rows are NamedTuples whose fields are the CSV columns, so `_asdict()` and
+`_replace()` work on them. A sweep hands each (d, omega) row's whole v
+axis to one task, which evaluates X in batches over v and builds its rows
+from negativity_row's arrays; a region scan hands over one (d, omega)
 point per task. Tasks may run across a process pool, but a task's work
 never depends on the pool and results keep their row-major order, so
 output is byte-identical for any worker count. Per-point failures of any
@@ -17,16 +19,15 @@ import itertools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
-from typing import IO, Callable, Iterable, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import IO, Callable, Iterable, NamedTuple, Optional, Sequence, get_type_hints
 
 import numpy as np
 
 from .model import (
     DetectorSettings,
-    EncounterGeometry,
     RegionLabel,
-    # not called here: perfbench's tracer wraps these two names on this module
+    # not called here: perfbench's tracer wraps these three names on this module
     classify_region,
     find_peak_velocity,
     negativity,
@@ -97,8 +98,7 @@ class GridSpec:
         )
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     d_over_sigma: float
     v: float
     sigma_omega: float
@@ -113,8 +113,7 @@ class SweepRow:
     error: str = ""
 
 
-@dataclass(frozen=True)
-class RegionRow:
+class RegionRow(NamedTuple):
     d_over_sigma: float
     sigma_omega: float
     region: Optional[RegionLabel] = None
@@ -124,8 +123,8 @@ class RegionRow:
 
 
 # a row's fields are its CSV columns, in order
-SWEEP_COLUMNS = tuple(f.name for f in fields(SweepRow))
-_REGION_COLUMNS = tuple(f.name for f in fields(RegionRow))
+SWEEP_COLUMNS = SweepRow._fields
+_REGION_COLUMNS = RegionRow._fields
 
 
 def _check_axes(d_over_sigma: GridSpec, sigma_omega: GridSpec) -> None:
@@ -195,42 +194,29 @@ def _error_text(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _point_row(d: float, so: float, v: float, spacelike: bool, q) -> SweepRow:
-    """The CSV row of one point from its HarvestQuantities or its exception."""
-    if isinstance(q, Exception):
-        return SweepRow(d_over_sigma=d, v=v, sigma_omega=so, spacelike=spacelike,
-                        error=_error_text(q))
-    return SweepRow(
-        d_over_sigma=d,
-        v=v,
-        sigma_omega=so,
-        p=q.p,
-        x_re=q.x.real,
-        x_im=q.x.imag,
-        x_abs=abs(q.x),
-        m=q.m,
-        negativity=q.negativity,
-        x_error_estimate=q.x_error_estimate,
-        spacelike=spacelike,
-    )
-
-
-def _sweep_point(args: tuple[float, float, float, QuadratureSettings]) -> SweepRow:
-    d, so, v, quad = args
-    spacelike = False
-    try:
-        spacelike = d >= spacelike_min_distance(v, 1.0)
-        q = negativity(DetectorSettings(1.0, so), EncounterGeometry(d, v), quad)
-    except Exception as exc:  # any per-point failure is recorded, never raised
-        q = exc
-    return _point_row(d, so, v, spacelike, q)
-
-
 def _sweep_row(args: tuple[float, float, list[float], QuadratureSettings]) -> list[SweepRow]:
     """The rows of every v at one (d, omega), X batched over v."""
     d, so, vs, quad = args
-    qs = negativity_row(DetectorSettings(1.0, so), d, vs, quad)
-    return [_point_row(d, so, v, d >= spacelike_min_distance(v, 1.0), q) for v, q in zip(vs, qs)]
+    row = negativity_row(DetectorSettings(1.0, so), d, vs, quad)
+    x = row.x
+    rows = [
+        SweepRow(d, v, so, row.p, re, im, x_abs, m, n, err, d >= spacelike_min_distance(v, 1.0))
+        for v, re, im, x_abs, m, n, err in zip(
+            vs, x.real.tolist(), x.imag.tolist(), np.hypot(x.real, x.imag).tolist(),
+            row.m.tolist(), row.negativity.tolist(), row.x_error_estimate.tolist())
+    ]
+    for i, exc in row.failures.items():
+        rows[i] = rows[i]._replace(p=math.nan, error=_error_text(exc))
+    return rows
+
+
+def _sweep_point(args: tuple[float, float, float, QuadratureSettings]) -> SweepRow:
+    """The row of one point; a point that cannot be evaluated gets an error row."""
+    d, so, v, quad = args
+    try:
+        return _sweep_row((d, so, [v], quad))[0]
+    except Exception as exc:  # any per-point failure is recorded, never raised
+        return SweepRow(d, v, so, error=_error_text(exc))
 
 
 def _region_point(args: tuple[float, float, QuadratureSettings]) -> RegionRow:
@@ -287,15 +273,31 @@ def _cell(value) -> str:
     return "%.17g" % value
 
 
-def _write_csv(rows: Iterable, fh: IO[str], columns: Sequence[str]) -> None:
+def _write_csv(rows: Iterable, fh: IO[str], row_type, columns: Sequence[str]) -> None:
+    """One line per row with the named columns, each cell formatted as _cell does.
+
+    The cells are built a column at a time: a float field's values go to
+    "%.17g" as they are, every other field's through _cell, and each line
+    is one % operation over the row's cells.
+    """
     fh.write(",".join(columns) + "\n")
-    for row in rows:
-        fh.write(",".join([_cell(getattr(row, col)) for col in columns]) + "\n")
+    rows = list(rows)
+    if not columns:
+        fh.write("\n" * len(rows))
+        return
+    floats = {name for name, hint in get_type_hints(row_type).items() if hint is float}
+    cells = []
+    for col in columns:
+        i = row_type._fields.index(col)
+        values = [row[i] for row in rows]
+        cells.append(values if col in floats else [_cell(value) for value in values])
+    line = ",".join(["%.17g" if col in floats else "%s" for col in columns]) + "\n"
+    fh.write("".join([line % cell for cell in zip(*cells)]))
 
 
 def write_sweep_csv(rows: Iterable[SweepRow], fh: IO[str], columns: Sequence[str] = SWEEP_COLUMNS) -> None:
-    _write_csv(rows, fh, columns)
+    _write_csv(rows, fh, SweepRow, columns)
 
 
 def write_region_csv(rows: Iterable[RegionRow], fh: IO[str]) -> None:
-    _write_csv(rows, fh, _REGION_COLUMNS)
+    _write_csv(rows, fh, RegionRow, _REGION_COLUMNS)

@@ -1,0 +1,67 @@
+"""Write the golden CSVs that tests/test_golden.py compares byte for byte.
+
+Run from the repository root:
+
+    PYTHONPATH=src python tests/data/make_golden.py
+
+The committed files were written before sweep rows were carried as
+arrays, so the test pins the CSV bytes of the per-object row path. Each
+case runs through `entharvest.cli.main` with a JSON config, as a user
+runs it. The sweep grid reaches v = 0 and v = 1 - 1e-9 and holds rows
+with N = 0 (every v at d = 4 without a gap, and the fastest v at gap
+2.5); the subset case writes some of its columns in another order; the
+failing case exhausts the subdivision budget at some points of a
+velocity batch, so those rows carry NaN cells and error text next to
+rows that converged.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+from entharvest.cli import main
+
+DATA = Path(__file__).resolve().parent
+
+_SWEEP_AXES = {
+    "d_over_sigma": {"min": 0.5, "max": 4.0, "count": 3, "spacing": "log"},
+    "sigma_omega": {"min": 0.0, "max": 5.0, "count": 3},
+    "v": {"min": 0.0, "max": 1.0 - 1e-9, "count": 6, "spacing": "lightspeed"},
+}
+
+# file name -> (subcommand, config)
+CASES = {
+    "golden_sweep.csv": ("sweep", _SWEEP_AXES),
+    "golden_sweep_subset.csv": ("sweep", {
+        **_SWEEP_AXES,
+        "outputs": ["negativity", "v", "error", "spacelike", "x_abs", "d_over_sigma"],
+    }),
+    "golden_sweep_failing.csv": ("sweep", {
+        "d_over_sigma": {"min": 0.5, "max": 4.0, "count": 2, "spacing": "log"},
+        "sigma_omega": {"min": 0.0, "max": 4.0, "count": 2},
+        "v": {"min": 0.0, "max": 0.99, "count": 4},
+        "quadrature": {"rel_tol": 1e-10, "abs_tol": 1e-300, "max_subdivisions": 1},
+    }),
+    "golden_region.csv": ("region", {
+        "d_over_sigma": {"min": 0.5, "max": 8.0, "count": 2},
+        "sigma_omega": {"min": 0.5, "max": 2.0, "count": 2},
+    }),
+}
+
+
+def run_case(name: str, out: Path, workers: int = 1) -> int:
+    """Write case `name` to out; the CLI's exit code."""
+    command, config = CASES[name]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        return main(["--workers", str(workers), command, "--config", str(path), "--out", str(out)])
+
+
+if __name__ == "__main__":
+    for case in CASES:
+        run_case(case, DATA / case)
+        print(f"wrote {DATA / case}", file=sys.stderr)

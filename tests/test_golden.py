@@ -1,0 +1,26 @@
+"""CSV bytes of the sweep and region commands against committed files.
+
+tests/data/make_golden.py wrote the golden files; each case is run here
+again through the CLI, serially and on a 2-worker pool, and must
+reproduce them byte for byte.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_GENERATOR = Path(__file__).parent / "data" / "make_golden.py"
+_spec = importlib.util.spec_from_file_location("make_golden", _GENERATOR)
+make_golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(make_golden)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("case", sorted(make_golden.CASES))
+def test_bytes_match_the_golden_file(tmp_path, capsys, case, workers):
+    out = tmp_path / case
+    rc = make_golden.run_case(case, out, workers)
+    assert rc == (1 if "failing" in case else 0)
+    capsys.readouterr()
+    assert out.read_bytes() == (make_golden.DATA / case).read_bytes()

@@ -103,10 +103,10 @@ class TestCorrelationX:
 
     def test_batch_agrees_with_single_velocities(self):
         vs = [0.0, 0.9, 1.0 - 1e-6, 1.0 - 1e-9]
-        batch = model._x_integrals(1.0, vs, 1.0, QUAD)
-        for v, b in zip(vs, batch):
-            (alone,) = model._x_integrals(1.0, [v], 1.0, QUAD)
-            assert abs(b.value - alone.value) <= b.error_estimate + alone.error_estimate
+        batch, batch_err = model._x_integrals(1.0, vs, 1.0, QUAD)
+        for v, b, b_err in zip(vs, batch, batch_err):
+            (alone,), (alone_err,) = model._x_integrals(1.0, [v], 1.0, QUAD)
+            assert abs(b - alone) <= b_err + alone_err
 
     @pytest.mark.parametrize("d,v,gap", [
         (0.5, 0.99, 0.0), (1.0, 0.999, 1.0), (2.0, 1.0 - 1e-5, 2.0),
@@ -211,11 +211,72 @@ class TestNegativityRow:
         monkeypatch.setattr(model, "_x_integrals", broken)
         vs = [0.0, 0.3, bad, 0.9]
         row = negativity_row(det(omega=1.0), 1.0, vs, QUAD)
-        for v, q in zip(vs, row):
+        assert list(row.failures) == [vs.index(bad)]
+        for i, v in enumerate(vs):
             if v == bad:
+                q = row.failures[i]
                 assert isinstance(q, ValueError) and str(q) == "broken velocity"
             else:
-                assert q == negativity(det(omega=1.0), EncounterGeometry(d=1.0, v=v), QUAD)
+                q = negativity(det(omega=1.0), EncounterGeometry(d=1.0, v=v), QUAD)
+                assert (row.p, row.x[i], row.m[i], row.negativity[i], row.x_error_estimate[i]) \
+                    == (q.p, q.x, q.m, q.negativity, q.x_error_estimate)
+
+
+class TestNegativityRowContract:
+    """negativity_row's arrays, NaN at failed indices and its failures map."""
+
+    # one subdivision at rel_tol 1e-10: at (d, gap) = (0.5, 4) the batch
+    # fails, and alone v = 0 and 0.33 fail while 0.66 and 0.99 converge
+    TIGHT = QuadratureSettings(rel_tol=1e-10, abs_tol=1e-300, max_subdivisions=1)
+    VS = [0.0, 0.33, 0.66, 0.99]
+
+    @staticmethod
+    def bits(*values) -> tuple:
+        return tuple(float(v).hex() for v in values)
+
+    def test_arrays_are_indexed_like_v(self):
+        row = negativity_row(det(omega=1.0), 1.0, np.array(self.VS), QUAD)
+        assert isinstance(row, model.NegativityRow) and not row.failures
+        for field in (row.x, row.x_error_estimate, row.m, row.negativity):
+            assert field.shape == (len(self.VS),)
+        assert row.x.dtype == complex
+        assert row.p == transition_probability(det(omega=1.0))
+        np.testing.assert_array_equal(row.negativity, np.maximum(row.m, 0.0))
+
+    def test_failed_index_holds_nan_and_the_exception_of_its_v_alone(self):
+        row = negativity_row(det(omega=4.0), 0.5, self.VS, self.TIGHT)
+        assert sorted(row.failures) == [0, 1]
+        for i, exc in row.failures.items():
+            assert np.isnan(row.x[i].real) and np.isnan(row.x[i].imag)
+            assert np.isnan([row.x_error_estimate[i], row.m[i], row.negativity[i]]).all()
+            with pytest.raises(type(exc)) as alone:
+                negativity(det(omega=4.0), EncounterGeometry(d=0.5, v=self.VS[i]), self.TIGHT)
+            assert str(alone.value) == str(exc)
+
+    def test_rest_of_a_failed_batch_is_bit_equal_to_negativity(self):
+        row = negativity_row(det(omega=4.0), 0.5, self.VS, self.TIGHT)
+        for i in (2, 3):
+            q = negativity(det(omega=4.0), EncounterGeometry(d=0.5, v=self.VS[i]), self.TIGHT)
+            assert self.bits(row.p, row.x[i].real, row.x[i].imag, row.m[i], row.negativity[i],
+                             row.x_error_estimate[i]) \
+                == self.bits(q.p, q.x.real, q.x.imag, q.m, q.negativity, q.x_error_estimate)
+
+    def test_velocity_profile_raises_the_lowest_index_failure(self, monkeypatch):
+        grid = velocity_scan_grid().tolist()
+        bad = (40, 5, 63)
+        real = model._x_integrals
+
+        def broken(d, vs, gap, settings):
+            hit = sorted(i for i in bad if grid[i] in list(vs))
+            if hit:
+                raise ValueError(f"broken at {hit[0]}")
+            return real(d, vs, gap, settings)
+
+        monkeypatch.setattr(model, "_x_integrals", broken)
+        row = negativity_row(det(omega=1.0), 1.0, velocity_scan_grid(), QUAD)
+        assert sorted(row.failures) == sorted(bad)
+        with pytest.raises(ValueError, match="^broken at 5$"):
+            velocity_profile(det(omega=1.0), 1.0, QUAD)
 
 
 class TestSpacelike:

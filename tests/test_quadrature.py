@@ -90,11 +90,11 @@ class TestEven:
 
     def test_gaussian_cosines_match_closed_form(self):
         res = integrate_line(self.gaussian_cosines, 1.0, DEFAULT, max_frequency=8.0, even=True)
-        assert len(res) == len(self.KS)
-        for k, r in zip(self.KS, res):
+        assert res.value.shape == res.error_estimate.shape == (len(self.KS),)
+        for k, value, error in zip(self.KS, res.value, res.error_estimate):
             exact = math.sqrt(math.pi) * math.exp(-k * k / 4.0)
-            assert abs(r.value - exact) <= max(1e-9 * exact, DEFAULT.abs_tol)
-            assert abs(r.value - exact) <= r.error_estimate + 1e-15
+            assert abs(value - exact) <= max(1e-9 * exact, DEFAULT.abs_tol)
+            assert abs(value - exact) <= error + 1e-15
 
     def test_agrees_with_two_sided_integral(self):
         def f(u):
@@ -103,12 +103,13 @@ class TestEven:
 
         folded = integrate_line(f, 2.0, DEFAULT, max_frequency=3.0, even=True)
         full = integrate_line(f, 2.0, DEFAULT, max_frequency=3.0)
-        assert folded[0].value.real == pytest.approx(RADIAL_FACTOR, abs=1e-8)
+        assert folded.value[0].real == pytest.approx(RADIAL_FACTOR, abs=1e-8)
         # the estimates bound truncation and refinement, not roundoff: allow
         # a few ulps of the value on top of them
-        for a, b in zip(folded, full):
-            ulps = 8.0 * np.finfo(float).eps * abs(b.value)
-            assert abs(a.value - b.value) <= a.error_estimate + b.error_estimate + ulps
+        for a, a_err, b, b_err in zip(folded.value, folded.error_estimate,
+                                      full.value, full.error_estimate):
+            ulps = 8.0 * np.finfo(float).eps * abs(b)
+            assert abs(a - b) <= a_err + b_err + ulps
 
     def test_never_evaluates_below_zero_and_halves_the_nodes(self):
         def recorded(sink):
@@ -358,10 +359,10 @@ class TestVector:
 
         res = integrate_line(f, 1.0, DEFAULT, max_frequency=4.0)
         exact = [math.sqrt(math.pi), SQRT_PI_E_M4, 0.5 * math.sqrt(math.pi)]
-        assert len(res) == 3
-        for r, e in zip(res, exact):
-            assert abs(r.value - e) <= 1e-9 * e
-            assert abs(r.value - e) <= r.error_estimate + 1e-15
+        assert res.value.shape == res.error_estimate.shape == (3,)
+        for value, error, e in zip(res.value, res.error_estimate, exact):
+            assert abs(value - e) <= 1e-9 * e
+            assert abs(value - e) <= error + 1e-15
 
     def test_each_component_meets_its_own_tolerance(self):
         # the small, narrow bump is refined for its own rel_tol: held to the
@@ -371,18 +372,19 @@ class TestVector:
         def f(u):
             return np.array([np.exp(-u * u), 1e-6 * np.exp(-(u / 0.05) ** 2)])
 
-        big, small = integrate_line(f, 1.0, s)
+        big, small = integrate_line(f, 1.0, s).value
         exact = 1e-6 * 0.05 * math.sqrt(math.pi)
-        assert abs(small.value - exact) <= 1e-9 * exact
-        assert abs(big.value - math.sqrt(math.pi)) <= 1e-9
+        assert abs(small - exact) <= 1e-9 * exact
+        assert abs(big - math.sqrt(math.pi)) <= 1e-9
 
     def test_single_component_equals_scalar(self):
         def g(u):
             return np.exp(-u * u) * np.cos(3.0 * u)
 
-        (vec,) = integrate_line(lambda u: g(u)[None, :], 1.0, DEFAULT, max_frequency=3.0)
+        vec = integrate_line(lambda u: g(u)[None, :], 1.0, DEFAULT, max_frequency=3.0)
         scalar = integrate_line(g, 1.0, DEFAULT, max_frequency=3.0)
-        assert vec == scalar
+        assert vec.value.shape == vec.error_estimate.shape == (1,)
+        assert (vec.value[0], vec.error_estimate[0]) == (scalar.value, scalar.error_estimate)
 
     def test_budget_exhaustion_names_the_unfinished_component(self):
         s = QuadratureSettings(rel_tol=1e-14, abs_tol=1e-300, max_subdivisions=2)
