@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict, replace
 
@@ -22,7 +23,7 @@ from .sweep import (
     SweepSpec,
     _load_json,
     _read_config,
-    _sweep_point,
+    _sweep_row,
     run_region_scan,
     run_sweep,
     write_region_csv,
@@ -50,7 +51,7 @@ def _add_quad_flags(parser: argparse.ArgumentParser) -> None:
 def _cmd_point(args: argparse.Namespace) -> int:
     quad = _quad_from_args(QuadratureSettings(), args)
     det = DetectorSettings(sigma=args.sigma, omega=args.omega)
-    payload = _sweep_point((args.d / det.sigma, det.gap, args.v, quad))._asdict()
+    payload = _sweep_row((args.d / det.sigma, det.gap, [args.v], quad))[0]._asdict()
     error = payload.pop("error")
     if error:
         print(error, file=sys.stderr)
@@ -115,7 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="entharvest",
         description="Negativity harvested by two inertially moving detectors",
     )
-    parser.add_argument("--workers", type=int, default=1, help="parallel worker processes")
+    parser.add_argument("--workers", type=int, default=1,
+                        help="parallel worker processes, at most one per usable CPU")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_point = sub.add_parser("point", help="evaluate one parameter point, JSON to stdout")
@@ -154,9 +156,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _usable_workers(workers: int) -> int:
+    """--workers, checked and lowered to the CPUs this process may run on."""
+    if workers < 1:
+        raise ValueError(f"--workers must be >= 1, got {workers!r}")
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(workers, cpus or 1)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        args.workers = _usable_workers(args.workers)
         return args.func(args)
     except (ValueError, OSError, QuadratureError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

@@ -23,11 +23,12 @@ with F the Dawson function. This is exact algebra, not an approximation.
 
 Rows
 ----
-negativity() evaluates one point into HarvestQuantities. negativity_row()
-evaluates a row of velocities at fixed (d, omega) from a few batched X
+negativity_row() is the one path from X integrals to P, X, |X|, M and N.
+It evaluates a row of velocities at fixed (d, omega) from a few batched X
 integrals and returns a NegativityRow of arrays, one per quantity, with
 NaN at any v that fails and that v's exception in its failures map; no
-object is built per velocity.
+object is built per velocity. negativity() and correlation_x() are views
+of a row of one velocity that raise that velocity's failure.
 """
 
 from __future__ import annotations
@@ -125,13 +126,14 @@ class HarvestQuantities:
 class NegativityRow(NamedTuple):
     """negativity() at every v of a row, one array per quantity, indexed like v.
 
-    A v whose X integral fails holds NaN in x, x_error_estimate, m and
-    negativity, and failures maps its index to the exception it raises
+    A v whose X integral fails holds NaN in x, x_abs, x_error_estimate, m
+    and negativity, and failures maps its index to the exception it raises
     on its own.
     """
 
     p: float
     x: np.ndarray
+    x_abs: np.ndarray
     x_error_estimate: np.ndarray
     m: np.ndarray
     negativity: np.ndarray
@@ -259,30 +261,13 @@ def _x_integrals(d: float, vs, gap: float, settings: QuadratureSettings) -> tupl
     return x, pref * (parts.error_estimate[:m] + parts.error_estimate[m:])
 
 
-def _x_row(d: float, vs, gap: float, settings: QuadratureSettings) -> tuple[np.ndarray, np.ndarray, dict]:
-    """X and its error estimate at every v in vs, and {index: exception}.
-
-    Velocities go in batches of _X_BATCH. A batch that fails is re-run one
-    v at a time, so each failure stays with its own v and every value in
-    that batch is the one the v gets alone. A failed v holds NaN.
-    """
-    x = np.full(len(vs), complex(math.nan, math.nan))
-    err = np.full(len(vs), math.nan)
-    failures: dict = {}
-
-    def run(i: int, batch) -> None:
-        try:
-            x[i:i + len(batch)], err[i:i + len(batch)] = _x_integrals(d, batch, gap, settings)
-        except Exception as exc:
-            if len(batch) == 1:
-                failures[i] = exc
-            else:
-                for j in range(i, i + len(batch)):
-                    run(j, vs[j:j + 1])
-
-    for i in range(0, len(vs), _X_BATCH):
-        run(i, vs[i:i + _X_BATCH])
-    return x, err, failures
+def _one_v(det: DetectorSettings, geom: EncounterGeometry,
+           settings: QuadratureSettings | None) -> NegativityRow:
+    """negativity_row at geom's one velocity; that velocity's failure is raised."""
+    row = negativity_row(det, geom.d, [geom.v], settings)
+    if row.failures:
+        raise row.failures[0]
+    return row
 
 
 def correlation_x(
@@ -291,10 +276,8 @@ def correlation_x(
     settings: QuadratureSettings | None = None,
 ) -> IntegralResult:
     """Correlation term X with quadrature error estimate."""
-    if settings is None:
-        settings = QuadratureSettings()
-    x, err = _x_integrals(geom.d / det.sigma, [geom.v], det.gap, settings)
-    return IntegralResult(complex(x[0]), float(err[0]))
+    row = _one_v(det, geom, settings)
+    return IntegralResult(complex(row.x[0]), float(row.x_error_estimate[0]))
 
 
 def negativity(
@@ -302,12 +285,11 @@ def negativity(
     geom: EncounterGeometry,
     settings: QuadratureSettings | None = None,
 ) -> HarvestQuantities:
-    """Assemble P, X, M = |X| - P and N = max(M, 0)."""
-    p = transition_probability(det)
-    x = correlation_x(det, geom, settings)
-    m = abs(x.value) - p
-    return HarvestQuantities(p=p, x=x.value, m=m, negativity=max(m, 0.0),
-                             x_error_estimate=x.error_estimate)
+    """P, X, M = |X| - P and N = max(M, 0) at one point."""
+    row = _one_v(det, geom, settings)
+    return HarvestQuantities(p=row.p, x=complex(row.x[0]), m=float(row.m[0]),
+                             negativity=float(row.negativity[0]),
+                             x_error_estimate=float(row.x_error_estimate[0]))
 
 
 def negativity_row(
@@ -318,21 +300,40 @@ def negativity_row(
 ) -> NegativityRow:
     """negativity at (d, v) for every v in vs, batched over v, as arrays.
 
-    Values agree with negativity() to within the quadrature tolerance;
-    where a batch fails they are identical to it. A v that fails holds NaN
-    and its exception in failures. |X| is np.hypot of its parts, which is
-    the value abs() gives a Python complex.
+    Velocities go in batches of _X_BATCH. A batch that fails is re-run one
+    v at a time, so each failure stays with its own v and every value in
+    that batch is the one the v gets alone. A v that fails holds NaN and
+    its exception in failures. |X| is np.hypot of its parts, which is the
+    value abs() gives a Python complex.
     """
     if settings is None:
         settings = QuadratureSettings()
     for v in vs:
-        EncounterGeometry(d, v)  # the checks negativity() makes
+        EncounterGeometry(d, v)  # raises for a d or v that a point would reject
     p = transition_probability(det)
     if not (p >= 0.0 and math.isfinite(p)):
         raise ValueError(f"p must be finite and >= 0, got {p!r}")
-    x, err, failures = _x_row(d / det.sigma, vs, det.gap, settings)
-    m = np.hypot(x.real, x.imag) - p
-    return NegativityRow(p, x, err, m, np.maximum(m, 0.0), failures)
+    ds, gap = d / det.sigma, det.gap
+    x = np.empty(len(vs), dtype=complex)
+    err = np.empty(len(vs))
+    failures: dict = {}
+
+    def run(i: int, batch) -> None:
+        try:
+            x[i:i + len(batch)], err[i:i + len(batch)] = _x_integrals(ds, batch, gap, settings)
+        except Exception as exc:
+            if len(batch) == 1:
+                failures[i] = exc
+                x[i], err[i] = complex(math.nan, math.nan), math.nan
+            else:
+                for j in range(i, i + len(batch)):
+                    run(j, vs[j:j + 1])
+
+    for i in range(0, len(vs), _X_BATCH):
+        run(i, vs[i:i + _X_BATCH])
+    x_abs = np.hypot(x.real, x.imag)
+    m = x_abs - p
+    return NegativityRow(p, x, x_abs, err, m, np.maximum(m, 0.0), failures)
 
 
 def _static_terms(d: float, sigma: float) -> tuple[float, float, float, float]:

@@ -28,6 +28,7 @@ is allocated.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -47,6 +48,13 @@ __all__ = [
 Integrand = Callable[[np.ndarray], np.ndarray]
 
 
+def _whole_number(name: str, value) -> int:
+    """value as an int if it is a whole number, such as 100 or 100.0."""
+    if isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer()):
+        return int(value)
+    raise ValueError(f"{name} must be a whole number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class QuadratureSettings:
     """Tolerances and limits governing a single integration.
@@ -64,6 +72,8 @@ class QuadratureSettings:
     max_subdivisions: int = 4000
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "max_subdivisions",
+                           _whole_number("max_subdivisions", self.max_subdivisions))
         if not (self.rel_tol > 0.0):
             raise ValueError(f"rel_tol must be > 0, got {self.rel_tol!r}")
         if not (self.abs_tol > 0.0):
@@ -78,11 +88,12 @@ class QuadratureSettings:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntegralResult:
     """An integral and its error estimate: a complex value and a float for a
     scalar integrand, a complex array and a float array of shape (m,) for one
-    with m components."""
+    with m components. Results compare and hash by identity, since array
+    fields have no single truth value."""
 
     value: complex | np.ndarray
     error_estimate: float | np.ndarray

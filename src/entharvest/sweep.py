@@ -35,7 +35,7 @@ from .model import (
     spacelike_min_distance,
     velocity_profile,
 )
-from .quadrature import QuadratureSettings
+from .quadrature import QuadratureSettings, _whole_number
 
 __all__ = [
     "GridSpec",
@@ -65,6 +65,7 @@ class GridSpec:
     spacing: str = "linear"
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "count", _whole_number("count", self.count))
         if not (math.isfinite(self.min) and math.isfinite(self.max)):
             raise ValueError(f"grid bounds must be finite, got [{self.min!r}, {self.max!r}]")
         if self.count < 1:
@@ -93,7 +94,7 @@ class GridSpec:
         return cls(
             min=float(obj["min"]),
             max=float(obj["max"]),
-            count=int(obj["count"]),
+            count=obj["count"],
             spacing=str(obj.get("spacing", "linear")),
         )
 
@@ -198,25 +199,15 @@ def _sweep_row(args: tuple[float, float, list[float], QuadratureSettings]) -> li
     """The rows of every v at one (d, omega), X batched over v."""
     d, so, vs, quad = args
     row = negativity_row(DetectorSettings(1.0, so), d, vs, quad)
-    x = row.x
     rows = [
         SweepRow(d, v, so, row.p, re, im, x_abs, m, n, err, d >= spacelike_min_distance(v, 1.0))
         for v, re, im, x_abs, m, n, err in zip(
-            vs, x.real.tolist(), x.imag.tolist(), np.hypot(x.real, x.imag).tolist(),
+            vs, row.x.real.tolist(), row.x.imag.tolist(), row.x_abs.tolist(),
             row.m.tolist(), row.negativity.tolist(), row.x_error_estimate.tolist())
     ]
     for i, exc in row.failures.items():
         rows[i] = rows[i]._replace(p=math.nan, error=_error_text(exc))
     return rows
-
-
-def _sweep_point(args: tuple[float, float, float, QuadratureSettings]) -> SweepRow:
-    """The row of one point; a point that cannot be evaluated gets an error row."""
-    d, so, v, quad = args
-    try:
-        return _sweep_row((d, so, [v], quad))[0]
-    except Exception as exc:  # any per-point failure is recorded, never raised
-        return SweepRow(d, v, so, error=_error_text(exc))
 
 
 def _region_point(args: tuple[float, float, QuadratureSettings]) -> RegionRow:
@@ -233,7 +224,9 @@ def _region_point(args: tuple[float, float, QuadratureSettings]) -> RegionRow:
 def _run_grid(task: Callable, axes: Sequence[GridSpec], rest: tuple, workers: int) -> list:
     """task((*axis values, *rest)) for every axis tuple, in row-major order."""
     tasks = [(*xs, *rest) for xs in itertools.product(*(g.points().tolist() for g in axes))]
-    if workers <= 1 or len(tasks) <= 1:
+    # the pool forks all of its workers at the first submit
+    workers = min(workers, len(tasks))
+    if workers <= 1:
         return [task(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         chunk = max(1, len(tasks) // (workers * 8))

@@ -237,21 +237,37 @@ class TestNegativityRowContract:
     def test_arrays_are_indexed_like_v(self):
         row = negativity_row(det(omega=1.0), 1.0, np.array(self.VS), QUAD)
         assert isinstance(row, model.NegativityRow) and not row.failures
-        for field in (row.x, row.x_error_estimate, row.m, row.negativity):
+        for field in (row.x, row.x_abs, row.x_error_estimate, row.m, row.negativity):
             assert field.shape == (len(self.VS),)
         assert row.x.dtype == complex
         assert row.p == transition_probability(det(omega=1.0))
+        np.testing.assert_array_equal(row.x_abs, np.hypot(row.x.real, row.x.imag))
+        np.testing.assert_array_equal(row.m, row.x_abs - row.p)
         np.testing.assert_array_equal(row.negativity, np.maximum(row.m, 0.0))
+
+    @pytest.mark.parametrize("sigma,omega,d,v", [
+        (1.0, 0.0, 0.5, 0.0), (1.0, 1.0, 1.0, 0.3), (2.0, 0.5, 3.0, 0.99), (1.0, 4.0, 0.5, 0.66),
+    ])
+    def test_a_point_is_index_0_of_its_one_velocity_row(self, sigma, omega, d, v):
+        row = negativity_row(det(sigma, omega), d, [v], QUAD)
+        q = negativity(det(sigma, omega), EncounterGeometry(d=d, v=v), QUAD)
+        x = correlation_x(det(sigma, omega), EncounterGeometry(d=d, v=v), QUAD)
+        assert self.bits(row.p, row.x[0].real, row.x[0].imag, row.x_abs[0], row.m[0],
+                         row.negativity[0], row.x_error_estimate[0]) \
+            == self.bits(q.p, q.x.real, q.x.imag, abs(q.x), q.m, q.negativity, q.x_error_estimate)
+        assert self.bits(x.value.real, x.value.imag, x.error_estimate) \
+            == self.bits(q.x.real, q.x.imag, q.x_error_estimate)
 
     def test_failed_index_holds_nan_and_the_exception_of_its_v_alone(self):
         row = negativity_row(det(omega=4.0), 0.5, self.VS, self.TIGHT)
         assert sorted(row.failures) == [0, 1]
         for i, exc in row.failures.items():
             assert np.isnan(row.x[i].real) and np.isnan(row.x[i].imag)
-            assert np.isnan([row.x_error_estimate[i], row.m[i], row.negativity[i]]).all()
-            with pytest.raises(type(exc)) as alone:
-                negativity(det(omega=4.0), EncounterGeometry(d=0.5, v=self.VS[i]), self.TIGHT)
-            assert str(alone.value) == str(exc)
+            assert np.isnan([row.x_abs[i], row.x_error_estimate[i], row.m[i], row.negativity[i]]).all()
+            for point in (negativity, correlation_x):
+                with pytest.raises(type(exc)) as alone:
+                    point(det(omega=4.0), EncounterGeometry(d=0.5, v=self.VS[i]), self.TIGHT)
+                assert type(alone.value) is type(exc) and str(alone.value) == str(exc)
 
     def test_rest_of_a_failed_batch_is_bit_equal_to_negativity(self):
         row = negativity_row(det(omega=4.0), 0.5, self.VS, self.TIGHT)

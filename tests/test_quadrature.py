@@ -39,6 +39,13 @@ class TestSettingsValidation:
         with pytest.raises(ValueError):
             QuadratureSettings(max_subdivisions=0)
 
+    def test_subdivisions_must_be_a_whole_number(self):
+        with pytest.raises(ValueError, match=r"^max_subdivisions must be a whole number, got 1\.5$"):
+            QuadratureSettings(max_subdivisions=1.5)
+        s = QuadratureSettings(max_subdivisions=100.0)
+        assert s == QuadratureSettings(max_subdivisions=100)
+        assert type(s.max_subdivisions) is int
+
 
 class TestLine:
     def test_wide_gaussian(self):
@@ -202,7 +209,7 @@ class TestGradedStart:
         a = integrate_line(self.radial(0.3, declared), 1.0, DEFAULT, even=True,
                            singularity_distance=distance)
         b = integrate_line(self.radial(0.3, plain), 1.0, DEFAULT, even=True)
-        assert a == b
+        assert (a.value, a.error_estimate) == (b.value, b.error_estimate)
         assert len(declared) == len(plain)
         assert all(np.array_equal(x, y) for x, y in zip(declared, plain))
 
@@ -385,6 +392,16 @@ class TestVector:
         scalar = integrate_line(g, 1.0, DEFAULT, max_frequency=3.0)
         assert vec.value.shape == vec.error_estimate.shape == (1,)
         assert (vec.value[0], vec.error_estimate[0]) == (scalar.value, scalar.error_estimate)
+
+    def test_results_compare_and_hash_by_identity(self):
+        def f(u):
+            g = np.exp(-u * u)
+            return np.array([g, g * np.cos(2.0 * u)])
+
+        a, b = (integrate_line(f, 1.0, DEFAULT, max_frequency=2.0) for _ in range(2))
+        np.testing.assert_array_equal(a.value, b.value)
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
 
     def test_budget_exhaustion_names_the_unfinished_component(self):
         s = QuadratureSettings(rel_tol=1e-14, abs_tol=1e-300, max_subdivisions=2)

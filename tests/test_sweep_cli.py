@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings as hyp_settings, strategies as st
 
+from entharvest import cli as cli_mod
 from entharvest import model
 from entharvest import sweep as sweep_mod
 from entharvest import validate as validate_mod
@@ -68,6 +69,12 @@ class TestGridSpec:
             GridSpec(0.0, 1.0, 3, "lightspeed")
         with pytest.raises(ValueError):
             GridSpec(0.0, 1.0, 3, "cubic")
+
+    def test_count_must_be_a_whole_number(self):
+        with pytest.raises(ValueError, match=r"^count must be a whole number, got 2\.9$"):
+            GridSpec(0.0, 1.0, 2.9)
+        assert GridSpec(0.0, 1.0, 3.0).points().tolist() == [0.0, 0.5, 1.0]
+        assert GridSpec.from_dict({"min": 0.0, "max": 1.0, "count": 3.0}) == GridSpec(0.0, 1.0, 3)
 
 
 class TestSweep:
@@ -177,7 +184,7 @@ class TestRowBatches:
         rows = run_sweep(spec)
         assert rows[0].error == ""
         assert rows[-1].error.startswith("ConvergenceError: no convergence")
-        alone = [sweep_mod._sweep_point((1.0, 1.0, v, quad)) for v in spec.v.points().tolist()]
+        alone = [sweep_mod._sweep_row((1.0, 1.0, [v], quad))[0] for v in spec.v.points().tolist()]
         buf_rows, buf_alone = io.StringIO(), io.StringIO()
         write_sweep_csv(rows, buf_rows)
         write_sweep_csv(alone, buf_alone)
@@ -255,6 +262,67 @@ class TestDeterminism:
             assert repr(float(cell)) is not None
 
 
+@pytest.fixture
+def pool_sizes(monkeypatch) -> list:
+    """max_workers of every pool a grid starts; the stand-in pool maps serially."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", SerialPool)
+    return sizes
+
+
+class TestWorkers:
+    """A pool starts all of its workers at once, so their number is bounded."""
+
+    @staticmethod
+    def config(tmp_path) -> str:
+        cfg = {
+            "d_over_sigma": {"min": 1.0, "max": 2.0, "count": 2},
+            "sigma_omega": {"min": 0.0, "max": 1.0, "count": 2},
+            "v": {"min": 0.0, "max": 0.5, "count": 2},
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        return str(path)
+
+    def test_pool_is_no_larger_than_the_grid(self, pool_sizes):
+        spec = SweepSpec(GridSpec(1.0, 2.0, 2), GridSpec(0.0, 0.0, 1), GridSpec(0.0, 0.5, 2))
+        assert sweep_text(spec, workers=8) == sweep_text(spec)
+        assert pool_sizes == [2]
+
+    def test_cli_lowers_workers_to_the_usable_cpus(self, pool_sizes, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(cli_mod.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        out = tmp_path / "out.csv"
+        rc = main(["--workers", "1000", "sweep", "--config", self.config(tmp_path), "--out", str(out)])
+        assert rc == 0
+        assert pool_sizes == [3]
+        assert len(out.read_text().splitlines()) == 1 + 2 * 2 * 2
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_cli_rejects_fewer_than_one_worker(self, workers, pool_sizes, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        rc = main(["--workers", str(workers), "sweep", "--config", self.config(tmp_path),
+                   "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == f"ValueError: --workers must be >= 1, got {workers}\n"
+        assert pool_sizes == [] and not out.exists()
+
+
 class TestRegionScan:
     def test_labels(self):
         rows = run_region_scan(GridSpec(0.5, 0.5, 1), GridSpec(0.5, 2.0, 2))
@@ -329,7 +397,7 @@ class TestCli:
         captured = capsys.readouterr()
         assert rc == 1
         assert captured.out == ""
-        assert captured.err.startswith("ValueError: v must satisfy")
+        assert captured.err == "ValueError: v must satisfy 0 <= v < 1, got 1.5\n"
 
     def test_point_bad_input_goes_to_stderr(self, capsys):
         rc = main(["point", "--d", "1", "--v", "0.3", "--omega", "1", "--sigma", "0"])
@@ -473,6 +541,18 @@ class TestConfigErrors:
         err = self.run(command, tmp_path, capsys,
                        edit=lambda cfg: cfg.update(d_over_sigma={"min": 0.0, "max": 1.0, "count": 2}))
         assert err == "ValueError: d_over_sigma grid must be > 0\n"
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_fractional_count(self, command, tmp_path, capsys):
+        err = self.run(command, tmp_path, capsys,
+                       edit=lambda cfg: cfg.update(sigma_omega={"min": 0.0, "max": 1.0, "count": 2.9}))
+        assert err == "ValueError: count must be a whole number, got 2.9\n"
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_fractional_max_subdivisions(self, command, tmp_path, capsys):
+        err = self.run(command, tmp_path, capsys,
+                       edit=lambda cfg: cfg.update(quadrature={"max_subdivisions": 1.5}))
+        assert err == "ValueError: max_subdivisions must be a whole number, got 1.5\n"
         assert not (tmp_path / "out.csv").exists()
 
 
