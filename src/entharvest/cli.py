@@ -23,7 +23,7 @@ from .sweep import (
     SweepSpec,
     _load_json,
     _read_config,
-    _sweep_row,
+    _sweep_task,
     run_region_scan,
     run_sweep,
     write_region_csv,
@@ -51,7 +51,7 @@ def _add_quad_flags(parser: argparse.ArgumentParser) -> None:
 def _cmd_point(args: argparse.Namespace) -> int:
     quad = _quad_from_args(QuadratureSettings(), args)
     det = DetectorSettings(sigma=args.sigma, omega=args.omega)
-    payload = _sweep_row((args.d / det.sigma, det.gap, [args.v], quad))[0]._asdict()
+    payload = _sweep_task((args.d / det.sigma, [det.gap], [args.v], quad))[0]._asdict()
     error = payload.pop("error")
     if error:
         print(error, file=sys.stderr)

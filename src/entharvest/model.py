@@ -23,12 +23,16 @@ with F the Dawson function. This is exact algebra, not an approximation.
 
 Rows
 ----
-negativity_row() is the one path from X integrals to P, X, |X|, M and N.
-It evaluates a row of velocities at fixed (d, omega) from a few batched X
-integrals and returns a NegativityRow of arrays, one per quantity, with
-NaN at any v that fails and that v's exception in its failures map; no
-object is built per velocity. negativity() and correlation_x() are views
-of a row of one velocity that raise that velocity's failure.
+negativity_rows() is the one path from X integrals to P, X, |X|, M and N.
+At fixed d it evaluates a row of velocities for each of several gaps: X
+is integrated for a block of gaps of one octave of start-panel density
+and a batch of velocities at once, with the bracket evaluated once per
+velocity and only the cosine per (gap, v). Each gap gets a NegativityRow
+of arrays, one per quantity, with NaN at any v that fails and that v's
+exception in its failures map; no object is built per velocity.
+negativity_row() is its one-gap case, and negativity() and
+correlation_x() are views of a one-gap row of one velocity that raise
+that velocity's failure.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 from scipy.special import dawsn, erfcx
 
-from .quadrature import IntegralResult, QuadratureSettings, integrate_line
+from .quadrature import IntegralResult, QuadratureSettings, integrate_line, line_capacity
 
 __all__ = [
     "DetectorSettings",
@@ -54,6 +58,7 @@ __all__ = [
     "correlation_x",
     "negativity",
     "negativity_row",
+    "negativity_rows",
     "NegativityRow",
     "static_x_abs",
     "static_negativity",
@@ -196,17 +201,49 @@ def transition_probability(det: DetectorSettings) -> float:
 # scan in a few batches of neighbouring velocities.
 _X_BATCH = 16
 
+# Gaps per X integral. The start panels are sized by a block's largest
+# gap, so a block holds gaps of one octave of start-panel density; the cap
+# bounds how many gaps are evaluated where only the largest needs it. On a
+# 12^3 sweep a cap of 4 puts 144 integrals into 48 for 13% more integrand
+# values, and every octave there fits in one block.
+_GAP_BLOCK = 4
 
-def _x_integrals(d: float, vs, gap: float, settings: QuadratureSettings) -> tuple[np.ndarray, np.ndarray]:
-    """X and its error estimate at up to _X_BATCH velocities from one
-    integral, in sigma = 1 units: a complex and a float array, like vs.
+
+def _x_scales(vs) -> tuple[np.ndarray, ...]:
+    """v as a column, v^2, 1 - v^2, 1 + v^2 and X's envelope scale
+    w = 2/sqrt(1 - v^4)."""
+    v = np.asarray(vs, dtype=float)[:, None]
+    v2 = v * v
+    b2 = 1.0 - v2
+    c2 = 1.0 + v2
+    return v, v2, b2, c2, 2.0 / np.sqrt(b2 * c2)
+
+
+def _x_start(d: float, v: np.ndarray, w: np.ndarray, gap: float) -> tuple[float, float]:
+    """X's largest phase frequency in t and smallest branch-point distance
+    t_b at the velocities v, of scales w, and its largest gap; see _x_integrals.
+
+    Both extremes are taken before the one division, which is monotone, so
+    they are the extremes of the elementwise values bit for bit. t_b = inf
+    at v = 0, and a Python float quotient overflows to inf.
+    """
+    v_min, vw = float(v.min()), float((v * w).max())
+    return 2.0 * gap / math.sqrt(1.0 + v_min * v_min), d / vw if vw > 0.0 else math.inf
+
+
+def _x_integrals(d: float, vs, gaps, settings: QuadratureSettings) -> tuple[np.ndarray, np.ndarray]:
+    """X and its error estimate at up to _X_BATCH velocities and a few gaps
+    from one integral, in sigma = 1 units: a complex and a float array of
+    shape gaps.shape + (len(vs),), so a float gap gives arrays like vs.
 
     In t = u / w(v) with w = 2/sqrt(1 - v^4) every velocity's envelope has
     width 1, A = d^2 (1-v^2)/4 + t^2 and the Dawson part's Gaussian is
     e^{-t^2/(1+v^2)}. The bracket in the module docstring is even in u, so
     the phase's sine half integrates to 0 and X = -i (1-v^2)/(8 pi) (R + i I)
     with R and I the integrals of its real and imaginary parts times
-    cos(f u), f = gap sqrt(1-v^2): two real components per velocity. Both
+    cos(f u), f = gap sqrt(1-v^2): two real components per (gap, v). The
+    bracket depends on v alone, so it is evaluated once per velocity and
+    node, and only the cosine, over q, once per (gap, v). Both components
     are even in t as well, so integrate_line(even=True) integrates them on
     the window [0, 10] and doubles the result; its one tail term, charged
     twice, sees the cosine at the edge t = 10, where the widest envelope is
@@ -221,44 +258,71 @@ def _x_integrals(d: float, vs, gap: float, settings: QuadratureSettings) -> tupl
     toward t = 0 from it and a near-lightspeed X converges on its first
     pass; a batch at v = 0 alone has t_b = inf and uniform start panels.
     """
-    v = np.asarray(vs, dtype=float)[:, None]
-    v2 = v * v
-    b2 = 1.0 - v2
-    w = 2.0 / np.sqrt(b2 * (1.0 + v2))
-    freq = 2.0 * gap / np.sqrt(1.0 + v2)  # f w, the phase's frequency in t
+    v, v2, b2, c2, w = _x_scales(vs)
+    gap = np.asarray(gaps, dtype=float)
+    freq = 2.0 * gap[..., None, None] / np.sqrt(c2)  # f w, the phase's frequency in t
     d2 = d * d
     q_t2 = v2 * w * w  # q^2 = v^2 u^2 + d^2 = q_t2 t^2 + d^2
     dawsn_q = 0.5 * np.sqrt(b2)
-    im_t2 = -1.0 / (1.0 + v2)
+    im_t2 = -1.0 / c2
     re_scale = w * np.exp(-0.25 * d2 * b2)
     im_scale = w * _TWO_OVER_SQRT_PI
-    m = v.shape[0]
+    shape = (*gap.shape, v.shape[0])
+    km = math.prod(shape)
 
     def integrand(t: np.ndarray) -> np.ndarray:
         t2 = t * t
         q = np.sqrt(q_t2 * t2 + d2)
-        cos_q = np.cos(freq * t) / q
-        out = np.empty((2 * m, t.size))
-        np.multiply(re_scale * np.exp(-t2), cos_q, out=out[:m])
+        real = re_scale * np.exp(-t2)
         imag = np.exp(im_t2 * t2)
         imag *= dawsn(dawsn_q * q)
-        imag *= cos_q
-        np.multiply(im_scale, imag, out=out[m:])
-        return out
+        cos_q = np.cos(freq * t)
+        cos_q /= q
+        out = np.empty((2, *shape, t.size))
+        np.multiply(real, cos_q, out=out[0])
+        np.multiply(imag, cos_q, out=out[1])
+        out[1] *= im_scale
+        return out.reshape(2 * km, t.size)
 
+    max_frequency, t_b = _x_start(d, v, w, float(gap.max()))
     # where d*d underflows, 1/q divides by zero at v = 0 (no node sits at
     # t = 0): the inf or NaN that results is caught by the quadrature's
     # finiteness check, so only overflow warnings are left on
     with np.errstate(divide="ignore", invalid="ignore"):
-        t_b = float((d / (v * w)).min())  # inf at v = 0
-        parts = integrate_line(integrand, 1.0, settings, max_frequency=float(freq.max()),
+        parts = integrate_line(integrand, 1.0, settings, max_frequency=max_frequency,
                                even=True, singularity_distance=t_b)
     pref = b2[:, 0] / (8.0 * math.pi)  # times 1/i
-    re, im = parts.value.real[:m], parts.value.real[m:]
-    x = np.empty(m, dtype=complex)
+    re, im = parts.value.real[:km].reshape(shape), parts.value.real[km:].reshape(shape)
+    x = np.empty(shape, dtype=complex)
     x.real = pref * im
     x.imag = -pref * re
-    return x, pref * (parts.error_estimate[:m] + parts.error_estimate[m:])
+    return x, pref * (parts.error_estimate[:km] + parts.error_estimate[km:]).reshape(shape)
+
+
+def _gap_blocks(d: float, batch, gaps: np.ndarray, settings: QuadratureSettings) -> list[slice]:
+    """Slices of gaps, each for one X integral at the velocities of batch.
+
+    Runs of neighbouring gaps are grouped by the octave of their start-panel
+    density: the start width is min(1, pi / 2F), F = 2 gap at v = 0 the
+    largest phase frequency, so an ascending gap axis, as a sweep's is, has
+    one run per octave. Each run is cut into blocks of at most _GAP_BLOCK
+    gaps and at most as many as fit within integrate_line's start-panel
+    limit beside the run's largest gap. A gap over the limit alone is a
+    block of its own; integrate_line refuses it, and its row falls back to
+    single velocities.
+    """
+    if gaps.size == 1:  # a lone gap is its own block, whatever its start panels
+        return [slice(0, 1)]
+    octave = np.ceil(np.log2(np.maximum(1.0, (4.0 / math.pi) * gaps)))
+    edges = [0, *(np.flatnonzero(np.diff(octave)) + 1).tolist(), gaps.size]
+    v, *_, w = _x_scales(batch)
+    blocks = []
+    for lo, hi in zip(edges, edges[1:]):
+        max_frequency, t_b = _x_start(d, v, w, float(gaps[lo:hi].max()))
+        fit = line_capacity(1.0, settings, max_frequency, even=True, singularity_distance=t_b)
+        size = max(1, min(_GAP_BLOCK, fit // (2 * v.shape[0])))
+        blocks += [slice(j, min(j + size, hi)) for j in range(lo, hi, size)]
+    return blocks
 
 
 def _one_v(det: DetectorSettings, geom: EncounterGeometry,
@@ -298,42 +362,75 @@ def negativity_row(
     vs,
     settings: QuadratureSettings | None = None,
 ) -> NegativityRow:
-    """negativity at (d, v) for every v in vs, batched over v, as arrays.
+    """negativity at (d, v) for every v in vs, as arrays: the one-gap case
+    of negativity_rows."""
+    return negativity_rows(det.sigma, d, [det.omega], vs, settings)[0]
 
-    Velocities go in batches of _X_BATCH. A batch that fails is re-run one
-    v at a time, so each failure stays with its own v and every value in
-    that batch is the one the v gets alone. A v that fails holds NaN and
-    its exception in failures. |X| is np.hypot of its parts, which is the
-    value abs() gives a Python complex.
+
+def negativity_rows(
+    sigma: float,
+    d: float,
+    omegas,
+    vs,
+    settings: QuadratureSettings | None = None,
+) -> list[NegativityRow]:
+    """negativity_row of DetectorSettings(sigma, omega) at d for every omega
+    in omegas, X in blocks over the gaps and batches over v.
+
+    Velocities go in batches of _X_BATCH, and each batch is integrated for
+    a block of gaps at once (_gap_blocks). A block that fails is re-run as
+    each of its gaps alone, and a batch of one gap that fails one v at a
+    time, so each failure stays with its own (omega, v) and every value in
+    a failed block or batch is the one it gets alone. A v that fails holds
+    NaN and its exception in its row's failures. |X| is np.hypot of its
+    parts, which is the value abs() gives a Python complex.
     """
     if settings is None:
         settings = QuadratureSettings()
+    dets = [DetectorSettings(sigma, omega) for omega in omegas]
     for v in vs:
         EncounterGeometry(d, v)  # raises for a d or v that a point would reject
-    p = transition_probability(det)
-    if not (p >= 0.0 and math.isfinite(p)):
-        raise ValueError(f"p must be finite and >= 0, got {p!r}")
-    ds, gap = d / det.sigma, det.gap
-    x = np.empty(len(vs), dtype=complex)
-    err = np.empty(len(vs))
-    failures: dict = {}
+    ps = []
+    for det in dets:
+        p = transition_probability(det)
+        if not (p >= 0.0 and math.isfinite(p)):
+            raise ValueError(f"p must be finite and >= 0, got {p!r}")
+        ps.append(p)
+    if not dets:
+        return []
+    ds = d / sigma
+    gaps = np.array([det.gap for det in dets], dtype=float)
+    x = np.empty((gaps.size, len(vs)), dtype=complex)
+    err = np.empty(x.shape)
+    failures: list[dict] = [{} for _ in dets]
 
-    def run(i: int, batch) -> None:
+    def run(block: slice, i: int, batch) -> None:
         try:
-            x[i:i + len(batch)], err[i:i + len(batch)] = _x_integrals(ds, batch, gap, settings)
+            # a lone gap goes in as a scalar, so its integrand's arrays stay 2-D
+            lone = block.stop - block.start == 1
+            x[block, i:i + len(batch)], err[block, i:i + len(batch)] = \
+                _x_integrals(ds, batch, gaps[block.start] if lone else gaps[block], settings)
         except Exception as exc:
-            if len(batch) == 1:
-                failures[i] = exc
-                x[i], err[i] = complex(math.nan, math.nan), math.nan
+            if not lone:
+                for j in range(block.start, block.stop):
+                    run(slice(j, j + 1), i, batch)
+            elif len(batch) > 1:
+                for j in range(len(batch)):
+                    run(block, i + j, batch[j:j + 1])
             else:
-                for j in range(i, i + len(batch)):
-                    run(j, vs[j:j + 1])
+                failures[block.start][i] = exc
+                x[block, i], err[block, i] = complex(math.nan, math.nan), math.nan
 
     for i in range(0, len(vs), _X_BATCH):
-        run(i, vs[i:i + _X_BATCH])
-    x_abs = np.hypot(x.real, x.imag)
-    m = x_abs - p
-    return NegativityRow(p, x, x_abs, err, m, np.maximum(m, 0.0), failures)
+        batch = vs[i:i + _X_BATCH]
+        for block in _gap_blocks(ds, batch, gaps, settings):
+            run(block, i, batch)
+    rows = []
+    for p, x_j, err_j, failed in zip(ps, x, err, failures):
+        x_abs = np.hypot(x_j.real, x_j.imag)
+        m = x_abs - p
+        rows.append(NegativityRow(p, x_j, x_abs, err_j, m, np.maximum(m, 0.0), failed))
+    return rows
 
 
 def _static_terms(d: float, sigma: float) -> tuple[float, float, float, float]:

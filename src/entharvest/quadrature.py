@@ -22,7 +22,7 @@ as its distance from the nearest singularity (Trefethen & Weideman, SIAM
 Rev. 56, 2014), so where that distance is below the uniform width the
 start panels next to 0 are graded geometrically from it. The count of
 start panels, times the number of components, is capped before anything
-is allocated.
+is allocated; line_capacity gives a caller the most components that fit.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ __all__ = [
     "NonFiniteIntegrandError",
     "ConvergenceError",
     "integrate_line",
+    "line_capacity",
     "integrate_halfline",
     "integrate_interval",
 ]
@@ -99,7 +100,10 @@ class IntegralResult:
     error_estimate: float | np.ndarray
 
     def __post_init__(self) -> None:
-        err = np.asarray(self.error_estimate)
+        e = self.error_estimate
+        if isinstance(e, float) and math.isfinite(e) and e >= 0.0:
+            return
+        err = np.asarray(e)
         if not ((err >= 0.0) & np.isfinite(err)).all():
             raise ValueError(
                 f"error_estimate must be finite and >= 0, got {self.error_estimate!r}"
@@ -204,6 +208,23 @@ def _check_start_panels(count: int, components: int) -> None:
         )
 
 
+def _linspace(lo: float, b: float, n: int) -> np.ndarray:
+    """np.linspace(lo, b, n + 1), bit for bit, without its per-call overhead.
+
+    The same arithmetic as numpy's: k * step + lo with step = (b - lo) / n,
+    then the last edge set to b. numpy scales differently when the step
+    underflows to 0, so that case is left to it.
+    """
+    step = (b - lo) / n
+    if step == 0.0:
+        return np.linspace(lo, b, n + 1)
+    y = np.arange(n + 1, dtype=float)
+    y *= step
+    y += lo
+    y[-1] = b
+    return y
+
+
 def _start_edges(lo: float, b: float, spacing: float,
                  singularity_distance: float = math.inf) -> np.ndarray:
     """Edges of the start panels on [lo, b], checked for one component.
@@ -221,7 +242,7 @@ def _start_edges(lo: float, b: float, spacing: float,
     s = max(singularity_distance, _MIN_WIDTH * width)
     if not s < h:
         _check_start_panels(n, 1)
-        return np.linspace(lo, b, n + 1)
+        return _linspace(lo, b, n)
     graded, edge = 1, s  # [0, s], then [edge, 2 edge] while edge < h
     while edge < h:
         graded, edge = graded + 1, 2.0 * edge
@@ -229,7 +250,7 @@ def _start_edges(lo: float, b: float, spacing: float,
     sides = 2 if lo < 0.0 else 1
     _check_start_panels(sides * (graded + uniform), 1)
     half = np.concatenate(([0.0], s * np.exp2(np.arange(graded)),
-                           np.linspace(edge, b, uniform + 1)[1:]))
+                           _linspace(edge, b, uniform)[1:]))
     return np.concatenate((-half[:0:-1], half)) if sides == 2 else half
 
 
@@ -238,12 +259,12 @@ def _eval_panels(f: Integrand, lo: np.ndarray, hi: np.ndarray, scale: float):
     shape (panels,) for a scalar integrand and (m, panels) for m components."""
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    x = center[:, None] + np.outer(half, _NODES)
+    x = center[:, None] + half[:, None] * _NODES
     flat = x.reshape(-1)
     y = np.asarray(f(flat))
     y = y.reshape(*y.shape[:-1], *x.shape)
-    finite = np.isfinite(y).reshape(-1, flat.size).all(axis=0)
-    if not finite.all():
+    if not np.isfinite(y).all():
+        finite = np.isfinite(y).reshape(-1, flat.size).all(axis=0)
         raise NonFiniteIntegrandError(float(flat[~finite][0]))
     jac = scale * half
     kron = (y @ _WK) * jac
@@ -388,6 +409,28 @@ def integrate_line(
                                  2.0, singularity_distance)
     return _integrate_window(integrand, envelope_width, settings, max_frequency, True,
                              singularity_distance=singularity_distance)
+
+
+def line_capacity(
+    envelope_width: float,
+    settings: QuadratureSettings,
+    max_frequency: float = 0.0,
+    even: bool = False,
+    singularity_distance: float = math.inf,
+) -> int:
+    """The most components integrate_line takes with these arguments.
+
+    Past it, components times start panels exceed the start-panel limit
+    and integrate_line refuses before evaluating anything; 0 when one
+    component's start panels alone exceed it.
+    """
+    a = settings.truncation_sigmas * float(envelope_width)
+    try:
+        start = _start_edges(0.0 if even else -a, a, _initial_spacing(envelope_width, max_frequency),
+                             singularity_distance)
+    except QuadratureError:
+        return 0
+    return _MAX_START_PANELS // (start.size - 1)
 
 
 def integrate_halfline(

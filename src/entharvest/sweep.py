@@ -4,12 +4,13 @@ Both grid jobs share one pipeline: a JSON config gives the axes and the
 quadrature block, every axis tuple is evaluated in row-major order, and
 each row is written as one CSV line whose cells are formatted by type.
 Rows are NamedTuples whose fields are the CSV columns, so `_asdict()` and
-`_replace()` work on them. A sweep hands each (d, omega) row's whole v
-axis to one task, which evaluates X in batches over v and builds its rows
-from negativity_row's arrays; a region scan hands over one (d, omega)
-point per task. Tasks may run across a process pool, but a task's work
-never depends on the pool and results keep their row-major order, so
-output is byte-identical for any worker count. Per-point failures of any
+`_replace()` work on them. A sweep hands each d to one task with the
+whole omega and v axes; the task evaluates X in blocks of gaps of one
+octave times batches over v and builds its rows from negativity_rows'
+arrays. A region scan hands over one (d, omega) point per task. Tasks
+may run across a process pool, but a task's work never depends on the
+pool and results keep their row-major order, so output is byte-identical
+for any worker count. Per-point failures of any
 kind are recorded in the error column instead of aborting the grid.
 """
 
@@ -31,7 +32,7 @@ from .model import (
     classify_region,
     find_peak_velocity,
     negativity,
-    negativity_row,
+    negativity_rows,
     spacelike_min_distance,
     velocity_profile,
 )
@@ -195,18 +196,22 @@ def _error_text(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _sweep_row(args: tuple[float, float, list[float], QuadratureSettings]) -> list[SweepRow]:
-    """The rows of every v at one (d, omega), X batched over v."""
-    d, so, vs, quad = args
-    row = negativity_row(DetectorSettings(1.0, so), d, vs, quad)
-    rows = [
-        SweepRow(d, v, so, row.p, re, im, x_abs, m, n, err, d >= spacelike_min_distance(v, 1.0))
-        for v, re, im, x_abs, m, n, err in zip(
-            vs, row.x.real.tolist(), row.x.imag.tolist(), row.x_abs.tolist(),
-            row.m.tolist(), row.negativity.tolist(), row.x_error_estimate.tolist())
-    ]
-    for i, exc in row.failures.items():
-        rows[i] = rows[i]._replace(p=math.nan, error=_error_text(exc))
+def _sweep_task(args: tuple[float, list[float], list[float], QuadratureSettings]) -> list[SweepRow]:
+    """The rows of every (omega, v) at one d, in row-major order, X in
+    blocks over the gaps and batches over v."""
+    d, gaps, vs, quad = args
+    spacelike = [d >= spacelike_min_distance(v, 1.0) for v in vs]
+    rows = []
+    for so, row in zip(gaps, negativity_rows(1.0, d, gaps, vs, quad)):
+        cells = [
+            SweepRow(d, v, so, row.p, re, im, x_abs, m, n, err, sl)
+            for v, re, im, x_abs, m, n, err, sl in zip(
+                vs, row.x.real.tolist(), row.x.imag.tolist(), row.x_abs.tolist(),
+                row.m.tolist(), row.negativity.tolist(), row.x_error_estimate.tolist(), spacelike)
+        ]
+        for i, exc in row.failures.items():
+            cells[i] = cells[i]._replace(p=math.nan, error=_error_text(exc))
+        rows += cells
     return rows
 
 
@@ -235,9 +240,9 @@ def _run_grid(task: Callable, axes: Sequence[GridSpec], rest: tuple, workers: in
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRow]:
     """Evaluate every grid tuple in row-major (d, omega, v) order."""
-    rows = _run_grid(_sweep_row, (spec.d_over_sigma, spec.sigma_omega),
-                     (spec.v.points().tolist(), spec.quad), workers)
-    return [row for v_axis in rows for row in v_axis]
+    rows = _run_grid(_sweep_task, (spec.d_over_sigma,),
+                     (spec.sigma_omega.points().tolist(), spec.v.points().tolist(), spec.quad), workers)
+    return [row for d_rows in rows for row in d_rows]
 
 
 def run_region_scan(

@@ -4,15 +4,18 @@ Run from the repository root:
 
     PYTHONPATH=src python tests/data/make_golden.py
 
-The committed files were written before sweep rows were carried as
-arrays, so the test pins the CSV bytes of the per-object row path. Each
-case runs through `entharvest.cli.main` with a JSON config, as a user
-runs it. The sweep grid reaches v = 0 and v = 1 - 1e-9 and holds rows
+Each case runs through `entharvest.cli.main` with a JSON config, as a
+user runs it. The sweep grid reaches v = 0 and v = 1 - 1e-9 and holds rows
 with N = 0 (every v at d = 4 without a gap, and the fastest v at gap
 2.5); the subset case writes some of its columns in another order; the
 failing case exhausts the subdivision budget at some points of a
 velocity batch, so those rows carry NaN cells and error text next to
-rows that converged.
+rows that converged. Each gap of those three cases lies in an octave of
+start-panel density of its own, so every X integral there is a one-gap
+block, and their bytes are the ones written before rows became arrays
+and before gaps shared integrals. The block case puts four gaps in one
+octave, so each of its X integrals is a block of four gaps on start
+panels sized for the largest.
 """
 
 from __future__ import annotations
@@ -44,6 +47,11 @@ CASES = {
         "sigma_omega": {"min": 0.0, "max": 4.0, "count": 2},
         "v": {"min": 0.0, "max": 0.99, "count": 4},
         "quadrature": {"rel_tol": 1e-10, "abs_tol": 1e-300, "max_subdivisions": 1},
+    }),
+    "golden_sweep_block.csv": ("sweep", {
+        "d_over_sigma": {"min": 0.5, "max": 4.0, "count": 2, "spacing": "log"},
+        "sigma_omega": {"min": 1.6, "max": 3.1, "count": 4},
+        "v": {"min": 0.0, "max": 1.0 - 1e-9, "count": 5, "spacing": "lightspeed"},
     }),
     "golden_region.csv": ("region", {
         "d_over_sigma": {"min": 0.5, "max": 8.0, "count": 2},

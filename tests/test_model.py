@@ -14,6 +14,7 @@ from entharvest.model import (
     find_peak_velocity,
     negativity,
     negativity_row,
+    negativity_rows,
     omega_peak_threshold,
     second_derivative_at_rest,
     spacelike_min_distance,
@@ -203,10 +204,10 @@ class TestNegativityRow:
         bad = 0.6
         real = model._x_integrals
 
-        def broken(d, vs, gap, settings):
+        def broken(d, vs, gaps, settings):
             if bad in list(vs):
                 raise ValueError("broken velocity")
-            return real(d, vs, gap, settings)
+            return real(d, vs, gaps, settings)
 
         monkeypatch.setattr(model, "_x_integrals", broken)
         vs = [0.0, 0.3, bad, 0.9]
@@ -220,6 +221,89 @@ class TestNegativityRow:
                 q = negativity(det(omega=1.0), EncounterGeometry(d=1.0, v=v), QUAD)
                 assert (row.p, row.x[i], row.m[i], row.negativity[i], row.x_error_estimate[i]) \
                     == (q.p, q.x, q.m, q.negativity, q.x_error_estimate)
+
+
+class TestGapBlocks:
+    """negativity_rows integrates a block of gaps of one octave at once."""
+
+    VS = [0.0, 0.9, 1.0 - 1e-6, 1.0 - 1e-9]
+
+    @staticmethod
+    def bits(row, i) -> tuple:
+        return tuple(float(v).hex() for v in (row.p, row.x[i].real, row.x[i].imag, row.x_abs[i],
+                                              row.m[i], row.negativity[i], row.x_error_estimate[i]))
+
+    @staticmethod
+    def recorded(monkeypatch) -> list:
+        """Each X integral's number of components, then the exception if it raised."""
+        calls = []
+        real = model.integrate_line
+
+        def recording(integrand, *args, **kwargs):
+            first = len(calls)
+
+            def seen(t):
+                out = integrand(t)
+                if len(calls) == first:
+                    calls.append(out.shape[0])
+                return out
+            try:
+                return real(seen, *args, **kwargs)
+            except Exception as exc:
+                calls.append(exc)
+                raise
+
+        monkeypatch.setattr(model, "integrate_line", recording)
+        return calls
+
+    def test_blocks_agree_with_one_gap_rows(self, monkeypatch):
+        # four octaves of start-panel density: {0, 0.5}, {1, 1.5}, {2.5, 3}, {6}
+        gaps = [0.0, 0.5, 1.0, 1.5, 2.5, 3.0, 6.0]
+        calls = self.recorded(monkeypatch)
+        rows = negativity_rows(1.0, 1.0, gaps, self.VS, QUAD)
+        assert calls == [2 * 2 * len(self.VS)] * 3 + [2 * len(self.VS)]
+        for gap, row in zip(gaps, rows):
+            alone = negativity_row(det(omega=gap), 1.0, self.VS, QUAD)
+            assert not row.failures and row.p == alone.p
+            assert (np.abs(row.x - alone.x) <= row.x_error_estimate + alone.x_error_estimate).all()
+
+    def test_a_failure_stays_with_its_gap_and_v(self, monkeypatch):
+        gaps, vs = [0.0, 0.3, 0.6, 1.5, 3.0], [0.0, 0.5, 0.9]
+        bad_gap, bad_v = 0.3, 0.5
+        clean = negativity_rows(1.0, 1.0, gaps, vs, QUAD)
+        real = model._x_integrals
+
+        def broken(d, vs, gaps, settings):
+            if bad_gap in np.atleast_1d(gaps) and bad_v in list(vs):
+                raise ValueError("broken point")
+            return real(d, vs, gaps, settings)
+
+        monkeypatch.setattr(model, "_x_integrals", broken)
+        rows = negativity_rows(1.0, 1.0, gaps, vs, QUAD)
+        assert [list(row.failures) for row in rows] == [[], [1], [], [], []]
+        exc = rows[1].failures[1]
+        assert isinstance(exc, ValueError) and str(exc) == "broken point"
+        assert np.isnan(rows[1].x[1].real) and np.isnan(rows[1].negativity[1])
+        # the rest of the failed block {0, 0.3, 0.6} is each gap's one-gap row
+        for j in (0, 1, 2):
+            alone = negativity_row(det(omega=gaps[j]), 1.0, vs, QUAD)
+            for i in range(len(vs)):
+                if (j, i) != (1, 1):
+                    assert self.bits(rows[j], i) == self.bits(alone, i)
+        # the other blocks are untouched
+        for j in (3, 4):
+            assert [self.bits(rows[j], i) for i in range(len(vs))] \
+                == [self.bits(clean[j], i) for i in range(len(vs))]
+
+    def test_a_block_over_the_start_panel_limit_is_split_up_front(self, monkeypatch):
+        # one octave; at gap 45 each component has 573 start panels, so
+        # 16 velocities fit 3 gaps: blocks of 3 and 1, and none is refused
+        gaps = [30.0, 35.0, 40.0, 45.0]
+        vs = np.linspace(0.0, 0.9, model._X_BATCH)
+        calls = self.recorded(monkeypatch)
+        rows = negativity_rows(1.0, 1.0, gaps, vs, QUAD)
+        assert calls == [2 * 3 * vs.size, 2 * vs.size]
+        assert not any(row.failures for row in rows)
 
 
 class TestNegativityRowContract:
@@ -282,11 +366,11 @@ class TestNegativityRowContract:
         bad = (40, 5, 63)
         real = model._x_integrals
 
-        def broken(d, vs, gap, settings):
+        def broken(d, vs, gaps, settings):
             hit = sorted(i for i in bad if grid[i] in list(vs))
             if hit:
                 raise ValueError(f"broken at {hit[0]}")
-            return real(d, vs, gap, settings)
+            return real(d, vs, gaps, settings)
 
         monkeypatch.setattr(model, "_x_integrals", broken)
         row = negativity_row(det(omega=1.0), 1.0, velocity_scan_grid(), QUAD)

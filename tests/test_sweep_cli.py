@@ -164,7 +164,7 @@ class TestSweep:
 
 
 class TestRowBatches:
-    """A sweep evaluates each (d, omega) row's v axis in batches of X integrals."""
+    """A sweep evaluates each d's (omega, v) plane in blocks of X integrals."""
 
     def test_failure_stays_with_its_point(self, monkeypatch):
         # an X integral whose branch points lie closer than 1e-4 to the real
@@ -184,7 +184,7 @@ class TestRowBatches:
         rows = run_sweep(spec)
         assert rows[0].error == ""
         assert rows[-1].error.startswith("ConvergenceError: no convergence")
-        alone = [sweep_mod._sweep_row((1.0, 1.0, [v], quad))[0] for v in spec.v.points().tolist()]
+        alone = [sweep_mod._sweep_task((1.0, [1.0], [v], quad))[0] for v in spec.v.points().tolist()]
         buf_rows, buf_alone = io.StringIO(), io.StringIO()
         write_sweep_csv(rows, buf_rows)
         write_sweep_csv(alone, buf_alone)
@@ -199,6 +199,18 @@ class TestRowBatches:
             q = model.negativity(model.DetectorSettings(1.0, row.sigma_omega),
                                  model.EncounterGeometry(row.d_over_sigma, row.v), spec.quad)
             assert abs(complex(row.x_re, row.x_im) - q.x) <= 2e-9 * abs(q.x)
+            assert row.p == q.p
+
+    def test_gap_blocks_match_single_points_and_across_workers(self):
+        # gaps 1.6, 2.35 and 3.1 share an octave: one X integral per d and v
+        # batch, on start panels sized for 3.1
+        spec = SweepSpec(GridSpec(0.5, 2.0, 2), GridSpec(1.6, 3.1, 3),
+                         GridSpec(0.0, 1.0 - 1e-9, 5, "lightspeed"))
+        assert sweep_text(spec, workers=2) == sweep_text(spec, workers=1)
+        for row in run_sweep(spec):
+            q = model.negativity(model.DetectorSettings(1.0, row.sigma_omega),
+                                 model.EncounterGeometry(row.d_over_sigma, row.v), spec.quad)
+            assert abs(complex(row.x_re, row.x_im) - q.x) <= row.x_error_estimate + q.x_error_estimate
             assert row.p == q.p
 
     def test_long_v_axis_bytes_match_across_workers(self):
@@ -290,7 +302,7 @@ class TestWorkers:
     @staticmethod
     def config(tmp_path) -> str:
         cfg = {
-            "d_over_sigma": {"min": 1.0, "max": 2.0, "count": 2},
+            "d_over_sigma": {"min": 1.0, "max": 2.0, "count": 3},
             "sigma_omega": {"min": 0.0, "max": 1.0, "count": 2},
             "v": {"min": 0.0, "max": 0.5, "count": 2},
         }
@@ -309,7 +321,7 @@ class TestWorkers:
         rc = main(["--workers", "1000", "sweep", "--config", self.config(tmp_path), "--out", str(out)])
         assert rc == 0
         assert pool_sizes == [3]
-        assert len(out.read_text().splitlines()) == 1 + 2 * 2 * 2
+        assert len(out.read_text().splitlines()) == 1 + 3 * 2 * 2
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_cli_rejects_fewer_than_one_worker(self, workers, pool_sizes, tmp_path, capsys):
@@ -373,9 +385,9 @@ class TestRegionScan:
         velocities = []
         real = model._x_integrals
 
-        def counted(d, vs, gap, settings):
+        def counted(d, vs, gaps, settings):
             velocities.extend(vs)
-            return real(d, vs, gap, settings)
+            return real(d, vs, gaps, settings)
 
         monkeypatch.setattr(model, "_x_integrals", counted)
         row = sweep_mod._region_point((1.0, 2.0, QuadratureSettings()))
