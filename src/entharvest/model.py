@@ -23,16 +23,15 @@ with F the Dawson function. This is exact algebra, not an approximation.
 
 Rows
 ----
-negativity_rows() is the one path from X integrals to P, X, |X|, M and N.
-At fixed d it evaluates a row of velocities for each of several gaps: X
-is integrated for a block of gaps of one octave of start-panel density
-and a batch of velocities at once, with the bracket evaluated once per
-velocity and only the cosine per (gap, v). Each gap gets a NegativityRow
-of arrays, one per quantity, with NaN at any v that fails and that v's
-exception in its failures map; no object is built per velocity.
-negativity_row() is its one-gap case, and negativity() and
-correlation_x() are views of a one-gap row of one velocity that raise
-that velocity's failure.
+negativity_row() is the one path from X integrals to P, X, |X|, M and N:
+a NegativityRow of arrays, one per quantity, at every v of a row at fixed
+(d, omega), with NaN at any v that fails and that v's exception in its
+failures map; no object is built per velocity. It is the one-gap case of
+_negativity_rows(), which a sweep calls for several gaps at once: X is
+integrated for a block of gaps of one octave of start-panel density and a
+batch of velocities at once, with the bracket evaluated once per velocity
+and only the cosine per (gap, v). negativity() and correlation_x() are
+views of a one-gap row of one velocity that raise that velocity's failure.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 from scipy.special import dawsn, erfcx
 
-from .quadrature import IntegralResult, QuadratureSettings, integrate_line, line_capacity
+from .quadrature import IntegralResult, QuadratureSettings, _line_capacity, integrate_line
 
 __all__ = [
     "DetectorSettings",
@@ -58,7 +57,6 @@ __all__ = [
     "correlation_x",
     "negativity",
     "negativity_row",
-    "negativity_rows",
     "NegativityRow",
     "static_x_abs",
     "static_negativity",
@@ -299,29 +297,38 @@ def _x_integrals(d: float, vs, gaps, settings: QuadratureSettings) -> tuple[np.n
     return x, pref * (parts.error_estimate[:km] + parts.error_estimate[km:]).reshape(shape)
 
 
+def _gap_runs(gaps) -> list[slice]:
+    """Slices of the runs of neighbouring gaps in one octave of start-panel
+    density.
+
+    The start width is min(1, pi / 2F), F = 2 gap at v = 0 the largest
+    phase frequency, so an ascending gap axis, as a sweep's is, has one run
+    per octave. An X integral holds gaps of one run only, so a run's rows
+    do not depend on the gaps beside it.
+    """
+    octave = np.ceil(np.log2(np.maximum(1.0, (4.0 / math.pi) * np.asarray(gaps, dtype=float))))
+    edges = [0, *(np.flatnonzero(np.diff(octave)) + 1).tolist(), octave.size]
+    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+
+
 def _gap_blocks(d: float, batch, gaps: np.ndarray, settings: QuadratureSettings) -> list[slice]:
     """Slices of gaps, each for one X integral at the velocities of batch.
 
-    Runs of neighbouring gaps are grouped by the octave of their start-panel
-    density: the start width is min(1, pi / 2F), F = 2 gap at v = 0 the
-    largest phase frequency, so an ascending gap axis, as a sweep's is, has
-    one run per octave. Each run is cut into blocks of at most _GAP_BLOCK
-    gaps and at most as many as fit within integrate_line's start-panel
-    limit beside the run's largest gap. A gap over the limit alone is a
-    block of its own; integrate_line refuses it, and its row falls back to
-    single velocities.
+    Each run of _gap_runs is cut into blocks of at most _GAP_BLOCK gaps and
+    at most as many as fit within integrate_line's start-panel limit beside
+    the run's largest gap. A gap over the limit alone is a block of its
+    own; integrate_line refuses it, and its row falls back to single
+    velocities.
     """
     if gaps.size == 1:  # a lone gap is its own block, whatever its start panels
         return [slice(0, 1)]
-    octave = np.ceil(np.log2(np.maximum(1.0, (4.0 / math.pi) * gaps)))
-    edges = [0, *(np.flatnonzero(np.diff(octave)) + 1).tolist(), gaps.size]
     v, *_, w = _x_scales(batch)
     blocks = []
-    for lo, hi in zip(edges, edges[1:]):
-        max_frequency, t_b = _x_start(d, v, w, float(gaps[lo:hi].max()))
-        fit = line_capacity(1.0, settings, max_frequency, even=True, singularity_distance=t_b)
+    for run in _gap_runs(gaps):
+        max_frequency, t_b = _x_start(d, v, w, float(gaps[run].max()))
+        fit = _line_capacity(1.0, settings, max_frequency, even=True, singularity_distance=t_b)
         size = max(1, min(_GAP_BLOCK, fit // (2 * v.shape[0])))
-        blocks += [slice(j, min(j + size, hi)) for j in range(lo, hi, size)]
+        blocks += [slice(j, min(j + size, run.stop)) for j in range(run.start, run.stop, size)]
     return blocks
 
 
@@ -362,52 +369,52 @@ def negativity_row(
     vs,
     settings: QuadratureSettings | None = None,
 ) -> NegativityRow:
-    """negativity at (d, v) for every v in vs, as arrays: the one-gap case
-    of negativity_rows."""
-    return negativity_rows(det.sigma, d, [det.omega], vs, settings)[0]
+    """negativity at (d, v) for every v in vs, batched over v, as arrays.
+
+    Velocities go in batches of _X_BATCH. A batch that fails is re-run one
+    v at a time, so each failure stays with its own v and every value in
+    that batch is the one the v gets alone. A v that fails holds NaN and
+    its exception in failures. |X| is np.hypot of its parts, which is the
+    value abs() gives a Python complex.
+    """
+    return _negativity_rows([det], d, vs, settings)[0]
 
 
-def negativity_rows(
-    sigma: float,
+def _negativity_rows(
+    dets: list[DetectorSettings],
     d: float,
-    omegas,
     vs,
     settings: QuadratureSettings | None = None,
 ) -> list[NegativityRow]:
-    """negativity_row of DetectorSettings(sigma, omega) at d for every omega
-    in omegas, X in blocks over the gaps and batches over v.
+    """negativity_row of every detector pair in dets, all of one sigma, with
+    X in blocks over their gaps and batches over v.
 
-    Velocities go in batches of _X_BATCH, and each batch is integrated for
-    a block of gaps at once (_gap_blocks). A block that fails is re-run as
-    each of its gaps alone, and a batch of one gap that fails one v at a
-    time, so each failure stays with its own (omega, v) and every value in
-    a failed block or batch is the one it gets alone. A v that fails holds
-    NaN and its exception in its row's failures. |X| is np.hypot of its
-    parts, which is the value abs() gives a Python complex.
+    Each batch of velocities is integrated for a block of gaps at once
+    (_gap_blocks). A block that fails is re-run as each of its gaps alone,
+    which then falls back to single velocities as in negativity_row, so
+    each failure stays with its own (omega, v) and every value in a failed
+    block is the one it gets alone.
     """
     if settings is None:
         settings = QuadratureSettings()
-    dets = [DetectorSettings(sigma, omega) for omega in omegas]
     for v in vs:
         EncounterGeometry(d, v)  # raises for a d or v that a point would reject
-    ps = []
-    for det in dets:
-        p = transition_probability(det)
-        if not (p >= 0.0 and math.isfinite(p)):
-            raise ValueError(f"p must be finite and >= 0, got {p!r}")
-        ps.append(p)
     if not dets:
         return []
-    ds = d / sigma
-    gaps = np.array([det.gap for det in dets], dtype=float)
+    ps = [transition_probability(det) for det in dets]
+    for p in ps:
+        if not (p >= 0.0 and math.isfinite(p)):
+            raise ValueError(f"p must be finite and >= 0, got {p!r}")
+    ds = d / dets[0].sigma
+    gaps = np.array([det.gap for det in dets])
     x = np.empty((gaps.size, len(vs)), dtype=complex)
     err = np.empty(x.shape)
     failures: list[dict] = [{} for _ in dets]
 
     def run(block: slice, i: int, batch) -> None:
+        lone = block.stop - block.start == 1
         try:
             # a lone gap goes in as a scalar, so its integrand's arrays stay 2-D
-            lone = block.stop - block.start == 1
             x[block, i:i + len(batch)], err[block, i:i + len(batch)] = \
                 _x_integrals(ds, batch, gaps[block.start] if lone else gaps[block], settings)
         except Exception as exc:

@@ -22,7 +22,7 @@ as its distance from the nearest singularity (Trefethen & Weideman, SIAM
 Rev. 56, 2014), so where that distance is below the uniform width the
 start panels next to 0 are graded geometrically from it. The count of
 start panels, times the number of components, is capped before anything
-is allocated; line_capacity gives a caller the most components that fit.
+is allocated.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ __all__ = [
     "NonFiniteIntegrandError",
     "ConvergenceError",
     "integrate_line",
-    "line_capacity",
     "integrate_halfline",
     "integrate_interval",
 ]
@@ -208,23 +207,6 @@ def _check_start_panels(count: int, components: int) -> None:
         )
 
 
-def _linspace(lo: float, b: float, n: int) -> np.ndarray:
-    """np.linspace(lo, b, n + 1), bit for bit, without its per-call overhead.
-
-    The same arithmetic as numpy's: k * step + lo with step = (b - lo) / n,
-    then the last edge set to b. numpy scales differently when the step
-    underflows to 0, so that case is left to it.
-    """
-    step = (b - lo) / n
-    if step == 0.0:
-        return np.linspace(lo, b, n + 1)
-    y = np.arange(n + 1, dtype=float)
-    y *= step
-    y += lo
-    y[-1] = b
-    return y
-
-
 def _start_edges(lo: float, b: float, spacing: float,
                  singularity_distance: float = math.inf) -> np.ndarray:
     """Edges of the start panels on [lo, b], checked for one component.
@@ -242,7 +224,7 @@ def _start_edges(lo: float, b: float, spacing: float,
     s = max(singularity_distance, _MIN_WIDTH * width)
     if not s < h:
         _check_start_panels(n, 1)
-        return _linspace(lo, b, n)
+        return np.linspace(lo, b, n + 1)
     graded, edge = 1, s  # [0, s], then [edge, 2 edge] while edge < h
     while edge < h:
         graded, edge = graded + 1, 2.0 * edge
@@ -250,7 +232,7 @@ def _start_edges(lo: float, b: float, spacing: float,
     sides = 2 if lo < 0.0 else 1
     _check_start_panels(sides * (graded + uniform), 1)
     half = np.concatenate(([0.0], s * np.exp2(np.arange(graded)),
-                           _linspace(edge, b, uniform)[1:]))
+                           np.linspace(edge, b, uniform + 1)[1:]))
     return np.concatenate((-half[:0:-1], half)) if sides == 2 else half
 
 
@@ -350,6 +332,18 @@ def _result(values: np.ndarray, errors: np.ndarray) -> IntegralResult:
     return IntegralResult(values.astype(complex, copy=False), errors)
 
 
+def _window_start(envelope_width: float, settings: QuadratureSettings, max_frequency: float,
+                  two_sided: bool, singularity_distance: float = math.inf) -> np.ndarray:
+    """Edges of the start panels on [-a, a] (two_sided) or [0, a], with
+    a = truncation_sigmas * width, checked for one component."""
+    w = float(envelope_width)
+    if not (w > 0.0 and math.isfinite(w)):
+        raise ValueError(f"envelope_width must be finite and > 0, got {envelope_width!r}")
+    a = settings.truncation_sigmas * w
+    return _start_edges(-a if two_sided else 0.0, a, _initial_spacing(w, max_frequency),
+                        singularity_distance)
+
+
 def _integrate_window(
     integrand: Integrand,
     envelope_width: float,
@@ -362,13 +356,11 @@ def _integrate_window(
     """scale times the integral on [-a, a] (two_sided) or [0, a], with
     a = truncation_sigmas * width, plus the Gaussian tail bound beyond each
     truncated edge, also times scale."""
-    w = float(envelope_width)
-    if not (w > 0.0 and math.isfinite(w)):
-        raise ValueError(f"envelope_width must be finite and > 0, got {envelope_width!r}")
-    a = settings.truncation_sigmas * w
-    lo = -a if two_sided else 0.0
     # over even for one component: refuse before any call
-    start = _start_edges(lo, a, _initial_spacing(w, max_frequency), singularity_distance)
+    start = _window_start(envelope_width, settings, max_frequency, two_sided,
+                          singularity_distance)
+    w = float(envelope_width)
+    a = settings.truncation_sigmas * w
     ends = np.array([-a, a] if two_sided else [a])
     edge = scale * np.abs(np.asarray(integrand(ends)))
     _check_start_panels(start.size - 1, edge.size // ends.size)
@@ -411,7 +403,7 @@ def integrate_line(
                              singularity_distance=singularity_distance)
 
 
-def line_capacity(
+def _line_capacity(
     envelope_width: float,
     settings: QuadratureSettings,
     max_frequency: float = 0.0,
@@ -424,10 +416,9 @@ def line_capacity(
     and integrate_line refuses before evaluating anything; 0 when one
     component's start panels alone exceed it.
     """
-    a = settings.truncation_sigmas * float(envelope_width)
     try:
-        start = _start_edges(0.0 if even else -a, a, _initial_spacing(envelope_width, max_frequency),
-                             singularity_distance)
+        start = _window_start(envelope_width, settings, max_frequency, not even,
+                              singularity_distance)
     except QuadratureError:
         return 0
     return _MAX_START_PANELS // (start.size - 1)

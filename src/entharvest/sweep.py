@@ -5,13 +5,14 @@ quadrature block, every axis tuple is evaluated in row-major order, and
 each row is written as one CSV line whose cells are formatted by type.
 Rows are NamedTuples whose fields are the CSV columns, so `_asdict()` and
 `_replace()` work on them. A sweep hands each d to one task with the
-whole omega and v axes; the task evaluates X in blocks of gaps of one
-octave times batches over v and builds its rows from negativity_rows'
-arrays. A region scan hands over one (d, omega) point per task. Tasks
-may run across a process pool, but a task's work never depends on the
-pool and results keep their row-major order, so output is byte-identical
-for any worker count. Per-point failures of any
-kind are recorded in the error column instead of aborting the grid.
+whole omega and v axes, or, with fewer d than workers, each d and run of
+omegas in one octave of X's start-panel density; the task evaluates X in
+blocks of its gaps times batches over v and builds its rows from the row
+arrays. A region scan hands over one (d, omega) point per task. Tasks may
+run across a process pool, but no row depends on the pool or on the task
+it is in, and results keep their row-major order, so output is
+byte-identical for any worker count. Per-point failures of any kind are
+recorded in the error column instead of aborting the grid.
 """
 
 from __future__ import annotations
@@ -28,11 +29,12 @@ import numpy as np
 from .model import (
     DetectorSettings,
     RegionLabel,
+    _gap_runs,
+    _negativity_rows,
     # not called here: perfbench's tracer wraps these three names on this module
     classify_region,
     find_peak_velocity,
     negativity,
-    negativity_rows,
     spacelike_min_distance,
     velocity_profile,
 )
@@ -201,8 +203,9 @@ def _sweep_task(args: tuple[float, list[float], list[float], QuadratureSettings]
     blocks over the gaps and batches over v."""
     d, gaps, vs, quad = args
     spacelike = [d >= spacelike_min_distance(v, 1.0) for v in vs]
+    dets = [DetectorSettings(1.0, so) for so in gaps]
     rows = []
-    for so, row in zip(gaps, negativity_rows(1.0, d, gaps, vs, quad)):
+    for so, row in zip(gaps, _negativity_rows(dets, d, vs, quad)):
         cells = [
             SweepRow(d, v, so, row.p, re, im, x_abs, m, n, err, sl)
             for v, re, im, x_abs, m, n, err, sl in zip(
@@ -226,9 +229,8 @@ def _region_point(args: tuple[float, float, QuadratureSettings]) -> RegionRow:
     return RegionRow(d, so, profile.label, profile.peak.v_star, profile.peak.n_star)
 
 
-def _run_grid(task: Callable, axes: Sequence[GridSpec], rest: tuple, workers: int) -> list:
-    """task((*axis values, *rest)) for every axis tuple, in row-major order."""
-    tasks = [(*xs, *rest) for xs in itertools.product(*(g.points().tolist() for g in axes))]
+def _run_grid(task: Callable, tasks: list, workers: int) -> list:
+    """task(t) for every t in tasks, in order."""
     # the pool forks all of its workers at the first submit
     workers = min(workers, len(tasks))
     if workers <= 1:
@@ -239,10 +241,19 @@ def _run_grid(task: Callable, axes: Sequence[GridSpec], rest: tuple, workers: in
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRow]:
-    """Evaluate every grid tuple in row-major (d, omega, v) order."""
-    rows = _run_grid(_sweep_task, (spec.d_over_sigma,),
-                     (spec.sigma_omega.points().tolist(), spec.v.points().tolist(), spec.quad), workers)
-    return [row for d_rows in rows for row in d_rows]
+    """Evaluate every grid tuple in row-major (d, omega, v) order.
+
+    One task per d, or, with fewer d than workers, per d and run of omegas
+    in one octave (model._gap_runs), so that a sweep at a few d still fills
+    the pool. No X integral spans two runs, so a run's rows are the ones the
+    whole omega axis gets at that d, and the bytes are the same either way.
+    """
+    gaps = spec.sigma_omega.points()
+    whole = spec.d_over_sigma.count >= workers
+    runs = [gaps.tolist()] if whole else [gaps[run].tolist() for run in _gap_runs(gaps)]
+    vs = spec.v.points().tolist()
+    tasks = [(d, run, vs, spec.quad) for d in spec.d_over_sigma.points().tolist() for run in runs]
+    return [row for rows in _run_grid(_sweep_task, tasks, workers) for row in rows]
 
 
 def run_region_scan(
@@ -254,7 +265,9 @@ def run_region_scan(
     """Classify every (d, omega) grid point; failures flagged per point."""
     _check_axes(d_grid, omega_grid)
     quad = settings if settings is not None else QuadratureSettings()
-    return _run_grid(_region_point, (d_grid, omega_grid), (quad,), workers)
+    tasks = [(d, so, quad) for d, so in
+             itertools.product(d_grid.points().tolist(), omega_grid.points().tolist())]
+    return _run_grid(_region_point, tasks, workers)
 
 
 def _cell(value) -> str:

@@ -14,7 +14,6 @@ from entharvest.model import (
     find_peak_velocity,
     negativity,
     negativity_row,
-    negativity_rows,
     omega_peak_threshold,
     second_derivative_at_rest,
     spacelike_min_distance,
@@ -224,9 +223,13 @@ class TestNegativityRow:
 
 
 class TestGapBlocks:
-    """negativity_rows integrates a block of gaps of one octave at once."""
+    """_negativity_rows integrates a block of gaps of one octave at once."""
 
     VS = [0.0, 0.9, 1.0 - 1e-6, 1.0 - 1e-9]
+
+    @staticmethod
+    def rows(gaps, vs) -> list:
+        return model._negativity_rows([det(omega=gap) for gap in gaps], 1.0, vs, QUAD)
 
     @staticmethod
     def bits(row, i) -> tuple:
@@ -260,7 +263,7 @@ class TestGapBlocks:
         # four octaves of start-panel density: {0, 0.5}, {1, 1.5}, {2.5, 3}, {6}
         gaps = [0.0, 0.5, 1.0, 1.5, 2.5, 3.0, 6.0]
         calls = self.recorded(monkeypatch)
-        rows = negativity_rows(1.0, 1.0, gaps, self.VS, QUAD)
+        rows = self.rows(gaps, self.VS)
         assert calls == [2 * 2 * len(self.VS)] * 3 + [2 * len(self.VS)]
         for gap, row in zip(gaps, rows):
             alone = negativity_row(det(omega=gap), 1.0, self.VS, QUAD)
@@ -270,7 +273,7 @@ class TestGapBlocks:
     def test_a_failure_stays_with_its_gap_and_v(self, monkeypatch):
         gaps, vs = [0.0, 0.3, 0.6, 1.5, 3.0], [0.0, 0.5, 0.9]
         bad_gap, bad_v = 0.3, 0.5
-        clean = negativity_rows(1.0, 1.0, gaps, vs, QUAD)
+        clean = self.rows(gaps, vs)
         real = model._x_integrals
 
         def broken(d, vs, gaps, settings):
@@ -279,7 +282,7 @@ class TestGapBlocks:
             return real(d, vs, gaps, settings)
 
         monkeypatch.setattr(model, "_x_integrals", broken)
-        rows = negativity_rows(1.0, 1.0, gaps, vs, QUAD)
+        rows = self.rows(gaps, vs)
         assert [list(row.failures) for row in rows] == [[], [1], [], [], []]
         exc = rows[1].failures[1]
         assert isinstance(exc, ValueError) and str(exc) == "broken point"
@@ -301,7 +304,7 @@ class TestGapBlocks:
         gaps = [30.0, 35.0, 40.0, 45.0]
         vs = np.linspace(0.0, 0.9, model._X_BATCH)
         calls = self.recorded(monkeypatch)
-        rows = negativity_rows(1.0, 1.0, gaps, vs, QUAD)
+        rows = self.rows(gaps, vs)
         assert calls == [2 * 3 * vs.size, 2 * vs.size]
         assert not any(row.failures for row in rows)
 

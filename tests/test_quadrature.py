@@ -2,10 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings as hyp_settings, strategies as st
+from hypothesis import given, settings as hyp_settings, strategies as st
 from scipy.special import k0e
-
-from entharvest import quadrature as quad_mod
 
 from entharvest.quadrature import (
     ConvergenceError,
@@ -15,8 +13,8 @@ from entharvest.quadrature import (
     QuadratureSettings,
     integrate_halfline,
     integrate_interval,
+    _line_capacity,
     integrate_line,
-    line_capacity,
 )
 
 TWO_SQRT_PI = 3.5449077018110318          # 2 sqrt(pi)
@@ -246,18 +244,6 @@ class TestGradedStart:
         assert res.value.real == pytest.approx(math.sqrt(math.pi), rel=1e-12)
 
 
-class TestStartEdges:
-    @hyp_settings(max_examples=500, deadline=None)
-    @given(st.floats(-1e3, 1e3), st.floats(1e-300, 1e3), st.integers(1, 5000))
-    def test_linspace_is_numpys_bit_for_bit(self, lo, width, n):
-        b = lo + width
-        assume(b > lo)
-        np.testing.assert_array_equal(quad_mod._linspace(lo, b, n), np.linspace(lo, b, n + 1))
-
-    def test_linspace_of_an_underflowing_step_is_numpys(self):
-        np.testing.assert_array_equal(quad_mod._linspace(0.0, 1e-323, 4), np.linspace(0.0, 1e-323, 5))
-
-
 class TestIntegralResult:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
     def test_rejects_a_bad_scalar_error(self, bad):
@@ -276,7 +262,7 @@ class TestIntegralResult:
 
 
 class TestLineCapacity:
-    """line_capacity is the most components integrate_line takes before refusing."""
+    """_line_capacity is the most components integrate_line takes before refusing."""
 
     @staticmethod
     def components(c, calls):
@@ -288,7 +274,7 @@ class TestLineCapacity:
     def test_one_more_component_is_refused_before_any_evaluation(self):
         # 20000 uniform start panels on [0, 10]: 3 components fit in 65536
         freq = 20000.0 * math.pi / 20.0
-        capacity = line_capacity(1.0, DEFAULT, freq, even=True)
+        capacity = _line_capacity(1.0, DEFAULT, freq, even=True)
         assert capacity == 3
         calls = []
         res = integrate_line(self.components(capacity, calls), 1.0, DEFAULT,
@@ -303,12 +289,12 @@ class TestLineCapacity:
     def test_counts_graded_panels(self):
         # as in TestGradedStart: grading from 1e-9 pushes one component over
         freq = 65529.5 * math.pi / 20.0
-        assert line_capacity(1.0, DEFAULT, freq, even=True) == 1
-        assert line_capacity(1.0, DEFAULT, freq, even=True, singularity_distance=1e-9) == 0
+        assert _line_capacity(1.0, DEFAULT, freq, even=True) == 1
+        assert _line_capacity(1.0, DEFAULT, freq, even=True, singularity_distance=1e-9) == 0
 
     def test_two_sided_window_counts_both_halves(self):
-        assert line_capacity(1.0, DEFAULT) == (1 << 16) // 20
-        assert line_capacity(1.0, DEFAULT, even=True) == (1 << 16) // 10
+        assert _line_capacity(1.0, DEFAULT) == (1 << 16) // 20
+        assert _line_capacity(1.0, DEFAULT, even=True) == (1 << 16) // 10
 
 
 class TestInterval:

@@ -213,6 +213,20 @@ class TestRowBatches:
             assert abs(complex(row.x_re, row.x_im) - q.x) <= row.x_error_estimate + q.x_error_estimate
             assert row.p == q.p
 
+    def test_octave_runs_match_the_whole_gap_axis(self):
+        # gaps 0-4 fall in four octaves, {0, 0.36, 0.73} ... {3.27, 3.64, 4},
+        # each its own task at one d and two workers; the rows are those of
+        # one task with every gap
+        spec = SweepSpec(GridSpec(1.0, 1.0, 1), GridSpec(0.0, 4.0, 12),
+                         GridSpec(0.0, 1.0 - 1e-9, 5, "lightspeed"))
+        assert [(run.start, run.stop) for run in model._gap_runs(spec.sigma_omega.points())] \
+            == [(0, 3), (3, 5), (5, 9), (9, 12)]
+        whole = sweep_mod._sweep_task((1.0, spec.sigma_omega.points().tolist(),
+                                       spec.v.points().tolist(), spec.quad))
+        buf = io.StringIO()
+        write_sweep_csv(whole, buf)
+        assert sweep_text(spec, workers=2) == buf.getvalue()
+
     def test_long_v_axis_bytes_match_across_workers(self):
         spec = SweepSpec(GridSpec(0.5, 2.0, 2), GridSpec(0.0, 1.0, 2), GridSpec(0.0, 0.999, 20))
         assert spec.v.count > model._X_BATCH
@@ -312,6 +326,12 @@ class TestWorkers:
 
     def test_pool_is_no_larger_than_the_grid(self, pool_sizes):
         spec = SweepSpec(GridSpec(1.0, 2.0, 2), GridSpec(0.0, 0.0, 1), GridSpec(0.0, 0.5, 2))
+        assert sweep_text(spec, workers=8) == sweep_text(spec)
+        assert pool_sizes == [2]
+
+    def test_one_d_fills_the_pool(self, pool_sizes):
+        # fewer d than workers: one task per d and octave of gaps, here two
+        spec = SweepSpec(GridSpec(1.0, 1.0, 1), GridSpec(0.0, 1.0, 2), GridSpec(0.0, 0.5, 2))
         assert sweep_text(spec, workers=8) == sweep_text(spec)
         assert pool_sizes == [2]
 
