@@ -528,22 +528,59 @@ def velocity_scan_grid(n: int = 64, min_one_minus_v: float = 1e-4) -> np.ndarray
     return v
 
 
-def _golden_section_max(fun, lo: float, hi: float, xtol: float) -> float:
-    inv_phi = 0.5 * (math.sqrt(5.0) - 1.0)
+def _brent_max(fun, lo: float, hi: float, xtol: float) -> tuple[float, float]:
+    """Maximize fun on [lo, hi] by Brent's method; the best point evaluated.
+
+    Parabolic steps through the three best points, golden-section steps
+    when the parabola is not trusted (Brent 1973, ch. 5, with fixed
+    tol = xtol / 2). It stops once |x - m| <= 2 tol - (b - a) / 2, so x is
+    within xtol of a unimodal maximizer. Returns (x, fun(x)) as evaluated.
+    """
+    golden = 0.5 * (3.0 - math.sqrt(5.0))
+    tol = 0.5 * xtol
     a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d_ = a + inv_phi * (b - a)
-    fc, fd = fun(c), fun(d_)
-    while (b - a) > xtol:
-        if fc >= fd:
-            b, d_, fd = d_, c, fc
-            c = b - inv_phi * (b - a)
-            fc = fun(c)
+    # x: best point so far, w: second best, v: the previous w
+    x = w = v = a + golden * (b - a)
+    fx = fw = fv = fun(x)
+    step = prev_step = 0.0
+    while True:
+        m = 0.5 * (a + b)
+        if abs(x - m) <= 2.0 * tol - 0.5 * (b - a):
+            return x, fx
+        p = q = r = 0.0
+        if abs(prev_step) > tol:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, prev_step = prev_step, step
+        if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+            step = p / q
+            if min(x + step - a, b - x - step) < 2.0 * tol:
+                step = tol if x < m else -tol
         else:
-            a, c, fc = c, d_, fd
-            d_ = a + inv_phi * (b - a)
-            fd = fun(d_)
-    return 0.5 * (a + b)
+            prev_step = (b if x < m else a) - x
+            step = golden * prev_step
+        u = x + (step if abs(step) >= tol else (tol if step > 0.0 else -tol))
+        fu = fun(u)
+        if fu >= fx:
+            if u < x:
+                b = x
+            else:
+                a = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu >= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu >= fv or v == x or v == w:
+                v, fv = u, fu
 
 
 def velocity_profile(
@@ -554,10 +591,13 @@ def velocity_profile(
     """Scan N over v once at fixed (d, omega), then label and refine the profile.
 
     The scan grid densifies toward v = 1 and runs through negativity_row;
-    its highest interior local maximum above N(0) is refined by golden
-    section to |dv| <= 1e-4, one negativity() per step. The label is
-    `peaked` when the refined maximum still beats N(0), `no-entanglement`
-    when N vanishes on the whole scan, and `monotone-decreasing` otherwise.
+    its highest interior local maximum above N(0) is refined by Brent's
+    method on the bracket of its two scan neighbours, one negativity() per
+    step, until v_star is within 5e-5 of the bracket's maximizer. v_star is
+    the best velocity the search evaluated and n_star its negativity() as
+    computed there. The label is `peaked` when the refined maximum still
+    beats N(0), `no-entanglement` when N vanishes on the whole scan, and
+    `monotone-decreasing` otherwise.
     """
 
     def n_of_v(v: float) -> float:
@@ -576,10 +616,9 @@ def velocity_profile(
     i_star = max(maxima, key=lambda i: n_vals[i], default=0)
     # N >= 0 on the scan, so beating N(0) also means N > 0
     if n_vals[i_star] > n_vals[0]:
-        v_star = _golden_section_max(
-            n_of_v, float(v_grid[i_star - 1]), float(v_grid[i_star + 1]), 1e-4
+        v_star, n_star = _brent_max(
+            n_of_v, float(v_grid[i_star - 1]), float(v_grid[i_star + 1]), 5e-5
         )
-        n_star = n_of_v(v_star)
         if n_star > n_vals[0]:
             peak = PeakResult(v_star, n_star, multimodal=len(maxima) > 1)
             return VelocityProfile(v_grid, n_vals, RegionLabel.PEAKED, peak)

@@ -450,6 +450,43 @@ class TestPeakSearch:
         assert find_peak_velocity(det(omega=0.0), 2.0, QUAD) is None
 
 
+class TestBrentMax:
+    CASES = {
+        # asymmetric smooth peak at 1/sqrt(2)
+        "smooth": (lambda x: x * math.exp(-x * x), 0.3, 1.5, math.sqrt(0.5)),
+        # zero beyond 0.4 +- 0.141, like N reaching extinction in the bracket
+        "clipped": (lambda x: max(1.0 - 50.0 * (x - 0.4) ** 2, 0.0), 0.25, 0.7, 0.4),
+        "clipped-wide": (lambda x: max(1.0 - 50.0 * (x - 0.4) ** 2, 0.0), 0.2, 1.0, 0.4),
+        # rises across the whole bracket: the maximizer is its right end
+        "rising": (lambda x: 1.0 - (1.0 - x) ** 2, 0.2, 0.9, 0.9),
+    }
+
+    @staticmethod
+    def search(fun, lo, hi):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return fun(x)
+
+        x, fx = model._brent_max(counted, lo, hi, 5e-5)
+        return x, fx, calls
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_finds_the_maximizer_among_its_evaluations(self, case):
+        fun, lo, hi, x_true = self.CASES[case]
+        x, fx, calls = self.search(fun, lo, hi)
+        assert abs(x - x_true) <= 5e-5
+        assert fx == fun(x)
+        assert x in calls
+        assert fx == max(fun(t) for t in calls)
+        assert all(lo <= t <= hi for t in calls)
+
+    def test_smooth_peak_is_cheap(self):
+        fun, lo, hi, _ = self.CASES["smooth"]
+        assert len(self.search(fun, lo, hi)[2]) <= 12
+
+
 class TestRegionClassification:
     def test_peaked(self):
         assert classify_region(det(omega=2.0), 1.0, QUAD) is RegionLabel.PEAKED

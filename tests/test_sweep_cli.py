@@ -12,7 +12,13 @@ from entharvest import model
 from entharvest import sweep as sweep_mod
 from entharvest import validate as validate_mod
 from entharvest.cli import main
-from entharvest.model import RegionLabel
+from entharvest.model import (
+    DetectorSettings,
+    EncounterGeometry,
+    RegionLabel,
+    negativity,
+    velocity_profile,
+)
 from entharvest.quadrature import ConvergenceError, QuadratureSettings
 from entharvest.sweep import (
     SWEEP_COLUMNS,
@@ -412,7 +418,15 @@ class TestRegionScan:
         monkeypatch.setattr(model, "_x_integrals", counted)
         row = sweep_mod._region_point((1.0, 2.0, QuadratureSettings()))
         assert row.region is RegionLabel.PEAKED
-        assert len(velocities) <= 64 + 30
+        assert len(velocities) <= 64 + 10
+
+    @pytest.mark.parametrize("d, gap", [(1.0, 1.0), (1.0, 2.0)])
+    def test_n_star_is_negativity_at_v_star(self, d, gap):
+        det = DetectorSettings(1.0, gap)
+        peak = velocity_profile(det, d, QuadratureSettings()).peak
+        assert peak is not None
+        at_v_star = negativity(det, EncounterGeometry(d, peak.v_star), QuadratureSettings())
+        assert peak.n_star == at_v_star.negativity
 
 
 class TestCli:
