@@ -41,8 +41,14 @@ Batched inner integrals. Each outer pass hands the inner parameters of all
 its nodes (r for P; rho for X, after np.unique, so at v = 0 a pass needs a
 single inner integral) to one vector integral per octave of start-panel
 density: every member of an octave gets its own component and tolerance on
-shared panels, at most 2x finer than any member needs alone. The X radial integrand evaluates its rho-independent
-factor once per node for the whole octave. A call holds at most
+shared panels, at most 2x finer than any member needs alone. An X
+radial integral starts on panels a quarter period of sin(r rho) wide,
+min(1, pi / (2 rho)), the rule quadrature._initial_spacing gives every
+other integrand (GK15 converges fast on panels that wide in a strip of
+analyticity), and is refined to the same tolerance as any other. Its
+integrand evaluates e^{-r^2} and F(r) once per node for the whole
+octave and sin(r rho) once per (rho, r) pair, and writes its two real
+products straight into one complex array. A call holds at most
 _PANEL_BUDGET components x start panels, so its arrays stay the size of
 one large inner integral (unbounded octaves raised validate's peak RSS by
 30%); a parameter that needs more start panels than that runs alone. The
@@ -197,9 +203,18 @@ def _sine_tail(a: float, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _radial(rho: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """[e^{-r^2} + i (2/sqrt(pi)) F(r)] sin(r rho) for a column of rho values;
-    the rho-independent factor is evaluated once per node."""
-    return (np.exp(-r * r) + 1j * _TWO_OVER_SQRT_PI * _dawsn_vec(r)) * np.sin(rho * r)
+    """[e^{-r^2} + i (2/sqrt(pi)) F(r)] sin(r rho) for a column of rho values.
+
+    The rho-independent factors are evaluated once per node and sin(rho r)
+    once per (rho, r) pair; the two real products go straight into the real
+    and imaginary views of the result, bit for bit the complex product.
+    """
+    s = rho * r
+    np.sin(s, out=s)
+    out = np.empty(s.shape, dtype=complex)
+    np.multiply(np.exp(-r * r), s, out=out.real)
+    np.multiply(_TWO_OVER_SQRT_PI * _dawsn_vec(r), s, out=out.imag)
+    return out
 
 
 def x_momentum_oracle(
@@ -222,8 +237,9 @@ def x_momentum_oracle(
     def outer(u: np.ndarray) -> np.ndarray:
         nonlocal inner_err_max
         rho, inverse = np.unique(np.sqrt(u * u * v * v + d2_over_gamma2), return_inverse=True)
-        # min(1, pi / (4 rho)), without dividing by rho
-        spacing = math.pi / (4.0 * np.maximum(rho, 0.25 * math.pi))
+        # a quarter period of sin(rho r), min(1, pi / (2 rho)) as in
+        # quadrature._initial_spacing, without dividing by rho
+        spacing = math.pi / (2.0 * np.maximum(rho, 0.5 * math.pi))
         val, err = _inner_integrals(_radial, rho, spacing, 0.0, a, quad)
         tail, tail_bound = _sine_tail(a, rho)
         inner_err_max = max(inner_err_max, float(((err + tail_bound) / rho).max()))

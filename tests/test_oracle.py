@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import sici
+from scipy.special import dawsn, sici
 
 from entharvest import oracle
 from entharvest.model import (
@@ -12,7 +12,7 @@ from entharvest.model import (
     transition_probability,
 )
 from entharvest.oracle import OracleSettings, p_momentum_oracle, x_momentum_oracle
-from entharvest.quadrature import QuadratureSettings, integrate_interval
+from entharvest.quadrature import QuadratureSettings, _initial_spacing, integrate_interval
 
 SETTINGS = OracleSettings()
 
@@ -32,6 +32,22 @@ def record_tail_rhos(monkeypatch):
 
     monkeypatch.setattr(oracle, "_sine_tail", recorded)
     return rhos
+
+
+def record_x_spacing(monkeypatch, rule=None):
+    """(rho, spacing) of every inner _inner_integrals call of the X oracle;
+    with a rule, the spacing is replaced by rule(rho) before the call."""
+    calls = []
+    real = oracle._inner_integrals
+
+    def recorded(f, params, spacing, a, b, quad):
+        if rule is not None:
+            spacing = rule(params)
+        calls.append((params, spacing))
+        return real(f, params, spacing, a, b, quad)
+
+    monkeypatch.setattr(oracle, "_inner_integrals", recorded)
+    return calls
 
 
 def record_inner_calls(monkeypatch):
@@ -168,9 +184,10 @@ class TestBatchedInnerIntegrals:
         np.testing.assert_allclose(value, expected, rtol=1e-14, atol=0.0)
 
     def test_grouped_call_matches_scalar_calls(self, monkeypatch):
-        # 4 rho / pi spans (1, 4]: two octaves, so two vector calls
-        rho = np.array([1.0, 1.5, 2.5, 3.0])
-        spacing = np.pi / (4.0 * rho)
+        # the oracle's quarter-period spacing; 2 rho / pi spans (1, 4]: two
+        # octaves, so two vector calls
+        rho = np.array([2.0, 3.0, 4.0, 6.0])
+        spacing = np.array([_initial_spacing(1.0, p) for p in rho])
         a = SETTINGS.k_truncation_sigmas
         quad = SETTINGS.quad
         scalar = [
@@ -182,3 +199,36 @@ class TestBatchedInnerIntegrals:
         assert [m for m, _ in calls] == [2, 2]
         for one, value, error in zip(scalar, values, errors):
             assert abs(value - one.value) <= error + one.error_estimate
+
+
+class TestQuarterPeriodPanels:
+    def test_radial_is_the_literal_product_bit_for_bit(self):
+        rho = np.geomspace(1e-3, 18.0, 9)[:, None]
+        r = np.concatenate([[0.0], np.linspace(1e-3, SETTINGS.k_truncation_sigmas, 301)])
+        expected = (np.exp(-r * r) + 1j * (2.0 / math.sqrt(math.pi)) * dawsn(r)) * np.sin(rho * r)
+        value = oracle._radial(rho, r)
+        assert value.shape == expected.shape and value.dtype == expected.dtype
+        assert value.tobytes() == expected.tobytes()
+
+    def test_inner_spacing_is_the_quarter_period_rule(self, monkeypatch):
+        # d = 1, v = 0.6: rho starts at 0.8 and grows with u, so both the
+        # clipped (rho <= pi/2) and the pi / (2 rho) branch are reached
+        calls = record_x_spacing(monkeypatch)
+        x_momentum_oracle(det(1.0), EncounterGeometry(d=1.0, v=0.6), SETTINGS)
+        rho = np.concatenate([params for params, _ in calls])
+        spacing = np.concatenate([spacing for _, spacing in calls])
+        assert rho.min() < 0.5 * math.pi < rho.max()
+        expected = np.array([_initial_spacing(1.0, float(p)) for p in rho])
+        assert spacing.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("d,v,gap", [(0.5, 0.9, 4.0), (2.0, 0.9, 4.0), (0.5, 1.0 - 1e-6, 2.0)])
+    def test_agrees_with_eighth_period_panels(self, monkeypatch, d, v, gap):
+        # the coarse validate grid's costliest points and one near light
+        # speed: panels twice as fine must agree within both error estimates
+        geom = EncounterGeometry(d=d, v=v)
+        quarter, quarter_err = x_momentum_oracle(det(gap), geom, SETTINGS)
+        calls = record_x_spacing(
+            monkeypatch, lambda rho: math.pi / (4.0 * np.maximum(rho, 0.25 * math.pi)))
+        eighth, eighth_err = x_momentum_oracle(det(gap), geom, SETTINGS)
+        assert calls
+        assert abs(quarter - eighth) <= quarter_err + eighth_err
