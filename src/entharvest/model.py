@@ -29,9 +29,12 @@ a NegativityRow of arrays, one per quantity, at every v of a row at fixed
 failures map; no object is built per velocity. It is the one-gap case of
 _negativity_rows(), which a sweep calls for several gaps at once: X is
 integrated for a block of gaps of one octave of start-panel density and a
-batch of velocities at once, with the bracket evaluated once per velocity
-and only the cosine per (gap, v). negativity() and correlation_x() are
-views of a one-gap row of one velocity that raise that velocity's failure.
+batch of velocities at once, in proper time s = u sqrt(1 - v^2), where the
+phase is cos(gap s) at every velocity: the cosine is evaluated once per
+(gap, node), the rest of the integrand once per (velocity, node), and each
+(gap, v) costs two multiplies per node. negativity() and correlation_x()
+are views of a one-gap row of one velocity that raise that velocity's
+failure.
 """
 
 from __future__ import annotations
@@ -207,26 +210,58 @@ _X_BATCH = 16
 _GAP_BLOCK = 4
 
 
-def _x_scales(vs) -> tuple[np.ndarray, ...]:
-    """v as a column, v^2, 1 - v^2, 1 + v^2 and X's envelope scale
-    w = 2/sqrt(1 - v^4)."""
+def _x_start(d: float, vs, gaps) -> tuple[float, float, float]:
+    """integrate_line's start-panel arguments for X at the velocities vs and
+    gaps gaps: (envelope_width, max_frequency, singularity_distance), in s;
+    see _x_integrals.
+
+    The width 2/sqrt(1 + v^2) is widest at the smallest v, the frequency is
+    the largest gap, and s_b = d sqrt(1 - v^2) / v is nearest at the
+    largest v. s_b = inf at v = 0, and a Python float quotient overflows to
+    inf.
+    """
+    v = np.asarray(vs, dtype=float)
+    v_min, v_max = float(v.min()), float(v.max())
+    s_b = d * math.sqrt((1.0 - v_max) * (1.0 + v_max)) / v_max if v_max > 0.0 else math.inf
+    return 2.0 / math.sqrt(1.0 + v_min * v_min), float(np.max(gaps)), s_b
+
+
+def _x_integrand(d: float, vs, gaps):
+    """X's integrand in s at the velocities vs and gaps gaps, in sigma = 1
+    units; see _x_integrals. It maps n nodes to an array of shape (2 m, n),
+    m = len(gaps) * len(vs): the components R of every (gap, v) in
+    row-major order, then the components I likewise.
+    """
     v = np.asarray(vs, dtype=float)[:, None]
     v2 = v * v
-    b2 = 1.0 - v2
-    c2 = 1.0 + v2
-    return v, v2, b2, c2, 2.0 / np.sqrt(b2 * c2)
+    b2 = (1.0 - v) * (1.0 + v)  # 1 - v^2 without cancellation as v -> 1
+    d2 = d * d
+    q_s2 = v2 / b2  # q^2 = v^2 u^2 + d^2 = q_s2 s^2 + d^2
+    re_s2 = -0.25 * (1.0 + v2)
+    dawsn_q = 0.5 * np.sqrt(b2)
+    jacobian = 1.0 / np.sqrt(b2)  # du/ds
+    re_scale = jacobian * np.exp(-0.25 * d2 * b2)
+    im_scale = jacobian * _TWO_OVER_SQRT_PI
+    gap = np.asarray(gaps, dtype=float)
+    phase = gap[..., None, None]
+    shape = (2, *gap.shape, v.shape[0])
 
+    def integrand(s: np.ndarray) -> np.ndarray:
+        s2 = s * s
+        q = np.sqrt(q_s2 * s2 + d2)
+        real = np.exp(re_s2 * s2)
+        real *= re_scale
+        real /= q
+        imag = dawsn(dawsn_q * q)
+        imag *= im_scale * np.exp(-0.25 * s2)
+        imag /= q
+        cos = np.cos(phase * s)  # once per (gap, node), broadcast over v
+        out = np.empty((*shape, s.size))
+        np.multiply(real, cos, out=out[0])
+        np.multiply(imag, cos, out=out[1])
+        return out.reshape(-1, s.size)
 
-def _x_start(d: float, v: np.ndarray, w: np.ndarray, gap: float) -> tuple[float, float]:
-    """X's largest phase frequency in t and smallest branch-point distance
-    t_b at the velocities v, of scales w, and its largest gap; see _x_integrals.
-
-    Both extremes are taken before the one division, which is monotone, so
-    they are the extremes of the elementwise values bit for bit. t_b = inf
-    at v = 0, and a Python float quotient overflows to inf.
-    """
-    v_min, vw = float(v.min()), float((v * w).max())
-    return 2.0 * gap / math.sqrt(1.0 + v_min * v_min), d / vw if vw > 0.0 else math.inf
+    return integrand
 
 
 def _x_integrals(d: float, vs, gaps, settings: QuadratureSettings) -> tuple[np.ndarray, np.ndarray]:
@@ -234,62 +269,46 @@ def _x_integrals(d: float, vs, gaps, settings: QuadratureSettings) -> tuple[np.n
     from one integral, in sigma = 1 units: a complex and a float array of
     shape gaps.shape + (len(vs),), so a float gap gives arrays like vs.
 
-    In t = u / w(v) with w = 2/sqrt(1 - v^4) every velocity's envelope has
-    width 1, A = d^2 (1-v^2)/4 + t^2 and the Dawson part's Gaussian is
-    e^{-t^2/(1+v^2)}. The bracket in the module docstring is even in u, so
-    the phase's sine half integrates to 0 and X = -i (1-v^2)/(8 pi) (R + i I)
-    with R and I the integrals of its real and imaginary parts times
-    cos(f u), f = gap sqrt(1-v^2): two real components per (gap, v). The
-    bracket depends on v alone, so it is evaluated once per velocity and
-    node, and only the cosine, over q, once per (gap, v). Both components
-    are even in t as well, so integrate_line(even=True) integrates them on
-    the window [0, 10] and doubles the result; its one tail term, charged
-    twice, sees the cosine at the edge t = 10, where the widest envelope is
-    already below e^{-50}. The Jacobian w is part of each component, so
-    abs_tol still bounds the u-integral's error.
+    X is integrated in proper time s = u sqrt(1 - v^2) = u / gamma. There
+    the phase cos(f u), f = gap sqrt(1-v^2), is cos(gap s) at every
+    velocity, A = d^2 (1-v^2)/4 + s^2 (1+v^2)/4, the Dawson part's Gaussian
+    is e^{-s^2/4} and q = sqrt(v^2 s^2 / (1-v^2) + d^2). The bracket in the
+    module docstring is even in u, so the phase's sine half integrates to 0
+    and X = -i (1-v^2)/(8 pi) (R + i I), with R and I the integrals of its
+    real and imaginary parts times cos(f u) / q: two real components per
+    (gap, v). Each is a factor of (v, s) times cos(gap s), so the cosine is
+    evaluated once per gap and node, the Gaussians, q and dawsn once per
+    velocity and node, and each (gap, v) costs two multiplies per node. The
+    Jacobian du/ds = 1/sqrt(1-v^2), e^{-d^2 (1-v^2)/4} and 2/sqrt(pi) are
+    per-velocity scales, so abs_tol still bounds the u-integral's error.
+
+    Both components are even in s, so integrate_line(even=True) integrates
+    them on the window [0, truncation_sigmas W], with W = 2/sqrt(1 + v^2)
+    the width of the envelope e^{-A} at the batch's smallest v, and doubles
+    the result; its one tail term, charged twice, sees the components at
+    the edge, where at the default 10 W the Dawson part's wider Gaussian
+    e^{-s^2/4} is already below e^{-50}.
 
     The Gaussians, cos and dawsn are entire, so the only complex
-    singularities are the branch points t = +-i t_b of
-    q = sqrt(v^2 w^2 t^2 + d^2), with t_b = d / (v w) = d sqrt(1-v^4) / 2v,
-    about d sqrt(1-v) as v -> 1. The smallest t_b in the batch is passed as
-    the integral's singularity_distance, so the start panels are graded
-    toward t = 0 from it and a near-lightspeed X converges on its first
-    pass; a batch at v = 0 alone has t_b = inf and uniform start panels.
+    singularities are the branch points s = +-i s_b of q, the images of
+    u = +-i d/v, with s_b = d sqrt(1-v^2) / v, about d sqrt(2 (1-v)) as
+    v -> 1. The smallest s_b in the batch is passed as the integral's
+    singularity_distance, so the start panels are graded toward s = 0 from
+    it and a near-lightspeed X converges on its first pass; a batch at
+    v = 0 alone has s_b = inf and uniform start panels. _x_start gives
+    these arguments here and to _gap_blocks alike.
     """
-    v, v2, b2, c2, w = _x_scales(vs)
-    gap = np.asarray(gaps, dtype=float)
-    freq = 2.0 * gap[..., None, None] / np.sqrt(c2)  # f w, the phase's frequency in t
-    d2 = d * d
-    q_t2 = v2 * w * w  # q^2 = v^2 u^2 + d^2 = q_t2 t^2 + d^2
-    dawsn_q = 0.5 * np.sqrt(b2)
-    im_t2 = -1.0 / c2
-    re_scale = w * np.exp(-0.25 * d2 * b2)
-    im_scale = w * _TWO_OVER_SQRT_PI
-    shape = (*gap.shape, v.shape[0])
-    km = math.prod(shape)
-
-    def integrand(t: np.ndarray) -> np.ndarray:
-        t2 = t * t
-        q = np.sqrt(q_t2 * t2 + d2)
-        real = re_scale * np.exp(-t2)
-        imag = np.exp(im_t2 * t2)
-        imag *= dawsn(dawsn_q * q)
-        cos_q = np.cos(freq * t)
-        cos_q /= q
-        out = np.empty((2, *shape, t.size))
-        np.multiply(real, cos_q, out=out[0])
-        np.multiply(imag, cos_q, out=out[1])
-        out[1] *= im_scale
-        return out.reshape(2 * km, t.size)
-
-    max_frequency, t_b = _x_start(d, v, w, float(gap.max()))
+    width, max_frequency, s_b = _x_start(d, vs, gaps)
     # where d*d underflows, 1/q divides by zero at v = 0 (no node sits at
-    # t = 0): the inf or NaN that results is caught by the quadrature's
+    # s = 0): the inf or NaN that results is caught by the quadrature's
     # finiteness check, so only overflow warnings are left on
     with np.errstate(divide="ignore", invalid="ignore"):
-        parts = integrate_line(integrand, 1.0, settings, max_frequency=max_frequency,
-                               even=True, singularity_distance=t_b)
-    pref = b2[:, 0] / (8.0 * math.pi)  # times 1/i
+        parts = integrate_line(_x_integrand(d, vs, gaps), width, settings,
+                               max_frequency=max_frequency, even=True, singularity_distance=s_b)
+    v = np.asarray(vs, dtype=float)
+    pref = (1.0 - v) * (1.0 + v) / (8.0 * math.pi)  # times 1/i
+    shape = (*np.shape(gaps), v.size)
+    km = math.prod(shape)
     re, im = parts.value.real[:km].reshape(shape), parts.value.real[km:].reshape(shape)
     x = np.empty(shape, dtype=complex)
     x.real = pref * im
@@ -301,9 +320,9 @@ def _gap_runs(gaps) -> list[slice]:
     """Slices of the runs of neighbouring gaps in one octave of start-panel
     density.
 
-    The start width is min(1, pi / 2F), F = 2 gap at v = 0 the largest
-    phase frequency, so an ascending gap axis, as a sweep's is, has one run
-    per octave. An X integral holds gaps of one run only, so a run's rows
+    In s the start width is min(W, pi / (2 gap)), W = 2 at v = 0 (see
+    _x_start), which is W min(1, pi / (4 gap)), so an ascending gap axis,
+    as a sweep's is, has one run per octave. An X integral holds gaps of one run only, so a run's rows
     do not depend on the gaps beside it.
     """
     octave = np.ceil(np.log2(np.maximum(1.0, (4.0 / math.pi) * np.asarray(gaps, dtype=float))))
@@ -322,12 +341,11 @@ def _gap_blocks(d: float, batch, gaps: np.ndarray, settings: QuadratureSettings)
     """
     if gaps.size == 1:  # a lone gap is its own block, whatever its start panels
         return [slice(0, 1)]
-    v, *_, w = _x_scales(batch)
     blocks = []
     for run in _gap_runs(gaps):
-        max_frequency, t_b = _x_start(d, v, w, float(gaps[run].max()))
-        fit = _line_capacity(1.0, settings, max_frequency, even=True, singularity_distance=t_b)
-        size = max(1, min(_GAP_BLOCK, fit // (2 * v.shape[0])))
+        width, max_frequency, s_b = _x_start(d, batch, gaps[run])
+        fit = _line_capacity(width, settings, max_frequency, even=True, singularity_distance=s_b)
+        size = max(1, min(_GAP_BLOCK, fit // (2 * len(batch))))
         blocks += [slice(j, min(j + size, run.stop)) for j in range(run.start, run.stop, size)]
     return blocks
 

@@ -189,8 +189,9 @@ _WG = np.array(
 
 # Start panels allowed before any evaluation, counted once per component of
 # a vector-valued integrand. One X integral at v = 0 has two components and,
-# on its even half window, about 12.7 * gap start panels each, so the limit
-# falls near gap 2573 (near 161 for a batch of 16, 160.1-160.4 for one that
+# on its even half window [0, 20] in proper time with panels pi / (2 gap)
+# wide, about 12.7 * gap start panels each, so the limit falls near gap 2573
+# (160.8 for a batch of 16, 160.1-160.4 at d/sigma in [0.5, 4] for one that
 # reaches v = 1 - 1e-9 and so carries graded panels too), where P has long
 # underflowed to 0; past it the start arrays alone would need gigabytes.
 _MAX_START_PANELS = 1 << 16

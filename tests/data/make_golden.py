@@ -12,10 +12,12 @@ failing case exhausts the subdivision budget at some points of a
 velocity batch, so those rows carry NaN cells and error text next to
 rows that converged. Each gap of those three cases lies in an octave of
 start-panel density of its own, so every X integral there is a one-gap
-block, and their bytes are the ones written before rows became arrays
-and before gaps shared integrals. The block case puts four gaps in one
-octave, so each of its X integrals is a block of four gaps on start
-panels sized for the largest.
+block. The block case puts four gaps in one octave, so each of its X
+integrals is a block of four gaps on start panels sized for the largest.
+X is integrated in proper time s (model._x_integrals), so the abscissa
+that a failing row's error text names is an s value. Any change to how X
+is integrated moves the last digits of the x_* cells; rerun this script
+then, and compare the old and new cells against rel_tol |X| + abs_tol.
 """
 
 from __future__ import annotations

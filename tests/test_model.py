@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from entharvest import model
+from entharvest import model, quadrature
 from entharvest.model import (
     DetectorSettings,
     EncounterGeometry,
@@ -70,7 +70,7 @@ class TestCorrelationX:
                 assert abs(abs(x.value) - closed) <= max(1e-8 * closed, QUAD.abs_tol)
 
     def test_x_integrand_is_never_evaluated_at_negative_t(self, monkeypatch):
-        # the bracket is even in t, so X integrates it on t >= 0 only
+        # the bracket is even in s, so X integrates it on s >= 0 only
         smallest = []
         real = model.integrate_line
 
@@ -86,8 +86,8 @@ class TestCorrelationX:
         assert smallest and min(smallest) >= 0.0
 
     def test_near_lightspeed_x_converges_on_the_first_pass(self, monkeypatch):
-        # the start panels are graded toward t = 0 from the branch-point
-        # distance t_b = d sqrt(1-v^4) / 2v, about 3.2e-5 here
+        # the start panels are graded toward s = 0 from the branch-point
+        # distance s_b = d sqrt(1-v^2) / v, about 4.5e-5 here
         calls = []
         real = model.integrate_line
 
@@ -154,6 +154,81 @@ class TestCorrelationX:
     def test_error_estimate_present(self):
         x = correlation_x(det(omega=1.0), EncounterGeometry(d=1.0, v=0.3), QUAD)
         assert 0.0 < x.error_estimate < 1e-9
+
+
+def mp_u_form(mp, d, v, gap, s):
+    """The module docstring's u-form integrand at u = s / sqrt(1 - v^2), in
+    mpmath at its working precision: the real and imaginary parts of
+    e^{-A} (1 + i erfi(x)) / q, each times cos(gap s) and the Jacobian
+    du/ds, from the literal A and erfi with no Dawson rewrite."""
+    d, v, gap, s = (mp.mpf(a) for a in (d, v, gap, s))
+    b2 = 1 - v * v
+    jacobian = 1 / mp.sqrt(b2)
+    u = jacobian * s
+    q = mp.sqrt(v * v * u * u + d * d)
+    a = (d * d * b2 + u * u * (1 - v ** 4)) / 4
+    x = mp.sqrt(b2) * q / 2
+    phase = jacobian * mp.cos(gap * mp.sqrt(b2) * u) / q
+    return mp.exp(-a) * phase, mp.exp(-a) * mp.erfi(x) * phase
+
+
+class TestProperTime:
+    """X is integrated in proper time s = u sqrt(1 - v^2); see model._x_integrals."""
+
+    @pytest.mark.parametrize("d,v,gap,s", [
+        (1.0, 0.5, 1.0, 0.7), (2.0, 0.99, 2.0, 3.1), (0.5, 1.0 - 1e-6, 1.0, 0.01),
+        (0.3, 0.0, 0.5, 2.0), (1.0, 1.0 - 1e-9, 3.0, 1e-4), (4.0, 0.3, 0.0, 5.0),
+        (1.0, 0.9, 6.0, 0.2),
+    ])
+    def test_integrand_is_the_u_form_times_the_jacobian(self, d, v, gap, s):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            ref = [float(part) for part in mp_u_form(mp, d, v, gap, s)]
+        got = model._x_integrand(d, [v], gap)(np.array([s]))[:, 0]
+        for g, r in zip(got, ref):
+            assert abs(g - r) <= 16 * np.spacing(abs(r))
+
+    def test_integrand_lists_r_then_i_for_every_gap_and_v(self):
+        vs, gaps, s = [0.0, 0.6, 1.0 - 1e-9], np.array([0.5, 1.0]), np.linspace(0.1, 9.0, 7)
+        block = model._x_integrand(1.0, vs, gaps)(s).reshape(2, gaps.size, len(vs), s.size)
+        for k, gap in enumerate(gaps):
+            for i, v in enumerate(vs):
+                assert np.array_equal(block[:, k, i], model._x_integrand(1.0, [v], gap)(s))
+
+    @pytest.mark.parametrize("gaps", [[0.0, 0.5], [1.6, 2.1, 2.6, 3.1]])
+    @pytest.mark.parametrize("batch", [[0.0, 0.5, 0.9], [0.3, 0.6, 0.99, 1.0 - 1e-9]])
+    def test_block_capacity_counts_the_start_panels_integrate_line_builds(
+            self, monkeypatch, gaps, batch):
+        gaps = np.array(gaps)  # one octave, so one run and one _line_capacity call
+        capacities, panels = [], []
+        real_capacity, real_adaptive = model._line_capacity, quadrature._adaptive
+
+        def capacity(*args, **kwargs):
+            capacities.append(real_capacity(*args, **kwargs))
+            return capacities[-1]
+
+        def adaptive(f, edges, *args, **kwargs):
+            panels.append(edges.size - 1)
+            return real_adaptive(f, edges, *args, **kwargs)
+
+        monkeypatch.setattr(model, "_line_capacity", capacity)
+        monkeypatch.setattr(quadrature, "_adaptive", adaptive)
+        assert model._gap_blocks(1.0, batch, gaps, QUAD) == [slice(0, gaps.size)]
+        model._x_integrals(1.0, batch, gaps, QUAD)
+        assert capacities == [quadrature._MAX_START_PANELS // panels[0]]
+
+    @pytest.mark.parametrize("d,v,gap", [
+        (1.0, 0.5, 1.0), (2.0, 0.99, 2.0), (0.5, 1.0 - 1e-6, 1.0), (1.0, 0.3, 6.0),
+    ])
+    def test_x_matches_a_20_digit_mpmath_quadrature(self, d, v, gap):
+        # the u-form in s, 2 * int_0^24 in 60 tanh-sinh pieces: its Dawson
+        # Gaussian e^{-s^2/4} is e^{-144} at s = 24
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(20):
+            z = 2 * mp.quad(lambda s: mp.mpc(*mp_u_form(mp, d, v, gap, s)), mp.linspace(0, 24, 61))
+            ref = complex(-1j * (1 - mp.mpf(v) ** 2) / (8 * mp.pi) * z)
+        x = correlation_x(det(omega=gap), EncounterGeometry(d=d, v=v), QUAD)
+        assert abs(x.value - ref) <= x.error_estimate + QUAD.rel_tol * abs(x.value)
 
 
 class TestStaticClosedForms:
