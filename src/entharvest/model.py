@@ -20,6 +20,9 @@ exactly, so the integrand is evaluated as
     e^{-A} + i e^{-(1-v^2) u^2 / 4 sigma^2} * (2/sqrt(pi)) F(x)
 
 with F the Dawson function. This is exact algebra, not an approximation.
+The bracket is even in u, so the phase's sine half integrates to 0 and
+the rest is even: integrate_line integrates it on u >= 0 only and
+doubles it (see _x_integrals).
 
 Rows
 ----
@@ -156,8 +159,10 @@ class RegionLabel(Enum):
 class PeakResult:
     """Interior maximizer of the negativity over v, if one exists.
 
-    multimodal flags a scan with more than one strict interior local
-    maximum, in which case v_star is the global one on the scan grid.
+    v_star is refined off the scan grid by Brent's method, between the scan
+    neighbours of the scan's highest interior local maximum, and n_star is
+    the negativity there. multimodal flags a scan with more than one strict
+    interior local maximum; v_star then refines the highest of them.
     """
 
     v_star: float
@@ -282,8 +287,8 @@ def _x_integrals(d: float, vs, gaps, settings: QuadratureSettings) -> tuple[np.n
     Jacobian du/ds = 1/sqrt(1-v^2), e^{-d^2 (1-v^2)/4} and 2/sqrt(pi) are
     per-velocity scales, so abs_tol still bounds the u-integral's error.
 
-    Both components are even in s, so integrate_line(even=True) integrates
-    them on the window [0, truncation_sigmas W], with W = 2/sqrt(1 + v^2)
+    Both components are even in s, as integrate_line requires: it
+    integrates them on the window [0, truncation_sigmas W], W = 2/sqrt(1 + v^2)
     the width of the envelope e^{-A} at the batch's smallest v, and doubles
     the result; its one tail term, charged twice, sees the components at
     the edge, where at the default 10 W the Dawson part's wider Gaussian
@@ -304,7 +309,7 @@ def _x_integrals(d: float, vs, gaps, settings: QuadratureSettings) -> tuple[np.n
     # finiteness check, so only overflow warnings are left on
     with np.errstate(divide="ignore", invalid="ignore"):
         parts = integrate_line(_x_integrand(d, vs, gaps), width, settings,
-                               max_frequency=max_frequency, even=True, singularity_distance=s_b)
+                               max_frequency=max_frequency, singularity_distance=s_b)
     v = np.asarray(vs, dtype=float)
     pref = (1.0 - v) * (1.0 + v) / (8.0 * math.pi)  # times 1/i
     shape = (*np.shape(gaps), v.size)
@@ -344,7 +349,7 @@ def _gap_blocks(d: float, batch, gaps: np.ndarray, settings: QuadratureSettings)
     blocks = []
     for run in _gap_runs(gaps):
         width, max_frequency, s_b = _x_start(d, batch, gaps[run])
-        fit = _line_capacity(width, settings, max_frequency, even=True, singularity_distance=s_b)
+        fit = _line_capacity(width, settings, max_frequency, singularity_distance=s_b)
         size = max(1, min(_GAP_BLOCK, fit // (2 * len(batch))))
         blocks += [slice(j, min(j + size, run.stop)) for j in range(run.start, run.stop, size)]
     return blocks

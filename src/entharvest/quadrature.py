@@ -49,8 +49,10 @@ Integrand = Callable[[np.ndarray], np.ndarray]
 
 
 def _whole_number(name: str, value) -> int:
-    """value as an int if it is a whole number, such as 100 or 100.0."""
-    if isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer()):
+    """value as an int if it is a whole number, such as 100 or 100.0; a
+    bool, though an int to Python, is not one."""
+    if not isinstance(value, bool) and (
+            isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer())):
         return int(value)
     raise ValueError(f"{name} must be a whole number, got {value!r}")
 
@@ -74,13 +76,13 @@ class QuadratureSettings:
     def __post_init__(self) -> None:
         object.__setattr__(self, "max_subdivisions",
                            _whole_number("max_subdivisions", self.max_subdivisions))
-        if not (self.rel_tol > 0.0):
-            raise ValueError(f"rel_tol must be > 0, got {self.rel_tol!r}")
-        if not (self.abs_tol > 0.0):
-            raise ValueError(f"abs_tol must be > 0, got {self.abs_tol!r}")
-        if not (self.truncation_sigmas >= 6.0):
+        if not (0.0 < self.rel_tol < math.inf):
+            raise ValueError(f"rel_tol must be finite and > 0, got {self.rel_tol!r}")
+        if not (0.0 < self.abs_tol < math.inf):
+            raise ValueError(f"abs_tol must be finite and > 0, got {self.abs_tol!r}")
+        if not (6.0 <= self.truncation_sigmas < math.inf):
             raise ValueError(
-                f"truncation_sigmas must be >= 6, got {self.truncation_sigmas!r}"
+                f"truncation_sigmas must be finite and >= 6, got {self.truncation_sigmas!r}"
             )
         if self.max_subdivisions < 1:
             raise ValueError(
@@ -200,9 +202,10 @@ _MAX_START_PANELS = 1 << 16
 _MIN_WIDTH = 1e-15
 
 
-def _check_start_panels(count: int, components: int) -> None:
-    """Refuse count start panels for components components past the budget."""
-    if components * count > _MAX_START_PANELS:
+def _check_start_panels(count: float, components: int) -> None:
+    """Refuse count start panels for components components past the budget,
+    or a count that is not a number."""
+    if not components * count <= _MAX_START_PANELS:
         raise QuadratureError(
             f"{components} x {count:.3g} start panels exceed the limit of {_MAX_START_PANELS}"
         )
@@ -214,27 +217,26 @@ def _start_edges(lo: float, b: float, spacing: float,
 
     Uniform panels, at least 4 and at most spacing wide, of width h. When
     the singularity distance s, floored at the smallest width _adaptive
-    splits, is below h, the panels from 0 are graded instead: [0, s],
+    splits, is below h, the panels from lo = 0 are graded instead: [0, s],
     [s, 2s], [2s, 4s], ... while narrower than h, then uniform panels of
-    width at most h up to b, and mirrored about 0 when lo < 0 (lo is then
-    -b). Otherwise the edges are np.linspace(lo, b, n + 1).
+    width at most h up to b. Otherwise the edges are
+    np.linspace(lo, b, n + 1). A panel count that is not finite, as when
+    b - lo overflows, is refused before it is rounded.
     """
     width = b - lo
+    _check_start_panels(width / spacing, 1)  # before rounding: it may be inf
     n = max(4, math.ceil(width / spacing))
     h = width / n
     s = max(singularity_distance, _MIN_WIDTH * width)
     if not s < h:
-        _check_start_panels(n, 1)
         return np.linspace(lo, b, n + 1)
     graded, edge = 1, s  # [0, s], then [edge, 2 edge] while edge < h
     while edge < h:
         graded, edge = graded + 1, 2.0 * edge
     uniform = math.ceil((b - edge) / h)
-    sides = 2 if lo < 0.0 else 1
-    _check_start_panels(sides * (graded + uniform), 1)
-    half = np.concatenate(([0.0], s * np.exp2(np.arange(graded)),
+    _check_start_panels(graded + uniform, 1)
+    return np.concatenate(([0.0], s * np.exp2(np.arange(graded)),
                            np.linspace(edge, b, uniform + 1)[1:]))
-    return np.concatenate((-half[:0:-1], half)) if sides == 2 else half
 
 
 def _eval_panels(f: Integrand, lo: np.ndarray, hi: np.ndarray, scale: float):
@@ -334,14 +336,13 @@ def _result(values: np.ndarray, errors: np.ndarray) -> IntegralResult:
 
 
 def _window_start(envelope_width: float, settings: QuadratureSettings, max_frequency: float,
-                  two_sided: bool, singularity_distance: float = math.inf) -> np.ndarray:
-    """Edges of the start panels on [-a, a] (two_sided) or [0, a], with
-    a = truncation_sigmas * width, checked for one component."""
+                  singularity_distance: float = math.inf) -> np.ndarray:
+    """Edges of the start panels on [0, a], a = truncation_sigmas * width,
+    checked for one component."""
     w = float(envelope_width)
     if not (w > 0.0 and math.isfinite(w)):
         raise ValueError(f"envelope_width must be finite and > 0, got {envelope_width!r}")
-    a = settings.truncation_sigmas * w
-    return _start_edges(-a if two_sided else 0.0, a, _initial_spacing(w, max_frequency),
+    return _start_edges(0.0, settings.truncation_sigmas * w, _initial_spacing(w, max_frequency),
                         singularity_distance)
 
 
@@ -350,21 +351,18 @@ def _integrate_window(
     envelope_width: float,
     settings: QuadratureSettings,
     max_frequency: float,
-    two_sided: bool,
-    scale: float = 1.0,
+    scale: float,
     singularity_distance: float = math.inf,
 ) -> IntegralResult:
-    """scale times the integral on [-a, a] (two_sided) or [0, a], with
-    a = truncation_sigmas * width, plus the Gaussian tail bound beyond each
-    truncated edge, also times scale."""
-    # over even for one component: refuse before any call
-    start = _window_start(envelope_width, settings, max_frequency, two_sided,
-                          singularity_distance)
+    """scale times the integral on [0, a], a = truncation_sigmas * width,
+    plus the Gaussian tail bound beyond a, also times scale. The call at a
+    alone that gives the tail bound also gives the component count, so the
+    start-panel budget is checked before the first pass allocates."""
+    start = _window_start(envelope_width, settings, max_frequency, singularity_distance)
     w = float(envelope_width)
     a = settings.truncation_sigmas * w
-    ends = np.array([-a, a] if two_sided else [a])
-    edge = scale * np.abs(np.asarray(integrand(ends)))
-    _check_start_panels(start.size - 1, edge.size // ends.size)
+    edge = scale * np.abs(np.asarray(integrand(np.array([a]))))
+    _check_start_panels(start.size - 1, edge.size)
     value, err = _adaptive(integrand, start, settings, scale)
     return _result(value, err + _gaussian_tail_bound(edge.sum(axis=-1), w, a))
 
@@ -374,18 +372,19 @@ def integrate_line(
     envelope_width: float,
     settings: QuadratureSettings,
     max_frequency: float = 0.0,
-    even: bool = False,
     singularity_distance: float = math.inf,
 ) -> IntegralResult:
-    """Integrate over the real line, truncated at +-truncation_sigmas widths.
+    """Integrate an even integrand over the real line, truncated at
+    +-truncation_sigmas widths.
 
     envelope_width w declares that |integrand(u)| decays at least like
     exp(-u^2/w^2); max_frequency declares the largest angular frequency of
-    any oscillatory factor and sets the initial panel spacing. even declares
-    integrand(-u) == integrand(u): then only [0, truncation_sigmas * w] is
-    integrated, with every panel weighted twice, so the convergence test,
-    the error estimate and the one edge's doubled tail bound all refer to
-    the full-line value, and the start-panel budget counts the half window.
+    any oscillatory factor and sets the initial panel spacing. The
+    integrand must satisfy integrand(-u) == integrand(u): only
+    [0, truncation_sigmas * w] is integrated, with every panel weighted
+    twice, so the convergence test, the error estimate and the one edge's
+    doubled tail bound all refer to the full-line value, and the
+    start-panel budget counts the half window.
     singularity_distance declares the distance from u = 0 to the
     integrand's nearest complex singularity, such as the branch points
     +-i t_b of a factor 1/sqrt(c^2 u^2 + d^2), t_b = d / c. Where it is
@@ -397,18 +396,14 @@ def integrate_line(
     An integrand that returns m components, shape (m, n), gets one result
     whose value and error estimate have shape (m,).
     """
-    if even:
-        return _integrate_window(integrand, envelope_width, settings, max_frequency, False,
-                                 2.0, singularity_distance)
-    return _integrate_window(integrand, envelope_width, settings, max_frequency, True,
-                             singularity_distance=singularity_distance)
+    return _integrate_window(integrand, envelope_width, settings, max_frequency, 2.0,
+                             singularity_distance)
 
 
 def _line_capacity(
     envelope_width: float,
     settings: QuadratureSettings,
     max_frequency: float = 0.0,
-    even: bool = False,
     singularity_distance: float = math.inf,
 ) -> int:
     """The most components integrate_line takes with these arguments.
@@ -418,8 +413,7 @@ def _line_capacity(
     component's start panels alone exceed it.
     """
     try:
-        start = _window_start(envelope_width, settings, max_frequency, not even,
-                              singularity_distance)
+        start = _window_start(envelope_width, settings, max_frequency, singularity_distance)
     except QuadratureError:
         return 0
     return _MAX_START_PANELS // (start.size - 1)
@@ -431,8 +425,9 @@ def integrate_halfline(
     settings: QuadratureSettings,
     max_frequency: float = 0.0,
 ) -> IntegralResult:
-    """As integrate_line, on the domain [0, truncation_sigmas * width]."""
-    return _integrate_window(integrand, envelope_width, settings, max_frequency, False)
+    """As integrate_line, on the domain [0, truncation_sigmas * width], for
+    any integrand, weighted once: the same window at scale 1."""
+    return _integrate_window(integrand, envelope_width, settings, max_frequency, 1.0)
 
 
 def integrate_interval(

@@ -41,9 +41,17 @@ class TestSettingsValidation:
         with pytest.raises(ValueError):
             QuadratureSettings(max_subdivisions=0)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["rel_tol", "abs_tol", "truncation_sigmas"])
+    def test_rejects_non_finite(self, name, bad):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            QuadratureSettings(**{name: bad})
+
     def test_subdivisions_must_be_a_whole_number(self):
         with pytest.raises(ValueError, match=r"^max_subdivisions must be a whole number, got 1\.5$"):
             QuadratureSettings(max_subdivisions=1.5)
+        with pytest.raises(ValueError, match=r"^max_subdivisions must be a whole number, got True$"):
+            QuadratureSettings(max_subdivisions=True)
         s = QuadratureSettings(max_subdivisions=100.0)
         assert s == QuadratureSettings(max_subdivisions=100)
         assert type(s.max_subdivisions) is int
@@ -57,7 +65,7 @@ class TestLine:
         assert abs(res.value.real - TWO_SQRT_PI) <= max(res.error_estimate, 1e-13)
 
     def test_oscillatory_gaussian(self):
-        res = integrate_line(lambda u: np.exp(-u * u) * np.exp(-4j * u),
+        res = integrate_line(lambda u: np.exp(-u * u) * np.cos(4.0 * u),
                              1.0, DEFAULT, max_frequency=4.0)
         assert res.value.real == pytest.approx(SQRT_PI_E_M4, abs=1e-9)
         assert res.value.imag == pytest.approx(0.0, abs=1e-9)
@@ -83,13 +91,21 @@ class TestHalfline:
                                  1.0, DEFAULT, max_frequency=2.0)
         assert res.value.real == pytest.approx(HALFLINE_SIN, abs=1e-6)
 
+    def test_complex_phase(self):
+        # the one complex-valued integrand: its cosine half is (sqrt(pi)/2) e^{-1}
+        res = integrate_halfline(lambda r: np.exp(-r * r) * np.exp(2j * r),
+                                 1.0, DEFAULT, max_frequency=2.0)
+        exact = complex(0.5 * math.sqrt(math.pi) / math.e, HALFLINE_SIN)
+        assert abs(res.value - exact) <= max(res.error_estimate, 1e-15)
+        assert abs(res.value - exact) <= 1e-9
+
     def test_radial_moment(self):
         res = integrate_halfline(lambda r: r * np.exp(-r * r), 1.0, DEFAULT)
         assert res.value.real == pytest.approx(0.5, abs=1e-10)
 
 
 class TestEven:
-    """integrate_line(even=True) integrates [0, a] once and doubles it."""
+    """integrate_line integrates [0, a] once and doubles it."""
 
     KS = (0.0, 1.0, 2.0, 4.0, 8.0)
 
@@ -98,7 +114,7 @@ class TestEven:
         return np.exp(-u * u) * np.cos(np.outer(TestEven.KS, u))
 
     def test_gaussian_cosines_match_closed_form(self):
-        res = integrate_line(self.gaussian_cosines, 1.0, DEFAULT, max_frequency=8.0, even=True)
+        res = integrate_line(self.gaussian_cosines, 1.0, DEFAULT, max_frequency=8.0)
         assert res.value.shape == res.error_estimate.shape == (len(self.KS),)
         for k, value, error in zip(self.KS, res.value, res.error_estimate):
             exact = math.sqrt(math.pi) * math.exp(-k * k / 4.0)
@@ -110,8 +126,10 @@ class TestEven:
             g = np.exp(-u * u / 4.0) / np.sqrt(0.25 * u * u + 1.0)
             return np.array([g, g * np.cos(3.0 * u)])
 
-        folded = integrate_line(f, 2.0, DEFAULT, max_frequency=3.0, even=True)
-        full = integrate_line(f, 2.0, DEFAULT, max_frequency=3.0)
+        # the unfolded integral on the same window [-20, 20], whose tails
+        # beyond it are below e^{-100}
+        folded = integrate_line(f, 2.0, DEFAULT, max_frequency=3.0)
+        full = integrate_interval(f, -20.0, 20.0, DEFAULT, initial_spacing=math.pi / 6.0)
         assert folded.value[0].real == pytest.approx(RADIAL_FACTOR, abs=1e-8)
         # the estimates bound truncation and refinement, not roundoff: allow
         # a few ulps of the value on top of them
@@ -120,39 +138,48 @@ class TestEven:
             ulps = 8.0 * np.finfo(float).eps * abs(b)
             assert abs(a - b) <= a_err + b_err + ulps
 
-    def test_never_evaluates_below_zero_and_halves_the_nodes(self):
-        def recorded(sink):
-            def f(u):
-                sink.append(u.copy())
-                return self.gaussian_cosines(u)
-            return f
+    def test_never_evaluates_below_zero(self):
+        calls = []
 
-        half, full = [], []
-        integrate_line(recorded(half), 1.0, DEFAULT, max_frequency=8.0, even=True)
-        integrate_line(recorded(full), 1.0, DEFAULT, max_frequency=8.0)
-        assert min(u.min() for u in half) >= 0.0
-        n_half, n_full = sum(u.size for u in half), sum(u.size for u in full)
-        assert 0.4 * n_full <= n_half <= 0.6 * n_full
+        def f(u):
+            calls.append(u.copy())
+            return self.gaussian_cosines(u)
+
+        integrate_line(f, 1.0, DEFAULT, max_frequency=8.0)
+        assert min(u.min() for u in calls) >= 0.0
 
     def test_start_panel_budget_counts_the_half_window(self):
-        # about 76000 start panels on [-10, 10] (refused two-sided), 38000 on [0, 10]
+        # about 38000 start panels on [0, 10], under the limit that the
+        # 76000 on [-10, 10] would exceed
         res = integrate_line(lambda u: np.exp(-u * u), 1.0, DEFAULT,
-                             max_frequency=6000.0, even=True)
+                             max_frequency=6000.0)
         assert res.value.real == pytest.approx(math.sqrt(math.pi), rel=1e-12)
 
     def test_tail_is_charged_at_the_edge_and_doubled(self):
         # bookkeeping only: GK15 is exact on a quadratic, so the estimate is
-        # the tail bound alone, |f(a)| w^2 / 2a for each of the edges +-a
+        # the tail bound alone, |f(a)| w^2 / 2a at the one edge a, doubled
         s = QuadratureSettings(truncation_sigmas=6.0)
 
         def f(u):
             return 1.0 + u * u
 
-        folded = integrate_line(f, 1.0, s, even=True)
-        full = integrate_line(f, 1.0, s)
-        assert folded.value.real == pytest.approx(2.0 * (6.0 + 72.0), rel=1e-14)
-        assert folded.error_estimate == pytest.approx(2.0 * 37.0 / 12.0, rel=1e-12)
-        assert folded.error_estimate == pytest.approx(full.error_estimate, rel=1e-12)
+        res = integrate_line(f, 1.0, s)
+        assert res.value.real == pytest.approx(2.0 * (6.0 + 72.0), rel=1e-14)
+        assert res.error_estimate == pytest.approx(2.0 * 37.0 / 12.0, rel=1e-12)
+
+    def test_halfline_is_the_same_window_weighted_once(self):
+        # scale is the only difference: integrate_halfline charges the one
+        # edge's tail once, |f(6)| w^2 / 12 = 37/12, and doubling is exact
+        s = QuadratureSettings(truncation_sigmas=6.0)
+
+        def f(u):
+            return 1.0 + u * u
+
+        half = integrate_halfline(f, 1.0, s)
+        line = integrate_line(f, 1.0, s)
+        assert half.value.real == pytest.approx(6.0 + 72.0, rel=1e-14)
+        assert half.error_estimate == pytest.approx(37.0 / 12.0, rel=1e-12)
+        assert (line.value, line.error_estimate) == (2.0 * half.value, 2.0 * half.error_estimate)
 
     @pytest.mark.parametrize("k", [10.0, 12.0, 14.0, 16.0, 20.0])
     def test_small_value_is_held_to_the_full_line_abs_tol(self, k):
@@ -165,7 +192,7 @@ class TestEven:
         def f(u):
             return np.exp(-u * u) * np.cos(k * u)
 
-        res = integrate_line(f, 1.0, s, even=True)
+        res = integrate_line(f, 1.0, s)
         tail = 2.0 * abs(f(np.array([a]))[0]) / (2.0 * a)
         exact = math.sqrt(math.pi) * math.exp(-k * k / 4.0)
         assert res.error_estimate <= s.abs_tol + tail
@@ -189,7 +216,7 @@ class TestGradedStart:
     @pytest.mark.parametrize("s", SMALL)
     def test_declared_distance_converges_on_the_first_pass(self, s):
         calls = []
-        res = integrate_line(self.radial(s, calls), 1.0, DEFAULT, even=True,
+        res = integrate_line(self.radial(s, calls), 1.0, DEFAULT,
                              singularity_distance=s)
         exact = k0e(0.5 * s * s)
         assert abs(res.value - exact) <= res.error_estimate + DEFAULT.rel_tol * exact
@@ -198,9 +225,9 @@ class TestGradedStart:
     @pytest.mark.parametrize("s", SMALL)
     def test_undeclared_distance_agrees_after_more_passes(self, s):
         graded_calls, plain_calls = [], []
-        graded = integrate_line(self.radial(s, graded_calls), 1.0, DEFAULT, even=True,
+        graded = integrate_line(self.radial(s, graded_calls), 1.0, DEFAULT,
                                 singularity_distance=s)
-        plain = integrate_line(self.radial(s, plain_calls), 1.0, DEFAULT, even=True)
+        plain = integrate_line(self.radial(s, plain_calls), 1.0, DEFAULT)
         assert abs(graded.value - plain.value) <= graded.error_estimate + plain.error_estimate
         assert len(plain_calls) > len(graded_calls)
 
@@ -208,9 +235,9 @@ class TestGradedStart:
     def test_distance_at_or_above_the_uniform_width_changes_nothing(self, distance):
         # max_frequency 0 on [0, 10]: ten uniform start panels of width h = 1
         declared, plain = [], []
-        a = integrate_line(self.radial(0.3, declared), 1.0, DEFAULT, even=True,
+        a = integrate_line(self.radial(0.3, declared), 1.0, DEFAULT,
                            singularity_distance=distance)
-        b = integrate_line(self.radial(0.3, plain), 1.0, DEFAULT, even=True)
+        b = integrate_line(self.radial(0.3, plain), 1.0, DEFAULT)
         assert (a.value, a.error_estimate) == (b.value, b.error_estimate)
         assert len(declared) == len(plain)
         assert all(np.array_equal(x, y) for x, y in zip(declared, plain))
@@ -219,7 +246,7 @@ class TestGradedStart:
         # the first width is floored at the smallest width that is still split
         def first_pass_panels(**kwargs):
             calls = []
-            integrate_line(self.radial(1.0, calls), 1.0, DEFAULT, even=True, **kwargs)
+            integrate_line(self.radial(1.0, calls), 1.0, DEFAULT, **kwargs)
             return calls[1].size // 15
 
         plain = first_pass_panels()
@@ -237,10 +264,10 @@ class TestGradedStart:
 
         freq = 65529.5 * math.pi / 20.0
         with pytest.raises(QuadratureError, match="start panels exceed the limit"):
-            integrate_line(f, 1.0, DEFAULT, max_frequency=freq, even=True,
+            integrate_line(f, 1.0, DEFAULT, max_frequency=freq,
                            singularity_distance=1e-9)
         assert calls == []
-        res = integrate_line(f, 1.0, DEFAULT, max_frequency=freq, even=True)
+        res = integrate_line(f, 1.0, DEFAULT, max_frequency=freq)
         assert res.value.real == pytest.approx(math.sqrt(math.pi), rel=1e-12)
 
 
@@ -272,29 +299,27 @@ class TestLineCapacity:
         return f
 
     def test_one_more_component_is_refused_before_any_evaluation(self):
+        # ten unit start panels on [0, 10] at frequency 0
+        assert _line_capacity(1.0, DEFAULT) == (1 << 16) // 10
         # 20000 uniform start panels on [0, 10]: 3 components fit in 65536
         freq = 20000.0 * math.pi / 20.0
-        capacity = _line_capacity(1.0, DEFAULT, freq, even=True)
+        capacity = _line_capacity(1.0, DEFAULT, freq)
         assert capacity == 3
         calls = []
         res = integrate_line(self.components(capacity, calls), 1.0, DEFAULT,
-                             max_frequency=freq, even=True)
+                             max_frequency=freq)
         assert res.value.real == pytest.approx([math.sqrt(math.pi)] * capacity, rel=1e-12)
         calls.clear()
         with pytest.raises(QuadratureError, match="start panels exceed the limit"):
             integrate_line(self.components(capacity + 1, calls), 1.0, DEFAULT,
-                           max_frequency=freq, even=True)
+                           max_frequency=freq)
         assert calls == [1]  # the window edge only
 
     def test_counts_graded_panels(self):
         # as in TestGradedStart: grading from 1e-9 pushes one component over
         freq = 65529.5 * math.pi / 20.0
-        assert _line_capacity(1.0, DEFAULT, freq, even=True) == 1
-        assert _line_capacity(1.0, DEFAULT, freq, even=True, singularity_distance=1e-9) == 0
-
-    def test_two_sided_window_counts_both_halves(self):
-        assert _line_capacity(1.0, DEFAULT) == (1 << 16) // 20
-        assert _line_capacity(1.0, DEFAULT, even=True) == (1 << 16) // 10
+        assert _line_capacity(1.0, DEFAULT, freq) == 1
+        assert _line_capacity(1.0, DEFAULT, freq, singularity_distance=1e-9) == 0
 
 
 class TestInterval:
@@ -321,9 +346,10 @@ def test_linearity(a, b, k):
     def combined(u):
         return a * f(u) + b * g(u)
 
-    rf = integrate_line(f, 1.0, DEFAULT).value
-    rg = integrate_line(g, 1.5, DEFAULT).value
-    rc = integrate_line(combined, 1.5, DEFAULT).value
+    # u^k is odd for odd k, so this runs on the half line
+    rf = integrate_halfline(f, 1.0, DEFAULT).value
+    rg = integrate_halfline(g, 1.5, DEFAULT).value
+    rc = integrate_halfline(combined, 1.5, DEFAULT).value
     scale = max(abs(rf), abs(rg), 1.0)
     assert abs(rc - (a * rf + b * rg)) <= 1e-8 * scale
 
@@ -364,12 +390,12 @@ def test_truncation_tail_is_accounted():
 def test_non_finite_integrand_reports_abscissa():
     def f(u):
         out = np.exp(-u * u)
-        out = np.where(np.abs(u - 0.5) < 0.2, np.nan, out)
+        out = np.where(np.abs(np.abs(u) - 0.5) < 0.2, np.nan, out)
         return out
 
     with pytest.raises(NonFiniteIntegrandError) as info:
         integrate_line(f, 1.0, DEFAULT)
-    assert math.isfinite(info.value.abscissa)
+    assert 0.3 < info.value.abscissa < 0.7
 
 
 def test_budget_exhaustion_raises_with_partial_result():
@@ -391,9 +417,24 @@ def test_start_panel_limit_raises_before_any_evaluation():
         calls.append(u.size)
         return np.exp(-u * u)
 
-    # window 20 at spacing pi/12000: about 76000 start panels, over the limit
+    # half window 10 at spacing pi/24000: about 76000 start panels, over the limit
     with pytest.raises(QuadratureError, match="start panels exceed the limit"):
-        integrate_line(f, 1.0, DEFAULT, max_frequency=6000.0)
+        integrate_line(f, 1.0, DEFAULT, max_frequency=12000.0)
+    assert calls == []
+
+
+def test_overflowing_window_is_refused_before_any_evaluation():
+    # truncation_sigmas * width overflows to inf, and so would the panel count
+    calls = []
+
+    def f(u):
+        calls.append(u.size)
+        return np.exp(-u * u)
+
+    with pytest.raises(QuadratureError, match="^1 x inf start panels exceed the limit"):
+        integrate_line(f, 1e300, QuadratureSettings(truncation_sigmas=1e10))
+    with pytest.raises(QuadratureError, match="^1 x nan start panels exceed the limit"):
+        integrate_interval(f, -1e308, 1e308, DEFAULT)
     assert calls == []
 
 
@@ -404,12 +445,12 @@ def test_start_panel_limit_counts_components():
         calls.append(u.size)
         return np.array([np.exp(-u * u), np.exp(-u * u)])
 
-    # about 38000 start panels: under the limit for one component, over it for two,
-    # so only the two window edges are evaluated
+    # about 38000 start panels on [0, 10]: under the limit for one component,
+    # over it for two, so only the window edge is evaluated
     with pytest.raises(QuadratureError, match="2 x 3.82e[+]04 start panels exceed the limit"):
-        integrate_line(f, 1.0, DEFAULT, max_frequency=3000.0)
-    assert calls == [2]
-    single = integrate_line(lambda u: np.exp(-u * u), 1.0, DEFAULT, max_frequency=3000.0)
+        integrate_line(f, 1.0, DEFAULT, max_frequency=6000.0)
+    assert calls == [1]
+    single = integrate_line(lambda u: np.exp(-u * u), 1.0, DEFAULT, max_frequency=6000.0)
     assert single.value.real == pytest.approx(math.sqrt(math.pi), rel=1e-12)
 
 

@@ -492,6 +492,18 @@ class TestCli:
         assert captured.err.startswith("ConvergenceError: no convergence")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("sigmas, err", [
+        ("inf", "ValueError: truncation_sigmas must be finite and >= 6, got inf\n"),
+        # finite, but truncation_sigmas * width overflows
+        ("1e308", "QuadratureError: 1 x inf start panels exceed the limit of 65536\n"),
+    ], ids=["inf", "overflow"])
+    def test_peak_non_finite_window_prints_one_line(self, capsys, sigmas, err):
+        rc = main(["peak", "--d", "1", "--omega", "1", "--truncation-sigmas", sigmas])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == err
+
     @pytest.mark.filterwarnings("error")
     def test_peak_tiny_d_prints_one_line(self, capsys):
         rc = main(["peak", "--d", "1e-300", "--omega", "1"])
@@ -593,6 +605,25 @@ class TestConfigErrors:
         err = self.run(command, tmp_path, capsys,
                        edit=lambda cfg: cfg.update(sigma_omega={"min": 0.0, "max": 1.0, "count": 2.9}))
         assert err == "ValueError: count must be a whole number, got 2.9\n"
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_boolean_count(self, command, tmp_path, capsys):
+        err = self.run(command, tmp_path, capsys,
+                       edit=lambda cfg: cfg.update(sigma_omega={"min": 0.0, "max": 1.0, "count": True}))
+        assert err == "ValueError: count must be a whole number, got True\n"
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_boolean_subdivisions(self, command, tmp_path, capsys):
+        err = self.run(command, tmp_path, capsys,
+                       edit=lambda cfg: cfg.update(quadrature={"max_subdivisions": True}))
+        assert err == "ValueError: max_subdivisions must be a whole number, got True\n"
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_non_finite_quadrature_value(self, command, tmp_path, capsys):
+        # a literal 1e400 in the JSON file reads as inf, as does Infinity
+        err = self.run(command, tmp_path, capsys,
+                       edit=lambda cfg: cfg.update(quadrature={"truncation_sigmas": 1e400}))
+        assert err == "ValueError: truncation_sigmas must be finite and >= 6, got inf\n"
         assert not (tmp_path / "out.csv").exists()
 
     def test_fractional_max_subdivisions(self, command, tmp_path, capsys):
