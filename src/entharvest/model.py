@@ -50,7 +50,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 from scipy.special import dawsn, erfcx
 
-from .quadrature import IntegralResult, QuadratureSettings, _line_capacity, integrate_line
+from .quadrature import (IntegralResult, QuadratureError, QuadratureSettings, _line_capacity,
+                         integrate_line)
 
 __all__ = [
     "DetectorSettings",
@@ -73,7 +74,6 @@ __all__ = [
     "classify_region",
     "velocity_profile",
     "VelocityProfile",
-    "velocity_scan_grid",
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -159,10 +159,10 @@ class RegionLabel(Enum):
 class PeakResult:
     """Interior maximizer of the negativity over v, if one exists.
 
-    v_star is refined off the scan grid by Brent's method, between the scan
-    neighbours of the scan's highest interior local maximum, and n_star is
-    the negativity there. multimodal flags a scan with more than one strict
-    interior local maximum; v_star then refines the highest of them.
+    v_star maximizes the velocity scan's Chebyshev interpolant of |X|
+    between the neighbours of the scan's highest interior local maximum,
+    and n_star is negativity() there. multimodal flags a scan with more
+    than one strict interior local maximum; v_star is the highest one's.
     """
 
     v_star: float
@@ -171,7 +171,8 @@ class PeakResult:
 
 
 class VelocityProfile(NamedTuple):
-    """One velocity scan at fixed (d, omega): grid, negativities, label, peak."""
+    """One velocity scan at fixed (d, omega): its nodes v (64, or 127 or 253
+    where a peak needed more), N there, the label and the peak."""
 
     v: np.ndarray
     n: np.ndarray
@@ -541,69 +542,50 @@ def second_derivative_at_rest(det: DetectorSettings, d: float) -> float:
     return math.exp(-2.0 * g2) * bracket / (32.0 * math.pi * math.pi * d2 * d2)
 
 
-def velocity_scan_grid(n: int = 64, min_one_minus_v: float = 1e-4) -> np.ndarray:
-    """Scan grid over v, log-spaced in 1 - v so it densifies toward v = 1."""
-    if n < 3:
-        raise ValueError(f"need at least 3 scan points, got {n!r}")
-    one_minus_v = np.logspace(0.0, math.log10(min_one_minus_v), n)
-    v = 1.0 - one_minus_v
-    v[0] = 0.0
-    return v
+# The velocity scan: Chebyshev-Lobatto nodes x_j = cos(theta_j), theta_j =
+# pi j / (n - 1), in tau = log(1 - v) = log(1e-4) (1 - x) / 2, so v runs
+# from 0 to 1 - 1e-4, densest at both ends. Doubling the node intervals
+# nests: 64 -> 127 -> 253 nodes, and no more.
+_SCAN_NODES = 64
+_MAX_SCAN_NODES = 253
 
 
-def _brent_max(fun, lo: float, hi: float, xtol: float) -> tuple[float, float]:
-    """Maximize fun on [lo, hi] by Brent's method; the best point evaluated.
+def _velocity(theta):
+    """v = -expm1(tau) at x = cos(theta), tau = log(1e-4) sin^2(theta / 2);
+    + 0.0 makes theta = 0 give v = 0, not -0."""
+    return -np.expm1(math.log(1e-4) * np.sin(0.5 * theta) ** 2) + 0.0
 
-    Parabolic steps through the three best points, golden-section steps
-    when the parabola is not trusted (Brent 1973, ch. 5, with fixed
-    tol = xtol / 2). It stops once |x - m| <= 2 tol - (b - a) / 2, so x is
-    within xtol of a unimodal maximizer. Returns (x, fun(x)) as evaluated.
+
+def _chebyshev_coefficients(values: np.ndarray) -> np.ndarray:
+    """The Chebyshev series through values at the Lobatto points, from one
+    real FFT of their even extension (Trefethen, ATAP, ch. 3)."""
+    n = values.size - 1
+    coeffs = np.fft.rfft(np.concatenate([values, values[-2:0:-1]])).real / n
+    coeffs[[0, n]] *= 0.5
+    return coeffs
+
+
+def _series_max(coeffs: np.ndarray, i: int) -> float:
+    """The angle theta at which the Chebyshev series coeffs, as the cosine
+    sum f = sum_k c_k cos(k theta), peaks between the Lobatto angles
+    pi (i -+ 1) / n: Newton's method on f' from theta_i = pi i / n, kept in
+    that bracket, while f is concave; theta_i if the steps do not beat it.
     """
-    golden = 0.5 * (3.0 - math.sqrt(5.0))
-    tol = 0.5 * xtol
-    a, b = lo, hi
-    # x: best point so far, w: second best, v: the previous w
-    x = w = v = a + golden * (b - a)
-    fx = fw = fv = fun(x)
-    step = prev_step = 0.0
-    while True:
-        m = 0.5 * (a + b)
-        if abs(x - m) <= 2.0 * tol - 0.5 * (b - a):
-            return x, fx
-        p = q = r = 0.0
-        if abs(prev_step) > tol:
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, prev_step = prev_step, step
-        if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
-            step = p / q
-            if min(x + step - a, b - x - step) < 2.0 * tol:
-                step = tol if x < m else -tol
-        else:
-            prev_step = (b if x < m else a) - x
-            step = golden * prev_step
-        u = x + (step if abs(step) >= tol else (tol if step > 0.0 else -tol))
-        fu = fun(u)
-        if fu >= fx:
-            if u < x:
-                b = x
-            else:
-                a = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu >= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu >= fv or v == x or v == w:
-                v, fv = u, fu
+    n = coeffs.size - 1
+    k = np.arange(n + 1)
+    lo, hi = math.pi * (i - 1) / n, math.pi * (i + 1) / n
+    theta = theta_i = math.pi * i / n
+    kc = k * coeffs
+    for _ in range(20):
+        curvature = -float(np.dot(k * kc, np.cos(k * theta)))
+        if not curvature < 0.0:
+            break
+        step = -float(np.dot(kc, np.sin(k * theta))) / curvature
+        theta, last = min(max(theta - step, lo), hi), theta
+        if abs(theta - last) <= 1e-13:
+            break
+    f_theta, f_theta_i = np.cos(np.outer([theta, theta_i], k)) @ coeffs
+    return theta if f_theta > f_theta_i else theta_i
 
 
 def velocity_profile(
@@ -611,41 +593,55 @@ def velocity_profile(
     d: float,
     settings: QuadratureSettings | None = None,
 ) -> VelocityProfile:
-    """Scan N over v once at fixed (d, omega), then label and refine the profile.
+    """Scan N over v once at fixed (d, omega); label it and find its peak.
 
-    The scan grid densifies toward v = 1 and runs through negativity_row;
-    its highest interior local maximum above N(0) is refined by Brent's
-    method on the bracket of its two scan neighbours, one negativity() per
-    step, until v_star is within 5e-5 of the bracket's maximizer. v_star is
-    the best velocity the search evaluated and n_star its negativity() as
-    computed there. The label is `peaked` when the refined maximum still
-    beats N(0), `no-entanglement` when N vanishes on the whole scan, and
-    `monotone-decreasing` otherwise.
+    The scan is one negativity_row at the _SCAN_NODES nodes. The label is
+    `no-entanglement` if N vanishes at every node, `monotone-decreasing`
+    unless the highest interior local maximum of N beats N(0), and else
+    `peaked` if n_star does: v_star maximizes the Chebyshev interpolant of
+    |X| between that node's two neighbours, and n_star is negativity() at
+    v_star. While the interpolant's last three coefficients exceed
+    100 (rel_tol max|X| + abs_tol), the nodes double, with one more
+    negativity_row for the midpoints; a peak unresolved at _MAX_SCAN_NODES
+    raises QuadratureError. A failed node raises, the lowest-indexed first.
     """
+    if settings is None:
+        settings = QuadratureSettings()
+    v = _velocity(np.pi * np.arange(_SCAN_NODES) / (_SCAN_NODES - 1))
+    row = negativity_row(det, d, v, settings)
+    x_abs, n_vals, failures = row.x_abs, row.negativity, row.failures
+    while True:
+        if failures:
+            raise failures[min(failures)]
+        if not np.any(n_vals > 0.0):
+            return VelocityProfile(v, n_vals, RegionLabel.NO_ENTANGLEMENT, None)
+        maxima = [i for i in range(1, v.size - 1)
+                  if n_vals[i] > n_vals[i - 1] and n_vals[i] >= n_vals[i + 1]]
+        i_star = max(maxima, key=lambda i: n_vals[i], default=0)
+        # N >= 0 on the scan, so beating N(0) also means N > 0
+        if not n_vals[i_star] > n_vals[0]:
+            return VelocityProfile(v, n_vals, RegionLabel.MONOTONE_DECREASING, None)
+        coeffs = _chebyshev_coefficients(x_abs)
+        tail = float(np.max(np.abs(coeffs[-3:])))
+        bound = 100.0 * (settings.rel_tol * float(np.max(x_abs)) + settings.abs_tol)
+        if tail <= bound:
+            break
+        if v.size >= _MAX_SCAN_NODES:
+            raise QuadratureError(f"velocity profile unresolved at {v.size} nodes: "
+                                  f"tail coefficient {tail:.3e} > {bound:.3e}")
+        at = np.arange(1, v.size)  # each midpoint goes in before node j = 1, 2, ...
+        v_mid = _velocity(np.pi * (at - 0.5) / (v.size - 1))
+        mid = negativity_row(det, d, v_mid, settings)
+        v, x_abs, n_vals = (np.insert(v, at, v_mid), np.insert(x_abs, at, mid.x_abs),
+                            np.insert(n_vals, at, mid.negativity))
+        failures = {2 * j + 1: exc for j, exc in mid.failures.items()}
 
-    def n_of_v(v: float) -> float:
-        return negativity(det, EncounterGeometry(d, v), settings).negativity
-
-    v_grid = velocity_scan_grid()
-    row = negativity_row(det, d, v_grid, settings)
-    if row.failures:
-        raise row.failures[min(row.failures)]
-    n_vals = row.negativity
-    if not np.any(n_vals > 0.0):
-        return VelocityProfile(v_grid, n_vals, RegionLabel.NO_ENTANGLEMENT, None)
-
-    interior = range(1, v_grid.size - 1)
-    maxima = [i for i in interior if n_vals[i] > n_vals[i - 1] and n_vals[i] >= n_vals[i + 1]]
-    i_star = max(maxima, key=lambda i: n_vals[i], default=0)
-    # N >= 0 on the scan, so beating N(0) also means N > 0
-    if n_vals[i_star] > n_vals[0]:
-        v_star, n_star = _brent_max(
-            n_of_v, float(v_grid[i_star - 1]), float(v_grid[i_star + 1]), 5e-5
-        )
-        if n_star > n_vals[0]:
-            peak = PeakResult(v_star, n_star, multimodal=len(maxima) > 1)
-            return VelocityProfile(v_grid, n_vals, RegionLabel.PEAKED, peak)
-    return VelocityProfile(v_grid, n_vals, RegionLabel.MONOTONE_DECREASING, None)
+    v_star = float(_velocity(_series_max(coeffs, i_star)))
+    n_star = negativity(det, EncounterGeometry(d, v_star), settings).negativity
+    if n_star > n_vals[0]:
+        peak = PeakResult(v_star, n_star, multimodal=len(maxima) > 1)
+        return VelocityProfile(v, n_vals, RegionLabel.PEAKED, peak)
+    return VelocityProfile(v, n_vals, RegionLabel.MONOTONE_DECREASING, None)
 
 
 def find_peak_velocity(

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,9 +25,9 @@ from entharvest.model import (
     static_x_abs,
     transition_probability,
     velocity_profile,
-    velocity_scan_grid,
 )
 from entharvest.quadrature import QuadratureSettings
+from entharvest.sweep import GridSpec, run_region_scan
 
 QUAD = QuadratureSettings()
 ONE_OVER_4PI = 1.0 / (4.0 * math.pi)
@@ -260,7 +264,7 @@ class TestNegativityAssembly:
         assert q.m == pytest.approx(abs(q.x) - q.p, abs=1e-15)
 
     def test_degenerate_gap_never_entangles_far(self):
-        for v in velocity_scan_grid(50):
+        for v in velocity_profile(det(omega=0.0), 2.0, QUAD).v:
             q = negativity(det(omega=0.0), EncounterGeometry(d=2.0, v=float(v)), QUAD)
             assert q.negativity == 0.0
 
@@ -440,7 +444,7 @@ class TestNegativityRowContract:
                 == self.bits(q.p, q.x.real, q.x.imag, q.m, q.negativity, q.x_error_estimate)
 
     def test_velocity_profile_raises_the_lowest_index_failure(self, monkeypatch):
-        grid = velocity_scan_grid().tolist()
+        grid = velocity_profile(det(omega=1.0), 1.0, QUAD).v.tolist()
         bad = (40, 5, 63)
         real = model._x_integrals
 
@@ -451,7 +455,7 @@ class TestNegativityRowContract:
             return real(d, vs, gaps, settings)
 
         monkeypatch.setattr(model, "_x_integrals", broken)
-        row = negativity_row(det(omega=1.0), 1.0, velocity_scan_grid(), QUAD)
+        row = negativity_row(det(omega=1.0), 1.0, grid, QUAD)
         assert sorted(row.failures) == sorted(bad)
         with pytest.raises(ValueError, match="^broken at 5$"):
             velocity_profile(det(omega=1.0), 1.0, QUAD)
@@ -525,41 +529,53 @@ class TestPeakSearch:
         assert find_peak_velocity(det(omega=0.0), 2.0, QUAD) is None
 
 
-class TestBrentMax:
-    CASES = {
-        # asymmetric smooth peak at 1/sqrt(2)
-        "smooth": (lambda x: x * math.exp(-x * x), 0.3, 1.5, math.sqrt(0.5)),
-        # zero beyond 0.4 +- 0.141, like N reaching extinction in the bracket
-        "clipped": (lambda x: max(1.0 - 50.0 * (x - 0.4) ** 2, 0.0), 0.25, 0.7, 0.4),
-        "clipped-wide": (lambda x: max(1.0 - 50.0 * (x - 0.4) ** 2, 0.0), 0.2, 1.0, 0.4),
-        # rises across the whole bracket: the maximizer is its right end
-        "rising": (lambda x: 1.0 - (1.0 - x) ** 2, 0.2, 0.9, 0.9),
-    }
+class TestVelocityProfile:
+    @pytest.mark.parametrize("d, gap", [(0.25, 0.8), (0.5, 0.75), (0.75, 0.8), (2.0, 0.85)])
+    def test_slow_closed_form_peak_is_peaked(self, d, gap):
+        # N(0) > 0 and |X|^2 grows with v^2 at rest: the closed forms prove
+        # an interior peak, which here sits below v = 0.1
+        assert static_negativity(det(omega=gap), d) > 0.0
+        assert second_derivative_at_rest(det(omega=gap), d) > 0.0
+        profile = velocity_profile(det(omega=gap), d, QUAD)
+        assert profile.label is RegionLabel.PEAKED and profile.peak.v_star < 0.1
 
-    @staticmethod
-    def search(fun, lo, hi):
-        calls = []
+    @pytest.mark.parametrize("d, gap, nodes", [(1.0, 1.0, 64), (0.25, 1.25, 127), (0.1, 1.5, 253)])
+    def test_v_star_is_a_converged_maximizer(self, d, gap, nodes):
+        from scipy.optimize import minimize_scalar
 
-        def counted(x):
-            calls.append(x)
-            return fun(x)
+        profile = velocity_profile(det(omega=gap), d, QUAD)
+        assert profile.v.size == nodes
+        v_star = profile.peak.v_star
+        best = minimize_scalar(
+            lambda v: -negativity(det(omega=gap), EncounterGeometry(d, v), QUAD).negativity,
+            bounds=(v_star - 0.01, v_star + 0.01), method="bounded", options={"xatol": 1e-12})
+        assert abs(v_star - best.x) <= 5e-5
 
-        x, fx = model._brent_max(counted, lo, hi, 5e-5)
-        return x, fx, calls
+    def test_refined_nodes_nest(self):
+        coarse = velocity_profile(det(omega=1.0), 1.0, QUAD)
+        fine = velocity_profile(det(omega=1.25), 0.25, QUAD)
+        assert fine.v.size == 2 * coarse.v.size - 1
+        assert fine.v[0::2].tolist() == coarse.v.tolist()
+        assert np.all(np.diff(fine.v) > 0.0)
+        assert fine.v[0] == 0.0 and fine.v[-1] == pytest.approx(1.0 - 1e-4, rel=1e-12)
 
-    @pytest.mark.parametrize("case", sorted(CASES))
-    def test_finds_the_maximizer_among_its_evaluations(self, case):
-        fun, lo, hi, x_true = self.CASES[case]
-        x, fx, calls = self.search(fun, lo, hi)
-        assert abs(x - x_true) <= 5e-5
-        assert fx == fun(x)
-        assert x in calls
-        assert fx == max(fun(t) for t in calls)
-        assert all(lo <= t <= hi for t in calls)
+    def test_unresolved_profile_fails_for_its_own_point(self, monkeypatch):
+        monkeypatch.setattr(model, "_MAX_SCAN_NODES", 64)
+        with pytest.raises(quadrature.QuadratureError, match="unresolved at 64 nodes"):
+            velocity_profile(det(omega=1.25), 0.25, QUAD)
+        rows = run_region_scan(GridSpec(0.25, 1.0, 2), GridSpec(1.25, 1.25, 1), QUAD)
+        assert rows[0].region is None
+        assert rows[0].error.startswith("QuadratureError: velocity profile unresolved at 64 nodes")
+        assert rows[1].region is RegionLabel.PEAKED and rows[1].error == ""
 
-    def test_smooth_peak_is_cheap(self):
-        fun, lo, hi, _ = self.CASES["smooth"]
-        assert len(self.search(fun, lo, hi)[2]) <= 12
+    def test_never_imports_scipy_optimize(self):
+        src = str(Path(model.__file__).resolve().parents[1])
+        code = ("import sys, entharvest\n"
+                "entharvest.velocity_profile(entharvest.DetectorSettings(1.0, 1.0), 1.0)\n"
+                "sys.exit('scipy.optimize' in sys.modules)\n")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                       check=True, timeout=120)
 
 
 class TestRegionClassification:
@@ -583,7 +599,7 @@ class TestRegionClassification:
         assert classify_region(det(omega=omega), d, QUAD) is label
         assert find_peak_velocity(det(omega=omega), d, QUAD) == profile.peak
         assert (profile.peak is not None) == (label is RegionLabel.PEAKED)
-        assert profile.v.tolist() == velocity_scan_grid(64).tolist()
+        assert profile.v.size == 64 and profile.v[0] == 0.0
         assert profile.n.shape == profile.v.shape
 
 
