@@ -31,13 +31,13 @@ a NegativityRow of arrays, one per quantity, at every v of a row at fixed
 (d, omega), with NaN at any v that fails and that v's exception in its
 failures map; no object is built per velocity. It is the one-gap case of
 _negativity_rows(), which a sweep calls for several gaps at once: X is
-integrated for a block of gaps of one octave of start-panel density and a
-batch of velocities at once, in proper time s = u sqrt(1 - v^2), where the
-phase is cos(gap s) at every velocity: the cosine is evaluated once per
-(gap, node), the rest of the integrand once per (velocity, node), and each
-(gap, v) costs two multiplies per node. negativity() and correlation_x()
-are views of a one-gap row of one velocity that raise that velocity's
-failure.
+integrated for a block of gaps (all of them up to pi, or one octave of
+start-panel density above pi) and a batch of velocities at once, in
+proper time s = u sqrt(1 - v^2), where the phase is cos(gap s) at every
+velocity: the cosine is evaluated once per (gap, node), the rest of the
+integrand once per (velocity, node), and each (gap, v) costs two
+multiplies per node. negativity() and correlation_x() are views of a
+one-gap row of one velocity that raise that velocity's failure.
 """
 
 from __future__ import annotations
@@ -208,13 +208,6 @@ def transition_probability(det: DetectorSettings) -> float:
 # scan in a few batches of neighbouring velocities.
 _X_BATCH = 16
 
-# Gaps per X integral. The start panels are sized by a block's largest
-# gap, so a block holds gaps of one octave of start-panel density; the cap
-# bounds how many gaps are evaluated where only the largest needs it. On a
-# 12^3 sweep a cap of 4 puts 144 integrals into 48 for 13% more integrand
-# values, and every octave there fits in one block.
-_GAP_BLOCK = 4
-
 
 def _x_start(d: float, vs, gaps) -> tuple[float, float, float]:
     """integrate_line's start-panel arguments for X at the velocities vs and
@@ -271,9 +264,9 @@ def _x_integrand(d: float, vs, gaps):
 
 
 def _x_integrals(d: float, vs, gaps, settings: QuadratureSettings) -> tuple[np.ndarray, np.ndarray]:
-    """X and its error estimate at up to _X_BATCH velocities and a few gaps
-    from one integral, in sigma = 1 units: a complex and a float array of
-    shape gaps.shape + (len(vs),), so a float gap gives arrays like vs.
+    """X and its error estimate at up to _X_BATCH velocities and a block of
+    gaps from one integral, in sigma = 1 units: a complex and a float array
+    of shape gaps.shape + (len(vs),), so a float gap gives arrays like vs.
 
     X is integrated in proper time s = u sqrt(1 - v^2) = u / gamma. There
     the phase cos(f u), f = gap sqrt(1-v^2), is cos(gap s) at every
@@ -323,15 +316,20 @@ def _x_integrals(d: float, vs, gaps, settings: QuadratureSettings) -> tuple[np.n
 
 
 def _gap_runs(gaps) -> list[slice]:
-    """Slices of the runs of neighbouring gaps in one octave of start-panel
-    density.
+    """Slices of the runs of neighbouring gaps that may share an X integral:
+    every gap up to pi, then one octave of start-panel density each.
 
     In s the start width is min(W, pi / (2 gap)), W = 2 at v = 0 (see
-    _x_start), which is W min(1, pi / (4 gap)), so an ascending gap axis,
-    as a sweep's is, has one run per octave. An X integral holds gaps of one run only, so a run's rows
-    do not depend on the gaps beside it.
+    _x_start), which is W min(1, pi / (4 gap)): the envelope sets it up to
+    gap pi / 4, and at gap pi it is a quarter of that. An extra gap costs
+    an X integral two multiplies per (v, node), while the per-velocity part
+    of the integrand and the integral's fixed cost are paid once per block,
+    so the gaps up to pi share one run, on at most 4 times the
+    envelope-limited start panels; above pi, an ascending gap axis, as a
+    sweep's is, has one run per octave. An X integral holds gaps of one run
+    only, so a run's rows do not depend on the gaps beside it.
     """
-    octave = np.ceil(np.log2(np.maximum(1.0, (4.0 / math.pi) * np.asarray(gaps, dtype=float))))
+    octave = np.ceil(np.log2(np.maximum(4.0, (4.0 / math.pi) * np.asarray(gaps, dtype=float))))
     edges = [0, *(np.flatnonzero(np.diff(octave)) + 1).tolist(), octave.size]
     return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
@@ -339,11 +337,10 @@ def _gap_runs(gaps) -> list[slice]:
 def _gap_blocks(d: float, batch, gaps: np.ndarray, settings: QuadratureSettings) -> list[slice]:
     """Slices of gaps, each for one X integral at the velocities of batch.
 
-    Each run of _gap_runs is cut into blocks of at most _GAP_BLOCK gaps and
-    at most as many as fit within integrate_line's start-panel limit beside
-    the run's largest gap. A gap over the limit alone is a block of its
-    own; integrate_line refuses it, and its row falls back to single
-    velocities.
+    Each run of _gap_runs is cut into blocks of as many gaps as fit within
+    integrate_line's start-panel limit beside the run's largest gap. A gap
+    over the limit alone is a block of its own; integrate_line refuses it,
+    and its row falls back to single velocities.
     """
     if gaps.size == 1:  # a lone gap is its own block, whatever its start panels
         return [slice(0, 1)]
@@ -351,7 +348,7 @@ def _gap_blocks(d: float, batch, gaps: np.ndarray, settings: QuadratureSettings)
     for run in _gap_runs(gaps):
         width, max_frequency, s_b = _x_start(d, batch, gaps[run])
         fit = _line_capacity(width, settings, max_frequency, singularity_distance=s_b)
-        size = max(1, min(_GAP_BLOCK, fit // (2 * len(batch))))
+        size = max(1, fit // (2 * len(batch)))
         blocks += [slice(j, min(j + size, run.stop)) for j in range(run.start, run.stop, size)]
     return blocks
 

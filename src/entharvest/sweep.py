@@ -6,11 +6,12 @@ each row is written as one CSV line whose cells are formatted by type.
 Rows are NamedTuples whose fields are the CSV columns, so `_asdict()` and
 `_replace()` work on them. A sweep hands each d to one task with the
 whole omega and v axes, or, with fewer d than workers, each d and run of
-omegas in one octave of X's start-panel density; the task evaluates X in
-blocks of its gaps times batches over v and builds its rows from the row
-arrays. A region scan hands over one (d, omega) point per task. Tasks may
-run across a process pool, but no row depends on the pool or on the task
-it is in, and results keep their row-major order, so output is
+omegas that may share an X integral (every omega up to pi, then one octave
+of X's start-panel density each); the task evaluates X in blocks of its
+gaps times batches over v and builds its rows from the row arrays. A
+region scan hands over one (d, omega) point per task. Tasks may run
+across a process pool, but no row depends on the pool or on the task it
+is in, and results keep their row-major order, so output is
 byte-identical for any worker count. Per-point failures of any kind are
 recorded in the error column instead of aborting the grid.
 """
@@ -244,9 +245,11 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRow]:
     """Evaluate every grid tuple in row-major (d, omega, v) order.
 
     One task per d, or, with fewer d than workers, per d and run of omegas
-    in one octave (model._gap_runs), so that a sweep at a few d still fills
-    the pool. No X integral spans two runs, so a run's rows are the ones the
-    whole omega axis gets at that d, and the bytes are the same either way.
+    (model._gap_runs: every omega up to pi, then one octave each), so that a
+    sweep at a few d still fills the pool when its omegas reach past pi; one
+    d whose omegas are all up to pi is one task, and runs serially. No X
+    integral spans two runs, so a run's rows are the ones the whole omega
+    axis gets at that d, and the bytes are the same either way.
     """
     gaps = spec.sigma_omega.points()
     whole = spec.d_over_sigma.count >= workers

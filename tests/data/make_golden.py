@@ -10,9 +10,11 @@ with N = 0 (every v at d = 4 without a gap, and the fastest v at gap
 2.5); the subset case writes some of its columns in another order; the
 failing case exhausts the subdivision budget at some points of a
 velocity batch, so those rows carry NaN cells and error text next to
-rows that converged. Each gap of those three cases lies in an octave of
-start-panel density of its own, so every X integral there is a one-gap
-block. The block case puts four gaps in one octave, so each of its X
+rows that converged. In the two sweep cases gaps 0 and 2.5 share a run
+of model._gap_runs (every gap up to pi), so each of their X integrals
+there is a two-gap block on start panels sized for 2.5, and gap 5 is a
+one-gap block; the failing case's gaps 0 and 4 are one-gap blocks. The
+block case puts four gaps up to pi in one run, so each of its X
 integrals is a block of four gaps on start panels sized for the largest.
 X is integrated in proper time s (model._x_integrals), so the abscissa
 that a failing row's error text names is an s value. Any change to how X

@@ -203,7 +203,7 @@ class TestProperTime:
     @pytest.mark.parametrize("batch", [[0.0, 0.5, 0.9], [0.3, 0.6, 0.99, 1.0 - 1e-9]])
     def test_block_capacity_counts_the_start_panels_integrate_line_builds(
             self, monkeypatch, gaps, batch):
-        gaps = np.array(gaps)  # one octave, so one run and one _line_capacity call
+        gaps = np.array(gaps)  # all up to pi, so one run and one _line_capacity call
         capacities, panels = [], []
         real_capacity, real_adaptive = model._line_capacity, quadrature._adaptive
 
@@ -302,7 +302,7 @@ class TestNegativityRow:
 
 
 class TestGapBlocks:
-    """_negativity_rows integrates a block of gaps of one octave at once."""
+    """_negativity_rows integrates a block of gaps of one run at once."""
 
     VS = [0.0, 0.9, 1.0 - 1e-6, 1.0 - 1e-9]
 
@@ -338,19 +338,42 @@ class TestGapBlocks:
         monkeypatch.setattr(model, "integrate_line", recording)
         return calls
 
-    def test_blocks_agree_with_one_gap_rows(self, monkeypatch):
-        # four octaves of start-panel density: {0, 0.5}, {1, 1.5}, {2.5, 3}, {6}
-        gaps = [0.0, 0.5, 1.0, 1.5, 2.5, 3.0, 6.0]
+    def assert_blocks_agree_with_one_gap_rows(self, monkeypatch, gaps, vs, components):
         calls = self.recorded(monkeypatch)
-        rows = self.rows(gaps, self.VS)
-        assert calls == [2 * 2 * len(self.VS)] * 3 + [2 * len(self.VS)]
+        rows = self.rows(gaps, vs)
+        assert calls == components
         for gap, row in zip(gaps, rows):
-            alone = negativity_row(det(omega=gap), 1.0, self.VS, QUAD)
+            alone = negativity_row(det(omega=gap), 1.0, vs, QUAD)
             assert not row.failures and row.p == alone.p
             assert (np.abs(row.x - alone.x) <= row.x_error_estimate + alone.x_error_estimate).all()
 
+    def test_blocks_agree_with_one_gap_rows(self, monkeypatch):
+        # two runs: the six gaps up to pi, and {6} in the octave (pi, 2 pi]
+        gaps = [0.0, 0.5, 1.0, 1.5, 2.5, 3.0, 6.0]
+        self.assert_blocks_agree_with_one_gap_rows(
+            monkeypatch, gaps, self.VS, [2 * 6 * len(self.VS), 2 * len(self.VS)])
+
+    def test_one_block_from_gap_0_to_pi_agrees_with_one_gap_rows(self, monkeypatch):
+        # every gap on start panels sized for pi, 4 times the envelope-limited count
+        gaps = np.linspace(0.0, math.pi, 9).tolist()
+        vs = [0.0, 0.3, 0.9, 0.99, 1.0 - 1e-6, 1.0 - 1e-9]
+        self.assert_blocks_agree_with_one_gap_rows(monkeypatch, gaps, vs, [2 * len(gaps) * len(vs)])
+
+    def test_a_gap_scan_to_4_takes_two_x_integrals(self, monkeypatch):
+        # one block for the 9 gaps up to pi and one for the 3 above it
+        calls = self.recorded(monkeypatch)
+        self.rows(np.linspace(0.0, 4.0, 12), np.linspace(0.0, 0.99, 12))
+        assert calls == [2 * 9 * 12, 2 * 3 * 12]
+
+    def test_gaps_above_pi_keep_their_octave_runs(self):
+        # above pi a run is one octave of start-panel density: the gaps up
+        # to 16 pi (30 to 49.1) and those above it (51.8 to 60)
+        assert [(run.start, run.stop) for run in model._gap_runs(np.linspace(30.0, 60.0, 12))] \
+            == [(0, 8), (8, 12)]
+
     def test_a_failure_stays_with_its_gap_and_v(self, monkeypatch):
-        gaps, vs = [0.0, 0.3, 0.6, 1.5, 3.0], [0.0, 0.5, 0.9]
+        # two runs: {0, 0.3, 0.6} up to pi and {4, 6} in the octave (pi, 2 pi]
+        gaps, vs = [0.0, 0.3, 0.6, 4.0, 6.0], [0.0, 0.5, 0.9]
         bad_gap, bad_v = 0.3, 0.5
         clean = self.rows(gaps, vs)
         real = model._x_integrals
@@ -372,7 +395,7 @@ class TestGapBlocks:
             for i in range(len(vs)):
                 if (j, i) != (1, 1):
                     assert self.bits(rows[j], i) == self.bits(alone, i)
-        # the other blocks are untouched
+        # the other block is untouched
         for j in (3, 4):
             assert [self.bits(rows[j], i) for i in range(len(vs))] \
                 == [self.bits(clean[j], i) for i in range(len(vs))]

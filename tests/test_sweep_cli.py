@@ -208,7 +208,7 @@ class TestRowBatches:
             assert row.p == q.p
 
     def test_gap_blocks_match_single_points_and_across_workers(self):
-        # gaps 1.6, 2.35 and 3.1 share an octave: one X integral per d and v
+        # gaps 1.6, 2.35 and 3.1 share a run: one X integral per d and v
         # batch, on start panels sized for 3.1
         spec = SweepSpec(GridSpec(0.5, 2.0, 2), GridSpec(1.6, 3.1, 3),
                          GridSpec(0.0, 1.0 - 1e-9, 5, "lightspeed"))
@@ -220,13 +220,13 @@ class TestRowBatches:
             assert row.p == q.p
 
     def test_octave_runs_match_the_whole_gap_axis(self):
-        # gaps 0-4 fall in four octaves, {0, 0.36, 0.73} ... {3.27, 3.64, 4},
-        # each its own task at one d and two workers; the rows are those of
-        # one task with every gap
+        # gaps 0-4 fall in two runs, {0, 0.36, ..., 2.91} up to pi and
+        # {3.27, 3.64, 4}, each its own task at one d and two workers; the
+        # rows are those of one task with every gap
         spec = SweepSpec(GridSpec(1.0, 1.0, 1), GridSpec(0.0, 4.0, 12),
                          GridSpec(0.0, 1.0 - 1e-9, 5, "lightspeed"))
         assert [(run.start, run.stop) for run in model._gap_runs(spec.sigma_omega.points())] \
-            == [(0, 3), (3, 5), (5, 9), (9, 12)]
+            == [(0, 9), (9, 12)]
         whole = sweep_mod._sweep_task((1.0, spec.sigma_omega.points().tolist(),
                                        spec.v.points().tolist(), spec.quad))
         buf = io.StringIO()
@@ -336,8 +336,9 @@ class TestWorkers:
         assert pool_sizes == [2]
 
     def test_one_d_fills_the_pool(self, pool_sizes):
-        # fewer d than workers: one task per d and octave of gaps, here two
-        spec = SweepSpec(GridSpec(1.0, 1.0, 1), GridSpec(0.0, 1.0, 2), GridSpec(0.0, 0.5, 2))
+        # fewer d than workers: one task per d and run of gaps, here two,
+        # since gap 4 is above pi
+        spec = SweepSpec(GridSpec(1.0, 1.0, 1), GridSpec(0.0, 4.0, 2), GridSpec(0.0, 0.5, 2))
         assert sweep_text(spec, workers=8) == sweep_text(spec)
         assert pool_sizes == [2]
 
