@@ -30,12 +30,12 @@ negativity_row() is the one path from X integrals to P, X, |X|, M and N:
 a NegativityRow of arrays, one per quantity, at every v of a row at fixed
 (d, omega), with NaN at any v that fails and that v's exception in its
 failures map; no object is built per velocity. It is the one-gap case of
-_negativity_rows(), which a sweep calls for several gaps at once: X is
-integrated for a block of gaps (all of them up to pi, or one octave of
-start-panel density above pi) and a batch of velocities at once, in
-proper time s = u sqrt(1 - v^2), where the phase is cos(gap s) at every
-velocity: the cosine is evaluated once per (gap, node), the rest of the
-integrand once per (velocity, node), and each (gap, v) costs two
+_negativity_rows(), which a sweep or region task calls for several gaps
+at once: X is integrated for a block of gaps (all of them up to pi, or
+one octave of start-panel density above pi) and a batch of velocities at
+once, in proper time s = u sqrt(1 - v^2), where the phase is cos(gap s)
+at every velocity: the cosine is evaluated once per (gap, node), the rest
+of the integrand once per (velocity, node), and each (gap, v) costs two
 multiplies per node. negativity() and correlation_x() are views of a
 one-gap row of one velocity that raise that velocity's failure.
 """
@@ -585,6 +585,11 @@ def _series_max(coeffs: np.ndarray, i: int) -> float:
     return theta if f_theta > f_theta_i else theta_i
 
 
+def _scan_velocities() -> np.ndarray:
+    """The _SCAN_NODES velocities of an unrefined velocity scan, from 0 up."""
+    return _velocity(np.pi * np.arange(_SCAN_NODES) / (_SCAN_NODES - 1))
+
+
 def velocity_profile(
     det: DetectorSettings,
     d: float,
@@ -604,8 +609,17 @@ def velocity_profile(
     """
     if settings is None:
         settings = QuadratureSettings()
-    v = _velocity(np.pi * np.arange(_SCAN_NODES) / (_SCAN_NODES - 1))
-    row = negativity_row(det, d, v, settings)
+    return _profile(det, d, negativity_row(det, d, _scan_velocities(), settings), settings)
+
+
+def _profile(det: DetectorSettings, d: float, row: NegativityRow,
+             settings: QuadratureSettings) -> VelocityProfile:
+    """velocity_profile from its scan row at the _scan_velocities() nodes:
+    the label, any refinement and the peak, as velocity_profile describes.
+
+    A region task hands each gap's row of one _negativity_rows scan here.
+    """
+    v = _scan_velocities()
     x_abs, n_vals, failures = row.x_abs, row.negativity, row.failures
     while True:
         if failures:

@@ -4,21 +4,22 @@ Both grid jobs share one pipeline: a JSON config gives the axes and the
 quadrature block, every axis tuple is evaluated in row-major order, and
 each row is written as one CSV line whose cells are formatted by type.
 Rows are NamedTuples whose fields are the CSV columns, so `_asdict()` and
-`_replace()` work on them. A sweep hands each d to one task with the
-whole omega and v axes, or, with fewer d than workers, each d and run of
-omegas that may share an X integral (every omega up to pi, then one octave
-of X's start-panel density each); the task evaluates X in blocks of its
-gaps times batches over v and builds its rows from the row arrays. A
-region scan hands over one (d, omega) point per task. Tasks may run
-across a process pool, but no row depends on the pool or on the task it
-is in, and results keep their row-major order, so output is
+`_replace()` work on them. Both jobs hand each d to one task with the
+whole omega axis, or, with fewer d than workers, each d and run of omegas
+that may share an X integral (every omega up to pi, then one octave of
+X's start-panel density each); a d whose omegas are all up to pi is then
+one task, and runs serially. The task evaluates X in blocks of its gaps
+times batches over v: a sweep task at the v axis, building its rows from
+the row arrays, and a region task at the 64 nodes of one velocity scan,
+labelling each omega from its row as model.velocity_profile does. Tasks
+may run across a process pool, but no row depends on the pool or on the
+task it is in, and results keep their row-major order, so output is
 byte-identical for any worker count. Per-point failures of any kind are
 recorded in the error column instead of aborting the grid.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -32,12 +33,13 @@ from .model import (
     RegionLabel,
     _gap_runs,
     _negativity_rows,
+    _profile,
+    _scan_velocities,
     # not called here: perfbench's tracer wraps these three names on this module
     classify_region,
     find_peak_velocity,
     negativity,
     spacelike_min_distance,
-    velocity_profile,
 )
 from .quadrature import QuadratureSettings, _whole_number
 
@@ -219,44 +221,60 @@ def _sweep_task(args: tuple[float, list[float], list[float], QuadratureSettings]
     return rows
 
 
-def _region_point(args: tuple[float, float, QuadratureSettings]) -> RegionRow:
-    d, so, quad = args
+def _region_task(args: tuple[float, list[float], QuadratureSettings]) -> list[RegionRow]:
+    """The rows of every omega at one d, each labelled from its gap's row of
+    one velocity scan, X in blocks over the gaps and batches over v."""
+    d, gaps, quad = args
+    dets = [DetectorSettings(1.0, so) for so in gaps]
     try:
-        profile = velocity_profile(DetectorSettings(1.0, so), d, quad)
+        scans = _negativity_rows(dets, d, _scan_velocities(), quad)
     except Exception as exc:  # any per-point failure is recorded, never raised
-        return RegionRow(d, so, error=_error_text(exc))
-    if profile.peak is None:
-        return RegionRow(d, so, profile.label)
-    return RegionRow(d, so, profile.label, profile.peak.v_star, profile.peak.n_star)
+        return [RegionRow(d, so, error=_error_text(exc)) for so in gaps]
+    rows = []
+    for so, det, scan in zip(gaps, dets, scans):
+        try:
+            profile = _profile(det, d, scan, quad)
+        except Exception as exc:
+            rows.append(RegionRow(d, so, error=_error_text(exc)))
+            continue
+        peak = profile.peak
+        rows.append(RegionRow(d, so, profile.label) if peak is None else
+                    RegionRow(d, so, profile.label, peak.v_star, peak.n_star))
+    return rows
 
 
 def _run_grid(task: Callable, tasks: list, workers: int) -> list:
-    """task(t) for every t in tasks, in order."""
+    """The rows of task(t) for every t in tasks, in order."""
     # the pool forks all of its workers at the first submit
     workers = min(workers, len(tasks))
     if workers <= 1:
-        return [task(t) for t in tasks]
+        return [row for t in tasks for row in task(t)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         chunk = max(1, len(tasks) // (workers * 8))
-        return list(pool.map(task, tasks, chunksize=chunk))
+        return [row for rows in pool.map(task, tasks, chunksize=chunk) for row in rows]
+
+
+def _grid_tasks(d_grid: GridSpec, omega_grid: GridSpec, workers: int, *rest) -> list[tuple]:
+    """(d, omegas, *rest) per task: one task per d, or, with fewer d than
+    workers, per d and run of omegas (model._gap_runs: every omega up to pi,
+    then one octave each), so that a grid at a few d still fills the pool
+    when its omegas reach past pi; one d whose omegas are all up to pi is
+    one task, and runs serially. No X integral spans two runs, so a run's
+    rows are the ones the whole omega axis gets at that d, and the bytes are
+    the same either way.
+    """
+    gaps = omega_grid.points()
+    whole = d_grid.count >= workers
+    runs = [gaps.tolist()] if whole else [gaps[run].tolist() for run in _gap_runs(gaps)]
+    return [(d, run, *rest) for d in d_grid.points().tolist() for run in runs]
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRow]:
-    """Evaluate every grid tuple in row-major (d, omega, v) order.
-
-    One task per d, or, with fewer d than workers, per d and run of omegas
-    (model._gap_runs: every omega up to pi, then one octave each), so that a
-    sweep at a few d still fills the pool when its omegas reach past pi; one
-    d whose omegas are all up to pi is one task, and runs serially. No X
-    integral spans two runs, so a run's rows are the ones the whole omega
-    axis gets at that d, and the bytes are the same either way.
-    """
-    gaps = spec.sigma_omega.points()
-    whole = spec.d_over_sigma.count >= workers
-    runs = [gaps.tolist()] if whole else [gaps[run].tolist() for run in _gap_runs(gaps)]
+    """Evaluate every grid tuple in row-major (d, omega, v) order, in the
+    tasks that _grid_tasks gives."""
     vs = spec.v.points().tolist()
-    tasks = [(d, run, vs, spec.quad) for d in spec.d_over_sigma.points().tolist() for run in runs]
-    return [row for rows in _run_grid(_sweep_task, tasks, workers) for row in rows]
+    tasks = _grid_tasks(spec.d_over_sigma, spec.sigma_omega, workers, vs, spec.quad)
+    return _run_grid(_sweep_task, tasks, workers)
 
 
 def run_region_scan(
@@ -265,12 +283,17 @@ def run_region_scan(
     settings: QuadratureSettings | None = None,
     workers: int = 1,
 ) -> list[RegionRow]:
-    """Classify every (d, omega) grid point; failures flagged per point."""
+    """Classify every (d, omega) grid point in row-major order; failures
+    flagged per point.
+
+    Tasks are a sweep's (_grid_tasks). A task scans its omegas at the 64
+    velocities of model.velocity_profile in one _negativity_rows call and
+    labels each omega from its row as velocity_profile does, refining that
+    omega alone where its peak needs more nodes.
+    """
     _check_axes(d_grid, omega_grid)
     quad = settings if settings is not None else QuadratureSettings()
-    tasks = [(d, so, quad) for d, so in
-             itertools.product(d_grid.points().tolist(), omega_grid.points().tolist())]
-    return _run_grid(_region_point, tasks, workers)
+    return _run_grid(_region_task, _grid_tasks(d_grid, omega_grid, workers, quad), workers)
 
 
 def _cell(value) -> str:

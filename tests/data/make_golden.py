@@ -20,10 +20,11 @@ X is integrated in proper time s (model._x_integrals), so the abscissa
 that a failing row's error text names is an s value. Any change to how X
 is integrated moves the last digits of the x_* cells; rerun this script
 then, and compare the old and new cells against rel_tol |X| + abs_tol.
-The region case labels each point from its velocity profile
-(model.velocity_profile); a change to how a profile finds its peak moves
-only the v_star and n_star cells of the peaked rows, and should leave
-every label and every other file as it was.
+The region case scans both gaps at one d in one block of X integrals
+and labels each point from its gap's row as model.velocity_profile does;
+a change to how a profile finds its peak moves only the v_star and n_star
+cells of the peaked rows, and should leave every label and every other
+file as it was.
 """
 
 from __future__ import annotations

@@ -401,25 +401,88 @@ class TestRegionScan:
 
     def test_any_exception_becomes_an_error_row(self, monkeypatch):
         def broken(*args, **kwargs):
-            raise ValueError("bad\nprofile")
+            raise ValueError("bad\nscan")
 
-        monkeypatch.setattr(sweep_mod, "velocity_profile", broken)
-        row = sweep_mod._region_point((1.0, 1.0, QuadratureSettings()))
-        assert row.region is None
-        assert row.error == "ValueError: bad\nprofile"
+        task = (1.0, [0.0, 1.0, 2.0], QuadratureSettings())
+        monkeypatch.setattr(sweep_mod, "_negativity_rows", broken)
+        rows = sweep_mod._region_task(task)
+        assert [(row.sigma_omega, row.region, row.error) for row in rows] \
+            == [(so, None, "ValueError: bad\nscan") for so in task[1]]
+        monkeypatch.undo()
+
+        real = sweep_mod._profile
+
+        def broken_at_one(det, *args):
+            if det.gap == 1.0:
+                raise ValueError("bad\nprofile")
+            return real(det, *args)
+
+        monkeypatch.setattr(sweep_mod, "_profile", broken_at_one)
+        rows = sweep_mod._region_task(task)
+        assert [row.error for row in rows] == ["", "ValueError: bad\nprofile", ""]
+        assert rows[1].region is None and rows[2].region is RegionLabel.PEAKED
 
     def test_peaked_point_costs_one_scan_and_one_negativity(self, monkeypatch):
-        velocities = []
+        # the three gaps share one velocity scan, X in 3-gap blocks; each
+        # peak adds one single-velocity negativity at v_star
+        calls = []
         real = model._x_integrals
 
         def counted(d, vs, gaps, settings):
-            velocities.extend(vs)
+            calls.append((np.size(gaps), len(vs)))
             return real(d, vs, gaps, settings)
 
         monkeypatch.setattr(model, "_x_integrals", counted)
-        row = sweep_mod._region_point((1.0, 2.0, QuadratureSettings()))
-        assert row.region is RegionLabel.PEAKED
-        assert len(velocities) == 64 + 1
+        rows = sweep_mod._region_task((1.0, [0.0, 1.0, 2.0], QuadratureSettings()))
+        assert [row.region for row in rows] \
+            == [RegionLabel.MONOTONE_DECREASING, RegionLabel.PEAKED, RegionLabel.PEAKED]
+        assert sum(n_v for n_gaps, n_v in calls if n_gaps == 3) == 64
+        assert [call for call in calls if call[0] != 3] == [(1, 1)] * 2
+
+    def test_rows_match_the_one_point_profile(self):
+        # gaps 0, 1.5 and 3 share a run; 4.5 lies above pi
+        quad = QuadratureSettings()
+        for row in run_region_scan(GridSpec(0.5, 2.0, 3), GridSpec(0.0, 4.5, 4), quad):
+            det = DetectorSettings(1.0, row.sigma_omega)
+            profile = velocity_profile(det, row.d_over_sigma, quad)
+            assert row.error == "" and row.region is profile.label
+            if profile.peak is None:
+                assert row.v_star is None and row.n_star is None
+                continue
+            assert row.v_star == pytest.approx(profile.peak.v_star, rel=1e-9, abs=0.0)
+            at_v_star = negativity(det, EncounterGeometry(row.d_over_sigma, row.v_star), quad)
+            assert row.n_star == at_v_star.negativity
+
+    def test_a_failure_stays_with_its_own_point_in_a_block(self, monkeypatch):
+        real = model._x_integrals
+
+        def broken(d, vs, gaps, settings):
+            if 1.0 in np.atleast_1d(gaps):
+                raise ValueError("broken at gap 1")
+            return real(d, vs, gaps, settings)
+
+        monkeypatch.setattr(model, "_x_integrals", broken)
+        quad = QuadratureSettings()
+        rows = run_region_scan(GridSpec(1.0, 1.0, 1), GridSpec(0.0, 2.0, 3), quad)
+        assert rows[1].region is None and rows[1].error == "ValueError: broken at gap 1"
+        for row in (rows[0], rows[2]):
+            profile = velocity_profile(DetectorSettings(1.0, row.sigma_omega), 1.0, quad)
+            peak = profile.peak
+            assert row == RegionRow(1.0, row.sigma_omega, profile.label,
+                                    peak and peak.v_star, peak and peak.n_star)
+
+    def test_bytes_match_across_workers(self):
+        # at one d and two workers, the gaps split into the runs
+        # {0.5, 2.33} up to pi and {4.17, 6}, one task each
+        d_grid, omega_grid = GridSpec(1.0, 1.0, 1), GridSpec(0.5, 6.0, 4)
+        assert len(model._gap_runs(omega_grid.points())) == 2
+        assert len(sweep_mod._grid_tasks(d_grid, omega_grid, 2)) == 2
+        texts = []
+        for workers in (1, 2):
+            buf = io.StringIO()
+            write_region_csv(run_region_scan(d_grid, omega_grid, workers=workers), buf)
+            texts.append(buf.getvalue())
+        assert texts[0] == texts[1]
 
     @pytest.mark.parametrize("d, gap", [(1.0, 1.0), (1.0, 2.0)])
     def test_n_star_is_negativity_at_v_star(self, d, gap):
