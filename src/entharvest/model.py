@@ -5,7 +5,8 @@ Conventions
 All outputs are reported in units of the squared coupling constant, which
 is fixed to 1 internally. Lengths enter only as d/sigma and gaps only as
 sigma*Omega: the public API accepts a dimensionful switching width sigma
-and rescales on entry, which makes the zero-gap scale invariance exact.
+and rescales once, on entry, which makes the zero-gap scale invariance
+exact; the private row path takes sigma = 1 floats, d/sigma and gaps.
 
 The correlation term is the single integral
 
@@ -30,14 +31,15 @@ negativity_row() is the one path from X integrals to P, X, |X|, M and N:
 a NegativityRow of arrays, one per quantity, at every v of a row at fixed
 (d, omega), with NaN at any v that fails and that v's exception in its
 failures map; no object is built per velocity. It is the one-gap case of
-_negativity_rows(), which a sweep or region task calls for several gaps
-at once: X is integrated for a block of gaps (all of them up to pi, or
-one octave of start-panel density above pi) and a batch of velocities at
-once, in proper time s = u sqrt(1 - v^2), where the phase is cos(gap s)
-at every velocity: the cosine is evaluated once per (gap, node), the rest
-of the integrand once per (velocity, node), and each (gap, v) costs two
-multiplies per node. negativity() and correlation_x() are views of a
-one-gap row of one velocity that raise that velocity's failure.
+_negativity_rows(d, gaps, vs), which a sweep or region task calls for
+several gaps at once: X is integrated for a block of gaps (all of them up
+to pi, or one octave of start-panel density above pi) and a batch of
+velocities at once, in proper time s = u sqrt(1 - v^2), where the phase
+is cos(gap s) at every velocity: the cosine is evaluated once per (gap,
+node), the rest of the integrand once per (velocity, node), and each
+(gap, v) costs two multiplies per node. negativity() and correlation_x()
+are views of a one-gap row of one velocity that raise that velocity's
+failure.
 """
 
 from __future__ import annotations
@@ -226,10 +228,10 @@ def _x_start(d: float, vs, gaps) -> tuple[float, float, float]:
 
 
 def _x_integrand(d: float, vs, gaps):
-    """X's integrand in s at the velocities vs and gaps gaps, in sigma = 1
-    units; see _x_integrals. It maps n nodes to an array of shape (2 m, n),
-    m = len(gaps) * len(vs): the components R of every (gap, v) in
-    row-major order, then the components I likewise.
+    """X's integrand in s at the velocities vs and the 1-D array of gaps
+    gaps, in sigma = 1 units; see _x_integrals. It maps n nodes to an array
+    of shape (2 m, n), m = len(gaps) * len(vs): the components R of every
+    (gap, v) in row-major order, then the components I likewise.
     """
     v = np.asarray(vs, dtype=float)[:, None]
     v2 = v * v
@@ -241,9 +243,8 @@ def _x_integrand(d: float, vs, gaps):
     jacobian = 1.0 / np.sqrt(b2)  # du/ds
     re_scale = jacobian * np.exp(-0.25 * d2 * b2)
     im_scale = jacobian * _TWO_OVER_SQRT_PI
-    gap = np.asarray(gaps, dtype=float)
-    phase = gap[..., None, None]
-    shape = (2, *gap.shape, v.shape[0])
+    phase = np.asarray(gaps, dtype=float)[:, None, None]
+    shape = (2, phase.shape[0], v.shape[0])
 
     def integrand(s: np.ndarray) -> np.ndarray:
         s2 = s * s
@@ -264,9 +265,9 @@ def _x_integrand(d: float, vs, gaps):
 
 
 def _x_integrals(d: float, vs, gaps, settings: QuadratureSettings) -> tuple[np.ndarray, np.ndarray]:
-    """X and its error estimate at up to _X_BATCH velocities and a block of
-    gaps from one integral, in sigma = 1 units: a complex and a float array
-    of shape gaps.shape + (len(vs),), so a float gap gives arrays like vs.
+    """X and its error estimate at up to _X_BATCH velocities and a 1-D
+    array of gaps from one integral, in sigma = 1 units: a complex and a
+    float array of shape (len(gaps), len(vs)).
 
     X is integrated in proper time s = u sqrt(1 - v^2) = u / gamma. There
     the phase cos(f u), f = gap sqrt(1-v^2), is cos(gap s) at every
@@ -306,7 +307,7 @@ def _x_integrals(d: float, vs, gaps, settings: QuadratureSettings) -> tuple[np.n
                                max_frequency=max_frequency, singularity_distance=s_b)
     v = np.asarray(vs, dtype=float)
     pref = (1.0 - v) * (1.0 + v) / (8.0 * math.pi)  # times 1/i
-    shape = (*np.shape(gaps), v.size)
+    shape = (len(gaps), v.size)
     km = math.prod(shape)
     re, im = parts.value.real[:km].reshape(shape), parts.value.real[km:].reshape(shape)
     x = np.empty(shape, dtype=complex)
@@ -398,17 +399,13 @@ def negativity_row(
     its exception in failures. |X| is np.hypot of its parts, which is the
     value abs() gives a Python complex.
     """
-    return _negativity_rows([det], d, vs, settings)[0]
+    return _negativity_rows(d / det.sigma, [det.gap], vs, settings)[0]
 
 
-def _negativity_rows(
-    dets: list[DetectorSettings],
-    d: float,
-    vs,
-    settings: QuadratureSettings | None = None,
-) -> list[NegativityRow]:
-    """negativity_row of every detector pair in dets, all of one sigma, with
-    X in blocks over their gaps and batches over v.
+def _negativity_rows(d: float, gaps, vs, settings: QuadratureSettings | None = None) -> list[NegativityRow]:
+    """negativity_row at every gap in gaps, in sigma = 1 units (d is
+    d/sigma, a gap sigma*omega), with X in blocks over the gaps and batches
+    over v.
 
     Each batch of velocities is integrated for a block of gaps at once
     (_gap_blocks). A block that fails is re-run as each of its gaps alone,
@@ -420,26 +417,21 @@ def _negativity_rows(
         settings = QuadratureSettings()
     for v in vs:
         EncounterGeometry(d, v)  # raises for a d or v that a point would reject
-    if not dets:
-        return []
-    ps = [transition_probability(det) for det in dets]
+    ps = [transition_probability(DetectorSettings(1.0, gap)) for gap in gaps]
     for p in ps:
         if not (p >= 0.0 and math.isfinite(p)):
             raise ValueError(f"p must be finite and >= 0, got {p!r}")
-    ds = d / dets[0].sigma
-    gaps = np.array([det.gap for det in dets])
+    gaps = np.array(gaps, dtype=float)
     x = np.empty((gaps.size, len(vs)), dtype=complex)
     err = np.empty(x.shape)
-    failures: list[dict] = [{} for _ in dets]
+    failures: list[dict] = [{} for _ in ps]
 
     def run(block: slice, i: int, batch) -> None:
-        lone = block.stop - block.start == 1
         try:
-            # a lone gap goes in as a scalar, so its integrand's arrays stay 2-D
             x[block, i:i + len(batch)], err[block, i:i + len(batch)] = \
-                _x_integrals(ds, batch, gaps[block.start] if lone else gaps[block], settings)
+                _x_integrals(d, batch, gaps[block], settings)
         except Exception as exc:
-            if not lone:
+            if block.stop - block.start > 1:
                 for j in range(block.start, block.stop):
                     run(slice(j, j + 1), i, batch)
             elif len(batch) > 1:
@@ -451,7 +443,7 @@ def _negativity_rows(
 
     for i in range(0, len(vs), _X_BATCH):
         batch = vs[i:i + _X_BATCH]
-        for block in _gap_blocks(ds, batch, gaps, settings):
+        for block in _gap_blocks(d, batch, gaps, settings):
             run(block, i, batch)
     rows = []
     for p, x_j, err_j, failed in zip(ps, x, err, failures):
@@ -609,13 +601,13 @@ def velocity_profile(
     """
     if settings is None:
         settings = QuadratureSettings()
-    return _profile(det, d, negativity_row(det, d, _scan_velocities(), settings), settings)
+    d, gap = d / det.sigma, det.gap
+    return _profile(d, gap, _negativity_rows(d, [gap], _scan_velocities(), settings)[0], settings)
 
 
-def _profile(det: DetectorSettings, d: float, row: NegativityRow,
-             settings: QuadratureSettings) -> VelocityProfile:
-    """velocity_profile from its scan row at the _scan_velocities() nodes:
-    the label, any refinement and the peak, as velocity_profile describes.
+def _profile(d: float, gap: float, row: NegativityRow, settings: QuadratureSettings) -> VelocityProfile:
+    """velocity_profile's label, refinement and peak from its scan row at
+    the _scan_velocities() nodes, in sigma = 1 units.
 
     A region task hands each gap's row of one _negativity_rows scan here.
     """
@@ -642,13 +634,13 @@ def _profile(det: DetectorSettings, d: float, row: NegativityRow,
                                   f"tail coefficient {tail:.3e} > {bound:.3e}")
         at = np.arange(1, v.size)  # each midpoint goes in before node j = 1, 2, ...
         v_mid = _velocity(np.pi * (at - 0.5) / (v.size - 1))
-        mid = negativity_row(det, d, v_mid, settings)
+        mid = _negativity_rows(d, [gap], v_mid, settings)[0]
         v, x_abs, n_vals = (np.insert(v, at, v_mid), np.insert(x_abs, at, mid.x_abs),
                             np.insert(n_vals, at, mid.negativity))
         failures = {2 * j + 1: exc for j, exc in mid.failures.items()}
 
     v_star = float(_velocity(_series_max(coeffs, i_star)))
-    n_star = negativity(det, EncounterGeometry(d, v_star), settings).negativity
+    n_star = negativity(DetectorSettings(1.0, gap), EncounterGeometry(d, v_star), settings).negativity
     if n_star > n_vals[0]:
         peak = PeakResult(v_star, n_star, multimodal=len(maxima) > 1)
         return VelocityProfile(v, n_vals, RegionLabel.PEAKED, peak)

@@ -29,7 +29,6 @@ from typing import IO, Callable, Iterable, NamedTuple, Optional, Sequence, get_t
 import numpy as np
 
 from .model import (
-    DetectorSettings,
     RegionLabel,
     _gap_runs,
     _negativity_rows,
@@ -206,9 +205,8 @@ def _sweep_task(args: tuple[float, list[float], list[float], QuadratureSettings]
     blocks over the gaps and batches over v."""
     d, gaps, vs, quad = args
     spacelike = [d >= spacelike_min_distance(v, 1.0) for v in vs]
-    dets = [DetectorSettings(1.0, so) for so in gaps]
     rows = []
-    for so, row in zip(gaps, _negativity_rows(dets, d, vs, quad)):
+    for so, row in zip(gaps, _negativity_rows(d, gaps, vs, quad)):
         cells = [
             SweepRow(d, v, so, row.p, re, im, x_abs, m, n, err, sl)
             for v, re, im, x_abs, m, n, err, sl in zip(
@@ -225,15 +223,14 @@ def _region_task(args: tuple[float, list[float], QuadratureSettings]) -> list[Re
     """The rows of every omega at one d, each labelled from its gap's row of
     one velocity scan, X in blocks over the gaps and batches over v."""
     d, gaps, quad = args
-    dets = [DetectorSettings(1.0, so) for so in gaps]
     try:
-        scans = _negativity_rows(dets, d, _scan_velocities(), quad)
+        scans = _negativity_rows(d, gaps, _scan_velocities(), quad)
     except Exception as exc:  # any per-point failure is recorded, never raised
         return [RegionRow(d, so, error=_error_text(exc)) for so in gaps]
     rows = []
-    for so, det, scan in zip(gaps, dets, scans):
+    for so, scan in zip(gaps, scans):
         try:
-            profile = _profile(det, d, scan, quad)
+            profile = _profile(d, so, scan, quad)
         except Exception as exc:
             rows.append(RegionRow(d, so, error=_error_text(exc)))
             continue

@@ -1,17 +1,20 @@
 """Self-validation battery: oracle equivalence grids and model invariants.
 
 Every check takes (oracle, grid, quad) and returns a CheckResult with the
-measured deviation and the tolerance it was held to; run_validation
-resolves the settings once and collects the results into a
+measured deviation and the tolerance it was held to, under the one name
+its _named decorator gives it, which a check that raises fails under too;
+run_validation resolves the settings once and collects the results into a
 machine-readable report. The "coarse" grid shrinks the sweep axes for a
 quick smoke run; "full" runs the complete desk-scale grids.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 from dataclasses import asdict, dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -46,12 +49,28 @@ class CheckResult:
     detail: str = ""
 
 
-def _check(name: str, measured: float, tolerance: float, detail: str = "") -> CheckResult:
-    return CheckResult(name, bool(measured <= tolerance), float(measured), float(tolerance), detail)
+def _check(measured: float, tolerance: float, detail: str = "") -> tuple:
+    return bool(measured <= tolerance), float(measured), float(tolerance), detail
 
 
+def _named(name: str) -> Callable:
+    """Report a check's (passed, measured, tolerance, detail) as a
+    CheckResult under name, and a check that raises as a failed one under
+    the same name."""
+    def decorate(fn: Callable[..., tuple]) -> Callable[..., CheckResult]:
+        @functools.wraps(fn)
+        def check(oracle: OracleSettings, grid: str, quad: QuadratureSettings) -> CheckResult:
+            try:
+                return CheckResult(name, *fn(oracle, grid, quad))
+            except Exception as exc:  # a crashed check is a failed check
+                return CheckResult(name, False, math.inf, 0.0, f"{type(exc).__name__}: {exc}")
+        return check
+    return decorate
+
+
+@_named("p_oracle_vs_closed_form")
 def check_p_oracle_vs_closed_form(oracle: OracleSettings, grid: str,
-                                  quad: QuadratureSettings) -> CheckResult:
+                                  quad: QuadratureSettings) -> tuple:
     vs = (0.0, 0.3, 0.6, 0.9, 0.99) if grid == "full" else (0.0, 0.9)
     gaps = (0.0, 1.0, 4.0) if grid == "full" else (0.0, 1.0)
     worst = 0.0
@@ -61,16 +80,16 @@ def check_p_oracle_vs_closed_form(oracle: OracleSettings, grid: str,
         for v in vs:
             value, _ = oracle_mod.p_momentum_oracle(det, v, oracle)
             worst = max(worst, abs(value - closed))
-    return _check("p_oracle_vs_closed_form", worst, 1e-6,
-                  f"{len(vs) * len(gaps)} (v, gap) points")
+    return _check(worst, 1e-6, f"{len(vs) * len(gaps)} (v, gap) points")
 
 
+@_named("p_closed_form_limits")
 def check_p_closed_form_limits(_: OracleSettings, grid: str,
-                               quad: QuadratureSettings) -> CheckResult:
+                               quad: QuadratureSettings) -> tuple:
     dev0 = abs(transition_probability(DetectorSettings(1.0, 0.0)) - 1.0 / (4.0 * math.pi))
     dev1 = abs(transition_probability(DetectorSettings(1.0, 1.0)) - 0.0070883)
     measured = max(dev0 / 1e-12, dev1 / 1e-7)  # normalized to each tolerance
-    return _check("p_closed_form_limits", measured, 1.0,
+    return _check(measured, 1.0,
                   f"gap=0 dev {dev0:.2e} (tol 1e-12); gap=1 dev {dev1:.2e} (tol 1e-7)")
 
 
@@ -80,8 +99,9 @@ def _x_grid(grid: str):
     return (0.5, 2.0), (0.0, 0.9), (0.0, 1.0, 4.0)
 
 
+@_named("x_oracle_vs_fast_path")
 def check_x_oracle_vs_fast_path(oracle: OracleSettings, grid: str,
-                                quad: QuadratureSettings) -> CheckResult:
+                                quad: QuadratureSettings) -> tuple:
     ds, vs, gaps = _x_grid(grid)
     worst = 0.0
     for d in ds:
@@ -93,11 +113,12 @@ def check_x_oracle_vs_fast_path(oracle: OracleSettings, grid: str,
                 slow, _ = oracle_mod.x_momentum_oracle(det, geom, oracle)
                 dev = abs(slow - fast) / max(abs(fast), 1e-5)  # floor 1e-10 / 1e-5
                 worst = max(worst, dev)
-    return _check("x_oracle_vs_fast_path", worst, 1e-5,
+    return _check(worst, 1e-5,
                   f"{len(ds) * len(vs) * len(gaps)} (d, v, gap) points, relative with 1e-10 floor")
 
 
-def check_static_reduction(_: OracleSettings, grid: str, quad: QuadratureSettings) -> CheckResult:
+@_named("static_reduction")
+def check_static_reduction(_: OracleSettings, grid: str, quad: QuadratureSettings) -> tuple:
     ds = np.linspace(0.25, 6.0, 5)
     gaps = np.linspace(0.0, 4.0, 5)
     worst = 0.0
@@ -110,12 +131,12 @@ def check_static_reduction(_: OracleSettings, grid: str, quad: QuadratureSetting
     n = negativity(DetectorSettings(1.0, 0.0), EncounterGeometry(1.0, 0.0), quad)
     n_dev = abs(n.negativity - 0.049378)
     ok = worst <= 1e-8 and n_dev <= 1e-6
-    return CheckResult("static_reduction", ok, worst, 1e-8,
-                       f"5x5 grid; N(1, 0, 0) dev {n_dev:.2e} (tol 1e-6)")
+    return (ok, worst, 1e-8, f"5x5 grid; N(1, 0, 0) dev {n_dev:.2e} (tol 1e-6)")
 
 
+@_named("degenerate_gap_extinction")
 def check_degenerate_gap_extinction(_: OracleSettings, grid: str,
-                                    quad: QuadratureSettings) -> CheckResult:
+                                    quad: QuadratureSettings) -> tuple:
     det = DetectorSettings(1.0, 0.0)
     n_points = 50 if grid == "full" else 10
     vs = np.linspace(0.0, 0.99, n_points)
@@ -124,17 +145,18 @@ def check_degenerate_gap_extinction(_: OracleSettings, grid: str,
     )
     n_small = negativity(det, EncounterGeometry(0.5, 0.0), quad).negativity
     ok = worst == 0.0 and n_small > 0.0
-    return CheckResult("degenerate_gap_extinction", ok, worst, 0.0,
-                       f"max N over {n_points} v at d=2 (must be 0); N(0.5, 0, 0) = {n_small:.4e} > 0")
+    return (ok, worst, 0.0,
+            f"max N over {n_points} v at d=2 (must be 0); N(0.5, 0, 0) = {n_small:.4e} > 0")
 
 
-def check_scale_invariance(_: OracleSettings, grid: str, quad: QuadratureSettings) -> CheckResult:
+@_named("scale_invariance_zero_gap")
+def check_scale_invariance(_: OracleSettings, grid: str, quad: QuadratureSettings) -> tuple:
     worst = 0.0
     for v in (0.0, 0.5):
         a = negativity(DetectorSettings(1.0, 0.0), EncounterGeometry(1.0, v), quad)
         b = negativity(DetectorSettings(3.0, 0.0), EncounterGeometry(3.0, v), quad)
         worst = max(worst, abs(a.negativity - b.negativity))
-    return _check("scale_invariance_zero_gap", worst, 1e-9, "(d, sigma) in {(1,1), (3,3)}")
+    return _check(worst, 1e-9, "(d, sigma) in {(1,1), (3,3)}")
 
 
 def _fd_slope(d: float, gap: float, quad: QuadratureSettings, eta: float = 1e-3) -> float:
@@ -161,40 +183,38 @@ def bisect_gap_threshold(d: float, quad: QuadratureSettings,
     return 0.5 * (lo + hi)
 
 
+@_named("threshold_equivalence")
 def check_threshold_equivalence(_: OracleSettings, grid: str,
-                                quad: QuadratureSettings) -> CheckResult:
+                                quad: QuadratureSettings) -> tuple:
     ds = (0.5, 1.0, 2.0, 3.0) if grid == "full" else (1.0,)
     for d in ds:
         omega_p = omega_peak_threshold(d)
         below = second_derivative_at_rest(DetectorSettings(1.0, omega_p * (1.0 - 1e-6)), d)
         above = second_derivative_at_rest(DetectorSettings(1.0, omega_p * (1.0 + 1e-6)), d)
         if not (below < 0.0 < above):
-            return CheckResult("threshold_equivalence", False, math.inf, 1e-2,
-                               f"no sign flip at d = {d}")
+            return (False, math.inf, 1e-2, f"no sign flip at d = {d}")
     worst = 0.0
     targets = {1.0: 0.8215, 2.0: 0.848} if grid == "full" else {1.0: 0.8215}
     for d, expected in targets.items():
         est = bisect_gap_threshold(d, quad)
         worst = max(worst, abs(est - expected))
-    return _check("threshold_equivalence", worst, 1e-2,
+    return _check(worst, 1e-2,
                   "closed-form sign flips plus bisection on quadrature finite differences")
 
 
+@_named("peak_phenomenology")
 def check_peak_phenomenology(_: OracleSettings, grid: str,
-                             quad: QuadratureSettings) -> CheckResult:
+                             quad: QuadratureSettings) -> tuple:
     peak = find_peak_velocity(DetectorSettings(1.0, 1.0), 1.0, quad)
     n0 = static_negativity(DetectorSettings(1.0, 1.0), 1.0)
     if peak is None or not (0.0 < peak.v_star < 1.0 and peak.n_star > n0 > 0.0):
-        return CheckResult("peak_phenomenology", False, math.inf, 0.0,
-                           "(d=1, gap=1) must show an interior peak above N(0) > 0")
+        return (False, math.inf, 0.0, "(d=1, gap=1) must show an interior peak above N(0) > 0")
     flat = velocity_profile(DetectorSettings(1.0, 0.5), 1.0, quad)
     n0_flat = static_negativity(DetectorSettings(1.0, 0.5), 1.0)
     if flat.peak is not None or not (n0_flat > 0.0):
-        return CheckResult("peak_phenomenology", False, math.inf, 0.0,
-                           "(d=1, gap=0.5) must be monotone with N(0) > 0")
+        return (False, math.inf, 0.0, "(d=1, gap=0.5) must be monotone with N(0) > 0")
     if np.any(np.diff(flat.n) > 0.0):
-        return CheckResult("peak_phenomenology", False, math.inf, 0.0,
-                           "(d=1, gap=0.5) scan is not non-increasing")
+        return (False, math.inf, 0.0, "(d=1, gap=0.5) scan is not non-increasing")
     # high-speed extinction on the oracle-equivalence grid
     ds, _vs, gaps = _x_grid(grid)
     v_deep = 1.0 - 1e-12
@@ -205,18 +225,16 @@ def check_peak_phenomenology(_: OracleSettings, grid: str,
                 continue
             n_deep = negativity(det, EncounterGeometry(d, v_deep), quad).negativity
             if n_deep != 0.0:
-                return CheckResult("peak_phenomenology", False, n_deep, 0.0,
-                                   f"no extinction by v = {v_deep} at (d={d}, gap={gap})")
-    return CheckResult("peak_phenomenology", True, 0.0, 0.0,
-                       "peak at (1,1), monotone at (1,0.5), extinction on the grid")
+                return (False, n_deep, 0.0, f"no extinction by v = {v_deep} at (d={d}, gap={gap})")
+    return (True, 0.0, 0.0, "peak at (1,1), monotone at (1,0.5), extinction on the grid")
 
 
+@_named("spacelike_criterion")
 def check_spacelike_criterion(_: OracleSettings, grid: str,
-                              quad: QuadratureSettings) -> CheckResult:
+                              quad: QuadratureSettings) -> tuple:
     # binary 0.8 is not exactly 4/5; correctly rounded output is 10 + 1 ulp
     if abs(spacelike_min_distance(0.8, 1.0) - 10.0) > 2.0 * math.ulp(10.0):
-        return CheckResult("spacelike_criterion", False, math.inf, 0.0,
-                           "spacelike_min_distance(0.8) != 10 sigma (to roundoff)")
+        return (False, math.inf, 0.0, "spacelike_min_distance(0.8) != 10 sigma (to roundoff)")
     rng = np.random.default_rng(20240817)
     n_pairs = 10_000 if grid == "full" else 1_000
     d = rng.uniform(0.1, 30.0, n_pairs)
@@ -226,8 +244,7 @@ def check_spacelike_criterion(_: OracleSettings, grid: str,
     direct = d >= 6.0 / np.sqrt(1.0 - v * v)
     mismatches = int((flag != direct).sum())
     if mismatches:
-        return CheckResult("spacelike_criterion", False, float(mismatches), 0.0,
-                           f"{mismatches} flag mismatches out of {n_pairs}")
+        return (False, float(mismatches), 0.0, f"{mismatches} flag mismatches out of {n_pairs}")
     # spacelike harvesting at gap 4: find d >= 6/sqrt(1-v^2) with N > 0
     det = DetectorSettings(1.0, 4.0)
     for v_try in (0.3, 0.5, 0.7, 0.8):
@@ -235,15 +252,14 @@ def check_spacelike_criterion(_: OracleSettings, grid: str,
         for d_try in (d_min * 1.01, d_min * 1.1):
             q = negativity(det, EncounterGeometry(float(d_try), v_try), quad)
             if q.negativity > 0.0:
-                return CheckResult(
-                    "spacelike_criterion", True, 0.0, 0.0,
-                    f"{n_pairs} random flags consistent; spacelike harvesting at "
-                    f"(d={d_try:.3f}, v={v_try}, gap=4) with N={q.negativity:.3e}")
-    return CheckResult("spacelike_criterion", False, math.inf, 0.0,
-                       "no spacelike harvesting point found at gap 4")
+                return (True, 0.0, 0.0,
+                        f"{n_pairs} random flags consistent; spacelike harvesting at "
+                        f"(d={d_try:.3f}, v={v_try}, gap=4) with N={q.negativity:.3e}")
+    return (False, math.inf, 0.0, "no spacelike harvesting point found at gap 4")
 
 
-def check_sweep_determinism(_: OracleSettings, grid: str, quad: QuadratureSettings) -> CheckResult:
+@_named("sweep_determinism")
+def check_sweep_determinism(_: OracleSettings, grid: str, quad: QuadratureSettings) -> tuple:
     if grid == "full":
         counts, worker_sets = 20, (1, 4, 8)
     else:
@@ -260,8 +276,7 @@ def check_sweep_determinism(_: OracleSettings, grid: str, quad: QuadratureSettin
         write_sweep_csv(run_sweep(spec, workers=workers), buf)
         outputs.append(buf.getvalue())
     identical = all(out == outputs[0] for out in outputs)
-    return CheckResult("sweep_determinism", identical, 0.0 if identical else 1.0, 0.0,
-                       f"{counts}^3 grid, workers {worker_sets}")
+    return (identical, 0.0 if identical else 1.0, 0.0, f"{counts}^3 grid, workers {worker_sets}")
 
 
 _CHECKS = (
@@ -288,13 +303,7 @@ def run_validation(
         raise ValueError(f"grid must be 'coarse' or 'full', got {grid!r}")
     oracle = oracle if oracle is not None else OracleSettings()
     quad = quad if quad is not None else QuadratureSettings()
-    results = []
-    for fn in _CHECKS:
-        try:
-            results.append(fn(oracle, grid, quad))
-        except Exception as exc:  # a crashed check is a failed check
-            results.append(CheckResult(fn.__name__.removeprefix("check_"), False,
-                                       math.inf, 0.0, f"{type(exc).__name__}: {exc}"))
+    results = [check(oracle, grid, quad) for check in _CHECKS]
     return {
         "grid": grid,
         "all_passed": all(r.passed for r in results),

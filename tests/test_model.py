@@ -102,14 +102,14 @@ class TestCorrelationX:
             return real(counted, *args, **kwargs)
 
         monkeypatch.setattr(model, "integrate_line", counting)
-        model._x_integrals(1.0, [1.0 - 1e-9], 2.0, QUAD)
+        model._x_integrals(1.0, [1.0 - 1e-9], [2.0], QUAD)
         assert len(calls) == 2  # the window edge, then one pass
 
     def test_batch_agrees_with_single_velocities(self):
         vs = [0.0, 0.9, 1.0 - 1e-6, 1.0 - 1e-9]
-        batch, batch_err = model._x_integrals(1.0, vs, 1.0, QUAD)
+        (batch,), (batch_err,) = model._x_integrals(1.0, vs, [1.0], QUAD)
         for v, b, b_err in zip(vs, batch, batch_err):
-            (alone,), (alone_err,) = model._x_integrals(1.0, [v], 1.0, QUAD)
+            ((alone,),), ((alone_err,),) = model._x_integrals(1.0, [v], [1.0], QUAD)
             assert abs(b - alone) <= b_err + alone_err
 
     @pytest.mark.parametrize("d,v,gap", [
@@ -188,7 +188,7 @@ class TestProperTime:
         mp = pytest.importorskip("mpmath")
         with mp.workdps(40):
             ref = [float(part) for part in mp_u_form(mp, d, v, gap, s)]
-        got = model._x_integrand(d, [v], gap)(np.array([s]))[:, 0]
+        got = model._x_integrand(d, [v], [gap])(np.array([s]))[:, 0]
         for g, r in zip(got, ref):
             assert abs(g - r) <= 16 * np.spacing(abs(r))
 
@@ -197,7 +197,7 @@ class TestProperTime:
         block = model._x_integrand(1.0, vs, gaps)(s).reshape(2, gaps.size, len(vs), s.size)
         for k, gap in enumerate(gaps):
             for i, v in enumerate(vs):
-                assert np.array_equal(block[:, k, i], model._x_integrand(1.0, [v], gap)(s))
+                assert np.array_equal(block[:, k, i], model._x_integrand(1.0, [v], [gap])(s))
 
     @pytest.mark.parametrize("gaps", [[0.0, 0.5], [1.6, 2.1, 2.6, 3.1]])
     @pytest.mark.parametrize("batch", [[0.0, 0.5, 0.9], [0.3, 0.6, 0.99, 1.0 - 1e-9]])
@@ -308,7 +308,7 @@ class TestGapBlocks:
 
     @staticmethod
     def rows(gaps, vs) -> list:
-        return model._negativity_rows([det(omega=gap) for gap in gaps], 1.0, vs, QUAD)
+        return model._negativity_rows(1.0, gaps, vs, QUAD)
 
     @staticmethod
     def bits(row, i) -> tuple:
@@ -591,6 +591,25 @@ class TestVelocityProfile:
         assert rows[0].error.startswith("QuadratureError: velocity profile unresolved at 64 nodes")
         assert rows[1].region is RegionLabel.PEAKED and rows[1].error == ""
 
+    def test_a_series_not_concave_at_its_node_keeps_the_node(self):
+        # f = cos(2 theta) has its minimum at theta_4 = pi / 2 of n = 8:
+        # Newton takes no step where f'' >= 0
+        coeffs = np.zeros(9)
+        coeffs[2] = 1.0
+        assert model._series_max(coeffs, 4) == math.pi * 4 / 8
+
+    def test_a_peak_whose_n_star_does_not_beat_n0_is_monotone(self, monkeypatch):
+        # (1, 1) is peaked; with N(v_star) forced to 0 < N(0) it has no peak
+        def zero(det, geom, settings=None):
+            p = transition_probability(det)
+            return model.HarvestQuantities(p=p, x=0j, m=-p, negativity=0.0, x_error_estimate=0.0)
+
+        assert velocity_profile(det(omega=1.0), 1.0, QUAD).label is RegionLabel.PEAKED
+        monkeypatch.setattr(model, "negativity", zero)
+        profile = velocity_profile(det(omega=1.0), 1.0, QUAD)
+        assert profile.label is RegionLabel.MONOTONE_DECREASING and profile.peak is None
+        assert profile.n[0] > 0.0
+
     def test_never_imports_scipy_optimize(self):
         src = str(Path(model.__file__).resolve().parents[1])
         code = ("import sys, entharvest\n"
@@ -656,6 +675,20 @@ class TestInputValidation:
             DetectorSettings(sigma=0.0, omega=1.0)
         with pytest.raises(ValueError):
             DetectorSettings(sigma=1.0, omega=-1.0)
+
+    def test_d_over_sigma_that_overflows_is_rejected_like_a_bad_d(self, capsys):
+        # d/sigma = 1e10 / 1e-300 is inf: the library raises what `point` prints
+        from entharvest.cli import main
+
+        message = "d must be finite and > 0, got inf"
+        for call in (negativity, correlation_x):
+            with pytest.raises(ValueError, match=message):
+                call(DetectorSettings(1e-300, 1e300), EncounterGeometry(1e10, 0.5))
+        with pytest.raises(ValueError, match=message):
+            velocity_profile(DetectorSettings(1e-300, 1e300), 1e10, QUAD)
+        assert main(["point", "--d", "1e10", "--v", "0.5", "--omega", "1e300",
+                     "--sigma", "1e-300"]) == 1
+        assert capsys.readouterr().err == f"ValueError: {message}\n"
 
     def test_geometry(self):
         with pytest.raises(ValueError):

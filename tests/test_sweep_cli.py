@@ -412,10 +412,10 @@ class TestRegionScan:
 
         real = sweep_mod._profile
 
-        def broken_at_one(det, *args):
-            if det.gap == 1.0:
+        def broken_at_one(d, gap, *args):
+            if gap == 1.0:
                 raise ValueError("bad\nprofile")
-            return real(det, *args)
+            return real(d, gap, *args)
 
         monkeypatch.setattr(sweep_mod, "_profile", broken_at_one)
         rows = sweep_mod._region_task(task)
@@ -726,6 +726,19 @@ class TestValidationBattery:
         assert not report["all_passed"]
         failed = {c["name"] for c in report["checks"] if not c["passed"]}
         assert any("x_oracle" in name for name in failed)
+
+    def test_a_crashed_check_keeps_the_name_it_passes_under(self, monkeypatch):
+        monkeypatch.setattr(validate_mod, "_CHECKS", (validate_mod.check_scale_invariance,))
+        (passed,) = validate_mod.run_validation(grid="coarse")["checks"]
+
+        def crash(*args, **kwargs):
+            raise RuntimeError("crashed")
+
+        monkeypatch.setattr(validate_mod, "negativity", crash)
+        (failed,) = validate_mod.run_validation(grid="coarse")["checks"]
+        assert passed["passed"] and passed["name"] == "scale_invariance_zero_gap"
+        assert failed == {"name": passed["name"], "passed": False, "measured": math.inf,
+                          "tolerance": 0.0, "detail": "RuntimeError: crashed"}
 
     def test_cli_validate_exit_code(self, coarse_cli_run):
         rc, err, report = coarse_cli_run
