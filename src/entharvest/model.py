@@ -101,6 +101,12 @@ class DetectorSettings:
         return self.sigma * self.omega
 
 
+def _check_d(d: float) -> None:
+    """Refuse a distance, or a d/sigma, that is not finite and > 0."""
+    if not (d > 0.0 and math.isfinite(d)):
+        raise ValueError(f"d must be finite and > 0, got {d!r}")
+
+
 @dataclass(frozen=True)
 class EncounterGeometry:
     """Closest-approach distance d and center-of-mass speed v."""
@@ -109,8 +115,7 @@ class EncounterGeometry:
     v: float
 
     def __post_init__(self) -> None:
-        if not (self.d > 0.0 and math.isfinite(self.d)):
-            raise ValueError(f"d must be finite and > 0, got {self.d!r}")
+        _check_d(self.d)
         if not (0.0 <= self.v < 1.0):
             raise ValueError(f"v must satisfy 0 <= v < 1, got {self.v!r}")
 
@@ -216,15 +221,16 @@ def _x_start(d: float, vs, gaps) -> tuple[float, float, float]:
     gaps gaps: (envelope_width, max_frequency, singularity_distance), in s;
     see _x_integrals.
 
-    The width 2/sqrt(1 + v^2) is widest at the smallest v, the frequency is
-    the largest gap, and s_b = d sqrt(1 - v^2) / v is nearest at the
-    largest v. s_b = inf at v = 0, and a Python float quotient overflows to
-    inf.
+    The width is 2 at every v, that of the Dawson part's Gaussian
+    e^{-s^2/4}: integrate_line ends its start panels at sqrt(ln(1/eps))
+    widths, and at that many of e^{-A}'s narrower width 2/sqrt(1 + v^2)
+    the Dawson part is still far above eps. The frequency is the largest
+    gap, and s_b = d sqrt(1 - v^2) / v is nearest at the largest v.
+    s_b = inf at v = 0, and a Python float quotient overflows to inf.
     """
-    v = np.asarray(vs, dtype=float)
-    v_min, v_max = float(v.min()), float(v.max())
+    v_max = float(np.max(vs))
     s_b = d * math.sqrt((1.0 - v_max) * (1.0 + v_max)) / v_max if v_max > 0.0 else math.inf
-    return 2.0 / math.sqrt(1.0 + v_min * v_min), float(np.max(gaps)), s_b
+    return 2.0, float(np.max(gaps)), s_b
 
 
 def _x_integrand(d: float, vs, gaps):
@@ -283,11 +289,12 @@ def _x_integrals(d: float, vs, gaps, settings: QuadratureSettings) -> tuple[np.n
     per-velocity scales, so abs_tol still bounds the u-integral's error.
 
     Both components are even in s, as integrate_line requires: it
-    integrates them on the window [0, truncation_sigmas W], W = 2/sqrt(1 + v^2)
-    the width of the envelope e^{-A} at the batch's smallest v, and doubles
-    the result; its one tail term, charged twice, sees the components at
-    the edge, where at the default 10 W the Dawson part's wider Gaussian
-    e^{-s^2/4} is already below e^{-50}.
+    integrates them on the window [0, truncation_sigmas W], W = 2 the width
+    of the Dawson part's Gaussian e^{-s^2/4} (e^{-A} is no wider at any v),
+    and doubles the result. Its start panels end at sqrt(ln(1/eps)) W =
+    12.007, where that Gaussian is below eps, and one panel covers the rest
+    of the window; its one tail term, charged twice, sees the components at
+    the edge, where at the default 10 W = 20 the Gaussian is e^{-100}.
 
     The Gaussians, cos and dawsn are entire, so the only complex
     singularities are the branch points s = +-i s_b of q, the images of
@@ -320,9 +327,9 @@ def _gap_runs(gaps) -> list[slice]:
     """Slices of the runs of neighbouring gaps that may share an X integral:
     every gap up to pi, then one octave of start-panel density each.
 
-    In s the start width is min(W, pi / (2 gap)), W = 2 at v = 0 (see
-    _x_start), which is W min(1, pi / (4 gap)): the envelope sets it up to
-    gap pi / 4, and at gap pi it is a quarter of that. An extra gap costs
+    In s the start width is min(W, pi / (2 gap)), W = 2 (see _x_start),
+    which is W min(1, pi / (4 gap)): the envelope sets it up to gap pi / 4,
+    and at gap pi it is a quarter of that. An extra gap costs
     an X integral two multiplies per (v, node), while the per-velocity part
     of the integrand and the integral's fixed cost are paid once per block,
     so the gaps up to pi share one run, on at most 4 times the
@@ -415,12 +422,10 @@ def _negativity_rows(d: float, gaps, vs, settings: QuadratureSettings | None = N
     """
     if settings is None:
         settings = QuadratureSettings()
+    _check_d(d)  # also when vs is empty
     for v in vs:
-        EncounterGeometry(d, v)  # raises for a d or v that a point would reject
+        EncounterGeometry(d, v)  # raises for a v that a point would reject
     ps = [transition_probability(DetectorSettings(1.0, gap)) for gap in gaps]
-    for p in ps:
-        if not (p >= 0.0 and math.isfinite(p)):
-            raise ValueError(f"p must be finite and >= 0, got {p!r}")
     gaps = np.array(gaps, dtype=float)
     x = np.empty((gaps.size, len(vs)), dtype=complex)
     err = np.empty(x.shape)
@@ -454,18 +459,19 @@ def _negativity_rows(d: float, gaps, vs, settings: QuadratureSettings | None = N
 
 
 def _static_terms(d: float, sigma: float) -> tuple[float, float, float, float]:
-    """Check d and sigma; return the v = 0 pieces shared by the closed forms.
+    """Check d, sigma and d/sigma, as the row path checks d/sigma; return
+    the v = 0 pieces shared by the closed forms.
 
     Returns (ds, F, s, e) with ds = d/sigma, F the Dawson function at
     x = ds/2, s = e^{-x^2} erfi(x) = (2/sqrt(pi)) F and
     e = e^{-2x^2} + s^2 = (1 + erfi(x)^2) e^{-2x^2}. erfi only ever enters
     through s, which stays bounded where erfi(x) alone overflows (x >~ 27).
     """
-    if not (d > 0.0 and math.isfinite(d)):
-        raise ValueError(f"d must be finite and > 0, got {d!r}")
+    _check_d(d)
     if not (sigma > 0.0 and math.isfinite(sigma)):
         raise ValueError(f"sigma must be finite and > 0, got {sigma!r}")
     ds = d / sigma
+    _check_d(ds)
     x = 0.5 * ds
     f = float(dawsn(x))
     s = _TWO_OVER_SQRT_PI * f

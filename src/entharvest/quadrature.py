@@ -15,14 +15,17 @@ so one call integrates a whole family, such as X at several velocities.
 Such a call returns one IntegralResult whose value and error estimate are
 arrays of shape (m,), so no object is built per component.
 Start panels are a quarter period of the fastest oscillation wide (at most
-one envelope width). An integrand may also declare its singularity
-distance: the distance from 0 to its nearest complex singularity, such as
-a branch point at +-i t_b. GK15 converges fast on a panel about as wide
-as its distance from the nearest singularity (Trefethen & Weideman, SIAM
-Rev. 56, 2014), so where that distance is below the uniform width the
-start panels next to 0 are graded geometrically from it. The count of
-start panels, times the number of components, is capped before anything
-is allocated.
+one envelope width). They end at c = sqrt(ln(1/eps)) = 6.0 envelope
+widths, where the envelope falls below eps of its peak, and one panel
+covers the rest of the window, split only where its own error asks; a
+window that ends by c widths is paved whole. An integrand may also
+declare its singularity distance: the distance from 0 to its nearest
+complex singularity, such as a branch point at +-i t_b. GK15 converges
+fast on a panel about as wide as its distance from the nearest
+singularity (Trefethen & Weideman, SIAM Rev. 56, 2014), so where that
+distance is below the uniform width the start panels next to 0 are
+graded geometrically from it. The count of start panels, times the
+number of components, is capped before anything is allocated.
 """
 
 from __future__ import annotations
@@ -190,16 +193,20 @@ _WG = np.array(
 
 
 # Start panels allowed before any evaluation, counted once per component of
-# a vector-valued integrand. One X integral at v = 0 has two components and,
-# on its even half window [0, 20] in proper time with panels pi / (2 gap)
-# wide, about 12.7 * gap start panels each, so the limit falls near gap 2573
-# (160.8 for a batch of 16, 160.1-160.4 at d/sigma in [0.5, 4] for one that
-# reaches v = 1 - 1e-9 and so carries graded panels too), where P has long
-# underflowed to 0; past it the start arrays alone would need gigabytes.
+# a vector-valued integrand. One X integral has two components and, on its
+# even half window [0, 20] in proper time, panels pi / (2 gap) wide up to
+# the cut 2c = 12.007 and one panel [2c, 20]: about 7.64 * gap + 1 start
+# panels each, so the limit falls near gap 4287 (267.8 for a batch of 16,
+# 266.6-267.0 at d/sigma in [0.5, 4] for one that reaches v = 1 - 1e-9 and
+# so carries graded panels too), where P has long underflowed to 0; past it
+# the start arrays alone would need gigabytes.
 _MAX_START_PANELS = 1 << 16
 
 # _adaptive splits no panel narrower than this fraction of its window.
 _MIN_WIDTH = 1e-15
+
+# Envelope widths past which e^{-u^2/w^2} is below eps: c = sqrt(ln(1/eps)) = 6.0036.
+_NEGLIGIBLE_SIGMAS = math.sqrt(-math.log(np.finfo(float).eps))
 
 
 def _check_start_panels(count: float, components: int) -> None:
@@ -338,12 +345,27 @@ def _result(values: np.ndarray, errors: np.ndarray) -> IntegralResult:
 def _window_start(envelope_width: float, settings: QuadratureSettings, max_frequency: float,
                   singularity_distance: float = math.inf) -> np.ndarray:
     """Edges of the start panels on [0, a], a = truncation_sigmas * width,
-    checked for one component."""
+    checked for one component.
+
+    Past c = _NEGLIGIBLE_SIGMAS widths the envelope is below eps of its
+    peak, so the start panels end at c w and one panel [c w, a] covers the
+    rest of the window, split only where its own error asks. A window that
+    ends by c w, or whose end overflows, is paved whole; an overflowing one
+    is refused for its count.
+    """
     w = float(envelope_width)
     if not (w > 0.0 and math.isfinite(w)):
         raise ValueError(f"envelope_width must be finite and > 0, got {envelope_width!r}")
-    return _start_edges(0.0, settings.truncation_sigmas * w, _initial_spacing(w, max_frequency),
-                        singularity_distance)
+    a = settings.truncation_sigmas * w
+    cut = _NEGLIGIBLE_SIGMAS * w
+    spacing = _initial_spacing(w, max_frequency)
+    # graded widths are floored at the smallest width _adaptive splits on [0, a]
+    s = max(singularity_distance, _MIN_WIDTH * a)
+    if not (cut < a < math.inf):
+        return _start_edges(0.0, a, spacing, s)
+    edges = np.append(_start_edges(0.0, cut, spacing, s), a)
+    _check_start_panels(edges.size - 1, 1)
+    return edges
 
 
 def _integrate_window(
@@ -378,8 +400,12 @@ def integrate_line(
     +-truncation_sigmas widths.
 
     envelope_width w declares that |integrand(u)| decays at least like
-    exp(-u^2/w^2); max_frequency declares the largest angular frequency of
-    any oscillatory factor and sets the initial panel spacing. The
+    exp(-u^2/w^2), relative to its peak; max_frequency declares the largest
+    angular frequency of any oscillatory factor and sets the initial panel
+    spacing. The start panels end at c w, c = sqrt(ln(1/eps)) = 6.0, where
+    that envelope is below eps, and one panel covers [c w, truncation_sigmas
+    * w]; so w must be no narrower than the integrand's own width, or a
+    tail that is not negligible is left to that one panel. The
     integrand must satisfy integrand(-u) == integrand(u): only
     [0, truncation_sigmas * w] is integrated, with every panel weighted
     twice, so the convergence test, the error estimate and the one edge's

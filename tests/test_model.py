@@ -199,6 +199,21 @@ class TestProperTime:
             for i, v in enumerate(vs):
                 assert np.array_equal(block[:, k, i], model._x_integrand(1.0, [v], [gap])(s))
 
+    @pytest.mark.parametrize("d", [0.1, 1.0, 4.0])
+    @pytest.mark.parametrize("v", [0.99, 1.0 - 1e-6, 1.0 - 1e-9])
+    def test_dawson_part_is_below_eps_of_its_peak_at_the_cut(self, d, v):
+        # the start panels end at c times the declared width: the Dawson
+        # part decays as e^{-s^2/4} at every v, so the width is 2, not the
+        # 2 / sqrt(1 + v^2) of e^{-A}, at whose cut it is far above eps
+        eps = np.finfo(float).eps
+        width = model._x_start(d, [v], [0.0])[0]
+        imag = lambda s: model._x_integrand(d, [v], np.array([0.0]))(np.asarray(s))[1]
+        peak = imag(np.linspace(0.0, 10.0, 2001)).max()
+        assert width == 2.0
+        assert imag([quadrature._NEGLIGIBLE_SIGMAS * width])[0] < eps * peak
+        narrow = quadrature._NEGLIGIBLE_SIGMAS * 2.0 / math.sqrt(1.0 + v * v)
+        assert imag([narrow])[0] > 1e6 * eps * peak
+
     @pytest.mark.parametrize("gaps", [[0.0, 0.5], [1.6, 2.1, 2.6, 3.1]])
     @pytest.mark.parametrize("batch", [[0.0, 0.5, 0.9], [0.3, 0.6, 0.99, 1.0 - 1e-9]])
     def test_block_capacity_counts_the_start_panels_integrate_line_builds(
@@ -354,7 +369,8 @@ class TestGapBlocks:
             monkeypatch, gaps, self.VS, [2 * 6 * len(self.VS), 2 * len(self.VS)])
 
     def test_one_block_from_gap_0_to_pi_agrees_with_one_gap_rows(self, monkeypatch):
-        # every gap on start panels sized for pi, 4 times the envelope-limited count
+        # every gap on start panels sized for pi, a quarter as wide as the
+        # envelope-limited ones
         gaps = np.linspace(0.0, math.pi, 9).tolist()
         vs = [0.0, 0.3, 0.9, 0.99, 1.0 - 1e-6, 1.0 - 1e-9]
         self.assert_blocks_agree_with_one_gap_rows(monkeypatch, gaps, vs, [2 * len(gaps) * len(vs)])
@@ -401,9 +417,10 @@ class TestGapBlocks:
                 == [self.bits(clean[j], i) for i in range(len(vs))]
 
     def test_a_block_over_the_start_panel_limit_is_split_up_front(self, monkeypatch):
-        # one octave; at gap 45 each component has 573 start panels, so
-        # 16 velocities fit 3 gaps: blocks of 3 and 1, and none is refused
-        gaps = [30.0, 35.0, 40.0, 45.0]
+        # one octave; at gap 85 each component has 650 start panels on
+        # [0, 2c] and one on [2c, 20], so 16 velocities fit 3 gaps: blocks of
+        # 3 and 1, and none is refused
+        gaps = [55.0, 65.0, 75.0, 85.0]
         vs = np.linspace(0.0, 0.9, model._X_BATCH)
         calls = self.recorded(monkeypatch)
         rows = self.rows(gaps, vs)
@@ -689,6 +706,21 @@ class TestInputValidation:
         assert main(["point", "--d", "1e10", "--v", "0.5", "--omega", "1e300",
                      "--sigma", "1e-300"]) == 1
         assert capsys.readouterr().err == f"ValueError: {message}\n"
+
+    def test_closed_forms_reject_a_d_over_sigma_that_overflows(self):
+        # d / sigma = 1e10 / 1e-300 is inf: one rule with the row path
+        message = "d must be finite and > 0, got inf"
+        for call in (static_x_abs, static_negativity, second_derivative_at_rest,
+                     lambda det, d: negativity_row(det, d, [0.0], QUAD)):
+            with pytest.raises(ValueError, match=message):
+                call(DetectorSettings(1e-300, 1.0), 1e10)
+        with pytest.raises(ValueError, match=message):
+            omega_peak_threshold(1e10, 1e-300)
+
+    @pytest.mark.parametrize("d", BAD_D)
+    def test_a_row_without_velocities_still_checks_d(self, d):
+        with pytest.raises(ValueError, match="d must be finite and > 0"):
+            negativity_row(det(omega=1.0), d, [], QUAD)
 
     def test_geometry(self):
         with pytest.raises(ValueError):

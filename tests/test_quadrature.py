@@ -13,7 +13,9 @@ from entharvest.quadrature import (
     QuadratureSettings,
     integrate_halfline,
     integrate_interval,
+    _NEGLIGIBLE_SIGMAS,
     _line_capacity,
+    _window_start,
     integrate_line,
 )
 
@@ -149,10 +151,10 @@ class TestEven:
         assert min(u.min() for u in calls) >= 0.0
 
     def test_start_panel_budget_counts_the_half_window(self):
-        # about 38000 start panels on [0, 10], under the limit that the
-        # 76000 on [-10, 10] would exceed
+        # 38221 start panels on [0, c] plus [c, 10], under the limit that
+        # the 76000 on [-c, c] would exceed
         res = integrate_line(lambda u: np.exp(-u * u), 1.0, DEFAULT,
-                             max_frequency=6000.0)
+                             max_frequency=10000.0)
         assert res.value.real == pytest.approx(math.sqrt(math.pi), rel=1e-12)
 
     def test_tail_is_charged_at_the_edge_and_doubled(self):
@@ -181,11 +183,12 @@ class TestEven:
         assert half.error_estimate == pytest.approx(37.0 / 12.0, rel=1e-12)
         assert (line.value, line.error_estimate) == (2.0 * half.value, 2.0 * half.error_estimate)
 
-    @pytest.mark.parametrize("k", [10.0, 12.0, 14.0, 16.0, 20.0])
+    @pytest.mark.parametrize("k", [10.0, 12.0, 14.0, 15.0, 16.0, 20.0])
     def test_small_value_is_held_to_the_full_line_abs_tol(self, k):
-        # |value| <= 2.5e-11 < abs_tol, so abs_tol alone governs; unit start
-        # panels make the refinement loop stop close to it. Held to abs_tol on
-        # the half window and then doubled, k = 12 would report 1.01 * abs_tol.
+        # |value| <= 2.5e-11, so abs_tol alone governs; start panels about a
+        # unit wide make the refinement loop stop close to it. Held to
+        # abs_tol on the half window and then doubled, k = 15 would report
+        # 1.93 * abs_tol.
         s = QuadratureSettings(abs_tol=1e-12)
         a = s.truncation_sigmas
 
@@ -233,7 +236,8 @@ class TestGradedStart:
 
     @pytest.mark.parametrize("distance", [math.inf, 1.0, 5.0])
     def test_distance_at_or_above_the_uniform_width_changes_nothing(self, distance):
-        # max_frequency 0 on [0, 10]: ten uniform start panels of width h = 1
+        # max_frequency 0: seven uniform start panels of width h = c / 7 =
+        # 0.858 on [0, c], then [c, 10]
         declared, plain = [], []
         a = integrate_line(self.radial(0.3, declared), 1.0, DEFAULT,
                            singularity_distance=distance)
@@ -254,21 +258,71 @@ class TestGradedStart:
         assert plain < graded <= plain + 60
 
     def test_graded_panels_count_in_the_start_panel_budget(self):
-        # 65530 uniform start panels on [0, 10], under the limit; grading
-        # from 1e-9 adds 19 panels and takes 1 off the uniform ones
+        # 65529 uniform start panels on [0, c] and [c, 10], under the limit;
+        # grading from 1e-9 adds 18 panels and takes 1 off the uniform ones
         calls = []
 
         def f(t):
             calls.append(t.size)
             return np.exp(-t * t)
 
-        freq = 65529.5 * math.pi / 20.0
+        freq = 65528.5 * math.pi / (2.0 * _NEGLIGIBLE_SIGMAS)
         with pytest.raises(QuadratureError, match="start panels exceed the limit"):
             integrate_line(f, 1.0, DEFAULT, max_frequency=freq,
                            singularity_distance=1e-9)
         assert calls == []
         res = integrate_line(f, 1.0, DEFAULT, max_frequency=freq)
         assert res.value.real == pytest.approx(math.sqrt(math.pi), rel=1e-12)
+
+
+class TestWindowStart:
+    """Start panels end at c w, c = sqrt(ln(1/eps)); one panel covers [c w, a]."""
+
+    def test_uniform_panels_end_at_the_cut_and_one_panel_follows(self):
+        # w = 2, gap pi: panels pi / (2 pi) = 0.5 wide paved all of [0, 20]
+        # in 40; now 25 of them pave [0, 2c] = [0, 12.007], then [2c, 20]
+        edges = _window_start(2.0, DEFAULT, math.pi)
+        cut = 2.0 * math.sqrt(math.log(1.0 / np.finfo(float).eps))
+        assert edges.size - 1 == 25 + 1
+        np.testing.assert_array_equal(edges[:-1], np.linspace(0.0, cut, 26))
+        assert edges[-1] == 20.0
+
+    def test_graded_panels_end_at_the_cut_too(self):
+        edges = _window_start(1.0, DEFAULT, 4.0, singularity_distance=1e-3)
+        assert edges[1] == 1e-3
+        assert edges[-2:].tolist() == [_NEGLIGIBLE_SIGMAS, 10.0]
+        assert np.diff(edges[:-1]).max() <= math.pi / 8.0
+
+    def test_a_window_that_ends_by_the_cut_is_paved_whole(self):
+        # truncation_sigmas = 6 < c, the validator's floor: today's edges
+        edges = _window_start(2.0, QuadratureSettings(truncation_sigmas=6.0), math.pi)
+        np.testing.assert_array_equal(edges, np.linspace(0.0, 12.0, 25))
+
+    @pytest.mark.parametrize("g, abs_tol", [
+        (0.5, DEFAULT.abs_tol), (3.0, DEFAULT.abs_tol), (8.0, DEFAULT.abs_tol), (40.0, DEFAULT.abs_tol),
+        (0.5, 1e-300), (3.0, 1e-300), (4.0, 1e-300),
+    ])
+    def test_gaussian_cosine_matches_its_closed_form(self, g, abs_tol):
+        # int e^{-s^2/4} cos(g s) ds = 2 sqrt(pi) e^{-g^2} over the real line
+        s = QuadratureSettings(abs_tol=abs_tol)
+        res = integrate_line(lambda u: np.exp(-0.25 * u * u) * np.cos(g * u), 2.0, s,
+                             max_frequency=g)
+        exact = TWO_SQRT_PI * math.exp(-g * g)
+        assert abs(res.value - exact) <= max(s.abs_tol, s.rel_tol * exact)
+
+    def test_the_tail_panel_is_split_when_its_own_error_asks(self):
+        # at g = 4 the value is 4e-7: at abs_tol 1e-300 the tolerance is
+        # 4e-16, which [2c, 20] misses on its first pass (its integrand is
+        # up to 2e-16 there), so the second pass evaluates past 2c
+        calls = []
+
+        def f(u):
+            calls.append(u.copy())
+            return np.exp(-0.25 * u * u) * np.cos(4.0 * u)
+
+        integrate_line(f, 2.0, QuadratureSettings(abs_tol=1e-300), max_frequency=4.0)
+        cut = 2.0 * _NEGLIGIBLE_SIGMAS
+        assert [int((u > cut).sum()) for u in calls] == [1, 15, 30]
 
 
 class TestIntegralResult:
@@ -299,10 +353,11 @@ class TestLineCapacity:
         return f
 
     def test_one_more_component_is_refused_before_any_evaluation(self):
-        # ten unit start panels on [0, 10] at frequency 0
-        assert _line_capacity(1.0, DEFAULT) == (1 << 16) // 10
-        # 20000 uniform start panels on [0, 10]: 3 components fit in 65536
-        freq = 20000.0 * math.pi / 20.0
+        # seven start panels on [0, c] and [c, 10] at frequency 0
+        assert _line_capacity(1.0, DEFAULT) == (1 << 16) // 8
+        # 20000 uniform start panels on [0, c] and [c, 10]: 3 components
+        # fit in 65536
+        freq = 19999.5 * math.pi / (2.0 * _NEGLIGIBLE_SIGMAS)
         capacity = _line_capacity(1.0, DEFAULT, freq)
         assert capacity == 3
         calls = []
@@ -317,7 +372,7 @@ class TestLineCapacity:
 
     def test_counts_graded_panels(self):
         # as in TestGradedStart: grading from 1e-9 pushes one component over
-        freq = 65529.5 * math.pi / 20.0
+        freq = 65528.5 * math.pi / (2.0 * _NEGLIGIBLE_SIGMAS)
         assert _line_capacity(1.0, DEFAULT, freq) == 1
         assert _line_capacity(1.0, DEFAULT, freq, singularity_distance=1e-9) == 0
 
@@ -417,9 +472,9 @@ def test_start_panel_limit_raises_before_any_evaluation():
         calls.append(u.size)
         return np.exp(-u * u)
 
-    # half window 10 at spacing pi/24000: about 76000 start panels, over the limit
+    # [0, c] at spacing pi/40000: about 76000 start panels, over the limit
     with pytest.raises(QuadratureError, match="start panels exceed the limit"):
-        integrate_line(f, 1.0, DEFAULT, max_frequency=12000.0)
+        integrate_line(f, 1.0, DEFAULT, max_frequency=20000.0)
     assert calls == []
 
 
@@ -445,12 +500,12 @@ def test_start_panel_limit_counts_components():
         calls.append(u.size)
         return np.array([np.exp(-u * u), np.exp(-u * u)])
 
-    # about 38000 start panels on [0, 10]: under the limit for one component,
-    # over it for two, so only the window edge is evaluated
+    # 38222 start panels on [0, c] and [c, 10]: under the limit for one
+    # component, over it for two, so only the window edge is evaluated
     with pytest.raises(QuadratureError, match="2 x 3.82e[+]04 start panels exceed the limit"):
-        integrate_line(f, 1.0, DEFAULT, max_frequency=6000.0)
+        integrate_line(f, 1.0, DEFAULT, max_frequency=10000.0)
     assert calls == [1]
-    single = integrate_line(lambda u: np.exp(-u * u), 1.0, DEFAULT, max_frequency=6000.0)
+    single = integrate_line(lambda u: np.exp(-u * u), 1.0, DEFAULT, max_frequency=10000.0)
     assert single.value.real == pytest.approx(math.sqrt(math.pi), rel=1e-12)
 
 
