@@ -34,7 +34,7 @@ from .validate import run_validation
 
 def _quad_from_args(base: QuadratureSettings, args: argparse.Namespace) -> QuadratureSettings:
     overrides = {}
-    for name in ("rel_tol", "abs_tol", "truncation_sigmas", "max_subdivisions"):
+    for name in ("rel_tol", "abs_tol", "max_subdivisions"):
         value = getattr(args, name, None)
         if value is not None:
             overrides[name] = value
@@ -44,7 +44,6 @@ def _quad_from_args(base: QuadratureSettings, args: argparse.Namespace) -> Quadr
 def _add_quad_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--rel-tol", dest="rel_tol", type=float, default=None)
     parser.add_argument("--abs-tol", dest="abs_tol", type=float, default=None)
-    parser.add_argument("--truncation-sigmas", dest="truncation_sigmas", type=float, default=None)
     parser.add_argument("--max-subdivisions", dest="max_subdivisions", type=int, default=None)
 
 

@@ -222,8 +222,8 @@ def _x_start(d: float, vs, gaps) -> tuple[float, float, float]:
     see _x_integrals.
 
     The width is 2 at every v, that of the Dawson part's Gaussian
-    e^{-s^2/4}: integrate_line ends its start panels at sqrt(ln(1/eps))
-    widths, and at that many of e^{-A}'s narrower width 2/sqrt(1 + v^2)
+    e^{-s^2/4}: integrate_line's window ends at sqrt(ln(1/eps)) widths,
+    and at that many of e^{-A}'s narrower width 2/sqrt(1 + v^2)
     the Dawson part is still far above eps. The frequency is the largest
     gap, and s_b = d sqrt(1 - v^2) / v is nearest at the largest v.
     s_b = inf at v = 0, and a Python float quotient overflows to inf.
@@ -289,12 +289,11 @@ def _x_integrals(d: float, vs, gaps, settings: QuadratureSettings) -> tuple[np.n
     per-velocity scales, so abs_tol still bounds the u-integral's error.
 
     Both components are even in s, as integrate_line requires: it
-    integrates them on the window [0, truncation_sigmas W], W = 2 the width
-    of the Dawson part's Gaussian e^{-s^2/4} (e^{-A} is no wider at any v),
-    and doubles the result. Its start panels end at sqrt(ln(1/eps)) W =
-    12.007, where that Gaussian is below eps, and one panel covers the rest
-    of the window; its one tail term, charged twice, sees the components at
-    the edge, where at the default 10 W = 20 the Gaussian is e^{-100}.
+    integrates them on the window [0, sqrt(ln(1/eps)) W] = [0, 12.007],
+    W = 2 the width of the Dawson part's Gaussian e^{-s^2/4} (e^{-A} is no
+    wider at any v), where that Gaussian is below eps, and doubles the
+    result; its one tail term, charged twice, sees the components at the
+    edge.
 
     The Gaussians, cos and dawsn are entire, so the only complex
     singularities are the branch points s = +-i s_b of q, the images of
@@ -342,7 +341,7 @@ def _gap_runs(gaps) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
-def _gap_blocks(d: float, batch, gaps: np.ndarray, settings: QuadratureSettings) -> list[slice]:
+def _gap_blocks(d: float, batch, gaps: np.ndarray) -> list[slice]:
     """Slices of gaps, each for one X integral at the velocities of batch.
 
     Each run of _gap_runs is cut into blocks of as many gaps as fit within
@@ -355,7 +354,7 @@ def _gap_blocks(d: float, batch, gaps: np.ndarray, settings: QuadratureSettings)
     blocks = []
     for run in _gap_runs(gaps):
         width, max_frequency, s_b = _x_start(d, batch, gaps[run])
-        fit = _line_capacity(width, settings, max_frequency, singularity_distance=s_b)
+        fit = _line_capacity(width, max_frequency, singularity_distance=s_b)
         size = max(1, fit // (2 * len(batch)))
         blocks += [slice(j, min(j + size, run.stop)) for j in range(run.start, run.stop, size)]
     return blocks
@@ -448,7 +447,7 @@ def _negativity_rows(d: float, gaps, vs, settings: QuadratureSettings | None = N
 
     for i in range(0, len(vs), _X_BATCH):
         batch = vs[i:i + _X_BATCH]
-        for block in _gap_blocks(d, batch, gaps, settings):
+        for block in _gap_blocks(d, batch, gaps):
             run(block, i, batch)
     rows = []
     for p, x_j, err_j, failed in zip(ps, x, err, failures):

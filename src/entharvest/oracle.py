@@ -58,7 +58,7 @@ batching changes only the loop: each inner error is charged as before.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
@@ -68,6 +68,7 @@ from scipy.special import sici
 
 from .model import DetectorSettings, EncounterGeometry
 from .quadrature import (
+    _NEGLIGIBLE_SIGMAS,
     QuadratureSettings,
     integrate_halfline,
     integrate_interval,
@@ -91,11 +92,14 @@ _PANEL_BUDGET = 2048
 
 @dataclass(frozen=True)
 class OracleSettings:
-    """Quadrature settings for both nesting levels plus the radial cutoff.
+    """Quadrature settings for both nesting levels plus the X oracle's
+    radial cutoff.
 
-    k_truncation_sigmas is the radial momentum cutoff in units of 1/sigma;
-    beyond it the Gaussian part of the radial integrand is dead and the
-    oscillatory Dawson part is summed analytically.
+    k_truncation_sigmas is the X oracle's radial momentum cutoff in units
+    of 1/sigma; beyond it the Gaussian part of the radial integrand is dead
+    and the oscillatory Dawson part is summed analytically. Every outer
+    integral, and the P oracle's radial one, ends where its Gaussian
+    envelope falls below eps, as every windowed integral does.
     """
 
     quad: QuadratureSettings = field(default_factory=QuadratureSettings)
@@ -167,11 +171,9 @@ def p_momentum_oracle(
 
     # radial decay scale 1/(1-v): exponent >= (r (1-v) + g)^2
     width = 1.0 / (1.0 - v)
-    outer_quad = replace(quad, truncation_sigmas=settings.k_truncation_sigmas)
-    res = integrate_halfline(outer, width, outer_quad)
+    res = integrate_halfline(outer, width, quad)
     pref = (1.0 - v * v) / (4.0 * math.pi)
-    window = settings.k_truncation_sigmas * width
-    err = pref * (res.error_estimate + inner_err_max * window)
+    err = pref * (res.error_estimate + inner_err_max * _NEGLIGIBLE_SIGMAS * width)
     return pref * res.value.real, err
 
 

@@ -3,9 +3,10 @@
 The integrals in this package all share the same structure: a complex
 integrand dominated by a Gaussian envelope of known width, possibly
 multiplied by a bounded oscillatory phase of known maximal (angular)
-frequency. Infinite domains are truncated at a configurable number of
-envelope widths and the discarded tail is charged to the error estimate
-via the analytic Gaussian tail bound.
+frequency. Infinite domains are truncated at c = sqrt(ln(1/eps)) = 6.0
+envelope widths, where the envelope falls below eps of its peak, and the
+discarded tail is charged to the error estimate via the analytic Gaussian
+tail bound.
 
 Integrands must be vectorized: they are called with a 1-D numpy array of
 n abscissae and return n values (real or complex), or an (m, n) array of
@@ -15,10 +16,7 @@ so one call integrates a whole family, such as X at several velocities.
 Such a call returns one IntegralResult whose value and error estimate are
 arrays of shape (m,), so no object is built per component.
 Start panels are a quarter period of the fastest oscillation wide (at most
-one envelope width). They end at c = sqrt(ln(1/eps)) = 6.0 envelope
-widths, where the envelope falls below eps of its peak, and one panel
-covers the rest of the window, split only where its own error asks; a
-window that ends by c widths is paved whole. An integrand may also
+one envelope width) and pave the whole window. An integrand may also
 declare its singularity distance: the distance from 0 to its nearest
 complex singularity, such as a branch point at +-i t_b. GK15 converges
 fast on a panel about as wide as its distance from the nearest
@@ -65,15 +63,12 @@ class QuadratureSettings:
     """Tolerances and limits governing a single integration.
 
     rel_tol / abs_tol define convergence: the refinement error must drop
-    below max(abs_tol, rel_tol * |value|). truncation_sigmas is the
-    half-width of the integration window in units of the integrand's
-    envelope width. max_subdivisions caps the total number of panel
-    bisections before giving up.
+    below max(abs_tol, rel_tol * |value|). max_subdivisions caps the total
+    number of panel bisections before giving up.
     """
 
     rel_tol: float = 1e-9
     abs_tol: float = 1e-13
-    truncation_sigmas: float = 10.0
     max_subdivisions: int = 4000
 
     def __post_init__(self) -> None:
@@ -83,10 +78,6 @@ class QuadratureSettings:
             raise ValueError(f"rel_tol must be finite and > 0, got {self.rel_tol!r}")
         if not (0.0 < self.abs_tol < math.inf):
             raise ValueError(f"abs_tol must be finite and > 0, got {self.abs_tol!r}")
-        if not (6.0 <= self.truncation_sigmas < math.inf):
-            raise ValueError(
-                f"truncation_sigmas must be finite and >= 6, got {self.truncation_sigmas!r}"
-            )
         if self.max_subdivisions < 1:
             raise ValueError(
                 f"max_subdivisions must be >= 1, got {self.max_subdivisions!r}"
@@ -194,12 +185,12 @@ _WG = np.array(
 
 # Start panels allowed before any evaluation, counted once per component of
 # a vector-valued integrand. One X integral has two components and, on its
-# even half window [0, 20] in proper time, panels pi / (2 gap) wide up to
-# the cut 2c = 12.007 and one panel [2c, 20]: about 7.64 * gap + 1 start
-# panels each, so the limit falls near gap 4287 (267.8 for a batch of 16,
-# 266.6-267.0 at d/sigma in [0.5, 4] for one that reaches v = 1 - 1e-9 and
-# so carries graded panels too), where P has long underflowed to 0; past it
-# the start arrays alone would need gigabytes.
+# even half window [0, 2c] = [0, 12.007] in proper time, panels
+# pi / (2 gap) wide: about 7.64 * gap start panels each, so the limit falls
+# near gap 4287 (267.9 for a batch of 16, 266.7-267.1 at d/sigma in
+# [0.5, 4] for one that reaches v = 1 - 1e-9 and so carries graded panels
+# too), where P has long underflowed to 0; past it the start arrays alone
+# would need gigabytes.
 _MAX_START_PANELS = 1 << 16
 
 # _adaptive splits no panel narrower than this fraction of its window.
@@ -342,30 +333,17 @@ def _result(values: np.ndarray, errors: np.ndarray) -> IntegralResult:
     return IntegralResult(values.astype(complex, copy=False), errors)
 
 
-def _window_start(envelope_width: float, settings: QuadratureSettings, max_frequency: float,
+def _window_start(envelope_width: float, max_frequency: float,
                   singularity_distance: float = math.inf) -> np.ndarray:
-    """Edges of the start panels on [0, a], a = truncation_sigmas * width,
-    checked for one component.
-
-    Past c = _NEGLIGIBLE_SIGMAS widths the envelope is below eps of its
-    peak, so the start panels end at c w and one panel [c w, a] covers the
-    rest of the window, split only where its own error asks. A window that
-    ends by c w, or whose end overflows, is paved whole; an overflowing one
-    is refused for its count.
-    """
+    """Edges of the start panels on the window [0, c w], c =
+    _NEGLIGIBLE_SIGMAS, past which the envelope is below eps of its peak;
+    checked for one component, so a window whose end overflows is refused
+    for its count."""
     w = float(envelope_width)
     if not (w > 0.0 and math.isfinite(w)):
         raise ValueError(f"envelope_width must be finite and > 0, got {envelope_width!r}")
-    a = settings.truncation_sigmas * w
-    cut = _NEGLIGIBLE_SIGMAS * w
-    spacing = _initial_spacing(w, max_frequency)
-    # graded widths are floored at the smallest width _adaptive splits on [0, a]
-    s = max(singularity_distance, _MIN_WIDTH * a)
-    if not (cut < a < math.inf):
-        return _start_edges(0.0, a, spacing, s)
-    edges = np.append(_start_edges(0.0, cut, spacing, s), a)
-    _check_start_panels(edges.size - 1, 1)
-    return edges
+    return _start_edges(0.0, _NEGLIGIBLE_SIGMAS * w, _initial_spacing(w, max_frequency),
+                        singularity_distance)
 
 
 def _integrate_window(
@@ -376,17 +354,16 @@ def _integrate_window(
     scale: float,
     singularity_distance: float = math.inf,
 ) -> IntegralResult:
-    """scale times the integral on [0, a], a = truncation_sigmas * width,
-    plus the Gaussian tail bound beyond a, also times scale. The call at a
-    alone that gives the tail bound also gives the component count, so the
-    start-panel budget is checked before the first pass allocates."""
-    start = _window_start(envelope_width, settings, max_frequency, singularity_distance)
-    w = float(envelope_width)
-    a = settings.truncation_sigmas * w
+    """scale times the integral on [0, a], a = c w, plus the Gaussian tail
+    bound beyond a, also times scale. The call at a alone that gives the
+    tail bound also gives the component count, so the start-panel budget is
+    checked before the first pass allocates."""
+    start = _window_start(envelope_width, max_frequency, singularity_distance)
+    a = float(start[-1])  # c w
     edge = scale * np.abs(np.asarray(integrand(np.array([a]))))
     _check_start_panels(start.size - 1, edge.size)
     value, err = _adaptive(integrand, start, settings, scale)
-    return _result(value, err + _gaussian_tail_bound(edge.sum(axis=-1), w, a))
+    return _result(value, err + _gaussian_tail_bound(edge.sum(axis=-1), float(envelope_width), a))
 
 
 def integrate_line(
@@ -397,20 +374,18 @@ def integrate_line(
     singularity_distance: float = math.inf,
 ) -> IntegralResult:
     """Integrate an even integrand over the real line, truncated at
-    +-truncation_sigmas widths.
+    +-c w, c = sqrt(ln(1/eps)) = 6.0.
 
     envelope_width w declares that |integrand(u)| decays at least like
     exp(-u^2/w^2), relative to its peak; max_frequency declares the largest
     angular frequency of any oscillatory factor and sets the initial panel
-    spacing. The start panels end at c w, c = sqrt(ln(1/eps)) = 6.0, where
-    that envelope is below eps, and one panel covers [c w, truncation_sigmas
-    * w]; so w must be no narrower than the integrand's own width, or a
-    tail that is not negligible is left to that one panel. The
-    integrand must satisfy integrand(-u) == integrand(u): only
-    [0, truncation_sigmas * w] is integrated, with every panel weighted
-    twice, so the convergence test, the error estimate and the one edge's
-    doubled tail bound all refer to the full-line value, and the
-    start-panel budget counts the half window.
+    spacing. At c w that envelope is below eps, so w must be no narrower
+    than the integrand's own width, or a tail that is not negligible is
+    cut off and the tail bound charged at c w undercounts it. The
+    integrand must satisfy integrand(-u) == integrand(u): only [0, c w] is
+    integrated, with every panel weighted twice, so the convergence test,
+    the error estimate and the one edge's doubled tail bound all refer to
+    the full-line value, and the start-panel budget counts the half window.
     singularity_distance declares the distance from u = 0 to the
     integrand's nearest complex singularity, such as the branch points
     +-i t_b of a factor 1/sqrt(c^2 u^2 + d^2), t_b = d / c. Where it is
@@ -428,7 +403,6 @@ def integrate_line(
 
 def _line_capacity(
     envelope_width: float,
-    settings: QuadratureSettings,
     max_frequency: float = 0.0,
     singularity_distance: float = math.inf,
 ) -> int:
@@ -439,7 +413,7 @@ def _line_capacity(
     component's start panels alone exceed it.
     """
     try:
-        start = _window_start(envelope_width, settings, max_frequency, singularity_distance)
+        start = _window_start(envelope_width, max_frequency, singularity_distance)
     except QuadratureError:
         return 0
     return _MAX_START_PANELS // (start.size - 1)
@@ -451,8 +425,8 @@ def integrate_halfline(
     settings: QuadratureSettings,
     max_frequency: float = 0.0,
 ) -> IntegralResult:
-    """As integrate_line, on the domain [0, truncation_sigmas * width], for
-    any integrand, weighted once: the same window at scale 1."""
+    """As integrate_line, on the domain [0, c * width], for any integrand,
+    weighted once: the same window at scale 1."""
     return _integrate_window(integrand, envelope_width, settings, max_frequency, 1.0)
 
 

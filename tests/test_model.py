@@ -232,12 +232,14 @@ class TestProperTime:
 
         monkeypatch.setattr(model, "_line_capacity", capacity)
         monkeypatch.setattr(quadrature, "_adaptive", adaptive)
-        assert model._gap_blocks(1.0, batch, gaps, QUAD) == [slice(0, gaps.size)]
+        assert model._gap_blocks(1.0, batch, gaps) == [slice(0, gaps.size)]
         model._x_integrals(1.0, batch, gaps, QUAD)
         assert capacities == [quadrature._MAX_START_PANELS // panels[0]]
 
     @pytest.mark.parametrize("d,v,gap", [
         (1.0, 0.5, 1.0), (2.0, 0.99, 2.0), (0.5, 1.0 - 1e-6, 1.0), (1.0, 0.3, 6.0),
+        # the largest Jacobian, at small and at large d, and a large d
+        (0.05, 1.0 - 1e-9, 0.0), (4.0, 1.0 - 1e-9, 1.0), (8.0, 0.9, 2.0),
     ])
     def test_x_matches_a_20_digit_mpmath_quadrature(self, d, v, gap):
         # the u-form in s, 2 * int_0^24 in 60 tanh-sinh pieces: its Dawson
@@ -418,8 +420,8 @@ class TestGapBlocks:
 
     def test_a_block_over_the_start_panel_limit_is_split_up_front(self, monkeypatch):
         # one octave; at gap 85 each component has 650 start panels on
-        # [0, 2c] and one on [2c, 20], so 16 velocities fit 3 gaps: blocks of
-        # 3 and 1, and none is refused
+        # [0, 2c], so 16 velocities fit 3 gaps: blocks of 3 and 1, and none
+        # is refused
         gaps = [55.0, 65.0, 75.0, 85.0]
         vs = np.linspace(0.0, 0.9, model._X_BATCH)
         calls = self.recorded(monkeypatch)

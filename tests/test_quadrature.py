@@ -35,16 +35,12 @@ class TestSettingsValidation:
         with pytest.raises(ValueError):
             QuadratureSettings(rel_tol=0.0)
 
-    def test_rejects_bad_truncation(self):
-        with pytest.raises(ValueError):
-            QuadratureSettings(truncation_sigmas=4.0)
-
     def test_rejects_bad_subdivisions(self):
         with pytest.raises(ValueError):
             QuadratureSettings(max_subdivisions=0)
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
-    @pytest.mark.parametrize("name", ["rel_tol", "abs_tol", "truncation_sigmas"])
+    @pytest.mark.parametrize("name", ["rel_tol", "abs_tol"])
     def test_rejects_non_finite(self, name, bad):
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             QuadratureSettings(**{name: bad})
@@ -151,36 +147,37 @@ class TestEven:
         assert min(u.min() for u in calls) >= 0.0
 
     def test_start_panel_budget_counts_the_half_window(self):
-        # 38221 start panels on [0, c] plus [c, 10], under the limit that
-        # the 76000 on [-c, c] would exceed
+        # 38221 start panels on [0, c], under the limit that the 76442 on
+        # [-c, c] would exceed
         res = integrate_line(lambda u: np.exp(-u * u), 1.0, DEFAULT,
                              max_frequency=10000.0)
         assert res.value.real == pytest.approx(math.sqrt(math.pi), rel=1e-12)
 
     def test_tail_is_charged_at_the_edge_and_doubled(self):
-        # bookkeeping only: GK15 is exact on a quadratic, so the estimate is
-        # the tail bound alone, |f(a)| w^2 / 2a at the one edge a, doubled
-        s = QuadratureSettings(truncation_sigmas=6.0)
+        # bookkeeping only: GK15 is exact on a quadratic, so on the window
+        # [0, c] the estimate is the tail bound alone, |f(c)| w^2 / 2c at
+        # the one edge, doubled
+        c = _NEGLIGIBLE_SIGMAS
 
         def f(u):
             return 1.0 + u * u
 
-        res = integrate_line(f, 1.0, s)
-        assert res.value.real == pytest.approx(2.0 * (6.0 + 72.0), rel=1e-14)
-        assert res.error_estimate == pytest.approx(2.0 * 37.0 / 12.0, rel=1e-12)
+        res = integrate_line(f, 1.0, DEFAULT)
+        assert res.value.real == pytest.approx(2.0 * (c + c ** 3 / 3.0), rel=1e-14)
+        assert res.error_estimate == pytest.approx(2.0 * (1.0 + c * c) / (2.0 * c), rel=1e-12)
 
     def test_halfline_is_the_same_window_weighted_once(self):
         # scale is the only difference: integrate_halfline charges the one
-        # edge's tail once, |f(6)| w^2 / 12 = 37/12, and doubling is exact
-        s = QuadratureSettings(truncation_sigmas=6.0)
+        # edge's tail once, |f(c)| w^2 / 2c, and doubling is exact
+        c = _NEGLIGIBLE_SIGMAS
 
         def f(u):
             return 1.0 + u * u
 
-        half = integrate_halfline(f, 1.0, s)
-        line = integrate_line(f, 1.0, s)
-        assert half.value.real == pytest.approx(6.0 + 72.0, rel=1e-14)
-        assert half.error_estimate == pytest.approx(37.0 / 12.0, rel=1e-12)
+        half = integrate_halfline(f, 1.0, DEFAULT)
+        line = integrate_line(f, 1.0, DEFAULT)
+        assert half.value.real == pytest.approx(c + c ** 3 / 3.0, rel=1e-14)
+        assert half.error_estimate == pytest.approx((1.0 + c * c) / (2.0 * c), rel=1e-12)
         assert (line.value, line.error_estimate) == (2.0 * half.value, 2.0 * half.error_estimate)
 
     @pytest.mark.parametrize("k", [10.0, 12.0, 14.0, 15.0, 16.0, 20.0])
@@ -190,7 +187,7 @@ class TestEven:
         # abs_tol on the half window and then doubled, k = 15 would report
         # 1.93 * abs_tol.
         s = QuadratureSettings(abs_tol=1e-12)
-        a = s.truncation_sigmas
+        a = _NEGLIGIBLE_SIGMAS
 
         def f(u):
             return np.exp(-u * u) * np.cos(k * u)
@@ -237,7 +234,7 @@ class TestGradedStart:
     @pytest.mark.parametrize("distance", [math.inf, 1.0, 5.0])
     def test_distance_at_or_above_the_uniform_width_changes_nothing(self, distance):
         # max_frequency 0: seven uniform start panels of width h = c / 7 =
-        # 0.858 on [0, c], then [c, 10]
+        # 0.858 on [0, c]
         declared, plain = [], []
         a = integrate_line(self.radial(0.3, declared), 1.0, DEFAULT,
                            singularity_distance=distance)
@@ -258,15 +255,15 @@ class TestGradedStart:
         assert plain < graded <= plain + 60
 
     def test_graded_panels_count_in_the_start_panel_budget(self):
-        # 65529 uniform start panels on [0, c] and [c, 10], under the limit;
-        # grading from 1e-9 adds 18 panels and takes 1 off the uniform ones
+        # 65530 uniform start panels on [0, c], under the limit; grading
+        # from 1e-9 adds 18 panels and takes 1 off the uniform ones
         calls = []
 
         def f(t):
             calls.append(t.size)
             return np.exp(-t * t)
 
-        freq = 65528.5 * math.pi / (2.0 * _NEGLIGIBLE_SIGMAS)
+        freq = 65529.5 * math.pi / (2.0 * _NEGLIGIBLE_SIGMAS)
         with pytest.raises(QuadratureError, match="start panels exceed the limit"):
             integrate_line(f, 1.0, DEFAULT, max_frequency=freq,
                            singularity_distance=1e-9)
@@ -276,27 +273,21 @@ class TestGradedStart:
 
 
 class TestWindowStart:
-    """Start panels end at c w, c = sqrt(ln(1/eps)); one panel covers [c w, a]."""
+    """The window is [0, c w], c = sqrt(ln(1/eps)), paved whole by the start panels."""
 
-    def test_uniform_panels_end_at_the_cut_and_one_panel_follows(self):
-        # w = 2, gap pi: panels pi / (2 pi) = 0.5 wide paved all of [0, 20]
-        # in 40; now 25 of them pave [0, 2c] = [0, 12.007], then [2c, 20]
-        edges = _window_start(2.0, DEFAULT, math.pi)
+    def test_uniform_panels_pave_the_window_to_the_cut(self):
+        # w = 2, gap pi: panels pi / (2 pi) = 0.5 wide, 25 of them on
+        # [0, 2c] = [0, 12.007]
+        edges = _window_start(2.0, math.pi)
         cut = 2.0 * math.sqrt(math.log(1.0 / np.finfo(float).eps))
-        assert edges.size - 1 == 25 + 1
-        np.testing.assert_array_equal(edges[:-1], np.linspace(0.0, cut, 26))
-        assert edges[-1] == 20.0
+        assert edges.size - 1 == 25
+        np.testing.assert_array_equal(edges, np.linspace(0.0, cut, 26))
 
     def test_graded_panels_end_at_the_cut_too(self):
-        edges = _window_start(1.0, DEFAULT, 4.0, singularity_distance=1e-3)
+        edges = _window_start(1.0, 4.0, singularity_distance=1e-3)
         assert edges[1] == 1e-3
-        assert edges[-2:].tolist() == [_NEGLIGIBLE_SIGMAS, 10.0]
-        assert np.diff(edges[:-1]).max() <= math.pi / 8.0
-
-    def test_a_window_that_ends_by_the_cut_is_paved_whole(self):
-        # truncation_sigmas = 6 < c, the validator's floor: today's edges
-        edges = _window_start(2.0, QuadratureSettings(truncation_sigmas=6.0), math.pi)
-        np.testing.assert_array_equal(edges, np.linspace(0.0, 12.0, 25))
+        assert edges[-1] == _NEGLIGIBLE_SIGMAS
+        assert np.diff(edges).max() <= math.pi / 8.0
 
     @pytest.mark.parametrize("g, abs_tol", [
         (0.5, DEFAULT.abs_tol), (3.0, DEFAULT.abs_tol), (8.0, DEFAULT.abs_tol), (40.0, DEFAULT.abs_tol),
@@ -310,19 +301,23 @@ class TestWindowStart:
         exact = TWO_SQRT_PI * math.exp(-g * g)
         assert abs(res.value - exact) <= max(s.abs_tol, s.rel_tol * exact)
 
-    def test_the_tail_panel_is_split_when_its_own_error_asks(self):
-        # at g = 4 the value is 4e-7: at abs_tol 1e-300 the tolerance is
-        # 4e-16, which [2c, 20] misses on its first pass (its integrand is
-        # up to 2e-16 there), so the second pass evaluates past 2c
+    @pytest.mark.parametrize("singularity_distance, passes", [(math.inf, 2), (1e-3, 1)])
+    def test_no_node_but_the_edge_lies_past_the_cut(self, singularity_distance, passes):
+        # at g = 4, abs_tol 1e-300 holds the value 4e-7 to 4e-16, which on
+        # uniform start panels takes a second pass; every node of every pass
+        # lies inside [0, 2c], and the edge call evaluates 2c alone
         calls = []
 
         def f(u):
             calls.append(u.copy())
             return np.exp(-0.25 * u * u) * np.cos(4.0 * u)
 
-        integrate_line(f, 2.0, QuadratureSettings(abs_tol=1e-300), max_frequency=4.0)
+        integrate_line(f, 2.0, QuadratureSettings(abs_tol=1e-300), max_frequency=4.0,
+                       singularity_distance=singularity_distance)
         cut = 2.0 * _NEGLIGIBLE_SIGMAS
-        assert [int((u > cut).sum()) for u in calls] == [1, 15, 30]
+        assert calls[0].tolist() == [cut]
+        assert len(calls) == 1 + passes
+        assert all(u.max() < cut for u in calls[1:])
 
 
 class TestIntegralResult:
@@ -353,12 +348,11 @@ class TestLineCapacity:
         return f
 
     def test_one_more_component_is_refused_before_any_evaluation(self):
-        # seven start panels on [0, c] and [c, 10] at frequency 0
-        assert _line_capacity(1.0, DEFAULT) == (1 << 16) // 8
-        # 20000 uniform start panels on [0, c] and [c, 10]: 3 components
-        # fit in 65536
+        # seven start panels on [0, c] at frequency 0
+        assert _line_capacity(1.0) == (1 << 16) // 7
+        # 20000 uniform start panels on [0, c]: 3 components fit in 65536
         freq = 19999.5 * math.pi / (2.0 * _NEGLIGIBLE_SIGMAS)
-        capacity = _line_capacity(1.0, DEFAULT, freq)
+        capacity = _line_capacity(1.0, freq)
         assert capacity == 3
         calls = []
         res = integrate_line(self.components(capacity, calls), 1.0, DEFAULT,
@@ -372,9 +366,9 @@ class TestLineCapacity:
 
     def test_counts_graded_panels(self):
         # as in TestGradedStart: grading from 1e-9 pushes one component over
-        freq = 65528.5 * math.pi / (2.0 * _NEGLIGIBLE_SIGMAS)
-        assert _line_capacity(1.0, DEFAULT, freq) == 1
-        assert _line_capacity(1.0, DEFAULT, freq, singularity_distance=1e-9) == 0
+        freq = 65529.5 * math.pi / (2.0 * _NEGLIGIBLE_SIGMAS)
+        assert _line_capacity(1.0, freq) == 1
+        assert _line_capacity(1.0, freq, singularity_distance=1e-9) == 0
 
 
 class TestInterval:
@@ -429,17 +423,19 @@ def test_refinement_improves_accuracy():
 
 
 def test_truncation_tail_is_accounted():
-    # widening the truncation window changes results by less than the
-    # reported error estimate of the narrower run
-    narrow = QuadratureSettings(truncation_sigmas=8.0)
-    wide = QuadratureSettings(truncation_sigmas=12.0)
+    # int e^{-u^2/4} cos(g u) du = 2 sqrt(pi) e^{-g^2} over the real line:
+    # the value on [-2c, 2c] is within its estimate of it, and the estimate
+    # holds the tail bound charged at 2c, twice |f(2c)| w^2 / 4c
+    cut = 2.0 * _NEGLIGIBLE_SIGMAS
+    for g in (0.0, 0.5, 3.0, 4.0):
+        def f(u):
+            return np.exp(-0.25 * u * u) * np.cos(g * u)
 
-    def f(u):
-        return np.exp(-u * u / 4.0)
-
-    rn = integrate_line(f, 2.0, narrow)
-    rw = integrate_line(f, 2.0, wide)
-    assert abs(rn.value - rw.value) <= rn.error_estimate
+        tail = 2.0 * abs(f(np.array([cut]))[0]) * 4.0 / (2.0 * cut)
+        for s in (DEFAULT, QuadratureSettings(abs_tol=1e-300)):
+            res = integrate_line(f, 2.0, s, max_frequency=g)
+            assert abs(res.value - TWO_SQRT_PI * math.exp(-g * g)) <= res.error_estimate
+            assert res.error_estimate >= tail
 
 
 def test_non_finite_integrand_reports_abscissa():
@@ -472,14 +468,14 @@ def test_start_panel_limit_raises_before_any_evaluation():
         calls.append(u.size)
         return np.exp(-u * u)
 
-    # [0, c] at spacing pi/40000: about 76000 start panels, over the limit
+    # [0, c] at spacing pi/40000: 76441 start panels, over the limit
     with pytest.raises(QuadratureError, match="start panels exceed the limit"):
         integrate_line(f, 1.0, DEFAULT, max_frequency=20000.0)
     assert calls == []
 
 
 def test_overflowing_window_is_refused_before_any_evaluation():
-    # truncation_sigmas * width overflows to inf, and so would the panel count
+    # c * width overflows to inf, and so would the panel count
     calls = []
 
     def f(u):
@@ -487,7 +483,7 @@ def test_overflowing_window_is_refused_before_any_evaluation():
         return np.exp(-u * u)
 
     with pytest.raises(QuadratureError, match="^1 x inf start panels exceed the limit"):
-        integrate_line(f, 1e300, QuadratureSettings(truncation_sigmas=1e10))
+        integrate_line(f, 1e308, DEFAULT)
     with pytest.raises(QuadratureError, match="^1 x nan start panels exceed the limit"):
         integrate_interval(f, -1e308, 1e308, DEFAULT)
     assert calls == []
@@ -500,8 +496,8 @@ def test_start_panel_limit_counts_components():
         calls.append(u.size)
         return np.array([np.exp(-u * u), np.exp(-u * u)])
 
-    # 38222 start panels on [0, c] and [c, 10]: under the limit for one
-    # component, over it for two, so only the window edge is evaluated
+    # 38221 start panels on [0, c]: under the limit for one component, over
+    # it for two, so only the window edge is evaluated
     with pytest.raises(QuadratureError, match="2 x 3.82e[+]04 start panels exceed the limit"):
         integrate_line(f, 1.0, DEFAULT, max_frequency=10000.0)
     assert calls == [1]

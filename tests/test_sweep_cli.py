@@ -255,7 +255,6 @@ def accepted_specs(draw) -> SweepSpec:
             QuadratureSettings(
                 rel_tol=10.0 ** draw(st.floats(-14.0, -1.0)),
                 abs_tol=10.0 ** draw(st.floats(-20.0, -3.0)),
-                truncation_sigmas=draw(st.floats(6.0, 20.0)),
                 max_subdivisions=draw(st.integers(1, 4000)),
             ),
         )
@@ -556,17 +555,33 @@ class TestCli:
         assert captured.err.startswith("ConvergenceError: no convergence")
         assert captured.err.count("\n") == 1
 
-    @pytest.mark.parametrize("sigmas, err", [
-        ("inf", "ValueError: truncation_sigmas must be finite and >= 6, got inf\n"),
-        # finite, but truncation_sigmas * width overflows
-        ("1e308", "QuadratureError: 1 x inf start panels exceed the limit of 65536\n"),
-    ], ids=["inf", "overflow"])
-    def test_peak_non_finite_window_prints_one_line(self, capsys, sigmas, err):
-        rc = main(["peak", "--d", "1", "--omega", "1", "--truncation-sigmas", sigmas])
+    @pytest.mark.parametrize("command", [
+        ["point", "--d", "1", "--v", "0.5", "--omega", "1"],
+        ["peak", "--d", "1", "--omega", "1"],
+        ["sweep", "--config", "c.json", "--out", "o.csv"],
+        ["region", "--config", "c.json", "--out", "o.csv"],
+        ["validate"],
+    ], ids=lambda argv: argv[0])
+    def test_no_subcommand_takes_a_window_end(self, capsys, command):
+        # every window ends where its envelope falls below eps; argparse
+        # refuses the retired flag before anything runs
+        with pytest.raises(SystemExit) as info:
+            main([*command, "--truncation-sigmas", "10"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --truncation-sigmas 10" in err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("d, v", [("1e200", "0.5"), ("1", str(1.0 - 1e-12))])
+    def test_point_at_extreme_inputs_warns_nothing(self, capsys, d, v):
+        # a far d makes d^2 overflow to inf, and v = 1 - 1e-12 the largest
+        # Jacobian; neither puts a node where s^2 overflows, and any numpy
+        # warning is an error here
+        rc = main(["point", "--d", d, "--v", v, "--omega", "1"])
         captured = capsys.readouterr()
-        assert rc == 1
-        assert captured.out == ""
-        assert captured.err == err
+        assert rc == 0
+        assert captured.err == ""
+        assert json.loads(captured.out)["negativity"] == 0.0
 
     @pytest.mark.filterwarnings("error")
     def test_peak_tiny_d_prints_one_line(self, capsys):
@@ -686,8 +701,16 @@ class TestConfigErrors:
     def test_non_finite_quadrature_value(self, command, tmp_path, capsys):
         # a literal 1e400 in the JSON file reads as inf, as does Infinity
         err = self.run(command, tmp_path, capsys,
-                       edit=lambda cfg: cfg.update(quadrature={"truncation_sigmas": 1e400}))
-        assert err == "ValueError: truncation_sigmas must be finite and >= 6, got inf\n"
+                       edit=lambda cfg: cfg.update(quadrature={"rel_tol": 1e400}))
+        assert err == "ValueError: rel_tol must be finite and > 0, got inf\n"
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_retired_window_end_is_an_unknown_field(self, command, tmp_path, capsys):
+        # truncation_sigmas set where the window ended; the window is fixed now
+        err = self.run(command, tmp_path, capsys,
+                       edit=lambda cfg: cfg.update(quadrature={"truncation_sigmas": 10.0}))
+        assert err.startswith("ValueError: config 'quadrature': ")
+        assert "unexpected keyword argument 'truncation_sigmas'" in err
         assert not (tmp_path / "out.csv").exists()
 
     def test_fractional_max_subdivisions(self, command, tmp_path, capsys):
