@@ -20,7 +20,7 @@ from .model import (
     transition_probability,
     velocity_profile,
 )
-from .oracle import OracleSettings, p_momentum_oracle, x_momentum_oracle
+from .oracle import p_momentum_oracle, x_momentum_oracle
 from .quadrature import (
     ConvergenceError,
     IntegralResult,
@@ -36,7 +36,6 @@ __all__ = [
     "DetectorSettings",
     "EncounterGeometry",
     "QuadratureSettings",
-    "OracleSettings",
     "transition_probability",
     "correlation_x",
     "negativity",

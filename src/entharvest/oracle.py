@@ -24,10 +24,15 @@ with prefactor -sqrt(pi) (1-v^2) / (4 pi^2). This is the line integral
 with weight e^{-u^2/4} e^{-i g u} / rho folded in half: rho and the inner
 integral are even in u, so the sine half of the phase is odd and drops
 out, and each inner integral serves both +u and -u. The imaginary part
-of the inner integrand decays only like 1/r, so the radial cutoff is
-supplemented by an analytic tail computed from the asymptotic Dawson
-series and the sine integral; truncating that series is charged to the
-error estimate.
+of the inner integrand decays only like 1/r, so the radial integral stops
+at the fixed cutoff _RADIAL_CUTOFF and is supplemented by an analytic tail
+computed from the asymptotic Dawson series and the sine integral;
+truncating that series is charged to the error estimate.
+
+Both oracles take one QuadratureSettings, as every other integral does,
+and hold their outer and inner integrals to it; every outer integral, and
+the P oracle's radial one, ends where its Gaussian envelope falls below
+eps, as every windowed integral does.
 
 Phase convention. The mode-expansion route lands, after the variable
 rescaling, on the negated complex conjugate of the single-integral form
@@ -58,7 +63,6 @@ batching changes only the loop: each inner error is charged as before.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
@@ -75,7 +79,7 @@ from .quadrature import (
     integrate_line,  # not called here: perfbench's tracer wraps this name on this module
 )
 
-__all__ = ["OracleSettings", "p_momentum_oracle", "x_momentum_oracle"]
+__all__ = ["p_momentum_oracle", "x_momentum_oracle"]
 
 _SQRT_PI = math.sqrt(math.pi)
 _TWO_OVER_SQRT_PI = 2.0 / _SQRT_PI
@@ -89,27 +93,10 @@ _NEXT_COEFF = 14.765625  # 9!!/2^6, first dropped term
 # is integrated alone.
 _PANEL_BUDGET = 2048
 
-
-@dataclass(frozen=True)
-class OracleSettings:
-    """Quadrature settings for both nesting levels plus the X oracle's
-    radial cutoff.
-
-    k_truncation_sigmas is the X oracle's radial momentum cutoff in units
-    of 1/sigma; beyond it the Gaussian part of the radial integrand is dead
-    and the oscillatory Dawson part is summed analytically. Every outer
-    integral, and the P oracle's radial one, ends where its Gaussian
-    envelope falls below eps, as every windowed integral does.
-    """
-
-    quad: QuadratureSettings = field(default_factory=QuadratureSettings)
-    k_truncation_sigmas: float = 12.0
-
-    def __post_init__(self) -> None:
-        if not (self.k_truncation_sigmas >= 8.0):
-            raise ValueError(
-                f"k_truncation_sigmas must be >= 8, got {self.k_truncation_sigmas!r}"
-            )
+# The X oracle's radial momentum cutoff, in units of 1/sigma. Past it
+# e^{-r^2} is below 1e-62 and the Dawson part is summed analytically by
+# _sine_tail, whose first dropped term is bounded by about 2.2e-11 / rho.
+_RADIAL_CUTOFF = 12.0
 
 
 def _inner_integrals(
@@ -147,15 +134,13 @@ def _inner_integrals(
 
 
 def p_momentum_oracle(
-    det: DetectorSettings, v: float, settings: OracleSettings | None = None
+    det: DetectorSettings, v: float, settings: QuadratureSettings | None = None
 ) -> tuple[float, float]:
     """Transition probability from the momentum integral; (value, error)."""
-    if settings is None:
-        settings = OracleSettings()
+    quad = settings if settings is not None else QuadratureSettings()
     if not (0.0 <= v < 1.0):
         raise ValueError(f"v must satisfy 0 <= v < 1, got {v!r}")
     g = det.gap
-    quad = settings.quad
     inner_err_max = 0.0
 
     def angular(r: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -222,18 +207,15 @@ def _radial(rho: np.ndarray, r: np.ndarray) -> np.ndarray:
 def x_momentum_oracle(
     det: DetectorSettings,
     geom: EncounterGeometry,
-    settings: OracleSettings | None = None,
+    settings: QuadratureSettings | None = None,
 ) -> tuple[complex, float]:
     """Correlation term X from the nested momentum integral; (value, error)."""
-    if settings is None:
-        settings = OracleSettings()
+    quad = settings if settings is not None else QuadratureSettings()
     d = geom.d / det.sigma
     v = geom.v
     g = det.gap
-    quad = settings.quad
     b2 = 1.0 - v * v
     d2_over_gamma2 = d * d * b2
-    a = settings.k_truncation_sigmas
     inner_err_max = 0.0
 
     def outer(u: np.ndarray) -> np.ndarray:
@@ -242,8 +224,8 @@ def x_momentum_oracle(
         # a quarter period of sin(rho r), min(1, pi / (2 rho)) as in
         # quadrature._initial_spacing, without dividing by rho
         spacing = math.pi / (2.0 * np.maximum(rho, 0.5 * math.pi))
-        val, err = _inner_integrals(_radial, rho, spacing, 0.0, a, quad)
-        tail, tail_bound = _sine_tail(a, rho)
+        val, err = _inner_integrals(_radial, rho, spacing, 0.0, _RADIAL_CUTOFF, quad)
+        tail, tail_bound = _sine_tail(_RADIAL_CUTOFF, rho)
         inner_err_max = max(inner_err_max, float(((err + tail_bound) / rho).max()))
         weight = 2.0 * np.exp(-0.25 * u * u) * np.cos(g * u) / rho[inverse]
         return weight * (val + 1j * tail)[inverse]

@@ -143,7 +143,8 @@ def _check_axes(d_over_sigma: GridSpec, sigma_omega: GridSpec) -> None:
 def _read_config(obj: dict, axes: Sequence[str]) -> tuple[list[GridSpec], QuadratureSettings]:
     """The named axes and the optional `quadrature` block of a JSON grid config.
 
-    A missing key or a misnamed field raises ValueError naming where it is.
+    A missing key, a misnamed field or a bad value raises ValueError naming
+    where it is.
     """
     try:
         grids = []
@@ -156,7 +157,7 @@ def _read_config(obj: dict, axes: Sequence[str]) -> tuple[list[GridSpec], Quadra
         return grids, QuadratureSettings(**obj.get("quadrature", {}))
     except KeyError as exc:
         raise ValueError(f"{where} is missing key {exc}") from None
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{where}: {exc}") from None
 
 
@@ -187,7 +188,7 @@ class SweepSpec:
     def from_dict(cls, obj: dict) -> "SweepSpec":
         grids, quad = _read_config(obj, ("d_over_sigma", "sigma_omega", "v"))
         outputs = obj.get("outputs", SWEEP_COLUMNS)
-        if not isinstance(outputs, (list, tuple)):
+        if not (isinstance(outputs, (list, tuple)) and all(isinstance(c, str) for c in outputs)):
             raise ValueError(f"config 'outputs' must be a list of column names, got {outputs!r}")
         return cls(*grids, quad=quad, outputs=tuple(outputs))
 

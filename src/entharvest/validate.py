@@ -1,11 +1,13 @@
 """Self-validation battery: oracle equivalence grids and model invariants.
 
-Every check takes (oracle, grid, quad) and returns a CheckResult with the
+Every check takes (grid, quad) and returns a CheckResult with the
 measured deviation and the tolerance it was held to, under the one name
 its _named decorator gives it, which a check that raises fails under too;
 run_validation resolves the settings once and collects the results into a
-machine-readable report. The "coarse" grid shrinks the sweep axes for a
-quick smoke run; "full" runs the complete desk-scale grids.
+machine-readable report. quad holds the fast path's tolerances; the
+momentum-space oracles it is checked against always run at their
+QuadratureSettings() defaults. The "coarse" grid shrinks the sweep axes for
+a quick smoke run; "full" runs the complete desk-scale grids.
 """
 
 from __future__ import annotations
@@ -33,11 +35,10 @@ from .model import (
     transition_probability,
     velocity_profile,
 )
-from .oracle import OracleSettings
 from .quadrature import QuadratureSettings
 from .sweep import GridSpec, SweepSpec, run_sweep, write_sweep_csv
 
-__all__ = ["CheckResult", "run_validation", "bisect_gap_threshold"]
+__all__ = ["CheckResult", "run_validation"]
 
 
 @dataclass(frozen=True)
@@ -59,9 +60,9 @@ def _named(name: str) -> Callable:
     the same name."""
     def decorate(fn: Callable[..., tuple]) -> Callable[..., CheckResult]:
         @functools.wraps(fn)
-        def check(oracle: OracleSettings, grid: str, quad: QuadratureSettings) -> CheckResult:
+        def check(grid: str, quad: QuadratureSettings) -> CheckResult:
             try:
-                return CheckResult(name, *fn(oracle, grid, quad))
+                return CheckResult(name, *fn(grid, quad))
             except Exception as exc:  # a crashed check is a failed check
                 return CheckResult(name, False, math.inf, 0.0, f"{type(exc).__name__}: {exc}")
         return check
@@ -69,8 +70,7 @@ def _named(name: str) -> Callable:
 
 
 @_named("p_oracle_vs_closed_form")
-def check_p_oracle_vs_closed_form(oracle: OracleSettings, grid: str,
-                                  quad: QuadratureSettings) -> tuple:
+def check_p_oracle_vs_closed_form(grid: str, quad: QuadratureSettings) -> tuple:
     vs = (0.0, 0.3, 0.6, 0.9, 0.99) if grid == "full" else (0.0, 0.9)
     gaps = (0.0, 1.0, 4.0) if grid == "full" else (0.0, 1.0)
     worst = 0.0
@@ -78,14 +78,13 @@ def check_p_oracle_vs_closed_form(oracle: OracleSettings, grid: str,
         det = DetectorSettings(1.0, gap)
         closed = transition_probability(det)
         for v in vs:
-            value, _ = oracle_mod.p_momentum_oracle(det, v, oracle)
+            value, _ = oracle_mod.p_momentum_oracle(det, v)
             worst = max(worst, abs(value - closed))
     return _check(worst, 1e-6, f"{len(vs) * len(gaps)} (v, gap) points")
 
 
 @_named("p_closed_form_limits")
-def check_p_closed_form_limits(_: OracleSettings, grid: str,
-                               quad: QuadratureSettings) -> tuple:
+def check_p_closed_form_limits(grid: str, quad: QuadratureSettings) -> tuple:
     dev0 = abs(transition_probability(DetectorSettings(1.0, 0.0)) - 1.0 / (4.0 * math.pi))
     dev1 = abs(transition_probability(DetectorSettings(1.0, 1.0)) - 0.0070883)
     measured = max(dev0 / 1e-12, dev1 / 1e-7)  # normalized to each tolerance
@@ -100,8 +99,7 @@ def _x_grid(grid: str):
 
 
 @_named("x_oracle_vs_fast_path")
-def check_x_oracle_vs_fast_path(oracle: OracleSettings, grid: str,
-                                quad: QuadratureSettings) -> tuple:
+def check_x_oracle_vs_fast_path(grid: str, quad: QuadratureSettings) -> tuple:
     ds, vs, gaps = _x_grid(grid)
     worst = 0.0
     for d in ds:
@@ -110,7 +108,7 @@ def check_x_oracle_vs_fast_path(oracle: OracleSettings, grid: str,
             for v in vs:
                 geom = EncounterGeometry(d, v)
                 fast = correlation_x(det, geom, quad).value
-                slow, _ = oracle_mod.x_momentum_oracle(det, geom, oracle)
+                slow, _ = oracle_mod.x_momentum_oracle(det, geom)
                 dev = abs(slow - fast) / max(abs(fast), 1e-5)  # floor 1e-10 / 1e-5
                 worst = max(worst, dev)
     return _check(worst, 1e-5,
@@ -118,7 +116,7 @@ def check_x_oracle_vs_fast_path(oracle: OracleSettings, grid: str,
 
 
 @_named("static_reduction")
-def check_static_reduction(_: OracleSettings, grid: str, quad: QuadratureSettings) -> tuple:
+def check_static_reduction(grid: str, quad: QuadratureSettings) -> tuple:
     ds = np.linspace(0.25, 6.0, 5)
     gaps = np.linspace(0.0, 4.0, 5)
     worst = 0.0
@@ -135,8 +133,7 @@ def check_static_reduction(_: OracleSettings, grid: str, quad: QuadratureSetting
 
 
 @_named("degenerate_gap_extinction")
-def check_degenerate_gap_extinction(_: OracleSettings, grid: str,
-                                    quad: QuadratureSettings) -> tuple:
+def check_degenerate_gap_extinction(grid: str, quad: QuadratureSettings) -> tuple:
     det = DetectorSettings(1.0, 0.0)
     n_points = 50 if grid == "full" else 10
     vs = np.linspace(0.0, 0.99, n_points)
@@ -150,7 +147,7 @@ def check_degenerate_gap_extinction(_: OracleSettings, grid: str,
 
 
 @_named("scale_invariance_zero_gap")
-def check_scale_invariance(_: OracleSettings, grid: str, quad: QuadratureSettings) -> tuple:
+def check_scale_invariance(grid: str, quad: QuadratureSettings) -> tuple:
     worst = 0.0
     for v in (0.0, 0.5):
         a = negativity(DetectorSettings(1.0, 0.0), EncounterGeometry(1.0, v), quad)
@@ -159,22 +156,21 @@ def check_scale_invariance(_: OracleSettings, grid: str, quad: QuadratureSetting
     return _check(worst, 1e-9, "(d, sigma) in {(1,1), (3,3)}")
 
 
-def _fd_slope(d: float, gap: float, quad: QuadratureSettings, eta: float = 1e-3) -> float:
-    """Finite difference of |X|^2 in v^2 at v = 0, quadrature-based."""
+def _fd_slope(d: float, gap: float, quad: QuadratureSettings) -> float:
+    """Finite difference of |X|^2 in v^2 at v = 0, step 1e-3, quadrature-based."""
     det = DetectorSettings(1.0, gap)
     x0 = abs(correlation_x(det, EncounterGeometry(d, 0.0), quad).value) ** 2
-    xh = abs(correlation_x(det, EncounterGeometry(d, math.sqrt(eta)), quad).value) ** 2
-    return (xh - x0) / eta
+    xh = abs(correlation_x(det, EncounterGeometry(d, math.sqrt(1e-3)), quad).value) ** 2
+    return (xh - x0) / 1e-3
 
 
-def bisect_gap_threshold(d: float, quad: QuadratureSettings,
-                         lo: float = 0.3, hi: float = 1.5, tol: float = 1e-3) -> float:
-    """Independent threshold estimate: bisection on the finite-difference
-    slope of |X|^2 in v^2 at v = 0."""
-    f_lo, f_hi = _fd_slope(d, lo, quad), _fd_slope(d, hi, quad)
-    if not (f_lo < 0.0 < f_hi):
+def _bisect_gap_threshold(d: float, quad: QuadratureSettings) -> float:
+    """Independent threshold estimate: bisection on [0.3, 1.5], to 1e-3, on
+    the finite-difference slope of |X|^2 in v^2 at v = 0."""
+    lo, hi = 0.3, 1.5
+    if not (_fd_slope(d, lo, quad) < 0.0 < _fd_slope(d, hi, quad)):
         raise ValueError(f"threshold not bracketed on [{lo}, {hi}] at d = {d}")
-    while hi - lo > tol:
+    while hi - lo > 1e-3:
         mid = 0.5 * (lo + hi)
         if _fd_slope(d, mid, quad) > 0.0:
             hi = mid
@@ -184,8 +180,7 @@ def bisect_gap_threshold(d: float, quad: QuadratureSettings,
 
 
 @_named("threshold_equivalence")
-def check_threshold_equivalence(_: OracleSettings, grid: str,
-                                quad: QuadratureSettings) -> tuple:
+def check_threshold_equivalence(grid: str, quad: QuadratureSettings) -> tuple:
     ds = (0.5, 1.0, 2.0, 3.0) if grid == "full" else (1.0,)
     for d in ds:
         omega_p = omega_peak_threshold(d)
@@ -196,15 +191,14 @@ def check_threshold_equivalence(_: OracleSettings, grid: str,
     worst = 0.0
     targets = {1.0: 0.8215, 2.0: 0.848} if grid == "full" else {1.0: 0.8215}
     for d, expected in targets.items():
-        est = bisect_gap_threshold(d, quad)
+        est = _bisect_gap_threshold(d, quad)
         worst = max(worst, abs(est - expected))
     return _check(worst, 1e-2,
                   "closed-form sign flips plus bisection on quadrature finite differences")
 
 
 @_named("peak_phenomenology")
-def check_peak_phenomenology(_: OracleSettings, grid: str,
-                             quad: QuadratureSettings) -> tuple:
+def check_peak_phenomenology(grid: str, quad: QuadratureSettings) -> tuple:
     peak = find_peak_velocity(DetectorSettings(1.0, 1.0), 1.0, quad)
     n0 = static_negativity(DetectorSettings(1.0, 1.0), 1.0)
     if peak is None or not (0.0 < peak.v_star < 1.0 and peak.n_star > n0 > 0.0):
@@ -230,8 +224,7 @@ def check_peak_phenomenology(_: OracleSettings, grid: str,
 
 
 @_named("spacelike_criterion")
-def check_spacelike_criterion(_: OracleSettings, grid: str,
-                              quad: QuadratureSettings) -> tuple:
+def check_spacelike_criterion(grid: str, quad: QuadratureSettings) -> tuple:
     # binary 0.8 is not exactly 4/5; correctly rounded output is 10 + 1 ulp
     if abs(spacelike_min_distance(0.8, 1.0) - 10.0) > 2.0 * math.ulp(10.0):
         return (False, math.inf, 0.0, "spacelike_min_distance(0.8) != 10 sigma (to roundoff)")
@@ -259,7 +252,7 @@ def check_spacelike_criterion(_: OracleSettings, grid: str,
 
 
 @_named("sweep_determinism")
-def check_sweep_determinism(_: OracleSettings, grid: str, quad: QuadratureSettings) -> tuple:
+def check_sweep_determinism(grid: str, quad: QuadratureSettings) -> tuple:
     if grid == "full":
         counts, worker_sets = 20, (1, 4, 8)
     else:
@@ -293,17 +286,12 @@ _CHECKS = (
 )
 
 
-def run_validation(
-    grid: str = "full",
-    oracle: OracleSettings | None = None,
-    quad: QuadratureSettings | None = None,
-) -> dict:
+def run_validation(grid: str = "full", quad: QuadratureSettings | None = None) -> dict:
     """Run every check; returns a JSON-serializable report."""
     if grid not in ("coarse", "full"):
         raise ValueError(f"grid must be 'coarse' or 'full', got {grid!r}")
-    oracle = oracle if oracle is not None else OracleSettings()
     quad = quad if quad is not None else QuadratureSettings()
-    results = [check(oracle, grid, quad) for check in _CHECKS]
+    results = [check(grid, quad) for check in _CHECKS]
     return {
         "grid": grid,
         "all_passed": all(r.passed for r in results),

@@ -6,7 +6,6 @@ prints a single pass/fail line with the measured figure of merit.
 
 import time
 
-from entharvest.oracle import OracleSettings
 from entharvest.quadrature import QuadratureSettings
 from entharvest.validate import (
     check_degenerate_gap_extinction,
@@ -21,7 +20,6 @@ from entharvest.validate import (
     check_x_oracle_vs_fast_path,
 )
 
-ORACLE = OracleSettings()
 QUAD = QuadratureSettings()
 
 
@@ -34,7 +32,7 @@ def _report(criterion: int, chk, elapsed: float | None = None) -> None:
 
 def test_criterion_1_p_oracle_agreement():
     t0 = time.perf_counter()
-    chk = check_p_oracle_vs_closed_form(ORACLE, grid="full", quad=QUAD)
+    chk = check_p_oracle_vs_closed_form(grid="full", quad=QUAD)
     elapsed = time.perf_counter() - t0
     _report(1, chk, elapsed)
     assert chk.passed, chk.detail
@@ -42,14 +40,14 @@ def test_criterion_1_p_oracle_agreement():
 
 
 def test_criterion_2_p_closed_form_limits():
-    chk = check_p_closed_form_limits(ORACLE, grid="full", quad=QUAD)
+    chk = check_p_closed_form_limits(grid="full", quad=QUAD)
     _report(2, chk)
     assert chk.passed, chk.detail
 
 
 def test_criterion_3_x_oracle_agreement():
     t0 = time.perf_counter()
-    chk = check_x_oracle_vs_fast_path(ORACLE, grid="full", quad=QUAD)
+    chk = check_x_oracle_vs_fast_path(grid="full", quad=QUAD)
     elapsed = time.perf_counter() - t0
     _report(3, chk, elapsed)
     assert chk.passed, chk.detail
@@ -57,44 +55,44 @@ def test_criterion_3_x_oracle_agreement():
 
 
 def test_criterion_4_static_reduction():
-    chk = check_static_reduction(ORACLE, grid="full", quad=QUAD)
+    chk = check_static_reduction(grid="full", quad=QUAD)
     _report(4, chk)
     assert chk.passed, chk.detail
 
 
 def test_criterion_5_degenerate_gap_extinction():
-    chk = check_degenerate_gap_extinction(ORACLE, grid="full", quad=QUAD)
+    chk = check_degenerate_gap_extinction(grid="full", quad=QUAD)
     _report(5, chk)
     assert chk.passed, chk.detail
 
 
 def test_criterion_6_scale_invariance():
-    chk = check_scale_invariance(ORACLE, grid="full", quad=QUAD)
+    chk = check_scale_invariance(grid="full", quad=QUAD)
     _report(6, chk)
     assert chk.passed, chk.detail
 
 
 def test_criterion_7_threshold_equivalence():
-    chk = check_threshold_equivalence(ORACLE, grid="full", quad=QUAD)
+    chk = check_threshold_equivalence(grid="full", quad=QUAD)
     _report(7, chk)
     assert chk.passed, chk.detail
 
 
 def test_criterion_8_peak_phenomenology():
-    chk = check_peak_phenomenology(ORACLE, grid="full", quad=QUAD)
+    chk = check_peak_phenomenology(grid="full", quad=QUAD)
     _report(8, chk)
     assert chk.passed, chk.detail
 
 
 def test_criterion_9_spacelike_criterion():
-    chk = check_spacelike_criterion(ORACLE, grid="full", quad=QUAD)
+    chk = check_spacelike_criterion(grid="full", quad=QUAD)
     _report(9, chk)
     assert chk.passed, chk.detail
 
 
 def test_criterion_10_sweep_determinism():
     t0 = time.perf_counter()
-    chk = check_sweep_determinism(ORACLE, grid="full", quad=QUAD)
+    chk = check_sweep_determinism(grid="full", quad=QUAD)
     elapsed = time.perf_counter() - t0
     _report(10, chk, elapsed)
     assert chk.passed, chk.detail

@@ -11,10 +11,8 @@ from entharvest.model import (
     correlation_x,
     transition_probability,
 )
-from entharvest.oracle import OracleSettings, p_momentum_oracle, x_momentum_oracle
+from entharvest.oracle import p_momentum_oracle, x_momentum_oracle
 from entharvest.quadrature import QuadratureSettings, _initial_spacing, integrate_interval
-
-SETTINGS = OracleSettings()
 
 
 def det(omega: float, sigma: float = 1.0) -> DetectorSettings:
@@ -66,15 +64,9 @@ def record_inner_calls(monkeypatch):
     return calls
 
 
-class TestSettingsValidation:
-    def test_rejects_short_radial_cutoff(self):
-        with pytest.raises(ValueError):
-            OracleSettings(k_truncation_sigmas=4.0)
-
-
 class TestPOracle:
     def test_at_rest(self):
-        value, err = p_momentum_oracle(det(1.0), 0.0, SETTINGS)
+        value, err = p_momentum_oracle(det(1.0), 0.0)
         assert value == pytest.approx(transition_probability(det(1.0)), abs=1e-6)
         assert err < 1e-6
 
@@ -82,15 +74,15 @@ class TestPOracle:
         # a single inertial detector cannot know its velocity
         target = transition_probability(det(1.0))
         for v in (0.3, 0.9):
-            value, _ = p_momentum_oracle(det(1.0), v, SETTINGS)
+            value, _ = p_momentum_oracle(det(1.0), v)
             assert value == pytest.approx(target, abs=1e-6)
 
     def test_zero_gap_moving(self):
-        value, _ = p_momentum_oracle(det(0.0), 0.5, SETTINGS)
+        value, _ = p_momentum_oracle(det(0.0), 0.5)
         assert value == pytest.approx(1.0 / (4.0 * math.pi), abs=1e-6)
 
     def test_error_bound_is_honest(self):
-        value, err = p_momentum_oracle(det(2.0), 0.7, SETTINGS)
+        value, err = p_momentum_oracle(det(2.0), 0.7)
         assert abs(value - transition_probability(det(2.0))) <= max(err, 1e-9)
 
 
@@ -110,7 +102,7 @@ class TestXOracle:
     @pytest.mark.parametrize("d,v,gap", points)
     def test_matches_fast_path(self, d, v, gap):
         fast = correlation_x(det(gap), EncounterGeometry(d=d, v=v)).value
-        slow, err = x_momentum_oracle(det(gap), EncounterGeometry(d=d, v=v), SETTINGS)
+        slow, err = x_momentum_oracle(det(gap), EncounterGeometry(d=d, v=v))
         assert abs(slow - fast) <= 1e-5 * max(abs(fast), 1e-10)
         assert err < 1e-5
 
@@ -118,27 +110,27 @@ class TestXOracle:
         # the outer integrand is even in u, so it is integrated over u >= 0
         # only: no radial integral may be repeated for the mirror node -u
         rhos = record_tail_rhos(monkeypatch)
-        x_momentum_oracle(det(1.0), EncounterGeometry(d=1.0, v=0.6), SETTINGS)
+        x_momentum_oracle(det(1.0), EncounterGeometry(d=1.0, v=0.6))
         rho = np.sort(np.concatenate(rhos))
         # +u and -u give rho values a few ulps apart, so compare to 1e-12
         assert rho.size > 100 and np.all(np.diff(rho) > 1e-12 * rho[1:])
 
-    def test_cutoff_extension_within_error(self):
+    def test_cutoff_extension_within_error(self, monkeypatch):
         # doubling the radial cutoff must move the answer by less than the
         # reported error estimate; a wrong tail model would show up here
         geom = EncounterGeometry(d=1.0, v=0.6)
-        base, err = x_momentum_oracle(det(1.0), geom, SETTINGS)
-        wide, _ = x_momentum_oracle(
-            det(1.0), geom, OracleSettings(k_truncation_sigmas=24.0))
+        base, err = x_momentum_oracle(det(1.0), geom)
+        monkeypatch.setattr(oracle, "_RADIAL_CUTOFF", 24.0)
+        wide, _ = x_momentum_oracle(det(1.0), geom)
         assert abs(wide - base) <= err
 
     def test_scale_invariance(self):
-        a, _ = x_momentum_oracle(det(1.0, sigma=1.0), EncounterGeometry(d=1.0, v=0.5), SETTINGS)
-        b, _ = x_momentum_oracle(det(0.5, sigma=2.0), EncounterGeometry(d=2.0, v=0.5), SETTINGS)
+        a, _ = x_momentum_oracle(det(1.0, sigma=1.0), EncounterGeometry(d=1.0, v=0.5))
+        b, _ = x_momentum_oracle(det(0.5, sigma=2.0), EncounterGeometry(d=2.0, v=0.5))
         assert abs(a - b) <= 1e-8 * abs(a)
 
     def test_loose_quadrature_degrades_gracefully(self):
-        loose = OracleSettings(quad=QuadratureSettings(rel_tol=1e-5, abs_tol=1e-9))
+        loose = QuadratureSettings(rel_tol=1e-5, abs_tol=1e-9)
         fast = correlation_x(det(1.0), EncounterGeometry(d=1.0, v=0.3)).value
         slow, err = x_momentum_oracle(det(1.0), EncounterGeometry(d=1.0, v=0.3), loose)
         assert abs(slow - fast) <= max(10.0 * err, 1e-4)
@@ -162,7 +154,7 @@ class TestBatchedInnerIntegrals:
     def test_one_vector_call_per_octave_within_budget(self, monkeypatch):
         calls = record_inner_calls(monkeypatch)
         rhos = record_tail_rhos(monkeypatch)
-        x_momentum_oracle(det(1.0), EncounterGeometry(d=1.0, v=0.6), SETTINGS)
+        x_momentum_oracle(det(1.0), EncounterGeometry(d=1.0, v=0.6))
         distinct = np.unique(np.concatenate(rhos)).size
         assert len(calls) <= 20
         assert all(m * panels <= oracle._PANEL_BUDGET for m, panels in calls)
@@ -172,13 +164,13 @@ class TestBatchedInnerIntegrals:
         # at v = 0 every outer node has the same rho
         calls = record_inner_calls(monkeypatch)
         rhos = record_tail_rhos(monkeypatch)
-        x_momentum_oracle(det(1.0), EncounterGeometry(d=1.0, v=0.0), SETTINGS)
+        x_momentum_oracle(det(1.0), EncounterGeometry(d=1.0, v=0.0))
         assert [rho.size for rho in rhos] == [1] * len(rhos)
         assert [m for m, _ in calls] == [1] * len(rhos)
 
     def test_vector_sine_tail_matches_scalar(self):
         rho = np.array([1e-3, 0.5, 3.0, 18.0])
-        a = SETTINGS.k_truncation_sigmas
+        a = oracle._RADIAL_CUTOFF
         value, _ = oracle._sine_tail(a, rho)
         expected = [_scalar_sine_tail(a, float(p)) for p in rho]
         np.testing.assert_allclose(value, expected, rtol=1e-14, atol=0.0)
@@ -188,8 +180,8 @@ class TestBatchedInnerIntegrals:
         # octaves, so two vector calls
         rho = np.array([2.0, 3.0, 4.0, 6.0])
         spacing = np.array([_initial_spacing(1.0, p) for p in rho])
-        a = SETTINGS.k_truncation_sigmas
-        quad = SETTINGS.quad
+        a = oracle._RADIAL_CUTOFF
+        quad = QuadratureSettings()
         scalar = [
             integrate_interval(lambda r, p=p: oracle._radial(p, r), 0.0, a, quad, s)
             for p, s in zip(rho, spacing)
@@ -204,7 +196,7 @@ class TestBatchedInnerIntegrals:
 class TestQuarterPeriodPanels:
     def test_radial_is_the_literal_product_bit_for_bit(self):
         rho = np.geomspace(1e-3, 18.0, 9)[:, None]
-        r = np.concatenate([[0.0], np.linspace(1e-3, SETTINGS.k_truncation_sigmas, 301)])
+        r = np.concatenate([[0.0], np.linspace(1e-3, oracle._RADIAL_CUTOFF, 301)])
         expected = (np.exp(-r * r) + 1j * (2.0 / math.sqrt(math.pi)) * dawsn(r)) * np.sin(rho * r)
         value = oracle._radial(rho, r)
         assert value.shape == expected.shape and value.dtype == expected.dtype
@@ -214,7 +206,7 @@ class TestQuarterPeriodPanels:
         # d = 1, v = 0.6: rho starts at 0.8 and grows with u, so both the
         # clipped (rho <= pi/2) and the pi / (2 rho) branch are reached
         calls = record_x_spacing(monkeypatch)
-        x_momentum_oracle(det(1.0), EncounterGeometry(d=1.0, v=0.6), SETTINGS)
+        x_momentum_oracle(det(1.0), EncounterGeometry(d=1.0, v=0.6))
         rho = np.concatenate([params for params, _ in calls])
         spacing = np.concatenate([spacing for _, spacing in calls])
         assert rho.min() < 0.5 * math.pi < rho.max()
@@ -226,9 +218,9 @@ class TestQuarterPeriodPanels:
         # the coarse validate grid's costliest points and one near light
         # speed: panels twice as fine must agree within both error estimates
         geom = EncounterGeometry(d=d, v=v)
-        quarter, quarter_err = x_momentum_oracle(det(gap), geom, SETTINGS)
+        quarter, quarter_err = x_momentum_oracle(det(gap), geom)
         calls = record_x_spacing(
             monkeypatch, lambda rho: math.pi / (4.0 * np.maximum(rho, 0.25 * math.pi)))
-        eighth, eighth_err = x_momentum_oracle(det(gap), geom, SETTINGS)
+        eighth, eighth_err = x_momentum_oracle(det(gap), geom)
         assert calls
         assert abs(quarter - eighth) <= quarter_err + eighth_err

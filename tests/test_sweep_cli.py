@@ -163,6 +163,24 @@ class TestSweep:
         with pytest.raises(ValueError, match="config 'outputs' must be a list of column names"):
             SweepSpec.from_dict(cfg)
 
+    @pytest.mark.parametrize("outputs", [[1, "x"], [["v"]]])
+    def test_non_string_output_is_refused_in_one_line(self, outputs, tmp_path, capsys):
+        cfg = {
+            "d_over_sigma": {"min": 1.0, "max": 1.0, "count": 1},
+            "sigma_omega": {"min": 0.0, "max": 0.0, "count": 1},
+            "v": {"min": 0.0, "max": 0.0, "count": 1},
+            "outputs": outputs,
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"ValueError: config 'outputs' must be a list of column names, got {outputs!r}\n")
+        assert not out.exists()
+
     def test_rejects_unknown_columns(self):
         with pytest.raises(ValueError):
             SweepSpec(GridSpec(1.0, 1.0, 1), GridSpec(0.0, 0.0, 1), GridSpec(0.0, 0.0, 1),
@@ -671,7 +689,7 @@ class TestConfigErrors:
     def test_non_finite_bounds(self, command, tmp_path, capsys):
         err = self.run(command, tmp_path, capsys,
                        edit=lambda cfg: cfg.update(sigma_omega={"min": "nan", "max": "nan", "count": 1}))
-        assert err == "ValueError: grid bounds must be finite, got [nan, nan]\n"
+        assert err == "ValueError: config axis 'sigma_omega': grid bounds must be finite, got [nan, nan]\n"
         assert not (tmp_path / "out.csv").exists()
 
     def test_d_axis_from_zero(self, command, tmp_path, capsys):
@@ -683,26 +701,26 @@ class TestConfigErrors:
     def test_fractional_count(self, command, tmp_path, capsys):
         err = self.run(command, tmp_path, capsys,
                        edit=lambda cfg: cfg.update(sigma_omega={"min": 0.0, "max": 1.0, "count": 2.9}))
-        assert err == "ValueError: count must be a whole number, got 2.9\n"
+        assert err == "ValueError: config axis 'sigma_omega': count must be a whole number, got 2.9\n"
         assert not (tmp_path / "out.csv").exists()
 
     def test_boolean_count(self, command, tmp_path, capsys):
         err = self.run(command, tmp_path, capsys,
                        edit=lambda cfg: cfg.update(sigma_omega={"min": 0.0, "max": 1.0, "count": True}))
-        assert err == "ValueError: count must be a whole number, got True\n"
+        assert err == "ValueError: config axis 'sigma_omega': count must be a whole number, got True\n"
         assert not (tmp_path / "out.csv").exists()
 
     def test_boolean_subdivisions(self, command, tmp_path, capsys):
         err = self.run(command, tmp_path, capsys,
                        edit=lambda cfg: cfg.update(quadrature={"max_subdivisions": True}))
-        assert err == "ValueError: max_subdivisions must be a whole number, got True\n"
+        assert err == "ValueError: config 'quadrature': max_subdivisions must be a whole number, got True\n"
         assert not (tmp_path / "out.csv").exists()
 
     def test_non_finite_quadrature_value(self, command, tmp_path, capsys):
         # a literal 1e400 in the JSON file reads as inf, as does Infinity
         err = self.run(command, tmp_path, capsys,
                        edit=lambda cfg: cfg.update(quadrature={"rel_tol": 1e400}))
-        assert err == "ValueError: rel_tol must be finite and > 0, got inf\n"
+        assert err == "ValueError: config 'quadrature': rel_tol must be finite and > 0, got inf\n"
         assert not (tmp_path / "out.csv").exists()
 
     def test_retired_window_end_is_an_unknown_field(self, command, tmp_path, capsys):
@@ -716,7 +734,27 @@ class TestConfigErrors:
     def test_fractional_max_subdivisions(self, command, tmp_path, capsys):
         err = self.run(command, tmp_path, capsys,
                        edit=lambda cfg: cfg.update(quadrature={"max_subdivisions": 1.5}))
-        assert err == "ValueError: max_subdivisions must be a whole number, got 1.5\n"
+        assert err == "ValueError: config 'quadrature': max_subdivisions must be a whole number, got 1.5\n"
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_unreadable_bound_names_its_axis(self, command, tmp_path, capsys):
+        err = self.run(command, tmp_path, capsys,
+                       edit=lambda cfg: cfg["d_over_sigma"].update(min="a"))
+        assert err == ("ValueError: config axis 'd_over_sigma': "
+                       "could not convert string to float: 'a'\n")
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_unknown_spacing_names_its_axis(self, command, tmp_path, capsys):
+        err = self.run(command, tmp_path, capsys,
+                       edit=lambda cfg: cfg["d_over_sigma"].update(spacing="cubic"))
+        assert err == ("ValueError: config axis 'd_over_sigma': spacing must be one of "
+                       "('linear', 'log', 'lightspeed'), got 'cubic'\n")
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_bad_quadrature_value_names_its_block(self, command, tmp_path, capsys):
+        err = self.run(command, tmp_path, capsys,
+                       edit=lambda cfg: cfg.update(quadrature={"rel_tol": -1}))
+        assert err == "ValueError: config 'quadrature': rel_tol must be finite and > 0, got -1\n"
         assert not (tmp_path / "out.csv").exists()
 
 
@@ -740,15 +778,17 @@ class TestValidationBattery:
     def test_detects_corrupted_prefactor(self, monkeypatch):
         real = validate_mod.oracle_mod.x_momentum_oracle
 
-        def corrupted(det, geom, settings):
-            value, err = real(det, geom, settings)
+        def corrupted(*args, **kwargs):
+            value, err = real(*args, **kwargs)
             return value * 1.001, err
 
         monkeypatch.setattr(validate_mod.oracle_mod, "x_momentum_oracle", corrupted)
         report = validate_mod.run_validation(grid="coarse")
         assert not report["all_passed"]
-        failed = {c["name"] for c in report["checks"] if not c["passed"]}
-        assert any("x_oracle" in name for name in failed)
+        failed = {c["name"]: c for c in report["checks"] if not c["passed"]}
+        # caught by its measured deviation, not by a crash (measured = inf)
+        check = failed["x_oracle_vs_fast_path"]
+        assert math.isfinite(check["measured"]) and check["measured"] > check["tolerance"]
 
     def test_a_crashed_check_keeps_the_name_it_passes_under(self, monkeypatch):
         monkeypatch.setattr(validate_mod, "_CHECKS", (validate_mod.check_scale_invariance,))
