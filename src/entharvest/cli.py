@@ -20,6 +20,7 @@ from dataclasses import asdict, replace
 from .model import DetectorSettings, find_peak_velocity
 from .quadrature import QuadratureError, QuadratureSettings
 from .sweep import (
+    _PAIRS_PER_WORKER,
     SweepSpec,
     _load_json,
     _read_config,
@@ -116,7 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Negativity harvested by two inertially moving detectors",
     )
     parser.add_argument("--workers", type=int, default=1,
-                        help="parallel worker processes, at most one per usable CPU")
+                        help="upper bound on parallel worker processes, lowered to the usable CPUs; "
+                             f"a grid gets at most one per {_PAIRS_PER_WORKER} pairs of work")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_point = sub.add_parser("point", help="evaluate one parameter point, JSON to stdout")

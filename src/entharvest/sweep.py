@@ -4,18 +4,23 @@ Both grid jobs share one pipeline: a JSON config gives the axes and the
 quadrature block, every axis tuple is evaluated in row-major order, and
 each row is written as one CSV line whose cells are formatted by type.
 Rows are NamedTuples whose fields are the CSV columns, so `_asdict()` and
-`_replace()` work on them. Both jobs hand each d to one task with the
-whole omega axis, or, with fewer d than workers, each d and run of omegas
-that may share an X integral (every omega up to pi, then one octave of
-X's start-panel density each); a d whose omegas are all up to pi is then
-one task, and runs serially. The task evaluates X in blocks of its gaps
-times batches over v: a sweep task at the v axis, building its rows from
-the row arrays, and a region task at the 64 nodes of one velocity scan,
-labelling each omega from its row as model.velocity_profile does. Tasks
-may run across a process pool, but no row depends on the pool or on the
-task it is in, and results keep their row-major order, so output is
-byte-identical for any worker count. Per-point failures of any kind are
-recorded in the error column instead of aborting the grid.
+`_replace()` work on them. A grid gets at most one worker per
+_PAIRS_PER_WORKER (omega, v) pairs of work, counted from the grid alone: a
+sweep's d x omega x v points, a region scan's d x omega x 64 scan nodes.
+Below that it runs in the calling process, since a pool's start would
+cost more than the share it takes off. Both jobs hand each d to one task
+with the whole omega axis, or, with fewer d than workers, each d and run
+of omegas that may share an X integral (every omega up to pi, then one
+octave of X's start-panel density each); a d whose omegas are all up to
+pi is then one task, and runs serially. The task evaluates X in blocks of
+its gaps times batches over v: a sweep task at the v axis, building its
+rows from the row arrays, and a region task at the 64 nodes of one
+velocity scan, labelling each omega from its row as
+model.velocity_profile does. Tasks may run across a process pool, but no
+row depends on the pool or on the task it is in, and results keep their
+row-major order, so output is byte-identical for any worker count.
+Per-point failures of any kind are recorded in the error column instead
+of aborting the grid.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from typing import IO, Callable, Iterable, NamedTuple, Optional, Sequence, get_t
 import numpy as np
 
 from .model import (
+    _SCAN_NODES,
     RegionLabel,
     _gap_runs,
     _negativity_rows,
@@ -180,6 +186,12 @@ class SweepSpec:
         _check_axes(self.d_over_sigma, self.sigma_omega)
         if not (0.0 <= self.v.min and self.v.max < 1.0):
             raise ValueError("v grid must lie in [0, 1)")
+        if isinstance(self.outputs, str) or not all(isinstance(c, str) for c in self.outputs):
+            raise ValueError(f"outputs must be a sequence of column names, got {self.outputs!r}")
+        if not self.outputs:
+            raise ValueError("outputs must name at least one column")
+        if len(set(self.outputs)) < len(self.outputs):
+            raise ValueError(f"output columns must be distinct, got {self.outputs!r}")
         unknown = set(self.outputs) - set(SWEEP_COLUMNS)
         if unknown:
             raise ValueError(f"unknown output columns: {sorted(unknown)}")
@@ -241,8 +253,22 @@ def _region_task(args: tuple[float, list[float], QuadratureSettings]) -> list[Re
     return rows
 
 
+# A worker's share must cost well over a pool's start: an empty 2-worker
+# pool took 12-24 ms to start and stop, and sweep-dense's 12^3 grid about
+# 9 us per pair serially (2-CPU x86-64 host), so a share of 4096 pairs is
+# about 36 ms, plus each child's cold first task.
+_PAIRS_PER_WORKER = 4096
+
+
+def _pool_size(workers: int, pairs: int) -> int:
+    """workers, lowered to one per _PAIRS_PER_WORKER pairs of work, and at least 1."""
+    return max(1, min(workers, pairs // _PAIRS_PER_WORKER))
+
+
 def _run_grid(task: Callable, tasks: list, workers: int) -> list:
-    """The rows of task(t) for every t in tasks, in order."""
+    """The rows of task(t) for every t in tasks, in order, on a pool of up
+    to `workers` processes (no more than there are tasks), or serially in
+    this process at one. The caller sizes `workers` (_pool_size)."""
     # the pool forks all of its workers at the first submit
     workers = min(workers, len(tasks))
     if workers <= 1:
@@ -253,13 +279,13 @@ def _run_grid(task: Callable, tasks: list, workers: int) -> list:
 
 
 def _grid_tasks(d_grid: GridSpec, omega_grid: GridSpec, workers: int, *rest) -> list[tuple]:
-    """(d, omegas, *rest) per task: one task per d, or, with fewer d than
-    workers, per d and run of omegas (model._gap_runs: every omega up to pi,
-    then one octave each), so that a grid at a few d still fills the pool
-    when its omegas reach past pi; one d whose omegas are all up to pi is
-    one task, and runs serially. No X integral spans two runs, so a run's
-    rows are the ones the whole omega axis gets at that d, and the bytes are
-    the same either way.
+    """(d, omegas, *rest) per task for a pool of `workers`, as sized by
+    _pool_size: one task per d, or, with fewer d than workers, per d and run
+    of omegas (model._gap_runs: every omega up to pi, then one octave each),
+    so that a grid at a few d still fills the pool when its omegas reach past
+    pi; one d whose omegas are all up to pi is one task, and runs serially.
+    No X integral spans two runs, so a run's rows are the ones the whole
+    omega axis gets at that d, and the bytes are the same either way.
     """
     gaps = omega_grid.points()
     whole = d_grid.count >= workers
@@ -267,12 +293,19 @@ def _grid_tasks(d_grid: GridSpec, omega_grid: GridSpec, workers: int, *rest) -> 
     return [(d, run, *rest) for d in d_grid.points().tolist() for run in runs]
 
 
-def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRow]:
-    """Evaluate every grid tuple in row-major (d, omega, v) order, in the
-    tasks that _grid_tasks gives."""
+def _sweep_rows(spec: SweepSpec, workers: int) -> list[SweepRow]:
+    """The sweep's rows in the tasks that _grid_tasks gives for exactly
+    `workers`, with no _pool_size rule."""
     vs = spec.v.points().tolist()
     tasks = _grid_tasks(spec.d_over_sigma, spec.sigma_omega, workers, vs, spec.quad)
     return _run_grid(_sweep_task, tasks, workers)
+
+
+def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRow]:
+    """Evaluate every grid tuple in row-major (d, omega, v) order, on at most
+    one worker per _PAIRS_PER_WORKER tuples."""
+    pairs = spec.d_over_sigma.count * spec.sigma_omega.count * spec.v.count
+    return _sweep_rows(spec, _pool_size(workers, pairs))
 
 
 def run_region_scan(
@@ -284,13 +317,15 @@ def run_region_scan(
     """Classify every (d, omega) grid point in row-major order; failures
     flagged per point.
 
-    Tasks are a sweep's (_grid_tasks). A task scans its omegas at the 64
+    Tasks are a sweep's (_grid_tasks), on at most one worker per
+    _PAIRS_PER_WORKER scan nodes. A task scans its omegas at the 64
     velocities of model.velocity_profile in one _negativity_rows call and
     labels each omega from its row as velocity_profile does, refining that
     omega alone where its peak needs more nodes.
     """
     _check_axes(d_grid, omega_grid)
     quad = settings if settings is not None else QuadratureSettings()
+    workers = _pool_size(workers, d_grid.count * omega_grid.count * _SCAN_NODES)
     return _run_grid(_region_task, _grid_tasks(d_grid, omega_grid, workers, quad), workers)
 
 

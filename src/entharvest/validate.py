@@ -36,7 +36,7 @@ from .model import (
     velocity_profile,
 )
 from .quadrature import QuadratureSettings
-from .sweep import GridSpec, SweepSpec, run_sweep, write_sweep_csv
+from .sweep import GridSpec, SweepSpec, _sweep_rows, run_sweep, write_sweep_csv
 
 __all__ = ["CheckResult", "run_validation"]
 
@@ -265,8 +265,10 @@ def check_sweep_determinism(grid: str, quad: QuadratureSettings) -> tuple:
     )
     outputs = []
     for workers in worker_sets:
+        # the serial bytes are run_sweep's; each pool is started at its own
+        # size, since run_sweep runs a grid this small serially (_pool_size)
         buf = io.StringIO()
-        write_sweep_csv(run_sweep(spec, workers=workers), buf)
+        write_sweep_csv(run_sweep(spec) if workers == 1 else _sweep_rows(spec, workers), buf)
         outputs.append(buf.getvalue())
     identical = all(out == outputs[0] for out in outputs)
     return (identical, 0.0 if identical else 1.0, 0.0, f"{counts}^3 grid, workers {worker_sets}")

@@ -1,8 +1,9 @@
 """CSV bytes of the sweep and region commands against committed files.
 
 tests/data/make_golden.py wrote the golden files; each case is run here
-again through the CLI, serially and on a 2-worker pool, and must
-reproduce them byte for byte.
+again through the CLI, serially and on a real 2-worker pool (these grids
+are far smaller than a pool needs, so the `real_pools` fixture lowers
+that need to one pair per worker), and must reproduce them byte for byte.
 """
 
 import importlib.util
@@ -18,9 +19,10 @@ _spec.loader.exec_module(make_golden)
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("case", sorted(make_golden.CASES))
-def test_bytes_match_the_golden_file(tmp_path, capsys, case, workers):
+def test_bytes_match_the_golden_file(tmp_path, capsys, real_pools, case, workers):
     out = tmp_path / case
     rc = make_golden.run_case(case, out, workers)
     assert rc == (1 if "failing" in case else 0)
+    assert real_pools == ([] if workers == 1 else [2])
     capsys.readouterr()
     assert out.read_bytes() == (make_golden.DATA / case).read_bytes()

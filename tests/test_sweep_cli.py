@@ -186,6 +186,34 @@ class TestSweep:
             SweepSpec(GridSpec(1.0, 1.0, 1), GridSpec(0.0, 0.0, 1), GridSpec(0.0, 0.0, 1),
                       outputs=("negativity", "entropy"))
 
+    @pytest.mark.parametrize("outputs, message", [
+        ((), "outputs must name at least one column"),
+        (("v", "negativity", "v"), "output columns must be distinct, got ('v', 'negativity', 'v')"),
+        ((1, "x"), "outputs must be a sequence of column names, got (1, 'x')"),
+        ("v", "outputs must be a sequence of column names, got 'v'"),
+    ])
+    def test_rejects_outputs_that_are_not_distinct_column_names(self, outputs, message):
+        with pytest.raises(ValueError) as info:
+            SweepSpec(GridSpec(1.0, 1.0, 1), GridSpec(0.0, 0.0, 1), GridSpec(0.0, 0.0, 1),
+                      outputs=outputs)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("outputs", [[], ["v", "v"]])
+    def test_cli_refuses_empty_or_repeated_outputs(self, outputs, tmp_path, capsys):
+        cfg = {
+            "d_over_sigma": {"min": 1.0, "max": 1.0, "count": 1},
+            "sigma_omega": {"min": 0.0, "max": 0.0, "count": 1},
+            "v": {"min": 0.0, "max": 0.0, "count": 1},
+            "outputs": outputs,
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("ValueError: output") and captured.err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestRowBatches:
     """A sweep evaluates each d's (omega, v) plane in blocks of X integrals."""
@@ -225,19 +253,20 @@ class TestRowBatches:
             assert abs(complex(row.x_re, row.x_im) - q.x) <= 2e-9 * abs(q.x)
             assert row.p == q.p
 
-    def test_gap_blocks_match_single_points_and_across_workers(self):
+    def test_gap_blocks_match_single_points_and_across_workers(self, real_pools):
         # gaps 1.6, 2.35 and 3.1 share a run: one X integral per d and v
         # batch, on start panels sized for 3.1
         spec = SweepSpec(GridSpec(0.5, 2.0, 2), GridSpec(1.6, 3.1, 3),
                          GridSpec(0.0, 1.0 - 1e-9, 5, "lightspeed"))
         assert sweep_text(spec, workers=2) == sweep_text(spec, workers=1)
+        assert real_pools == [2]
         for row in run_sweep(spec):
             q = model.negativity(model.DetectorSettings(1.0, row.sigma_omega),
                                  model.EncounterGeometry(row.d_over_sigma, row.v), spec.quad)
             assert abs(complex(row.x_re, row.x_im) - q.x) <= row.x_error_estimate + q.x_error_estimate
             assert row.p == q.p
 
-    def test_octave_runs_match_the_whole_gap_axis(self):
+    def test_octave_runs_match_the_whole_gap_axis(self, real_pools):
         # gaps 0-4 fall in two runs, {0, 0.36, ..., 2.91} up to pi and
         # {3.27, 3.64, 4}, each its own task at one d and two workers; the
         # rows are those of one task with every gap
@@ -250,11 +279,13 @@ class TestRowBatches:
         buf = io.StringIO()
         write_sweep_csv(whole, buf)
         assert sweep_text(spec, workers=2) == buf.getvalue()
+        assert real_pools == [2]
 
-    def test_long_v_axis_bytes_match_across_workers(self):
+    def test_long_v_axis_bytes_match_across_workers(self, real_pools):
         spec = SweepSpec(GridSpec(0.5, 2.0, 2), GridSpec(0.0, 1.0, 2), GridSpec(0.0, 0.999, 20))
         assert spec.v.count > model._X_BATCH
         assert sweep_text(spec, workers=2) == sweep_text(spec, workers=1)
+        assert real_pools == [2]
 
 
 @st.composite
@@ -292,10 +323,11 @@ class TestDeterminism:
         spec = small_spec()
         assert sweep_text(spec) == sweep_text(spec)
 
-    def test_workers_do_not_change_bytes(self):
+    def test_workers_do_not_change_bytes(self, real_pools):
         spec = small_spec()
         serial = sweep_text(spec, workers=1)
         assert sweep_text(spec, workers=2) == serial
+        assert real_pools == [2]
 
     def test_csv_format(self):
         text = sweep_text(small_spec())
@@ -335,6 +367,11 @@ def pool_sizes(monkeypatch) -> list:
 
 class TestWorkers:
     """A pool starts all of its workers at once, so their number is bounded."""
+
+    @pytest.fixture(autouse=True)
+    def one_pair_per_worker(self, monkeypatch):
+        # these grids are far below the work a worker needs (sweep._pool_size)
+        monkeypatch.setattr(sweep_mod, "_PAIRS_PER_WORKER", 1)
 
     @staticmethod
     def config(tmp_path) -> str:
@@ -377,6 +414,40 @@ class TestWorkers:
         assert captured.out == ""
         assert captured.err == f"ValueError: --workers must be >= 1, got {workers}\n"
         assert pool_sizes == [] and not out.exists()
+
+
+class TestPoolSize:
+    """A grid gets at most one worker per sweep._PAIRS_PER_WORKER pairs of work."""
+
+    def test_small_grid_starts_no_pool(self, pool_sizes):
+        spec = small_spec()
+        assert sweep_text(spec, workers=2) == sweep_text(spec)
+        assert pool_sizes == []
+
+    @pytest.mark.parametrize("short, sizes", [(0, [2]), (1, [])])
+    def test_two_shares_of_pairs_start_a_pool_of_two(self, pool_sizes, monkeypatch, short, sizes):
+        # 2 d x 1 gap x (_PAIRS_PER_WORKER - short) velocities; the task is
+        # stubbed out, since only the pool's size is asked for
+        tasks = []
+        monkeypatch.setattr(sweep_mod, "_sweep_task", lambda task: tasks.append(task) or [])
+        v = GridSpec(0.0, 0.9, sweep_mod._PAIRS_PER_WORKER - short)
+        run_sweep(SweepSpec(GridSpec(1.0, 2.0, 2), GridSpec(0.0, 0.0, 1), v), workers=8)
+        assert pool_sizes == sizes and len(tasks) == 2
+
+    @pytest.mark.parametrize("short, sizes", [(0, [2]), (1, [])])
+    def test_a_region_point_counts_its_scan_nodes(self, pool_sizes, monkeypatch, short, sizes):
+        # 2 d x (_PAIRS_PER_WORKER / 64 - short) gaps x 64 scan nodes
+        per_scan, rest = divmod(sweep_mod._PAIRS_PER_WORKER, model._SCAN_NODES)
+        assert model._SCAN_NODES == 64 and rest == 0
+        monkeypatch.setattr(sweep_mod, "_region_task", lambda task: [])
+        run_region_scan(GridSpec(1.0, 2.0, 2), GridSpec(0.0, 1.0, per_scan - short), workers=8)
+        assert pool_sizes == sizes
+
+    @pytest.mark.parametrize("grid, sizes", [("coarse", [2]), ("full", [4, 8])])
+    def test_determinism_check_starts_its_pools(self, pool_sizes, grid, sizes):
+        result = validate_mod.check_sweep_determinism(grid, QuadratureSettings())
+        assert result.passed
+        assert pool_sizes == sizes
 
 
 class TestRegionScan:
@@ -488,7 +559,7 @@ class TestRegionScan:
             assert row == RegionRow(1.0, row.sigma_omega, profile.label,
                                     peak and peak.v_star, peak and peak.n_star)
 
-    def test_bytes_match_across_workers(self):
+    def test_bytes_match_across_workers(self, real_pools):
         # at one d and two workers, the gaps split into the runs
         # {0.5, 2.33} up to pi and {4.17, 6}, one task each
         d_grid, omega_grid = GridSpec(1.0, 1.0, 1), GridSpec(0.5, 6.0, 4)
@@ -500,6 +571,7 @@ class TestRegionScan:
             write_region_csv(run_region_scan(d_grid, omega_grid, workers=workers), buf)
             texts.append(buf.getvalue())
         assert texts[0] == texts[1]
+        assert real_pools == [2]
 
     @pytest.mark.parametrize("d, gap", [(1.0, 1.0), (1.0, 2.0)])
     def test_n_star_is_negativity_at_v_star(self, d, gap):
