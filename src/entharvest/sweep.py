@@ -3,22 +3,21 @@
 Both grid jobs share one pipeline: a JSON config gives the axes and the
 quadrature block, every axis tuple is evaluated in row-major order, and
 each row is written as one CSV line whose cells are formatted by type.
-Rows are NamedTuples whose fields are the CSV columns, so `_asdict()` and
-`_replace()` work on them. A grid gets at most one worker per
-_PAIRS_PER_WORKER (omega, v) pairs of work, counted from the grid alone: a
-sweep's d x omega x v points, a region scan's d x omega x 64 scan nodes.
-Below that it runs in the calling process, since a pool's start would
-cost more than the share it takes off. Both jobs hand each d to one task
-with the whole omega axis, or, with fewer d than workers, each d and run
-of omegas that may share an X integral (every omega up to pi, then one
-octave of X's start-panel density each); a d whose omegas are all up to
-pi is then one task, and runs serially. The task evaluates X in blocks of
-its gaps times batches over v: a sweep task at the v axis, building its
-rows from the row arrays, and a region task at the 64 nodes of one
-velocity scan, labelling each omega from its row as
-model.velocity_profile does. Tasks may run across a process pool, but no
-row depends on the pool or on the task it is in, and results keep their
-row-major order, so output is byte-identical for any worker count.
+Rows are NamedTuples whose fields are the CSV columns, so `_asdict()`
+and `_replace()` work on them. A grid gets at most one worker per
+_PAIRS_PER_WORKER (omega, v) pairs of work, counted from the grid alone:
+a sweep's d x omega x v points, a region scan's d x omega x 64 scan
+nodes. Below two shares it runs in the calling process. Both jobs hand
+each d to one task with the whole omega axis, or, with fewer d than
+workers, each d and run of omegas that may share an X integral (every
+omega up to pi, then one octave of X's start-panel density each); a d
+whose omegas are all up to pi is then one task, and runs serially. The
+task evaluates X in blocks of its gaps times batches over v: a sweep
+task at the v axis, building its rows from the row arrays, and a region
+task at the 64 nodes of one velocity scan, labelling each omega from its
+row as model.velocity_profile does. Tasks may run across a process pool,
+but no row depends on the pool or on the task it is in, and results keep
+their row-major order, so output is byte-identical for any worker count.
 Per-point failures of any kind are recorded in the error column instead
 of aborting the grid.
 """
@@ -200,7 +199,7 @@ class SweepSpec:
     def from_dict(cls, obj: dict) -> "SweepSpec":
         grids, quad = _read_config(obj, ("d_over_sigma", "sigma_omega", "v"))
         outputs = obj.get("outputs", SWEEP_COLUMNS)
-        if not (isinstance(outputs, (list, tuple)) and all(isinstance(c, str) for c in outputs)):
+        if not isinstance(outputs, (list, tuple)):
             raise ValueError(f"config 'outputs' must be a list of column names, got {outputs!r}")
         return cls(*grids, quad=quad, outputs=tuple(outputs))
 
@@ -253,10 +252,12 @@ def _region_task(args: tuple[float, list[float], QuadratureSettings]) -> list[Re
     return rows
 
 
-# A worker's share must cost well over a pool's start: an empty 2-worker
-# pool took 12-24 ms to start and stop, and sweep-dense's 12^3 grid about
-# 9 us per pair serially (2-CPU x86-64 host), so a share of 4096 pairs is
-# about 36 ms, plus each child's cold first task.
+# A lower bound, not a measured break-even: on a 2-CPU x86-64 host an empty
+# 2-worker pool took 12-24 ms to start and stop and sweep-dense's 12^3 grid
+# about 9 us per pair serially, so a 4096-pair share is about twice a pool's
+# start, leaving out each child's cold first task. On that host, which gives
+# about one CPU of throughput, the pool lost at every size measured above
+# it too (9216 and 21952 pairs); where a pool pays is unmeasured.
 _PAIRS_PER_WORKER = 4096
 
 

@@ -178,7 +178,7 @@ class TestSweep:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            f"ValueError: config 'outputs' must be a list of column names, got {outputs!r}\n")
+            f"ValueError: outputs must be a sequence of column names, got {tuple(outputs)!r}\n")
         assert not out.exists()
 
     def test_rejects_unknown_columns(self):
