@@ -117,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Negativity harvested by two inertially moving detectors",
     )
     parser.add_argument("--workers", type=int, default=1,
-                        help="upper bound on parallel worker processes, lowered to the usable CPUs; "
+                        help="upper bound on parallel worker threads, lowered to the usable CPUs; "
                              f"a grid gets at most one per {_PAIRS_PER_WORKER} pairs of work")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -58,6 +58,18 @@ def _whole_number(name: str, value) -> int:
     raise ValueError(f"{name} must be a whole number, got {value!r}")
 
 
+def _real_number(name: str, value) -> float:
+    """value as a float if it is a real number, such as 2 or 0.5; a bool or
+    a string is not one. An int past the float range is an infinity, as a
+    JSON 1e400 reads."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            return math.inf if value > 0 else -math.inf
+    raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class QuadratureSettings:
     """Tolerances and limits governing a single integration.
@@ -74,10 +86,10 @@ class QuadratureSettings:
     def __post_init__(self) -> None:
         object.__setattr__(self, "max_subdivisions",
                            _whole_number("max_subdivisions", self.max_subdivisions))
-        if not (0.0 < self.rel_tol < math.inf):
-            raise ValueError(f"rel_tol must be finite and > 0, got {self.rel_tol!r}")
-        if not (0.0 < self.abs_tol < math.inf):
-            raise ValueError(f"abs_tol must be finite and > 0, got {self.abs_tol!r}")
+        for name in ("rel_tol", "abs_tol"):
+            value = getattr(self, name)
+            if not (0.0 < _real_number(name, value) < math.inf):
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
         if self.max_subdivisions < 1:
             raise ValueError(
                 f"max_subdivisions must be >= 1, got {self.max_subdivisions!r}"

@@ -4,20 +4,17 @@ Both grid jobs share one pipeline: a JSON config gives the axes and the
 quadrature block, every axis tuple is evaluated in row-major order, and
 each row is written as one CSV line whose cells are formatted by type.
 Rows are NamedTuples whose fields are the CSV columns, so `_asdict()`
-and `_replace()` work on them. A grid gets at most one worker per
-_PAIRS_PER_WORKER (omega, v) pairs of work, counted from the grid alone:
-a sweep's d x omega x v points, a region scan's d x omega x 64 scan
-nodes. Below two shares it runs in the calling process. Both jobs hand
-each d to one task with the whole omega axis, or, with fewer d than
-workers, each d and run of omegas that may share an X integral (every
-omega up to pi, then one octave of X's start-panel density each); a d
-whose omegas are all up to pi is then one task, and runs serially. The
-task evaluates X in blocks of its gaps times batches over v: a sweep
-task at the v axis, building its rows from the row arrays, and a region
-task at the 64 nodes of one velocity scan, labelling each omega from its
-row as model.velocity_profile does. Tasks may run across a process pool,
-but no row depends on the pool or on the task it is in, and results keep
-their row-major order, so output is byte-identical for any worker count.
+and `_replace()` work on them. Both jobs hand each d to one task with
+the whole omega axis; the task evaluates X in blocks of its gaps times
+batches over v: a sweep task at the v axis, building its rows from the
+row arrays, and a region task at the 64 nodes of one velocity scan,
+labelling each omega from its row as model.velocity_profile does. A grid
+gets at most one worker per _PAIRS_PER_WORKER (omega, v) pairs of work,
+counted from the grid alone: a sweep's d x omega x v points, a region
+scan's d x omega x 64 scan nodes. Below two shares it runs in the calling
+thread, from two on its tasks run on a pool of threads. No row depends on
+the thread or on the task it is in, and results keep their row-major
+order, so output is byte-identical for any worker count.
 Per-point failures of any kind are recorded in the error column instead
 of aborting the grid.
 """
@@ -26,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import IO, Callable, Iterable, NamedTuple, Optional, Sequence, get_type_hints
 
@@ -35,7 +32,6 @@ import numpy as np
 from .model import (
     _SCAN_NODES,
     RegionLabel,
-    _gap_runs,
     _negativity_rows,
     _profile,
     _scan_velocities,
@@ -45,7 +41,7 @@ from .model import (
     negativity,
     spacelike_min_distance,
 )
-from .quadrature import QuadratureSettings, _whole_number
+from .quadrature import QuadratureSettings, _real_number, _whole_number
 
 __all__ = [
     "GridSpec",
@@ -75,6 +71,8 @@ class GridSpec:
     spacing: str = "linear"
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "min", _real_number("min", self.min))
+        object.__setattr__(self, "max", _real_number("max", self.max))
         object.__setattr__(self, "count", _whole_number("count", self.count))
         if not (math.isfinite(self.min) and math.isfinite(self.max)):
             raise ValueError(f"grid bounds must be finite, got [{self.min!r}, {self.max!r}]")
@@ -102,8 +100,8 @@ class GridSpec:
     @classmethod
     def from_dict(cls, obj: dict) -> "GridSpec":
         return cls(
-            min=float(obj["min"]),
-            max=float(obj["max"]),
+            min=obj["min"],
+            max=obj["max"],
             count=obj["count"],
             spacing=str(obj.get("spacing", "linear")),
         )
@@ -252,12 +250,11 @@ def _region_task(args: tuple[float, list[float], QuadratureSettings]) -> list[Re
     return rows
 
 
-# A lower bound, not a measured break-even: on a 2-CPU x86-64 host an empty
-# 2-worker pool took 12-24 ms to start and stop and sweep-dense's 12^3 grid
-# about 9 us per pair serially, so a 4096-pair share is about twice a pool's
-# start, leaving out each child's cold first task. On that host, which gives
-# about one CPU of throughput, the pool lost at every size measured above
-# it too (9216 and 21952 pairs); where a pool pays is unmeasured.
+# The measured break-even of two threads: on a 2-CPU x86-64 host that gives
+# about one CPU of throughput, they were 5-16% slower than serial at 1536
+# and 1728 pairs of work, within 10% of it either way at 4096 and 6400, and
+# faster at 9216 (in-process medians of alternated runs), since numpy's loops
+# release the GIL. So a grid needs two shares, 8192 pairs, to start a pool.
 _PAIRS_PER_WORKER = 4096
 
 
@@ -268,37 +265,20 @@ def _pool_size(workers: int, pairs: int) -> int:
 
 def _run_grid(task: Callable, tasks: list, workers: int) -> list:
     """The rows of task(t) for every t in tasks, in order, on a pool of up
-    to `workers` processes (no more than there are tasks), or serially in
-    this process at one. The caller sizes `workers` (_pool_size)."""
-    # the pool forks all of its workers at the first submit
+    to `workers` threads (no more than there are tasks), or serially in
+    this thread at one. The caller sizes `workers` (_pool_size)."""
     workers = min(workers, len(tasks))
     if workers <= 1:
         return [row for t in tasks for row in task(t)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunk = max(1, len(tasks) // (workers * 8))
-        return [row for rows in pool.map(task, tasks, chunksize=chunk) for row in rows]
-
-
-def _grid_tasks(d_grid: GridSpec, omega_grid: GridSpec, workers: int, *rest) -> list[tuple]:
-    """(d, omegas, *rest) per task for a pool of `workers`, as sized by
-    _pool_size: one task per d, or, with fewer d than workers, per d and run
-    of omegas (model._gap_runs: every omega up to pi, then one octave each),
-    so that a grid at a few d still fills the pool when its omegas reach past
-    pi; one d whose omegas are all up to pi is one task, and runs serially.
-    No X integral spans two runs, so a run's rows are the ones the whole
-    omega axis gets at that d, and the bytes are the same either way.
-    """
-    gaps = omega_grid.points()
-    whole = d_grid.count >= workers
-    runs = [gaps.tolist()] if whole else [gaps[run].tolist() for run in _gap_runs(gaps)]
-    return [(d, run, *rest) for d in d_grid.points().tolist() for run in runs]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return [row for rows in pool.map(task, tasks) for row in rows]
 
 
 def _sweep_rows(spec: SweepSpec, workers: int) -> list[SweepRow]:
-    """The sweep's rows in the tasks that _grid_tasks gives for exactly
-    `workers`, with no _pool_size rule."""
-    vs = spec.v.points().tolist()
-    tasks = _grid_tasks(spec.d_over_sigma, spec.sigma_omega, workers, vs, spec.quad)
+    """The sweep's rows, one task per d, on up to `workers` threads, with no
+    _pool_size rule."""
+    gaps, vs = spec.sigma_omega.points().tolist(), spec.v.points().tolist()
+    tasks = [(d, gaps, vs, spec.quad) for d in spec.d_over_sigma.points().tolist()]
     return _run_grid(_sweep_task, tasks, workers)
 
 
@@ -318,7 +298,7 @@ def run_region_scan(
     """Classify every (d, omega) grid point in row-major order; failures
     flagged per point.
 
-    Tasks are a sweep's (_grid_tasks), on at most one worker per
+    One task per d, as for a sweep, on at most one worker per
     _PAIRS_PER_WORKER scan nodes. A task scans its omegas at the 64
     velocities of model.velocity_profile in one _negativity_rows call and
     labels each omega from its row as velocity_profile does, refining that
@@ -326,8 +306,10 @@ def run_region_scan(
     """
     _check_axes(d_grid, omega_grid)
     quad = settings if settings is not None else QuadratureSettings()
+    gaps = omega_grid.points().tolist()
+    tasks = [(d, gaps, quad) for d in d_grid.points().tolist()]
     workers = _pool_size(workers, d_grid.count * omega_grid.count * _SCAN_NODES)
-    return _run_grid(_region_task, _grid_tasks(d_grid, omega_grid, workers, quad), workers)
+    return _run_grid(_region_task, tasks, workers)
 
 
 def _cell(value) -> str:

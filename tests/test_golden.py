@@ -1,9 +1,9 @@
 """CSV bytes of the sweep and region commands against committed files.
 
 tests/data/make_golden.py wrote the golden files; each case is run here
-again through the CLI, serially and on a real 2-worker pool (these grids
-are far smaller than a pool needs, so the `real_pools` fixture lowers
-that need to one pair per worker), and must reproduce them byte for byte.
+again through the CLI, serially and on a pool of two threads (these grids
+are far smaller than a pool needs, so the `one_pair_per_worker` fixture
+lowers that need), and must reproduce them byte for byte.
 """
 
 import importlib.util
@@ -17,6 +17,7 @@ make_golden = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(make_golden)
 
 
+@pytest.mark.usefixtures("one_pair_per_worker")
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("case", sorted(make_golden.CASES))
 def test_bytes_match_the_golden_file(tmp_path, capsys, real_pools, case, workers):

@@ -383,6 +383,20 @@ class TestGapBlocks:
         self.rows(np.linspace(0.0, 4.0, 12), np.linspace(0.0, 0.99, 12))
         assert calls == [2 * 9 * 12, 2 * 3 * 12]
 
+    def test_octave_runs_match_the_whole_gap_axis(self):
+        # gaps 0-4 fall in two runs, {0, 0.36, ..., 2.91} up to pi and
+        # {3.27, 3.64, 4}; no X integral spans two runs, so each run's rows
+        # are, bit for bit, the whole axis's rows for its gaps
+        gaps = np.linspace(0.0, 4.0, 12)
+        vs = GridSpec(0.0, 1.0 - 1e-9, 5, "lightspeed").points().tolist()
+        runs = model._gap_runs(gaps)
+        assert [(run.start, run.stop) for run in runs] == [(0, 9), (9, 12)]
+        whole = self.rows(gaps.tolist(), vs)
+        for run in runs:
+            for row, whole_row in zip(self.rows(gaps[run].tolist(), vs), whole[run]):
+                assert [self.bits(row, i) for i in range(len(vs))] \
+                    == [self.bits(whole_row, i) for i in range(len(vs))]
+
     def test_gaps_above_pi_keep_their_octave_runs(self):
         # above pi a run is one octave of start-panel density: the gaps up
         # to 16 pi (30 to 49.1) and those above it (51.8 to 60)

@@ -54,6 +54,15 @@ class TestSettingsValidation:
         assert s == QuadratureSettings(max_subdivisions=100)
         assert type(s.max_subdivisions) is int
 
+    @pytest.mark.parametrize("bad", [True, "1e-6", None])
+    @pytest.mark.parametrize("name", ["rel_tol", "abs_tol"])
+    def test_tolerances_must_be_numbers(self, name, bad):
+        with pytest.raises(ValueError, match=f"^{name} must be a number, got {bad!r}$"):
+            QuadratureSettings(**{name: bad})
+
+    def test_int_tolerance_is_accepted(self):
+        assert QuadratureSettings(rel_tol=1, abs_tol=1) == QuadratureSettings(rel_tol=1.0, abs_tol=1.0)
+
 
 class TestLine:
     def test_wide_gaussian(self):

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -81,6 +82,16 @@ class TestGridSpec:
             GridSpec(0.0, 1.0, 2.9)
         assert GridSpec(0.0, 1.0, 3.0).points().tolist() == [0.0, 0.5, 1.0]
         assert GridSpec.from_dict({"min": 0.0, "max": 1.0, "count": 3.0}) == GridSpec(0.0, 1.0, 3)
+
+    @pytest.mark.parametrize("bounds", [(True, 2.0), (0.0, "2"), (None, 1.0)])
+    def test_bounds_must_be_numbers(self, bounds):
+        with pytest.raises(ValueError, match=r"^(min|max) must be a number, got "):
+            GridSpec(*bounds, 2)
+
+    def test_int_bounds_load_as_floats(self):
+        grid = GridSpec.from_dict({"min": 0, "max": 2, "count": 1})
+        assert grid == GridSpec(0.0, 2.0, 1)
+        assert type(grid.min) is float and grid.points().dtype == float
 
 
 class TestSweep:
@@ -253,6 +264,7 @@ class TestRowBatches:
             assert abs(complex(row.x_re, row.x_im) - q.x) <= 2e-9 * abs(q.x)
             assert row.p == q.p
 
+    @pytest.mark.usefixtures("one_pair_per_worker")
     def test_gap_blocks_match_single_points_and_across_workers(self, real_pools):
         # gaps 1.6, 2.35 and 3.1 share a run: one X integral per d and v
         # batch, on start panels sized for 3.1
@@ -266,21 +278,7 @@ class TestRowBatches:
             assert abs(complex(row.x_re, row.x_im) - q.x) <= row.x_error_estimate + q.x_error_estimate
             assert row.p == q.p
 
-    def test_octave_runs_match_the_whole_gap_axis(self, real_pools):
-        # gaps 0-4 fall in two runs, {0, 0.36, ..., 2.91} up to pi and
-        # {3.27, 3.64, 4}, each its own task at one d and two workers; the
-        # rows are those of one task with every gap
-        spec = SweepSpec(GridSpec(1.0, 1.0, 1), GridSpec(0.0, 4.0, 12),
-                         GridSpec(0.0, 1.0 - 1e-9, 5, "lightspeed"))
-        assert [(run.start, run.stop) for run in model._gap_runs(spec.sigma_omega.points())] \
-            == [(0, 9), (9, 12)]
-        whole = sweep_mod._sweep_task((1.0, spec.sigma_omega.points().tolist(),
-                                       spec.v.points().tolist(), spec.quad))
-        buf = io.StringIO()
-        write_sweep_csv(whole, buf)
-        assert sweep_text(spec, workers=2) == buf.getvalue()
-        assert real_pools == [2]
-
+    @pytest.mark.usefixtures("one_pair_per_worker")
     def test_long_v_axis_bytes_match_across_workers(self, real_pools):
         spec = SweepSpec(GridSpec(0.5, 2.0, 2), GridSpec(0.0, 1.0, 2), GridSpec(0.0, 0.999, 20))
         assert spec.v.count > model._X_BATCH
@@ -323,6 +321,7 @@ class TestDeterminism:
         spec = small_spec()
         assert sweep_text(spec) == sweep_text(spec)
 
+    @pytest.mark.usefixtures("one_pair_per_worker")
     def test_workers_do_not_change_bytes(self, real_pools):
         spec = small_spec()
         serial = sweep_text(spec, workers=1)
@@ -343,35 +342,10 @@ class TestDeterminism:
             assert repr(float(cell)) is not None
 
 
-@pytest.fixture
-def pool_sizes(monkeypatch) -> list:
-    """max_workers of every pool a grid starts; the stand-in pool maps serially."""
-    sizes = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks, chunksize=1):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", SerialPool)
-    return sizes
-
-
+@pytest.mark.usefixtures("one_pair_per_worker")
 class TestWorkers:
-    """A pool starts all of its workers at once, so their number is bounded."""
-
-    @pytest.fixture(autouse=True)
-    def one_pair_per_worker(self, monkeypatch):
-        # these grids are far below the work a worker needs (sweep._pool_size)
-        monkeypatch.setattr(sweep_mod, "_PAIRS_PER_WORKER", 1)
+    """A grid's pool has no more threads than tasks or usable CPUs, and none
+    outlive the grid."""
 
     @staticmethod
     def config(tmp_path) -> str:
@@ -384,28 +358,28 @@ class TestWorkers:
         path.write_text(json.dumps(cfg))
         return str(path)
 
-    def test_pool_is_no_larger_than_the_grid(self, pool_sizes):
+    def test_pool_is_no_larger_than_the_grid(self, real_pools):
         spec = SweepSpec(GridSpec(1.0, 2.0, 2), GridSpec(0.0, 0.0, 1), GridSpec(0.0, 0.5, 2))
         assert sweep_text(spec, workers=8) == sweep_text(spec)
-        assert pool_sizes == [2]
+        assert real_pools == [2]
 
-    def test_one_d_fills_the_pool(self, pool_sizes):
-        # fewer d than workers: one task per d and run of gaps, here two,
-        # since gap 4 is above pi
-        spec = SweepSpec(GridSpec(1.0, 1.0, 1), GridSpec(0.0, 4.0, 2), GridSpec(0.0, 0.5, 2))
-        assert sweep_text(spec, workers=8) == sweep_text(spec)
-        assert pool_sizes == [2]
+    def test_threads_end_with_the_grid(self, real_pools):
+        before = threading.active_count()
+        run_sweep(small_spec(), workers=2)
+        run_region_scan(GridSpec(1.0, 2.0, 2), GridSpec(0.5, 1.0, 2), workers=2)
+        assert real_pools == [2, 2]
+        assert threading.active_count() == before
 
-    def test_cli_lowers_workers_to_the_usable_cpus(self, pool_sizes, monkeypatch, tmp_path, capsys):
+    def test_cli_lowers_workers_to_the_usable_cpus(self, real_pools, monkeypatch, tmp_path, capsys):
         monkeypatch.setattr(cli_mod.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         out = tmp_path / "out.csv"
         rc = main(["--workers", "1000", "sweep", "--config", self.config(tmp_path), "--out", str(out)])
         assert rc == 0
-        assert pool_sizes == [3]
+        assert real_pools == [3]
         assert len(out.read_text().splitlines()) == 1 + 3 * 2 * 2
 
     @pytest.mark.parametrize("workers", [0, -3])
-    def test_cli_rejects_fewer_than_one_worker(self, workers, pool_sizes, tmp_path, capsys):
+    def test_cli_rejects_fewer_than_one_worker(self, workers, real_pools, tmp_path, capsys):
         out = tmp_path / "out.csv"
         rc = main(["--workers", str(workers), "sweep", "--config", self.config(tmp_path),
                    "--out", str(out)])
@@ -413,41 +387,41 @@ class TestWorkers:
         assert rc == 1
         assert captured.out == ""
         assert captured.err == f"ValueError: --workers must be >= 1, got {workers}\n"
-        assert pool_sizes == [] and not out.exists()
+        assert real_pools == [] and not out.exists()
 
 
 class TestPoolSize:
     """A grid gets at most one worker per sweep._PAIRS_PER_WORKER pairs of work."""
 
-    def test_small_grid_starts_no_pool(self, pool_sizes):
+    def test_small_grid_starts_no_pool(self, real_pools):
         spec = small_spec()
         assert sweep_text(spec, workers=2) == sweep_text(spec)
-        assert pool_sizes == []
+        assert real_pools == []
 
     @pytest.mark.parametrize("short, sizes", [(0, [2]), (1, [])])
-    def test_two_shares_of_pairs_start_a_pool_of_two(self, pool_sizes, monkeypatch, short, sizes):
+    def test_two_shares_of_pairs_start_a_pool_of_two(self, real_pools, monkeypatch, short, sizes):
         # 2 d x 1 gap x (_PAIRS_PER_WORKER - short) velocities; the task is
         # stubbed out, since only the pool's size is asked for
         tasks = []
         monkeypatch.setattr(sweep_mod, "_sweep_task", lambda task: tasks.append(task) or [])
         v = GridSpec(0.0, 0.9, sweep_mod._PAIRS_PER_WORKER - short)
         run_sweep(SweepSpec(GridSpec(1.0, 2.0, 2), GridSpec(0.0, 0.0, 1), v), workers=8)
-        assert pool_sizes == sizes and len(tasks) == 2
+        assert real_pools == sizes and len(tasks) == 2
 
     @pytest.mark.parametrize("short, sizes", [(0, [2]), (1, [])])
-    def test_a_region_point_counts_its_scan_nodes(self, pool_sizes, monkeypatch, short, sizes):
+    def test_a_region_point_counts_its_scan_nodes(self, real_pools, monkeypatch, short, sizes):
         # 2 d x (_PAIRS_PER_WORKER / 64 - short) gaps x 64 scan nodes
         per_scan, rest = divmod(sweep_mod._PAIRS_PER_WORKER, model._SCAN_NODES)
         assert model._SCAN_NODES == 64 and rest == 0
         monkeypatch.setattr(sweep_mod, "_region_task", lambda task: [])
         run_region_scan(GridSpec(1.0, 2.0, 2), GridSpec(0.0, 1.0, per_scan - short), workers=8)
-        assert pool_sizes == sizes
+        assert real_pools == sizes
 
     @pytest.mark.parametrize("grid, sizes", [("coarse", [2]), ("full", [4, 8])])
-    def test_determinism_check_starts_its_pools(self, pool_sizes, grid, sizes):
+    def test_determinism_check_starts_its_pools(self, real_pools, grid, sizes):
         result = validate_mod.check_sweep_determinism(grid, QuadratureSettings())
         assert result.passed
-        assert pool_sizes == sizes
+        assert real_pools == sizes
 
 
 class TestRegionScan:
@@ -559,12 +533,12 @@ class TestRegionScan:
             assert row == RegionRow(1.0, row.sigma_omega, profile.label,
                                     peak and peak.v_star, peak and peak.n_star)
 
+    @pytest.mark.usefixtures("one_pair_per_worker")
     def test_bytes_match_across_workers(self, real_pools):
-        # at one d and two workers, the gaps split into the runs
-        # {0.5, 2.33} up to pi and {4.17, 6}, one task each
-        d_grid, omega_grid = GridSpec(1.0, 1.0, 1), GridSpec(0.5, 6.0, 4)
+        # one task per d, each with the gaps' two runs {0.5, 2.33} up to pi
+        # and {4.17, 6}
+        d_grid, omega_grid = GridSpec(1.0, 2.0, 2), GridSpec(0.5, 6.0, 4)
         assert len(model._gap_runs(omega_grid.points())) == 2
-        assert len(sweep_mod._grid_tasks(d_grid, omega_grid, 2)) == 2
         texts = []
         for workers in (1, 2):
             buf = io.StringIO()
@@ -759,8 +733,9 @@ class TestConfigErrors:
         assert err.startswith("ValueError: config 'quadrature': ") and "'rel_tl'" in err
 
     def test_non_finite_bounds(self, command, tmp_path, capsys):
+        # json writes and reads NaN as a bare literal
         err = self.run(command, tmp_path, capsys,
-                       edit=lambda cfg: cfg.update(sigma_omega={"min": "nan", "max": "nan", "count": 1}))
+                       edit=lambda cfg: cfg.update(sigma_omega={"min": math.nan, "max": math.nan, "count": 1}))
         assert err == "ValueError: config axis 'sigma_omega': grid bounds must be finite, got [nan, nan]\n"
         assert not (tmp_path / "out.csv").exists()
 
@@ -812,8 +787,38 @@ class TestConfigErrors:
     def test_unreadable_bound_names_its_axis(self, command, tmp_path, capsys):
         err = self.run(command, tmp_path, capsys,
                        edit=lambda cfg: cfg["d_over_sigma"].update(min="a"))
-        assert err == ("ValueError: config axis 'd_over_sigma': "
-                       "could not convert string to float: 'a'\n")
+        assert err == "ValueError: config axis 'd_over_sigma': min must be a number, got 'a'\n"
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_string_bound(self, command, tmp_path, capsys):
+        # a number in a string is not read as one
+        err = self.run(command, tmp_path, capsys,
+                       edit=lambda cfg: cfg.update(sigma_omega={"min": 0, "max": "2", "count": 2}))
+        assert err == "ValueError: config axis 'sigma_omega': max must be a number, got '2'\n"
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_boolean_bound(self, command, tmp_path, capsys):
+        err = self.run(command, tmp_path, capsys,
+                       edit=lambda cfg: cfg.update(d_over_sigma={"min": True, "max": 2, "count": 2}))
+        assert err == "ValueError: config axis 'd_over_sigma': min must be a number, got True\n"
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_integer_past_the_float_range_is_an_infinite_bound(self, command, tmp_path, capsys):
+        err = self.run(command, tmp_path, capsys,
+                       edit=lambda cfg: cfg.update(sigma_omega={"min": 0, "max": 10 ** 400, "count": 2}))
+        assert err == "ValueError: config axis 'sigma_omega': grid bounds must be finite, got [0.0, inf]\n"
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_boolean_tolerance(self, command, tmp_path, capsys):
+        err = self.run(command, tmp_path, capsys,
+                       edit=lambda cfg: cfg.update(quadrature={"rel_tol": True}))
+        assert err == "ValueError: config 'quadrature': rel_tol must be a number, got True\n"
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_string_tolerance(self, command, tmp_path, capsys):
+        err = self.run(command, tmp_path, capsys,
+                       edit=lambda cfg: cfg.update(quadrature={"abs_tol": "1e-12"}))
+        assert err == "ValueError: config 'quadrature': abs_tol must be a number, got '1e-12'\n"
         assert not (tmp_path / "out.csv").exists()
 
     def test_unknown_spacing_names_its_axis(self, command, tmp_path, capsys):
