@@ -3,17 +3,18 @@
 Subcommands map one-to-one onto the reproduction artifacts: `point` for a
 single evaluation (JSON to stdout), `sweep` and `region` for CSV files
 driven by a JSON config, `peak` for the velocity maximizer at one (d,
-omega), and `validate` for the self-check report. All configuration is
-explicit; no environment variables are consulted. Bad input, a bad
-config, a file that cannot be read or written, or a failed integral ends a
-command with one `Type: message` line on stderr and exit code 1.
+omega), and `validate` for the self-check report. `--d` is d/sigma and
+`--omega` sigma*omega, as in every config and output. All configuration
+is explicit; no environment variables are consulted. Bad input (such as
+a `--workers` that sweep._usable_workers refuses), a bad config, a file
+that cannot be read or written, or a failed integral ends a command with
+one `Type: message` line on stderr and exit code 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict, replace
 
@@ -22,9 +23,11 @@ from .quadrature import QuadratureError, QuadratureSettings
 from .sweep import (
     _PAIRS_PER_WORKER,
     SweepSpec,
+    _error_text,
     _load_json,
     _read_config,
     _sweep_task,
+    _usable_workers,
     run_region_scan,
     run_sweep,
     write_region_csv,
@@ -42,16 +45,9 @@ def _quad_from_args(base: QuadratureSettings, args: argparse.Namespace) -> Quadr
     return replace(base, **overrides) if overrides else base
 
 
-def _add_quad_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--rel-tol", dest="rel_tol", type=float, default=None)
-    parser.add_argument("--abs-tol", dest="abs_tol", type=float, default=None)
-    parser.add_argument("--max-subdivisions", dest="max_subdivisions", type=int, default=None)
-
-
 def _cmd_point(args: argparse.Namespace) -> int:
     quad = _quad_from_args(QuadratureSettings(), args)
-    det = DetectorSettings(sigma=args.sigma, omega=args.omega)
-    payload = _sweep_task((args.d / det.sigma, [det.gap], [args.v], quad))[0]._asdict()
+    payload = _sweep_task((args.d, [args.omega], [args.v], quad))[0]._asdict()
     error = payload.pop("error")
     if error:
         print(error, file=sys.stderr)
@@ -87,9 +83,8 @@ def _cmd_region(args: argparse.Namespace) -> int:
 
 def _cmd_peak(args: argparse.Namespace) -> int:
     quad = _quad_from_args(QuadratureSettings(), args)
-    det = DetectorSettings(sigma=args.sigma, omega=args.omega)
-    peak = find_peak_velocity(det, args.d, quad)
-    payload = {"d_over_sigma": args.d / args.sigma, "sigma_omega": det.gap,
+    peak = find_peak_velocity(DetectorSettings(1.0, args.omega), args.d, quad)
+    payload = {"d_over_sigma": args.d, "sigma_omega": args.omega,
                "peak": None if peak is None else asdict(peak)}
     json.dump(payload, sys.stdout, indent=2)
     sys.stdout.write("\n")
@@ -111,6 +106,17 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0 if report["all_passed"] else 1
 
 
+def _add_command(sub, name: str, func, summary: str, *flags: tuple[str, dict]) -> None:
+    """Subcommand name, which runs func, with its own flags and the quadrature knobs."""
+    parser = sub.add_parser(name, help=summary)
+    for flag, kwargs in flags:
+        parser.add_argument(flag, **kwargs)
+    parser.add_argument("--rel-tol", dest="rel_tol", type=float, default=None)
+    parser.add_argument("--abs-tol", dest="abs_tol", type=float, default=None)
+    parser.add_argument("--max-subdivisions", dest="max_subdivisions", type=int, default=None)
+    parser.set_defaults(func=func)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="entharvest",
@@ -121,48 +127,17 @@ def build_parser() -> argparse.ArgumentParser:
                              f"a grid gets at most one per {_PAIRS_PER_WORKER} pairs of work")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_point = sub.add_parser("point", help="evaluate one parameter point, JSON to stdout")
-    p_point.add_argument("--d", type=float, required=True)
-    p_point.add_argument("--v", type=float, required=True)
-    p_point.add_argument("--omega", type=float, required=True)
-    p_point.add_argument("--sigma", type=float, default=1.0)
-    _add_quad_flags(p_point)
-    p_point.set_defaults(func=_cmd_point)
-
-    p_sweep = sub.add_parser("sweep", help="grid sweep to CSV")
-    p_sweep.add_argument("--config", required=True)
-    p_sweep.add_argument("--out", required=True)
-    _add_quad_flags(p_sweep)
-    p_sweep.set_defaults(func=_cmd_sweep)
-
-    p_peak = sub.add_parser("peak", help="velocity maximizer at one (d, omega)")
-    p_peak.add_argument("--d", type=float, required=True)
-    p_peak.add_argument("--omega", type=float, required=True)
-    p_peak.add_argument("--sigma", type=float, default=1.0)
-    _add_quad_flags(p_peak)
-    p_peak.set_defaults(func=_cmd_peak)
-
-    p_region = sub.add_parser("region", help="(d, omega) region classification to CSV")
-    p_region.add_argument("--config", required=True)
-    p_region.add_argument("--out", required=True)
-    _add_quad_flags(p_region)
-    p_region.set_defaults(func=_cmd_region)
-
-    p_val = sub.add_parser("validate", help="run the self-check battery")
-    p_val.add_argument("--grid", choices=("coarse", "full"), default="full")
-    p_val.add_argument("--out", default=None)
-    _add_quad_flags(p_val)
-    p_val.set_defaults(func=_cmd_validate)
-
+    number, path = {"type": float, "required": True}, {"required": True}
+    _add_command(sub, "point", _cmd_point, "evaluate one parameter point, JSON to stdout",
+                 ("--d", number), ("--v", number), ("--omega", number))
+    _add_command(sub, "sweep", _cmd_sweep, "grid sweep to CSV", ("--config", path), ("--out", path))
+    _add_command(sub, "peak", _cmd_peak, "velocity maximizer at one (d, omega)",
+                 ("--d", number), ("--omega", number))
+    _add_command(sub, "region", _cmd_region, "(d, omega) region classification to CSV",
+                 ("--config", path), ("--out", path))
+    _add_command(sub, "validate", _cmd_validate, "run the self-check battery",
+                 ("--grid", {"choices": ("coarse", "full"), "default": "full"}), ("--out", {}))
     return parser
-
-
-def _usable_workers(workers: int) -> int:
-    """--workers, checked and lowered to the CPUs this process may run on."""
-    if workers < 1:
-        raise ValueError(f"--workers must be >= 1, got {workers!r}")
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return min(workers, cpus or 1)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -171,7 +146,7 @@ def main(argv: list[str] | None = None) -> int:
         args.workers = _usable_workers(args.workers)
         return args.func(args)
     except (ValueError, OSError, QuadratureError) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        print(_error_text(exc), file=sys.stderr)
         return 1
 
 

@@ -82,6 +82,24 @@ _SQRT_PI = math.sqrt(math.pi)
 _TWO_OVER_SQRT_PI = 2.0 / _SQRT_PI
 
 
+def _check_sigma(sigma: float) -> None:
+    """Refuse a switching width that is not finite and > 0."""
+    if not (sigma > 0.0 and math.isfinite(sigma)):
+        raise ValueError(f"sigma must be finite and > 0, got {sigma!r}")
+
+
+def _check_d(d: float) -> None:
+    """Refuse a distance, or a d/sigma, that is not finite and > 0."""
+    if not (d > 0.0 and math.isfinite(d)):
+        raise ValueError(f"d must be finite and > 0, got {d!r}")
+
+
+def _check_v(v: float) -> None:
+    """Refuse a speed outside [0, 1)."""
+    if not (0.0 <= v < 1.0):
+        raise ValueError(f"v must satisfy 0 <= v < 1, got {v!r}")
+
+
 @dataclass(frozen=True)
 class DetectorSettings:
     """Switching width sigma and energy gap omega of the identical pair."""
@@ -90,8 +108,7 @@ class DetectorSettings:
     omega: float
 
     def __post_init__(self) -> None:
-        if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
-            raise ValueError(f"sigma must be finite and > 0, got {self.sigma!r}")
+        _check_sigma(self.sigma)
         if not (self.omega >= 0.0 and math.isfinite(self.omega)):
             raise ValueError(f"omega must be finite and >= 0, got {self.omega!r}")
 
@@ -99,12 +116,6 @@ class DetectorSettings:
     def gap(self) -> float:
         """Dimensionless gap sigma * omega."""
         return self.sigma * self.omega
-
-
-def _check_d(d: float) -> None:
-    """Refuse a distance, or a d/sigma, that is not finite and > 0."""
-    if not (d > 0.0 and math.isfinite(d)):
-        raise ValueError(f"d must be finite and > 0, got {d!r}")
 
 
 @dataclass(frozen=True)
@@ -116,8 +127,7 @@ class EncounterGeometry:
 
     def __post_init__(self) -> None:
         _check_d(self.d)
-        if not (0.0 <= self.v < 1.0):
-            raise ValueError(f"v must satisfy 0 <= v < 1, got {self.v!r}")
+        _check_v(self.v)
 
 
 @dataclass(frozen=True)
@@ -467,8 +477,7 @@ def _static_terms(d: float, sigma: float) -> tuple[float, float, float, float]:
     through s, which stays bounded where erfi(x) alone overflows (x >~ 27).
     """
     _check_d(d)
-    if not (sigma > 0.0 and math.isfinite(sigma)):
-        raise ValueError(f"sigma must be finite and > 0, got {sigma!r}")
+    _check_sigma(sigma)
     ds = d / sigma
     _check_d(ds)
     x = 0.5 * ds
@@ -497,10 +506,8 @@ def static_negativity(det: DetectorSettings, d: float) -> float:
 
 def spacelike_min_distance(v: float, sigma: float) -> float:
     """Minimal distance 6 sigma / sqrt(1 - v^2) for spacelike separation."""
-    if not (0.0 <= v < 1.0):
-        raise ValueError(f"v must satisfy 0 <= v < 1, got {v!r}")
-    if not (sigma > 0.0 and math.isfinite(sigma)):
-        raise ValueError(f"sigma must be finite and > 0, got {sigma!r}")
+    _check_v(v)
+    _check_sigma(sigma)
     return 6.0 * sigma / math.sqrt(1.0 - v * v)
 
 

@@ -70,7 +70,7 @@ import numpy as np
 from scipy.special import dawsn as _dawsn_vec
 from scipy.special import sici
 
-from .model import DetectorSettings, EncounterGeometry
+from .model import DetectorSettings, EncounterGeometry, _check_v
 from .quadrature import (
     _NEGLIGIBLE_SIGMAS,
     QuadratureSettings,
@@ -138,8 +138,7 @@ def p_momentum_oracle(
 ) -> tuple[float, float]:
     """Transition probability from the momentum integral; (value, error)."""
     quad = settings if settings is not None else QuadratureSettings()
-    if not (0.0 <= v < 1.0):
-        raise ValueError(f"v must satisfy 0 <= v < 1, got {v!r}")
+    _check_v(v)
     g = det.gap
     inner_err_max = 0.0
 

@@ -1,28 +1,31 @@
 """Parameter sweeps, region scans, and deterministic CSV emission.
 
-Both grid jobs share one pipeline: a JSON config gives the axes and the
-quadrature block, every axis tuple is evaluated in row-major order, and
-each row is written as one CSV line whose cells are formatted by type.
-Rows are NamedTuples whose fields are the CSV columns, so `_asdict()`
-and `_replace()` work on them. Both jobs hand each d to one task with
-the whole omega axis; the task evaluates X in blocks of its gaps times
-batches over v: a sweep task at the v axis, building its rows from the
+Both grid jobs share one pipeline: a JSON config object holds the job's
+axes (each read by GridSpec), an optional `quadrature` block (read by
+QuadratureSettings) and, for a sweep, `outputs`, and no other key; every
+axis tuple is evaluated in row-major order, and each row is written as
+one CSV line whose cells are formatted by type. Rows are NamedTuples
+whose fields are the CSV columns, so `_asdict()` and `_replace()` work
+on them. Both jobs hand each d to one task with the whole omega axis;
+the task evaluates X in blocks of its gaps times batches over v: a sweep task at the v axis, building its rows from the
 row arrays, and a region task at the 64 nodes of one velocity scan,
-labelling each omega from its row as model.velocity_profile does. A grid
-gets at most one worker per _PAIRS_PER_WORKER (omega, v) pairs of work,
-counted from the grid alone: a sweep's d x omega x v points, a region
-scan's d x omega x 64 scan nodes. Below two shares it runs in the calling
-thread, from two on its tasks run on a pool of threads. No row depends on
-the thread or on the task it is in, and results keep their row-major
-order, so output is byte-identical for any worker count.
-Per-point failures of any kind are recorded in the error column instead
-of aborting the grid.
+labelling each omega from its row as model.velocity_profile does.
+`workers` is a whole number >= 1, lowered to the usable CPUs
+(_usable_workers), and a grid gets at most one worker per
+_PAIRS_PER_WORKER (omega, v) pairs of work, counted from the grid alone:
+a sweep's d x omega x v points, a region scan's d x omega x 64 scan
+nodes. Below two shares it runs in the calling thread, from two on its
+tasks run on a pool of threads. No row depends on the thread or on the
+task it is in, and results keep their row-major order, so output is
+byte-identical for any worker count. Per-point failures of any kind are
+recorded in the error column instead of aborting the grid.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import IO, Callable, Iterable, NamedTuple, Optional, Sequence, get_type_hints
@@ -97,15 +100,6 @@ class GridSpec:
         # log-uniform in 1 - v, ascending in v
         return 1.0 - np.geomspace(1.0 - self.min, 1.0 - self.max, self.count)
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> "GridSpec":
-        return cls(
-            min=obj["min"],
-            max=obj["max"],
-            count=obj["count"],
-            spacing=str(obj.get("spacing", "linear")),
-        )
-
 
 class SweepRow(NamedTuple):
     d_over_sigma: float
@@ -143,19 +137,28 @@ def _check_axes(d_over_sigma: GridSpec, sigma_omega: GridSpec) -> None:
         raise ValueError("sigma_omega grid must be >= 0")
 
 
-def _read_config(obj: dict, axes: Sequence[str]) -> tuple[list[GridSpec], QuadratureSettings]:
-    """The named axes and the optional `quadrature` block of a JSON grid config.
+def _check_known(what: str, names: Iterable, known: Sequence[str]) -> None:
+    unknown = set(names) - set(known)
+    if unknown:
+        raise ValueError(f"unknown {what}: {sorted(unknown, key=str)}")
 
-    A missing key, a misnamed field or a bad value raises ValueError naming
-    where it is.
-    """
+
+def _read_config(obj: dict, axes: Sequence[str],
+                 others: Sequence[str] = ()) -> tuple[list[GridSpec], QuadratureSettings]:
+    """The named axes and the optional `quadrature` block of a JSON grid
+    config object, which may also hold the keys in others for the caller.
+    Any other key, a missing key, a misnamed field or a bad value raises
+    ValueError naming where it is."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"config must be a JSON object, got {type(obj).__name__}")
+    _check_known("config keys", obj, (*axes, "quadrature", *others))
     try:
         grids = []
         for axis in axes:
             where = "config"
             section = obj[axis]
             where = f"config axis {axis!r}"
-            grids.append(GridSpec.from_dict(section))
+            grids.append(GridSpec(**section))
         where = "config 'quadrature'"
         return grids, QuadratureSettings(**obj.get("quadrature", {}))
     except KeyError as exc:
@@ -189,13 +192,11 @@ class SweepSpec:
             raise ValueError("outputs must name at least one column")
         if len(set(self.outputs)) < len(self.outputs):
             raise ValueError(f"output columns must be distinct, got {self.outputs!r}")
-        unknown = set(self.outputs) - set(SWEEP_COLUMNS)
-        if unknown:
-            raise ValueError(f"unknown output columns: {sorted(unknown)}")
+        _check_known("output columns", self.outputs, SWEEP_COLUMNS)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "SweepSpec":
-        grids, quad = _read_config(obj, ("d_over_sigma", "sigma_omega", "v"))
+        grids, quad = _read_config(obj, ("d_over_sigma", "sigma_omega", "v"), ("outputs",))
         outputs = obj.get("outputs", SWEEP_COLUMNS)
         if not isinstance(outputs, (list, tuple)):
             raise ValueError(f"config 'outputs' must be a list of column names, got {outputs!r}")
@@ -258,9 +259,19 @@ def _region_task(args: tuple[float, list[float], QuadratureSettings]) -> list[Re
 _PAIRS_PER_WORKER = 4096
 
 
+def _usable_workers(workers: int) -> int:
+    """workers, checked and lowered to the CPUs this process may run on."""
+    workers = _whole_number("workers", workers)
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers!r}")
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(workers, cpus or 1)
+
+
 def _pool_size(workers: int, pairs: int) -> int:
-    """workers, lowered to one per _PAIRS_PER_WORKER pairs of work, and at least 1."""
-    return max(1, min(workers, pairs // _PAIRS_PER_WORKER))
+    """_usable_workers(workers), lowered to one per _PAIRS_PER_WORKER pairs
+    of work, and at least 1."""
+    return max(1, min(_usable_workers(workers), pairs // _PAIRS_PER_WORKER))
 
 
 def _run_grid(task: Callable, tasks: list, workers: int) -> list:
@@ -284,7 +295,7 @@ def _sweep_rows(spec: SweepSpec, workers: int) -> list[SweepRow]:
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRow]:
     """Evaluate every grid tuple in row-major (d, omega, v) order, on at most
-    one worker per _PAIRS_PER_WORKER tuples."""
+    _usable_workers(workers) threads and one per _PAIRS_PER_WORKER tuples."""
     pairs = spec.d_over_sigma.count * spec.sigma_omega.count * spec.v.count
     return _sweep_rows(spec, _pool_size(workers, pairs))
 
@@ -298,11 +309,12 @@ def run_region_scan(
     """Classify every (d, omega) grid point in row-major order; failures
     flagged per point.
 
-    One task per d, as for a sweep, on at most one worker per
-    _PAIRS_PER_WORKER scan nodes. A task scans its omegas at the 64
-    velocities of model.velocity_profile in one _negativity_rows call and
-    labels each omega from its row as velocity_profile does, refining that
-    omega alone where its peak needs more nodes.
+    One task per d, as for a sweep, on at most _usable_workers(workers)
+    threads and one per _PAIRS_PER_WORKER scan nodes. A task scans its
+    omegas at the 64 velocities of model.velocity_profile in one
+    _negativity_rows call and labels each omega from its row as
+    velocity_profile does, refining that omega alone where its peak needs
+    more nodes.
     """
     _check_axes(d_grid, omega_grid)
     quad = settings if settings is not None else QuadratureSettings()
@@ -333,6 +345,7 @@ def _write_csv(rows: Iterable, fh: IO[str], row_type, columns: Sequence[str]) ->
     "%.17g" as they are, every other field's through _cell, and each line
     is one % operation over the row's cells.
     """
+    _check_known("output columns", columns, row_type._fields)
     fh.write(",".join(columns) + "\n")
     rows = list(rows)
     if not columns:

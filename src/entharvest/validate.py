@@ -36,7 +36,7 @@ from .model import (
     velocity_profile,
 )
 from .quadrature import QuadratureSettings
-from .sweep import GridSpec, SweepSpec, _sweep_rows, run_sweep, write_sweep_csv
+from .sweep import GridSpec, SweepSpec, _error_text, _sweep_rows, run_sweep, write_sweep_csv
 
 __all__ = ["CheckResult", "run_validation"]
 
@@ -64,7 +64,7 @@ def _named(name: str) -> Callable:
             try:
                 return CheckResult(name, *fn(grid, quad))
             except Exception as exc:  # a crashed check is a failed check
-                return CheckResult(name, False, math.inf, 0.0, f"{type(exc).__name__}: {exc}")
+                return CheckResult(name, False, math.inf, 0.0, _error_text(exc))
         return check
     return decorate
 

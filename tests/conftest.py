@@ -20,7 +20,15 @@ def real_pools(monkeypatch) -> list:
 
 
 @pytest.fixture
-def one_pair_per_worker(monkeypatch) -> None:
-    """One pair of work enough for a worker, so that a small test grid at
-    workers > 1 still runs on a pool of that many threads (sweep._pool_size)."""
+def eight_cpus(monkeypatch) -> None:
+    """Eight CPUs that this process may run on (sweep._usable_workers),
+    whatever the host has."""
+    monkeypatch.setattr(sweep_mod.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+
+
+@pytest.fixture
+def one_pair_per_worker(monkeypatch, eight_cpus) -> None:
+    """One pair of work enough for a worker, and eight usable CPUs, so that a
+    small test grid at workers > 1 still runs on a pool of that many threads
+    (sweep._pool_size)."""
     monkeypatch.setattr(sweep_mod, "_PAIRS_PER_WORKER", 1)

@@ -10,6 +10,7 @@ import math
 from typing import IO, Iterable, Sequence
 
 import numpy as np
+import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
 from entharvest.model import RegionLabel
@@ -98,3 +99,16 @@ def test_no_rows_writes_the_header_alone():
     buf = io.StringIO()
     write_region_csv([], buf)
     assert buf.getvalue() == "d_over_sigma,sigma_omega,region,v_star,n_star,error\n"
+
+
+@pytest.mark.parametrize("rows, cols, unknown", [
+    ([], ["bogus"], "['bogus']"),
+    ([SweepRow(1.0, 0.0, 0.0)], ["v", "entropy", "bogus"], "['bogus', 'entropy']"),
+])
+def test_an_unknown_column_is_refused_before_anything_is_written(rows, cols, unknown):
+    # the message SweepSpec gives for its outputs
+    buf = io.StringIO()
+    with pytest.raises(ValueError) as info:
+        write_sweep_csv(rows, buf, cols)
+    assert str(info.value) == f"unknown output columns: {unknown}"
+    assert buf.getvalue() == ""

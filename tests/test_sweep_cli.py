@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings as hyp_settings, strategies as st
 
-from entharvest import cli as cli_mod
 from entharvest import model
 from entharvest import sweep as sweep_mod
 from entharvest import validate as validate_mod
@@ -81,7 +80,7 @@ class TestGridSpec:
         with pytest.raises(ValueError, match=r"^count must be a whole number, got 2\.9$"):
             GridSpec(0.0, 1.0, 2.9)
         assert GridSpec(0.0, 1.0, 3.0).points().tolist() == [0.0, 0.5, 1.0]
-        assert GridSpec.from_dict({"min": 0.0, "max": 1.0, "count": 3.0}) == GridSpec(0.0, 1.0, 3)
+        assert GridSpec(**{"min": 0.0, "max": 1.0, "count": 3.0}) == GridSpec(0.0, 1.0, 3)
 
     @pytest.mark.parametrize("bounds", [(True, 2.0), (0.0, "2"), (None, 1.0)])
     def test_bounds_must_be_numbers(self, bounds):
@@ -89,7 +88,7 @@ class TestGridSpec:
             GridSpec(*bounds, 2)
 
     def test_int_bounds_load_as_floats(self):
-        grid = GridSpec.from_dict({"min": 0, "max": 2, "count": 1})
+        grid = GridSpec(**{"min": 0, "max": 2, "count": 1})
         assert grid == GridSpec(0.0, 2.0, 1)
         assert type(grid.min) is float and grid.points().dtype == float
 
@@ -345,7 +344,8 @@ class TestDeterminism:
 @pytest.mark.usefixtures("one_pair_per_worker")
 class TestWorkers:
     """A grid's pool has no more threads than tasks or usable CPUs, and none
-    outlive the grid."""
+    outlive the grid; `workers` is checked by one rule, in Python as on the
+    CLI."""
 
     @staticmethod
     def config(tmp_path) -> str:
@@ -371,12 +371,19 @@ class TestWorkers:
         assert threading.active_count() == before
 
     def test_cli_lowers_workers_to_the_usable_cpus(self, real_pools, monkeypatch, tmp_path, capsys):
-        monkeypatch.setattr(cli_mod.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        monkeypatch.setattr(sweep_mod.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         out = tmp_path / "out.csv"
         rc = main(["--workers", "1000", "sweep", "--config", self.config(tmp_path), "--out", str(out)])
         assert rc == 0
         assert real_pools == [3]
         assert len(out.read_text().splitlines()) == 1 + 3 * 2 * 2
+
+    def test_library_lowers_workers_to_the_usable_cpus(self, real_pools, monkeypatch):
+        monkeypatch.setattr(sweep_mod.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        spec = SweepSpec(GridSpec(1.0, 2.0, 3), GridSpec(0.0, 1.0, 2), GridSpec(0.0, 0.5, 2))
+        assert sweep_text(spec, workers=1000) == sweep_text(spec)
+        run_region_scan(GridSpec(1.0, 2.0, 4), GridSpec(0.5, 0.5, 1), workers=1000)
+        assert real_pools == [3, 3]
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_cli_rejects_fewer_than_one_worker(self, workers, real_pools, tmp_path, capsys):
@@ -386,10 +393,30 @@ class TestWorkers:
         captured = capsys.readouterr()
         assert rc == 1
         assert captured.out == ""
-        assert captured.err == f"ValueError: --workers must be >= 1, got {workers}\n"
+        assert captured.err == f"ValueError: workers must be >= 1, got {workers}\n"
         assert real_pools == [] and not out.exists()
 
+    @pytest.mark.parametrize("workers, message", [
+        (0, "workers must be >= 1, got 0"),
+        (-3, "workers must be >= 1, got -3"),
+        (True, "workers must be a whole number, got True"),
+        (2.5, "workers must be a whole number, got 2.5"),
+    ])
+    def test_library_refuses_workers_before_any_task_runs(self, workers, message, real_pools,
+                                                          monkeypatch):
+        tasks = []
+        monkeypatch.setattr(sweep_mod, "_sweep_task", lambda task: tasks.append(task) or [])
+        monkeypatch.setattr(sweep_mod, "_region_task", lambda task: tasks.append(task) or [])
+        with pytest.raises(ValueError) as info:
+            run_sweep(small_spec(), workers=workers)
+        assert str(info.value) == message
+        with pytest.raises(ValueError) as info:
+            run_region_scan(GridSpec(1.0, 2.0, 2), GridSpec(0.5, 1.0, 2), workers=workers)
+        assert str(info.value) == message
+        assert tasks == [] and real_pools == []
 
+
+@pytest.mark.usefixtures("eight_cpus")
 class TestPoolSize:
     """A grid gets at most one worker per sweep._PAIRS_PER_WORKER pairs of work."""
 
@@ -573,11 +600,22 @@ class TestCli:
         assert captured.err == "ValueError: v must satisfy 0 <= v < 1, got 1.5\n"
 
     def test_point_bad_input_goes_to_stderr(self, capsys):
-        rc = main(["point", "--d", "1", "--v", "0.3", "--omega", "1", "--sigma", "0"])
+        rc = main(["point", "--d", "1", "--v", "0.3", "--omega", "-1"])
         captured = capsys.readouterr()
         assert rc == 1
         assert captured.out == ""
-        assert captured.err == "ValueError: sigma must be finite and > 0, got 0.0\n"
+        assert captured.err == "ValueError: omega must be finite and >= 0, got -1.0\n"
+
+    @pytest.mark.parametrize("command", [
+        ["point", "--d", "1", "--v", "0.5", "--omega", "1"],
+        ["peak", "--d", "1", "--omega", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_point_and_peak_take_no_sigma(self, capsys, command):
+        # --d is d/sigma and --omega sigma*omega, as in every config and output
+        with pytest.raises(SystemExit) as info:
+            main([*command, "--sigma", "2"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --sigma 2" in capsys.readouterr().err
 
     def test_point_quad_flag(self, capsys):
         rc = main(["point", "--d", "1.0", "--v", "0.3", "--omega", "1.0",
@@ -725,7 +763,39 @@ class TestConfigErrors:
 
     def test_missing_count(self, command, tmp_path, capsys):
         err = self.run(command, tmp_path, capsys, edit=lambda cfg: cfg["d_over_sigma"].pop("count"))
-        assert err == "ValueError: config axis 'd_over_sigma' is missing key 'count'\n"
+        assert err == ("ValueError: config axis 'd_over_sigma': "
+                       "GridSpec.__init__() missing 1 required positional argument: 'count'\n")
+
+    def test_misnamed_axis_field(self, command, tmp_path, capsys):
+        # a misspelt spacing would otherwise run the axis linear
+        err = self.run(command, tmp_path, capsys,
+                       edit=lambda cfg: cfg["sigma_omega"].update(spacng="log"))
+        assert err.startswith("ValueError: config axis 'sigma_omega': ") and "'spacng'" in err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_misnamed_quadrature_block(self, command, tmp_path, capsys):
+        # a misspelt block would otherwise run at the default tolerances
+        err = self.run(command, tmp_path, capsys,
+                       edit=lambda cfg: cfg.update(quadratur={"rel_tol": 1e-6}))
+        assert err == "ValueError: unknown config keys: ['quadratur']\n"
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_key_its_job_does_not_read(self, command, tmp_path, capsys):
+        # a sweep reads `outputs` but no `output`; a region scan has no v axis
+        # and no columns to choose
+        extra = {"output": ["v"]} if command == "sweep" else \
+            {"v": {"min": 0.0, "max": 0.0, "count": 1}, "outputs": ["region"]}
+        for key, value in extra.items():
+            err = self.run(command, tmp_path, capsys, edit=lambda cfg: cfg.update({key: value}))
+            assert err == f"ValueError: unknown config keys: [{key!r}]\n"
+            assert not (tmp_path / "out.csv").exists()
+
+    def test_top_level_that_is_not_an_object(self, command, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text(json.dumps([{"d_over_sigma": {"min": 1.0, "max": 1.0, "count": 1}}]))
+        err = self.run(command, tmp_path, capsys, config=path)
+        assert err == "ValueError: config must be a JSON object, got list\n"
+        assert not (tmp_path / "out.csv").exists()
 
     def test_misnamed_quadrature_field(self, command, tmp_path, capsys):
         err = self.run(command, tmp_path, capsys,
