@@ -9,7 +9,6 @@ from .model import (
     RegionLabel,
     VelocityProfile,
     classify_region,
-    correlation_x,
     find_peak_velocity,
     negativity,
     omega_peak_threshold,
@@ -23,7 +22,6 @@ from .model import (
 from .oracle import p_momentum_oracle, x_momentum_oracle
 from .quadrature import (
     ConvergenceError,
-    IntegralResult,
     NonFiniteIntegrandError,
     QuadratureError,
     QuadratureSettings,
@@ -37,7 +35,6 @@ __all__ = [
     "EncounterGeometry",
     "QuadratureSettings",
     "transition_probability",
-    "correlation_x",
     "negativity",
     "static_x_abs",
     "static_negativity",
@@ -51,7 +48,6 @@ __all__ = [
     "x_momentum_oracle",
     "run_validation",
     "HarvestQuantities",
-    "IntegralResult",
     "PeakResult",
     "RegionLabel",
     "VelocityProfile",

@@ -9,6 +9,11 @@ is explicit; no environment variables are consulted. Bad input (such as
 a `--workers` that sweep._usable_workers refuses), a bad config, a file
 that cannot be read or written, or a failed integral ends a command with
 one `Type: message` line on stderr and exit code 1.
+
+Each tolerance has one source per command: `sweep` and `region` read
+theirs from the config's `quadrature` block, `point` and `peak` from
+`--rel-tol`, `--abs-tol` and `--max-subdivisions`, and `validate` runs at
+the QuadratureSettings() defaults its pass bounds assume.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 from .model import DetectorSettings, find_peak_velocity
 from .quadrature import QuadratureError, QuadratureSettings
@@ -36,17 +41,14 @@ from .sweep import (
 from .validate import run_validation
 
 
-def _quad_from_args(base: QuadratureSettings, args: argparse.Namespace) -> QuadratureSettings:
-    overrides = {}
-    for name in ("rel_tol", "abs_tol", "max_subdivisions"):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
-    return replace(base, **overrides) if overrides else base
+def _quad_from_args(args: argparse.Namespace) -> QuadratureSettings:
+    """The tolerance flags that are given, and the defaults for the rest."""
+    values = {name: getattr(args, name) for name in ("rel_tol", "abs_tol", "max_subdivisions")}
+    return QuadratureSettings(**{name: v for name, v in values.items() if v is not None})
 
 
 def _cmd_point(args: argparse.Namespace) -> int:
-    quad = _quad_from_args(QuadratureSettings(), args)
+    quad = _quad_from_args(args)
     payload = _sweep_task((args.d, [args.omega], [args.v], quad))[0]._asdict()
     error = payload.pop("error")
     if error:
@@ -71,18 +73,17 @@ def _write_rows(out: str, rows: list, write, *columns) -> int:
 # where perfbench's tracer replaces them
 def _cmd_sweep(args: argparse.Namespace) -> int:
     spec = SweepSpec.from_json(args.config)
-    spec = replace(spec, quad=_quad_from_args(spec.quad, args))
     return _write_rows(args.out, run_sweep(spec, workers=args.workers), write_sweep_csv, spec.outputs)
 
 
 def _cmd_region(args: argparse.Namespace) -> int:
     (d_grid, omega_grid), quad = _read_config(_load_json(args.config), ("d_over_sigma", "sigma_omega"))
-    rows = run_region_scan(d_grid, omega_grid, _quad_from_args(quad, args), workers=args.workers)
+    rows = run_region_scan(d_grid, omega_grid, quad, workers=args.workers)
     return _write_rows(args.out, rows, write_region_csv)
 
 
 def _cmd_peak(args: argparse.Namespace) -> int:
-    quad = _quad_from_args(QuadratureSettings(), args)
+    quad = _quad_from_args(args)
     peak = find_peak_velocity(DetectorSettings(1.0, args.omega), args.d, quad)
     payload = {"d_over_sigma": args.d, "sigma_omega": args.omega,
                "peak": None if peak is None else asdict(peak)}
@@ -92,8 +93,7 @@ def _cmd_peak(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    quad = _quad_from_args(QuadratureSettings(), args)
-    report = run_validation(grid=args.grid, quad=quad)
+    report = run_validation(grid=args.grid)
     text = json.dumps(report, indent=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -107,13 +107,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _add_command(sub, name: str, func, summary: str, *flags: tuple[str, dict]) -> None:
-    """Subcommand name, which runs func, with its own flags and the quadrature knobs."""
+    """Subcommand name, which runs func, with its own flags."""
     parser = sub.add_parser(name, help=summary)
     for flag, kwargs in flags:
         parser.add_argument(flag, **kwargs)
-    parser.add_argument("--rel-tol", dest="rel_tol", type=float, default=None)
-    parser.add_argument("--abs-tol", dest="abs_tol", type=float, default=None)
-    parser.add_argument("--max-subdivisions", dest="max_subdivisions", type=int, default=None)
     parser.set_defaults(func=func)
 
 
@@ -128,11 +125,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     number, path = {"type": float, "required": True}, {"required": True}
+    # the tolerances of point and peak; a grid job reads its config's
+    tolerances = (("--rel-tol", {"type": float}), ("--abs-tol", {"type": float}),
+                  ("--max-subdivisions", {"type": int}))
     _add_command(sub, "point", _cmd_point, "evaluate one parameter point, JSON to stdout",
-                 ("--d", number), ("--v", number), ("--omega", number))
+                 ("--d", number), ("--v", number), ("--omega", number), *tolerances)
     _add_command(sub, "sweep", _cmd_sweep, "grid sweep to CSV", ("--config", path), ("--out", path))
     _add_command(sub, "peak", _cmd_peak, "velocity maximizer at one (d, omega)",
-                 ("--d", number), ("--omega", number))
+                 ("--d", number), ("--omega", number), *tolerances)
     _add_command(sub, "region", _cmd_region, "(d, omega) region classification to CSV",
                  ("--config", path), ("--out", path))
     _add_command(sub, "validate", _cmd_validate, "run the self-check battery",

@@ -37,9 +37,9 @@ to pi, or one octave of start-panel density above pi) and a batch of
 velocities at once, in proper time s = u sqrt(1 - v^2), where the phase
 is cos(gap s) at every velocity: the cosine is evaluated once per (gap,
 node), the rest of the integrand once per (velocity, node), and each
-(gap, v) costs two multiplies per node. negativity() and correlation_x()
-are views of a one-gap row of one velocity that raise that velocity's
-failure.
+(gap, v) costs two multiplies per node. negativity() is the view of a
+one-gap row of one velocity, with X and its error estimate among its
+fields, that raises that velocity's failure.
 """
 
 from __future__ import annotations
@@ -52,8 +52,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 from scipy.special import dawsn, erfcx
 
-from .quadrature import (IntegralResult, QuadratureError, QuadratureSettings, _line_capacity,
-                         integrate_line)
+from .quadrature import QuadratureError, QuadratureSettings, _line_capacity, integrate_line
 
 __all__ = [
     "DetectorSettings",
@@ -63,7 +62,6 @@ __all__ = [
     "PeakResult",
     "NoFiniteThresholdError",
     "transition_probability",
-    "correlation_x",
     "negativity",
     "negativity_row",
     "NegativityRow",
@@ -370,32 +368,16 @@ def _gap_blocks(d: float, batch, gaps: np.ndarray) -> list[slice]:
     return blocks
 
 
-def _one_v(det: DetectorSettings, geom: EncounterGeometry,
-           settings: QuadratureSettings | None) -> NegativityRow:
-    """negativity_row at geom's one velocity; that velocity's failure is raised."""
-    row = negativity_row(det, geom.d, [geom.v], settings)
-    if row.failures:
-        raise row.failures[0]
-    return row
-
-
-def correlation_x(
-    det: DetectorSettings,
-    geom: EncounterGeometry,
-    settings: QuadratureSettings | None = None,
-) -> IntegralResult:
-    """Correlation term X with quadrature error estimate."""
-    row = _one_v(det, geom, settings)
-    return IntegralResult(complex(row.x[0]), float(row.x_error_estimate[0]))
-
-
 def negativity(
     det: DetectorSettings,
     geom: EncounterGeometry,
     settings: QuadratureSettings | None = None,
 ) -> HarvestQuantities:
-    """P, X, M = |X| - P and N = max(M, 0) at one point."""
-    row = _one_v(det, geom, settings)
+    """P, X, M = |X| - P and N = max(M, 0) at one point, with X's error
+    estimate: negativity_row at geom's one velocity, whose failure is raised."""
+    row = negativity_row(det, geom.d, [geom.v], settings)
+    if row.failures:
+        raise row.failures[0]
     return HarvestQuantities(p=row.p, x=complex(row.x[0]), m=float(row.m[0]),
                              negativity=float(row.negativity[0]),
                              x_error_estimate=float(row.x_error_estimate[0]))
@@ -433,7 +415,7 @@ def _negativity_rows(d: float, gaps, vs, settings: QuadratureSettings | None = N
         settings = QuadratureSettings()
     _check_d(d)  # also when vs is empty
     for v in vs:
-        EncounterGeometry(d, v)  # raises for a v that a point would reject
+        _check_v(v)
     ps = [transition_probability(DetectorSettings(1.0, gap)) for gap in gaps]
     gaps = np.array(gaps, dtype=float)
     x = np.empty((gaps.size, len(vs)), dtype=complex)

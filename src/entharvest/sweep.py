@@ -6,10 +6,12 @@ QuadratureSettings) and, for a sweep, `outputs`, and no other key; every
 axis tuple is evaluated in row-major order, and each row is written as
 one CSV line whose cells are formatted by type. Rows are NamedTuples
 whose fields are the CSV columns, so `_asdict()` and `_replace()` work
-on them. Both jobs hand each d to one task with the whole omega axis;
-the task evaluates X in blocks of its gaps times batches over v: a sweep task at the v axis, building its rows from the
-row arrays, and a region task at the 64 nodes of one velocity scan,
-labelling each omega from its row as model.velocity_profile does.
+on them. A grid of more than _MAX_ROWS rows is refused before any axis
+is built. Both jobs hand each d to one task with the whole omega axis;
+the task evaluates X in blocks of its gaps times batches over v. A sweep
+task evaluates the v axis and turns each gap's row arrays into rows; a
+region task evaluates the 64 nodes of one velocity scan and labels each
+omega from its row as model.velocity_profile does.
 `workers` is a whole number >= 1, lowered to the usable CPUs
 (_usable_workers), and a grid gets at most one worker per
 _PAIRS_PER_WORKER (omega, v) pairs of work, counted from the grid alone:
@@ -130,17 +132,40 @@ SWEEP_COLUMNS = SweepRow._fields
 _REGION_COLUMNS = RegionRow._fields
 
 
-def _check_axes(d_over_sigma: GridSpec, sigma_omega: GridSpec) -> None:
+# The most rows a grid may have. A CLI sweep on x86-64 Linux peaked at
+# about 0.94 KB of RSS per row (92.8 MB at 40,000 rows, 167.7 MB at
+# 120,000), so 2^20 rows take about 1 GB; the largest grids in use have
+# about 10,000.
+_MAX_ROWS = 1 << 20
+
+
+def _check_axes(d_over_sigma: GridSpec, sigma_omega: GridSpec, *others: GridSpec) -> None:
+    """Refuse a d axis not > 0, an omega axis below 0, and a grid of more
+    than _MAX_ROWS rows, counted from the axes alone."""
     if not (d_over_sigma.min > 0.0):
         raise ValueError("d_over_sigma grid must be > 0")
     if sigma_omega.min < 0.0:
         raise ValueError("sigma_omega grid must be >= 0")
+    rows = math.prod(axis.count for axis in (d_over_sigma, sigma_omega, *others))
+    if rows > _MAX_ROWS:
+        raise ValueError(f"grid has {rows} rows, more than the limit of {_MAX_ROWS}")
 
 
 def _check_known(what: str, names: Iterable, known: Sequence[str]) -> None:
     unknown = set(names) - set(known)
     if unknown:
         raise ValueError(f"unknown {what}: {sorted(unknown, key=str)}")
+
+
+def _check_columns(columns: Sequence[str], known: Sequence[str]) -> None:
+    """Refuse output columns that are not distinct names in known, or none."""
+    if isinstance(columns, str) or not all(isinstance(c, str) for c in columns):
+        raise ValueError(f"outputs must be a sequence of column names, got {columns!r}")
+    if not columns:
+        raise ValueError("outputs must name at least one column")
+    if len(set(columns)) < len(columns):
+        raise ValueError(f"output columns must be distinct, got {columns!r}")
+    _check_known("output columns", columns, known)
 
 
 def _read_config(obj: dict, axes: Sequence[str],
@@ -183,16 +208,10 @@ class SweepSpec:
     outputs: Sequence[str] = SWEEP_COLUMNS
 
     def __post_init__(self) -> None:
-        _check_axes(self.d_over_sigma, self.sigma_omega)
+        _check_axes(self.d_over_sigma, self.sigma_omega, self.v)
         if not (0.0 <= self.v.min and self.v.max < 1.0):
             raise ValueError("v grid must lie in [0, 1)")
-        if isinstance(self.outputs, str) or not all(isinstance(c, str) for c in self.outputs):
-            raise ValueError(f"outputs must be a sequence of column names, got {self.outputs!r}")
-        if not self.outputs:
-            raise ValueError("outputs must name at least one column")
-        if len(set(self.outputs)) < len(self.outputs):
-            raise ValueError(f"output columns must be distinct, got {self.outputs!r}")
-        _check_known("output columns", self.outputs, SWEEP_COLUMNS)
+        _check_columns(self.outputs, SWEEP_COLUMNS)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "SweepSpec":
@@ -341,16 +360,14 @@ def _cell(value) -> str:
 def _write_csv(rows: Iterable, fh: IO[str], row_type, columns: Sequence[str]) -> None:
     """One line per row with the named columns, each cell formatted as _cell does.
 
-    The cells are built a column at a time: a float field's values go to
-    "%.17g" as they are, every other field's through _cell, and each line
-    is one % operation over the row's cells.
+    The columns are checked as SweepSpec checks its outputs, before
+    anything is written. The cells are built a column at a time: a float
+    field's values go to "%.17g" as they are, every other field's through
+    _cell, and each line is one % operation over the row's cells.
     """
-    _check_known("output columns", columns, row_type._fields)
+    _check_columns(columns, row_type._fields)
     fh.write(",".join(columns) + "\n")
     rows = list(rows)
-    if not columns:
-        fh.write("\n" * len(rows))
-        return
     floats = {name for name, hint in get_type_hints(row_type).items() if hint is float}
     cells = []
     for col in columns:

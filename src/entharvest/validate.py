@@ -24,7 +24,6 @@ from . import oracle as oracle_mod
 from .model import (
     DetectorSettings,
     EncounterGeometry,
-    correlation_x,
     find_peak_velocity,
     negativity,
     omega_peak_threshold,
@@ -107,7 +106,7 @@ def check_x_oracle_vs_fast_path(grid: str, quad: QuadratureSettings) -> tuple:
             det = DetectorSettings(1.0, gap)
             for v in vs:
                 geom = EncounterGeometry(d, v)
-                fast = correlation_x(det, geom, quad).value
+                fast = negativity(det, geom, quad).x
                 slow, _ = oracle_mod.x_momentum_oracle(det, geom)
                 dev = abs(slow - fast) / max(abs(fast), 1e-5)  # floor 1e-10 / 1e-5
                 worst = max(worst, dev)
@@ -124,8 +123,8 @@ def check_static_reduction(grid: str, quad: QuadratureSettings) -> tuple:
         for gap in gaps:
             det = DetectorSettings(1.0, float(gap))
             closed = static_x_abs(det, float(d))
-            x = correlation_x(det, EncounterGeometry(float(d), 0.0), quad)
-            worst = max(worst, abs(abs(x.value) - closed) / closed)
+            x = negativity(det, EncounterGeometry(float(d), 0.0), quad).x
+            worst = max(worst, abs(abs(x) - closed) / closed)
     n = negativity(DetectorSettings(1.0, 0.0), EncounterGeometry(1.0, 0.0), quad)
     n_dev = abs(n.negativity - 0.049378)
     ok = worst <= 1e-8 and n_dev <= 1e-6
@@ -159,8 +158,8 @@ def check_scale_invariance(grid: str, quad: QuadratureSettings) -> tuple:
 def _fd_slope(d: float, gap: float, quad: QuadratureSettings) -> float:
     """Finite difference of |X|^2 in v^2 at v = 0, step 1e-3, quadrature-based."""
     det = DetectorSettings(1.0, gap)
-    x0 = abs(correlation_x(det, EncounterGeometry(d, 0.0), quad).value) ** 2
-    xh = abs(correlation_x(det, EncounterGeometry(d, math.sqrt(1e-3)), quad).value) ** 2
+    x0 = abs(negativity(det, EncounterGeometry(d, 0.0), quad).x) ** 2
+    xh = abs(negativity(det, EncounterGeometry(d, math.sqrt(1e-3)), quad).x) ** 2
     return (xh - x0) / 1e-3
 
 

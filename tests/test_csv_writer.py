@@ -1,8 +1,8 @@
 """The column-at-a-time CSV writer against the cell-by-cell one it replaced.
 
 `_cell` and `_write_csv` below are the earlier writer, kept verbatim as
-the reference: every row and any choice of columns must give the same
-bytes through `write_sweep_csv` and `write_region_csv`.
+the reference: every row and any accepted choice of columns must give
+the same bytes through `write_sweep_csv` and `write_region_csv`.
 """
 
 import io
@@ -63,8 +63,8 @@ region_rows = st.builds(
     RegionRow, floats, floats, st.none() | st.sampled_from(RegionLabel),
     st.none() | floats, st.none() | floats, texts,
 )
-# random subsets in random order, repeats and the empty choice included
-columns = st.lists(st.sampled_from(SWEEP_COLUMNS), max_size=2 * len(SWEEP_COLUMNS))
+# random non-empty subsets in random order, each column at most once
+columns = st.lists(st.sampled_from(SWEEP_COLUMNS), min_size=1, unique=True)
 
 
 @given(rows=st.lists(sweep_rows, max_size=6), cols=columns)
@@ -92,13 +92,28 @@ def test_region_bytes_match_the_cell_by_cell_writer(rows):
 
 
 def test_no_rows_writes_the_header_alone():
-    for cols in (SWEEP_COLUMNS, ("error", "v"), ()):
+    for cols in (SWEEP_COLUMNS, ("error", "v")):
         buf = io.StringIO()
         write_sweep_csv([], buf, cols)
         assert buf.getvalue() == reference([], cols)
     buf = io.StringIO()
+    with pytest.raises(ValueError) as info:
+        write_sweep_csv([], buf, ())
+    assert str(info.value) == "outputs must name at least one column"
+    assert buf.getvalue() == ""
+    buf = io.StringIO()
     write_region_csv([], buf)
     assert buf.getvalue() == "d_over_sigma,sigma_omega,region,v_star,n_star,error\n"
+
+
+@pytest.mark.parametrize("cols", [("v", "v"), ["negativity", "v", "negativity"]])
+def test_a_repeated_column_is_refused_before_anything_is_written(cols):
+    # SweepSpec's rule for its outputs
+    buf = io.StringIO()
+    with pytest.raises(ValueError) as info:
+        write_sweep_csv([SweepRow(1.0, 0.0, 0.0)], buf, cols)
+    assert str(info.value) == f"output columns must be distinct, got {cols!r}"
+    assert buf.getvalue() == ""
 
 
 @pytest.mark.parametrize("rows, cols, unknown", [

@@ -14,7 +14,6 @@ from entharvest.model import (
     NoFiniteThresholdError,
     RegionLabel,
     classify_region,
-    correlation_x,
     find_peak_velocity,
     negativity,
     negativity_row,
@@ -69,9 +68,9 @@ class TestCorrelationX:
         # from gap ~4.5 on |X| is below abs_tol, which then governs
         for d in (0.5, 1.0, 2.0, 4.0, 8.0):
             for gap in (0.0, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0):
-                x = correlation_x(det(omega=gap), EncounterGeometry(d=d, v=0.0), QUAD)
+                q = negativity(det(omega=gap), EncounterGeometry(d=d, v=0.0), QUAD)
                 closed = static_x_abs(det(omega=gap), d)
-                assert abs(abs(x.value) - closed) <= max(1e-8 * closed, QUAD.abs_tol)
+                assert abs(abs(q.x) - closed) <= max(1e-8 * closed, QUAD.abs_tol)
 
     def test_x_integrand_is_never_evaluated_at_negative_t(self, monkeypatch):
         # the bracket is even in s, so X integrates it on s >= 0 only
@@ -118,46 +117,46 @@ class TestCorrelationX:
     ])
     def test_graded_start_agrees_with_uniform_start(self, monkeypatch, d, v, gap):
         real = model.integrate_line
-        graded = correlation_x(det(omega=gap), EncounterGeometry(d=d, v=v), QUAD)
+        graded = negativity(det(omega=gap), EncounterGeometry(d=d, v=v), QUAD)
 
         def undeclared(integrand, *args, singularity_distance, **kwargs):
             return real(integrand, *args, **kwargs)
 
         monkeypatch.setattr(model, "integrate_line", undeclared)
-        uniform = correlation_x(det(omega=gap), EncounterGeometry(d=d, v=v), QUAD)
-        assert abs(graded.value - uniform.value) <= graded.error_estimate + uniform.error_estimate
+        uniform = negativity(det(omega=gap), EncounterGeometry(d=d, v=v), QUAD)
+        assert abs(graded.x - uniform.x) <= graded.x_error_estimate + uniform.x_error_estimate
 
     def test_static_reference_value(self):
-        x = correlation_x(det(), EncounterGeometry(d=1.0, v=0.0), QUAD)
-        assert abs(x.value) == pytest.approx(STATIC_X_D1, rel=1e-9)
+        q = negativity(det(), EncounterGeometry(d=1.0, v=0.0), QUAD)
+        assert abs(q.x) == pytest.approx(STATIC_X_D1, rel=1e-9)
 
     def test_large_separation_decays(self):
         # |X| falls off like 1/d^2, so entanglement dies once P wins
-        x = correlation_x(det(omega=1.0), EncounterGeometry(d=20.0, v=0.5), QUAD)
-        assert abs(x.value) < 1e-3
-        assert abs(x.value) < transition_probability(det(omega=1.0))
+        q = negativity(det(omega=1.0), EncounterGeometry(d=20.0, v=0.5), QUAD)
+        assert abs(q.x) < 1e-3
+        assert abs(q.x) < transition_probability(det(omega=1.0))
 
     def test_even_in_velocity_sign_path(self):
         # v enters only through v^2; sqrt(v*v) differs from v in the last ulp
         v = 0.37
-        a = correlation_x(det(omega=1.0), EncounterGeometry(d=1.0, v=v), QUAD)
-        b = correlation_x(det(omega=1.0), EncounterGeometry(d=1.0, v=math.sqrt(v * v)), QUAD)
-        assert abs(a.value - b.value) <= 1e-12 * abs(a.value)
+        a = negativity(det(omega=1.0), EncounterGeometry(d=1.0, v=v), QUAD)
+        b = negativity(det(omega=1.0), EncounterGeometry(d=1.0, v=math.sqrt(v * v)), QUAD)
+        assert abs(a.x - b.x) <= 1e-12 * abs(a.x)
 
     def test_scale_invariance(self):
-        a = correlation_x(det(sigma=1.0, omega=2.0), EncounterGeometry(d=1.5, v=0.6), QUAD)
-        b = correlation_x(det(sigma=3.0, omega=2.0 / 3.0), EncounterGeometry(d=4.5, v=0.6), QUAD)
-        assert abs(a.value - b.value) <= 1e-9 * abs(a.value)
+        a = negativity(det(sigma=1.0, omega=2.0), EncounterGeometry(d=1.5, v=0.6), QUAD)
+        b = negativity(det(sigma=3.0, omega=2.0 / 3.0), EncounterGeometry(d=4.5, v=0.6), QUAD)
+        assert abs(a.x - b.x) <= 1e-9 * abs(a.x)
 
     def test_scale_invariance_is_exact(self):
         # at omega = 0 the rescaled inputs are bit-identical: 6/3 is exactly 2
-        a = correlation_x(det(sigma=1.0), EncounterGeometry(d=2.0, v=0.5))
-        b = correlation_x(det(sigma=3.0), EncounterGeometry(d=6.0, v=0.5))
-        assert a.value == b.value
+        a = negativity(det(sigma=1.0), EncounterGeometry(d=2.0, v=0.5))
+        b = negativity(det(sigma=3.0), EncounterGeometry(d=6.0, v=0.5))
+        assert a.x == b.x
 
     def test_error_estimate_present(self):
-        x = correlation_x(det(omega=1.0), EncounterGeometry(d=1.0, v=0.3), QUAD)
-        assert 0.0 < x.error_estimate < 1e-9
+        q = negativity(det(omega=1.0), EncounterGeometry(d=1.0, v=0.3), QUAD)
+        assert 0.0 < q.x_error_estimate < 1e-9
 
 
 def mp_u_form(mp, d, v, gap, s):
@@ -248,8 +247,8 @@ class TestProperTime:
         with mp.workdps(20):
             z = 2 * mp.quad(lambda s: mp.mpc(*mp_u_form(mp, d, v, gap, s)), mp.linspace(0, 24, 61))
             ref = complex(-1j * (1 - mp.mpf(v) ** 2) / (8 * mp.pi) * z)
-        x = correlation_x(det(omega=gap), EncounterGeometry(d=d, v=v), QUAD)
-        assert abs(x.value - ref) <= x.error_estimate + QUAD.rel_tol * abs(x.value)
+        q = negativity(det(omega=gap), EncounterGeometry(d=d, v=v), QUAD)
+        assert abs(q.x - ref) <= q.x_error_estimate + QUAD.rel_tol * abs(q.x)
 
 
 class TestStaticClosedForms:
@@ -473,12 +472,9 @@ class TestNegativityRowContract:
     def test_a_point_is_index_0_of_its_one_velocity_row(self, sigma, omega, d, v):
         row = negativity_row(det(sigma, omega), d, [v], QUAD)
         q = negativity(det(sigma, omega), EncounterGeometry(d=d, v=v), QUAD)
-        x = correlation_x(det(sigma, omega), EncounterGeometry(d=d, v=v), QUAD)
         assert self.bits(row.p, row.x[0].real, row.x[0].imag, row.x_abs[0], row.m[0],
                          row.negativity[0], row.x_error_estimate[0]) \
             == self.bits(q.p, q.x.real, q.x.imag, abs(q.x), q.m, q.negativity, q.x_error_estimate)
-        assert self.bits(x.value.real, x.value.imag, x.error_estimate) \
-            == self.bits(q.x.real, q.x.imag, q.x_error_estimate)
 
     def test_failed_index_holds_nan_and_the_exception_of_its_v_alone(self):
         row = negativity_row(det(omega=4.0), 0.5, self.VS, self.TIGHT)
@@ -486,10 +482,9 @@ class TestNegativityRowContract:
         for i, exc in row.failures.items():
             assert np.isnan(row.x[i].real) and np.isnan(row.x[i].imag)
             assert np.isnan([row.x_abs[i], row.x_error_estimate[i], row.m[i], row.negativity[i]]).all()
-            for point in (negativity, correlation_x):
-                with pytest.raises(type(exc)) as alone:
-                    point(det(omega=4.0), EncounterGeometry(d=0.5, v=self.VS[i]), self.TIGHT)
-                assert type(alone.value) is type(exc) and str(alone.value) == str(exc)
+            with pytest.raises(type(exc)) as alone:
+                negativity(det(omega=4.0), EncounterGeometry(d=0.5, v=self.VS[i]), self.TIGHT)
+            assert type(alone.value) is type(exc) and str(alone.value) == str(exc)
 
     def test_rest_of_a_failed_batch_is_bit_equal_to_negativity(self):
         row = negativity_row(det(omega=4.0), 0.5, self.VS, self.TIGHT)
@@ -559,8 +554,8 @@ class TestGapThreshold:
         closed = second_derivative_at_rest(det(omega=gap), d)
         h2 = 1e-4
         v = math.sqrt(h2)
-        x0 = abs(correlation_x(det(omega=gap), EncounterGeometry(d=d, v=0.0), QUAD).value)
-        xv = abs(correlation_x(det(omega=gap), EncounterGeometry(d=d, v=v), QUAD).value)
+        x0 = abs(negativity(det(omega=gap), EncounterGeometry(d=d, v=0.0), QUAD).x)
+        xv = abs(negativity(det(omega=gap), EncounterGeometry(d=d, v=v), QUAD).x)
         fd = (xv * xv - x0 * x0) / h2
         assert fd == pytest.approx(closed, rel=1e-2)
 
@@ -712,9 +707,8 @@ class TestInputValidation:
     def test_d_over_sigma_that_overflows_is_rejected_like_a_bad_d(self):
         # d/sigma = 1e10 / 1e-300 is inf: the library raises as for a bad d
         message = "d must be finite and > 0, got inf"
-        for call in (negativity, correlation_x):
-            with pytest.raises(ValueError, match=message):
-                call(DetectorSettings(1e-300, 1e300), EncounterGeometry(1e10, 0.5))
+        with pytest.raises(ValueError, match=message):
+            negativity(DetectorSettings(1e-300, 1e300), EncounterGeometry(1e10, 0.5))
         with pytest.raises(ValueError, match=message):
             velocity_profile(DetectorSettings(1e-300, 1e300), 1e10, QUAD)
 

@@ -8,7 +8,7 @@ from entharvest import oracle
 from entharvest.model import (
     DetectorSettings,
     EncounterGeometry,
-    correlation_x,
+    negativity,
     transition_probability,
 )
 from entharvest.oracle import p_momentum_oracle, x_momentum_oracle
@@ -101,7 +101,7 @@ class TestXOracle:
 
     @pytest.mark.parametrize("d,v,gap", points)
     def test_matches_fast_path(self, d, v, gap):
-        fast = correlation_x(det(gap), EncounterGeometry(d=d, v=v)).value
+        fast = negativity(det(gap), EncounterGeometry(d=d, v=v)).x
         slow, err = x_momentum_oracle(det(gap), EncounterGeometry(d=d, v=v))
         assert abs(slow - fast) <= 1e-5 * max(abs(fast), 1e-10)
         assert err < 1e-5
@@ -131,7 +131,7 @@ class TestXOracle:
 
     def test_loose_quadrature_degrades_gracefully(self):
         loose = QuadratureSettings(rel_tol=1e-5, abs_tol=1e-9)
-        fast = correlation_x(det(1.0), EncounterGeometry(d=1.0, v=0.3)).value
+        fast = negativity(det(1.0), EncounterGeometry(d=1.0, v=0.3)).x
         slow, err = x_momentum_oracle(det(1.0), EncounterGeometry(d=1.0, v=0.3), loose)
         assert abs(slow - fast) <= max(10.0 * err, 1e-4)
 

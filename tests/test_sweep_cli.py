@@ -451,6 +451,31 @@ class TestPoolSize:
         assert real_pools == sizes
 
 
+def building_an_axis_fails(self):
+    raise AssertionError(f"an axis of {self.count} points was built")
+
+
+class TestRowLimit:
+    """A grid of more than sweep._MAX_ROWS rows is refused before any axis is built."""
+
+    def test_sweep_spec(self, monkeypatch):
+        monkeypatch.setattr(GridSpec, "points", building_an_axis_fails)
+        SweepSpec(GridSpec(1.0, 2.0, 1024), GridSpec(0.0, 1.0, 1024), GridSpec(0.0, 0.5, 1))
+        for v_count, rows in ((2, 2 ** 21), (10 ** 20, 2 ** 20 * 10 ** 20)):
+            with pytest.raises(ValueError) as info:
+                SweepSpec(GridSpec(1.0, 2.0, 1024), GridSpec(0.0, 1.0, 1024),
+                          GridSpec(0.0, 0.5, v_count))
+            assert str(info.value) == f"grid has {rows} rows, more than the limit of 1048576"
+
+    def test_region_scan(self, monkeypatch):
+        monkeypatch.setattr(sweep_mod, "_region_task", lambda task: [])
+        assert run_region_scan(GridSpec(1.0, 2.0, 1024), GridSpec(0.0, 1.0, 1024)) == []
+        monkeypatch.setattr(GridSpec, "points", building_an_axis_fails)
+        with pytest.raises(ValueError) as info:
+            run_region_scan(GridSpec(1.0, 2.0, 1024), GridSpec(0.0, 1.0, 1025))
+        assert str(info.value) == "grid has 1049600 rows, more than the limit of 1048576"
+
+
 class TestRegionScan:
     def test_labels(self):
         rows = run_region_scan(GridSpec(0.5, 0.5, 1), GridSpec(0.5, 2.0, 2))
@@ -673,6 +698,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert "unrecognized arguments: --truncation-sigmas 10" in err
 
+    @pytest.mark.parametrize("flag", ["--rel-tol", "--abs-tol", "--max-subdivisions"])
+    @pytest.mark.parametrize("command", [
+        ["sweep", "--config", "c.json", "--out", "o.csv"],
+        ["region", "--config", "c.json", "--out", "o.csv"],
+        ["validate"],
+    ], ids=lambda argv: argv[0])
+    def test_only_point_and_peak_take_tolerance_flags(self, capsys, command, flag):
+        # a grid job reads its tolerances from its config's quadrature block,
+        # and validate runs at the defaults its pass bounds assume
+        with pytest.raises(SystemExit) as info:
+            main([*command, flag, "1"])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("d, v", [("1e200", "0.5"), ("1", str(1.0 - 1e-12))])
     def test_point_at_extreme_inputs_warns_nothing(self, capsys, d, v):
@@ -795,6 +834,14 @@ class TestConfigErrors:
         path.write_text(json.dumps([{"d_over_sigma": {"min": 1.0, "max": 1.0, "count": 1}}]))
         err = self.run(command, tmp_path, capsys, config=path)
         assert err == "ValueError: config must be a JSON object, got list\n"
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_grid_over_the_row_limit(self, command, tmp_path, capsys, monkeypatch):
+        # np.linspace would ask for 75 GiB for this axis: no axis is built
+        monkeypatch.setattr(GridSpec, "points", building_an_axis_fails)
+        err = self.run(command, tmp_path, capsys,
+                       edit=lambda cfg: cfg.update(sigma_omega={"min": 0.0, "max": 1.0, "count": 1e10}))
+        assert err == "ValueError: grid has 10000000000 rows, more than the limit of 1048576\n"
         assert not (tmp_path / "out.csv").exists()
 
     def test_misnamed_quadrature_field(self, command, tmp_path, capsys):
