@@ -49,7 +49,7 @@ def _quad_from_args(args: argparse.Namespace) -> QuadratureSettings:
 
 def _cmd_point(args: argparse.Namespace) -> int:
     quad = _quad_from_args(args)
-    payload = _sweep_task((args.d, [args.omega], [args.v], quad))[0]._asdict()
+    payload = _sweep_task(args.d, [args.omega], [args.v], quad)[0]._asdict()
     error = payload.pop("error")
     if error:
         print(error, file=sys.stderr)

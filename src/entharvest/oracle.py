@@ -29,10 +29,11 @@ at the fixed cutoff _RADIAL_CUTOFF and is supplemented by an analytic tail
 computed from the asymptotic Dawson series and the sine integral;
 truncating that series is charged to the error estimate.
 
-Both oracles take one QuadratureSettings, as every other integral does,
-and hold their outer and inner integrals to it; every outer integral, and
-the P oracle's radial one, ends where its Gaussian envelope falls below
-eps, as every windowed integral does.
+Both oracles run at the QuadratureSettings() defaults, the settings the
+self-check battery's pass bounds assume, and hold their outer and inner
+integrals to them; every outer integral, and the P oracle's radial one,
+ends where its Gaussian envelope falls below eps, as every windowed
+integral does.
 
 Phase convention. The mode-expansion route lands, after the variable
 rescaling, on the negated complex conjugate of the single-integral form
@@ -133,11 +134,9 @@ def _inner_integrals(
     return values, errors
 
 
-def p_momentum_oracle(
-    det: DetectorSettings, v: float, settings: QuadratureSettings | None = None
-) -> tuple[float, float]:
+def p_momentum_oracle(det: DetectorSettings, v: float) -> tuple[float, float]:
     """Transition probability from the momentum integral; (value, error)."""
-    quad = settings if settings is not None else QuadratureSettings()
+    quad = QuadratureSettings()
     _check_v(v)
     g = det.gap
     inner_err_max = 0.0
@@ -203,13 +202,9 @@ def _radial(rho: np.ndarray, r: np.ndarray) -> np.ndarray:
     return out
 
 
-def x_momentum_oracle(
-    det: DetectorSettings,
-    geom: EncounterGeometry,
-    settings: QuadratureSettings | None = None,
-) -> tuple[complex, float]:
+def x_momentum_oracle(det: DetectorSettings, geom: EncounterGeometry) -> tuple[complex, float]:
     """Correlation term X from the nested momentum integral; (value, error)."""
-    quad = settings if settings is not None else QuadratureSettings()
+    quad = QuadratureSettings()
     d = geom.d / det.sigma
     v = geom.v
     g = det.gap

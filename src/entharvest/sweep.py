@@ -83,6 +83,8 @@ class GridSpec:
             raise ValueError(f"grid bounds must be finite, got [{self.min!r}, {self.max!r}]")
         if self.count < 1:
             raise ValueError(f"count must be >= 1, got {self.count!r}")
+        if self.min > self.max:
+            raise ValueError(f"grid needs min <= max, got [{self.min!r}, {self.max!r}]")
         if self.count > 1 and not (self.min < self.max):
             raise ValueError(f"grid needs min < max, got [{self.min!r}, {self.max!r}]")
         if self.spacing not in _SPACINGS:
@@ -230,10 +232,9 @@ def _error_text(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _sweep_task(args: tuple[float, list[float], list[float], QuadratureSettings]) -> list[SweepRow]:
+def _sweep_task(d: float, gaps: list[float], vs: list[float], quad: QuadratureSettings) -> list[SweepRow]:
     """The rows of every (omega, v) at one d, in row-major order, X in
     blocks over the gaps and batches over v."""
-    d, gaps, vs, quad = args
     spacelike = [d >= spacelike_min_distance(v, 1.0) for v in vs]
     rows = []
     for so, row in zip(gaps, _negativity_rows(d, gaps, vs, quad)):
@@ -249,10 +250,9 @@ def _sweep_task(args: tuple[float, list[float], list[float], QuadratureSettings]
     return rows
 
 
-def _region_task(args: tuple[float, list[float], QuadratureSettings]) -> list[RegionRow]:
+def _region_task(d: float, gaps: list[float], quad: QuadratureSettings) -> list[RegionRow]:
     """The rows of every omega at one d, each labelled from its gap's row of
     one velocity scan, X in blocks over the gaps and batches over v."""
-    d, gaps, quad = args
     try:
         scans = _negativity_rows(d, gaps, _scan_velocities(), quad)
     except Exception as exc:  # any per-point failure is recorded, never raised
@@ -293,23 +293,23 @@ def _pool_size(workers: int, pairs: int) -> int:
     return max(1, min(_usable_workers(workers), pairs // _PAIRS_PER_WORKER))
 
 
-def _run_grid(task: Callable, tasks: list, workers: int) -> list:
-    """The rows of task(t) for every t in tasks, in order, on a pool of up
-    to `workers` threads (no more than there are tasks), or serially in
+def _run_grid(task: Callable[[float], list], ds: list[float], workers: int) -> list:
+    """The rows of task(d) for every d in ds, in order, on a pool of up to
+    `workers` threads (no more than there are d values), or serially in
     this thread at one. The caller sizes `workers` (_pool_size)."""
-    workers = min(workers, len(tasks))
+    workers = min(workers, len(ds))
     if workers <= 1:
-        return [row for t in tasks for row in task(t)]
+        return [row for d in ds for row in task(d)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return [row for rows in pool.map(task, tasks) for row in rows]
+        return [row for rows in pool.map(task, ds) for row in rows]
 
 
 def _sweep_rows(spec: SweepSpec, workers: int) -> list[SweepRow]:
     """The sweep's rows, one task per d, on up to `workers` threads, with no
     _pool_size rule."""
     gaps, vs = spec.sigma_omega.points().tolist(), spec.v.points().tolist()
-    tasks = [(d, gaps, vs, spec.quad) for d in spec.d_over_sigma.points().tolist()]
-    return _run_grid(_sweep_task, tasks, workers)
+    return _run_grid(lambda d: _sweep_task(d, gaps, vs, spec.quad),
+                     spec.d_over_sigma.points().tolist(), workers)
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRow]:
@@ -338,9 +338,8 @@ def run_region_scan(
     _check_axes(d_grid, omega_grid)
     quad = settings if settings is not None else QuadratureSettings()
     gaps = omega_grid.points().tolist()
-    tasks = [(d, gaps, quad) for d in d_grid.points().tolist()]
     workers = _pool_size(workers, d_grid.count * omega_grid.count * _SCAN_NODES)
-    return _run_grid(_region_task, tasks, workers)
+    return _run_grid(lambda d: _region_task(d, gaps, quad), d_grid.points().tolist(), workers)
 
 
 def _cell(value) -> str:

@@ -1,22 +1,19 @@
 """Self-validation battery: oracle equivalence grids and model invariants.
 
-Every check takes (grid, quad) and returns a CheckResult with the
-measured deviation and the tolerance it was held to, under the one name
-its _named decorator gives it, which a check that raises fails under too;
-run_validation resolves the settings once and collects the results into a
-machine-readable report. quad holds the fast path's tolerances; the
-momentum-space oracles it is checked against always run at their
-QuadratureSettings() defaults. The "coarse" grid shrinks the sweep axes for
-a quick smoke run; "full" runs the complete desk-scale grids.
+Every check takes the grid alone and returns (passed, measured, tolerance,
+detail): the measured deviation and the tolerance it was held to. _CHECKS
+names each check; run_validation runs them in that order and collects
+their results into a machine-readable report, a check that raises as a
+failed one under its name. The fast path and the momentum-space oracles it
+is checked against both run at the QuadratureSettings() defaults, the
+settings the pass bounds assume. The "coarse" grid shrinks the sweep axes
+for a quick smoke run; "full" runs the complete desk-scale grids.
 """
 
 from __future__ import annotations
 
-import functools
 import io
 import math
-from dataclasses import asdict, dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -34,42 +31,16 @@ from .model import (
     transition_probability,
     velocity_profile,
 )
-from .quadrature import QuadratureSettings
 from .sweep import GridSpec, SweepSpec, _error_text, _sweep_rows, run_sweep, write_sweep_csv
 
-__all__ = ["CheckResult", "run_validation"]
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    measured: float
-    tolerance: float
-    detail: str = ""
+__all__ = ["run_validation"]
 
 
 def _check(measured: float, tolerance: float, detail: str = "") -> tuple:
     return bool(measured <= tolerance), float(measured), float(tolerance), detail
 
 
-def _named(name: str) -> Callable:
-    """Report a check's (passed, measured, tolerance, detail) as a
-    CheckResult under name, and a check that raises as a failed one under
-    the same name."""
-    def decorate(fn: Callable[..., tuple]) -> Callable[..., CheckResult]:
-        @functools.wraps(fn)
-        def check(grid: str, quad: QuadratureSettings) -> CheckResult:
-            try:
-                return CheckResult(name, *fn(grid, quad))
-            except Exception as exc:  # a crashed check is a failed check
-                return CheckResult(name, False, math.inf, 0.0, _error_text(exc))
-        return check
-    return decorate
-
-
-@_named("p_oracle_vs_closed_form")
-def check_p_oracle_vs_closed_form(grid: str, quad: QuadratureSettings) -> tuple:
+def check_p_oracle_vs_closed_form(grid: str) -> tuple:
     vs = (0.0, 0.3, 0.6, 0.9, 0.99) if grid == "full" else (0.0, 0.9)
     gaps = (0.0, 1.0, 4.0) if grid == "full" else (0.0, 1.0)
     worst = 0.0
@@ -82,8 +53,7 @@ def check_p_oracle_vs_closed_form(grid: str, quad: QuadratureSettings) -> tuple:
     return _check(worst, 1e-6, f"{len(vs) * len(gaps)} (v, gap) points")
 
 
-@_named("p_closed_form_limits")
-def check_p_closed_form_limits(grid: str, quad: QuadratureSettings) -> tuple:
+def check_p_closed_form_limits(grid: str) -> tuple:
     dev0 = abs(transition_probability(DetectorSettings(1.0, 0.0)) - 1.0 / (4.0 * math.pi))
     dev1 = abs(transition_probability(DetectorSettings(1.0, 1.0)) - 0.0070883)
     measured = max(dev0 / 1e-12, dev1 / 1e-7)  # normalized to each tolerance
@@ -97,8 +67,7 @@ def _x_grid(grid: str):
     return (0.5, 2.0), (0.0, 0.9), (0.0, 1.0, 4.0)
 
 
-@_named("x_oracle_vs_fast_path")
-def check_x_oracle_vs_fast_path(grid: str, quad: QuadratureSettings) -> tuple:
+def check_x_oracle_vs_fast_path(grid: str) -> tuple:
     ds, vs, gaps = _x_grid(grid)
     worst = 0.0
     for d in ds:
@@ -106,7 +75,7 @@ def check_x_oracle_vs_fast_path(grid: str, quad: QuadratureSettings) -> tuple:
             det = DetectorSettings(1.0, gap)
             for v in vs:
                 geom = EncounterGeometry(d, v)
-                fast = negativity(det, geom, quad).x
+                fast = negativity(det, geom).x
                 slow, _ = oracle_mod.x_momentum_oracle(det, geom)
                 dev = abs(slow - fast) / max(abs(fast), 1e-5)  # floor 1e-10 / 1e-5
                 worst = max(worst, dev)
@@ -114,8 +83,7 @@ def check_x_oracle_vs_fast_path(grid: str, quad: QuadratureSettings) -> tuple:
                   f"{len(ds) * len(vs) * len(gaps)} (d, v, gap) points, relative with 1e-10 floor")
 
 
-@_named("static_reduction")
-def check_static_reduction(grid: str, quad: QuadratureSettings) -> tuple:
+def check_static_reduction(grid: str) -> tuple:
     ds = np.linspace(0.25, 6.0, 5)
     gaps = np.linspace(0.0, 4.0, 5)
     worst = 0.0
@@ -123,63 +91,60 @@ def check_static_reduction(grid: str, quad: QuadratureSettings) -> tuple:
         for gap in gaps:
             det = DetectorSettings(1.0, float(gap))
             closed = static_x_abs(det, float(d))
-            x = negativity(det, EncounterGeometry(float(d), 0.0), quad).x
+            x = negativity(det, EncounterGeometry(float(d), 0.0)).x
             worst = max(worst, abs(abs(x) - closed) / closed)
-    n = negativity(DetectorSettings(1.0, 0.0), EncounterGeometry(1.0, 0.0), quad)
+    n = negativity(DetectorSettings(1.0, 0.0), EncounterGeometry(1.0, 0.0))
     n_dev = abs(n.negativity - 0.049378)
     ok = worst <= 1e-8 and n_dev <= 1e-6
     return (ok, worst, 1e-8, f"5x5 grid; N(1, 0, 0) dev {n_dev:.2e} (tol 1e-6)")
 
 
-@_named("degenerate_gap_extinction")
-def check_degenerate_gap_extinction(grid: str, quad: QuadratureSettings) -> tuple:
+def check_degenerate_gap_extinction(grid: str) -> tuple:
     det = DetectorSettings(1.0, 0.0)
     n_points = 50 if grid == "full" else 10
     vs = np.linspace(0.0, 0.99, n_points)
     worst = max(
-        negativity(det, EncounterGeometry(2.0, float(v)), quad).negativity for v in vs
+        negativity(det, EncounterGeometry(2.0, float(v))).negativity for v in vs
     )
-    n_small = negativity(det, EncounterGeometry(0.5, 0.0), quad).negativity
+    n_small = negativity(det, EncounterGeometry(0.5, 0.0)).negativity
     ok = worst == 0.0 and n_small > 0.0
     return (ok, worst, 0.0,
             f"max N over {n_points} v at d=2 (must be 0); N(0.5, 0, 0) = {n_small:.4e} > 0")
 
 
-@_named("scale_invariance_zero_gap")
-def check_scale_invariance(grid: str, quad: QuadratureSettings) -> tuple:
+def check_scale_invariance(grid: str) -> tuple:
     worst = 0.0
     for v in (0.0, 0.5):
-        a = negativity(DetectorSettings(1.0, 0.0), EncounterGeometry(1.0, v), quad)
-        b = negativity(DetectorSettings(3.0, 0.0), EncounterGeometry(3.0, v), quad)
+        a = negativity(DetectorSettings(1.0, 0.0), EncounterGeometry(1.0, v))
+        b = negativity(DetectorSettings(3.0, 0.0), EncounterGeometry(3.0, v))
         worst = max(worst, abs(a.negativity - b.negativity))
     return _check(worst, 1e-9, "(d, sigma) in {(1,1), (3,3)}")
 
 
-def _fd_slope(d: float, gap: float, quad: QuadratureSettings) -> float:
+def _fd_slope(d: float, gap: float) -> float:
     """Finite difference of |X|^2 in v^2 at v = 0, step 1e-3, quadrature-based."""
     det = DetectorSettings(1.0, gap)
-    x0 = abs(negativity(det, EncounterGeometry(d, 0.0), quad).x) ** 2
-    xh = abs(negativity(det, EncounterGeometry(d, math.sqrt(1e-3)), quad).x) ** 2
+    x0 = abs(negativity(det, EncounterGeometry(d, 0.0)).x) ** 2
+    xh = abs(negativity(det, EncounterGeometry(d, math.sqrt(1e-3))).x) ** 2
     return (xh - x0) / 1e-3
 
 
-def _bisect_gap_threshold(d: float, quad: QuadratureSettings) -> float:
+def _bisect_gap_threshold(d: float) -> float:
     """Independent threshold estimate: bisection on [0.3, 1.5], to 1e-3, on
     the finite-difference slope of |X|^2 in v^2 at v = 0."""
     lo, hi = 0.3, 1.5
-    if not (_fd_slope(d, lo, quad) < 0.0 < _fd_slope(d, hi, quad)):
+    if not (_fd_slope(d, lo) < 0.0 < _fd_slope(d, hi)):
         raise ValueError(f"threshold not bracketed on [{lo}, {hi}] at d = {d}")
     while hi - lo > 1e-3:
         mid = 0.5 * (lo + hi)
-        if _fd_slope(d, mid, quad) > 0.0:
+        if _fd_slope(d, mid) > 0.0:
             hi = mid
         else:
             lo = mid
     return 0.5 * (lo + hi)
 
 
-@_named("threshold_equivalence")
-def check_threshold_equivalence(grid: str, quad: QuadratureSettings) -> tuple:
+def check_threshold_equivalence(grid: str) -> tuple:
     ds = (0.5, 1.0, 2.0, 3.0) if grid == "full" else (1.0,)
     for d in ds:
         omega_p = omega_peak_threshold(d)
@@ -190,19 +155,18 @@ def check_threshold_equivalence(grid: str, quad: QuadratureSettings) -> tuple:
     worst = 0.0
     targets = {1.0: 0.8215, 2.0: 0.848} if grid == "full" else {1.0: 0.8215}
     for d, expected in targets.items():
-        est = _bisect_gap_threshold(d, quad)
+        est = _bisect_gap_threshold(d)
         worst = max(worst, abs(est - expected))
     return _check(worst, 1e-2,
                   "closed-form sign flips plus bisection on quadrature finite differences")
 
 
-@_named("peak_phenomenology")
-def check_peak_phenomenology(grid: str, quad: QuadratureSettings) -> tuple:
-    peak = find_peak_velocity(DetectorSettings(1.0, 1.0), 1.0, quad)
+def check_peak_phenomenology(grid: str) -> tuple:
+    peak = find_peak_velocity(DetectorSettings(1.0, 1.0), 1.0)
     n0 = static_negativity(DetectorSettings(1.0, 1.0), 1.0)
     if peak is None or not (0.0 < peak.v_star < 1.0 and peak.n_star > n0 > 0.0):
         return (False, math.inf, 0.0, "(d=1, gap=1) must show an interior peak above N(0) > 0")
-    flat = velocity_profile(DetectorSettings(1.0, 0.5), 1.0, quad)
+    flat = velocity_profile(DetectorSettings(1.0, 0.5), 1.0)
     n0_flat = static_negativity(DetectorSettings(1.0, 0.5), 1.0)
     if flat.peak is not None or not (n0_flat > 0.0):
         return (False, math.inf, 0.0, "(d=1, gap=0.5) must be monotone with N(0) > 0")
@@ -216,14 +180,13 @@ def check_peak_phenomenology(grid: str, quad: QuadratureSettings) -> tuple:
             det = DetectorSettings(1.0, gap)
             if static_negativity(det, d) <= 0.0:
                 continue
-            n_deep = negativity(det, EncounterGeometry(d, v_deep), quad).negativity
+            n_deep = negativity(det, EncounterGeometry(d, v_deep)).negativity
             if n_deep != 0.0:
                 return (False, n_deep, 0.0, f"no extinction by v = {v_deep} at (d={d}, gap={gap})")
     return (True, 0.0, 0.0, "peak at (1,1), monotone at (1,0.5), extinction on the grid")
 
 
-@_named("spacelike_criterion")
-def check_spacelike_criterion(grid: str, quad: QuadratureSettings) -> tuple:
+def check_spacelike_criterion(grid: str) -> tuple:
     # binary 0.8 is not exactly 4/5; correctly rounded output is 10 + 1 ulp
     if abs(spacelike_min_distance(0.8, 1.0) - 10.0) > 2.0 * math.ulp(10.0):
         return (False, math.inf, 0.0, "spacelike_min_distance(0.8) != 10 sigma (to roundoff)")
@@ -242,7 +205,7 @@ def check_spacelike_criterion(grid: str, quad: QuadratureSettings) -> tuple:
     for v_try in (0.3, 0.5, 0.7, 0.8):
         d_min = spacelike_min_distance(v_try, 1.0)
         for d_try in (d_min * 1.01, d_min * 1.1):
-            q = negativity(det, EncounterGeometry(float(d_try), v_try), quad)
+            q = negativity(det, EncounterGeometry(float(d_try), v_try))
             if q.negativity > 0.0:
                 return (True, 0.0, 0.0,
                         f"{n_pairs} random flags consistent; spacelike harvesting at "
@@ -250,8 +213,7 @@ def check_spacelike_criterion(grid: str, quad: QuadratureSettings) -> tuple:
     return (False, math.inf, 0.0, "no spacelike harvesting point found at gap 4")
 
 
-@_named("sweep_determinism")
-def check_sweep_determinism(grid: str, quad: QuadratureSettings) -> tuple:
+def check_sweep_determinism(grid: str) -> tuple:
     if grid == "full":
         counts, worker_sets = 20, (1, 4, 8)
     else:
@@ -260,7 +222,6 @@ def check_sweep_determinism(grid: str, quad: QuadratureSettings) -> tuple:
         d_over_sigma=GridSpec(0.5, 4.0, counts),
         sigma_omega=GridSpec(0.0, 4.0, counts),
         v=GridSpec(0.0, 0.99, counts),
-        quad=quad,
     )
     outputs = []
     for workers in worker_sets:
@@ -273,28 +234,34 @@ def check_sweep_determinism(grid: str, quad: QuadratureSettings) -> tuple:
     return (identical, 0.0 if identical else 1.0, 0.0, f"{counts}^3 grid, workers {worker_sets}")
 
 
-_CHECKS = (
-    check_p_oracle_vs_closed_form,
-    check_p_closed_form_limits,
-    check_x_oracle_vs_fast_path,
-    check_static_reduction,
-    check_degenerate_gap_extinction,
-    check_scale_invariance,
-    check_threshold_equivalence,
-    check_peak_phenomenology,
-    check_spacelike_criterion,
-    check_sweep_determinism,
-)
+_CHECKS = {
+    "p_oracle_vs_closed_form": check_p_oracle_vs_closed_form,
+    "p_closed_form_limits": check_p_closed_form_limits,
+    "x_oracle_vs_fast_path": check_x_oracle_vs_fast_path,
+    "static_reduction": check_static_reduction,
+    "degenerate_gap_extinction": check_degenerate_gap_extinction,
+    "scale_invariance_zero_gap": check_scale_invariance,
+    "threshold_equivalence": check_threshold_equivalence,
+    "peak_phenomenology": check_peak_phenomenology,
+    "spacelike_criterion": check_spacelike_criterion,
+    "sweep_determinism": check_sweep_determinism,
+}
 
 
-def run_validation(grid: str = "full", quad: QuadratureSettings | None = None) -> dict:
-    """Run every check; returns a JSON-serializable report."""
+def run_validation(grid: str = "full") -> dict:
+    """Run every check in _CHECKS; returns a JSON-serializable report."""
     if grid not in ("coarse", "full"):
         raise ValueError(f"grid must be 'coarse' or 'full', got {grid!r}")
-    quad = quad if quad is not None else QuadratureSettings()
-    results = [check(grid, quad) for check in _CHECKS]
+    checks = []
+    for name, check in _CHECKS.items():
+        try:
+            result = check(grid)
+        except Exception as exc:  # a crashed check is a failed check
+            result = (False, math.inf, 0.0, _error_text(exc))
+        checks.append(dict(zip(("name", "passed", "measured", "tolerance", "detail"),
+                               (name, *result))))
     return {
         "grid": grid,
-        "all_passed": all(r.passed for r in results),
-        "checks": [asdict(r) for r in results],
+        "all_passed": all(c["passed"] for c in checks),
+        "checks": checks,
     }

@@ -30,6 +30,10 @@ and labels each point from its gap's row as model.velocity_profile does;
 a change to how a profile finds its peak moves only the v_star and n_star
 cells of the peaked rows, and should leave every label and every other
 file as it was.
+The validate case writes the coarse self-check report, whose measured
+deviations and detail text move with any change to the fast path or to
+the oracles it is checked against; a change to how the battery is run
+and reported should leave it as it was.
 """
 
 from __future__ import annotations
@@ -83,7 +87,17 @@ def run_case(name: str, out: Path, workers: int = 1) -> int:
         return main(["--workers", str(workers), command, "--config", str(path), "--out", str(out)])
 
 
+VALIDATE = "golden_validate_coarse.json"
+
+
+def run_validate(out: Path) -> int:
+    """Write the coarse self-check report to out; the CLI's exit code."""
+    return main(["validate", "--grid", "coarse", "--out", str(out)])
+
+
 if __name__ == "__main__":
     for case in CASES:
         run_case(case, DATA / case)
         print(f"wrote {DATA / case}", file=sys.stderr)
+    run_validate(DATA / VALIDATE)
+    print(f"wrote {DATA / VALIDATE}", file=sys.stderr)

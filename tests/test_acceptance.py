@@ -5,22 +5,22 @@ prints a single pass/fail line with the measured figure of merit.
 """
 
 import time
+from typing import NamedTuple
 
-from entharvest.quadrature import QuadratureSettings
-from entharvest.validate import (
-    check_degenerate_gap_extinction,
-    check_p_closed_form_limits,
-    check_p_oracle_vs_closed_form,
-    check_peak_phenomenology,
-    check_scale_invariance,
-    check_spacelike_criterion,
-    check_static_reduction,
-    check_sweep_determinism,
-    check_threshold_equivalence,
-    check_x_oracle_vs_fast_path,
-)
+from entharvest.validate import _CHECKS
 
-QUAD = QuadratureSettings()
+
+class Check(NamedTuple):
+    name: str
+    passed: bool
+    measured: float
+    tolerance: float
+    detail: str
+
+
+def _run(name: str) -> Check:
+    """The check of that name in validate's table, at the full grid."""
+    return Check(name, *_CHECKS[name]("full"))
 
 
 def _report(criterion: int, chk, elapsed: float | None = None) -> None:
@@ -32,7 +32,7 @@ def _report(criterion: int, chk, elapsed: float | None = None) -> None:
 
 def test_criterion_1_p_oracle_agreement():
     t0 = time.perf_counter()
-    chk = check_p_oracle_vs_closed_form(grid="full", quad=QUAD)
+    chk = _run("p_oracle_vs_closed_form")
     elapsed = time.perf_counter() - t0
     _report(1, chk, elapsed)
     assert chk.passed, chk.detail
@@ -40,14 +40,14 @@ def test_criterion_1_p_oracle_agreement():
 
 
 def test_criterion_2_p_closed_form_limits():
-    chk = check_p_closed_form_limits(grid="full", quad=QUAD)
+    chk = _run("p_closed_form_limits")
     _report(2, chk)
     assert chk.passed, chk.detail
 
 
 def test_criterion_3_x_oracle_agreement():
     t0 = time.perf_counter()
-    chk = check_x_oracle_vs_fast_path(grid="full", quad=QUAD)
+    chk = _run("x_oracle_vs_fast_path")
     elapsed = time.perf_counter() - t0
     _report(3, chk, elapsed)
     assert chk.passed, chk.detail
@@ -55,44 +55,44 @@ def test_criterion_3_x_oracle_agreement():
 
 
 def test_criterion_4_static_reduction():
-    chk = check_static_reduction(grid="full", quad=QUAD)
+    chk = _run("static_reduction")
     _report(4, chk)
     assert chk.passed, chk.detail
 
 
 def test_criterion_5_degenerate_gap_extinction():
-    chk = check_degenerate_gap_extinction(grid="full", quad=QUAD)
+    chk = _run("degenerate_gap_extinction")
     _report(5, chk)
     assert chk.passed, chk.detail
 
 
 def test_criterion_6_scale_invariance():
-    chk = check_scale_invariance(grid="full", quad=QUAD)
+    chk = _run("scale_invariance_zero_gap")
     _report(6, chk)
     assert chk.passed, chk.detail
 
 
 def test_criterion_7_threshold_equivalence():
-    chk = check_threshold_equivalence(grid="full", quad=QUAD)
+    chk = _run("threshold_equivalence")
     _report(7, chk)
     assert chk.passed, chk.detail
 
 
 def test_criterion_8_peak_phenomenology():
-    chk = check_peak_phenomenology(grid="full", quad=QUAD)
+    chk = _run("peak_phenomenology")
     _report(8, chk)
     assert chk.passed, chk.detail
 
 
 def test_criterion_9_spacelike_criterion():
-    chk = check_spacelike_criterion(grid="full", quad=QUAD)
+    chk = _run("spacelike_criterion")
     _report(9, chk)
     assert chk.passed, chk.detail
 
 
 def test_criterion_10_sweep_determinism():
     t0 = time.perf_counter()
-    chk = check_sweep_determinism(grid="full", quad=QUAD)
+    chk = _run("sweep_determinism")
     elapsed = time.perf_counter() - t0
     _report(10, chk, elapsed)
     assert chk.passed, chk.detail

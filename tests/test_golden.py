@@ -1,9 +1,11 @@
-"""CSV bytes of the sweep and region commands against committed files.
+"""Output bytes of the sweep, region and validate commands against committed files.
 
 tests/data/make_golden.py wrote the golden files; each case is run here
-again through the CLI, serially and on a pool of two threads (these grids
-are far smaller than a pool needs, so the `one_pair_per_worker` fixture
-lowers that need), and must reproduce them byte for byte.
+again through the CLI and must reproduce them byte for byte. The grid
+cases run serially and on a pool of two threads (these grids are far
+smaller than a pool needs, so the `one_pair_per_worker` fixture lowers
+that need); the coarse self-check report is written as `entharvest
+validate --grid coarse --out` writes it.
 """
 
 import importlib.util
@@ -27,3 +29,10 @@ def test_bytes_match_the_golden_file(tmp_path, capsys, real_pools, case, workers
     assert real_pools == ([] if workers == 1 else [2])
     capsys.readouterr()
     assert out.read_bytes() == (make_golden.DATA / case).read_bytes()
+
+
+def test_coarse_report_matches_the_golden_file(tmp_path, capsys):
+    out = tmp_path / make_golden.VALIDATE
+    assert make_golden.run_validate(out) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == (make_golden.DATA / make_golden.VALIDATE).read_bytes()

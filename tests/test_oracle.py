@@ -129,12 +129,6 @@ class TestXOracle:
         b, _ = x_momentum_oracle(det(0.5, sigma=2.0), EncounterGeometry(d=2.0, v=0.5))
         assert abs(a - b) <= 1e-8 * abs(a)
 
-    def test_loose_quadrature_degrades_gracefully(self):
-        loose = QuadratureSettings(rel_tol=1e-5, abs_tol=1e-9)
-        fast = negativity(det(1.0), EncounterGeometry(d=1.0, v=0.3)).x
-        slow, err = x_momentum_oracle(det(1.0), EncounterGeometry(d=1.0, v=0.3), loose)
-        assert abs(slow - fast) <= max(10.0 * err, 1e-4)
-
 
 def _scalar_sine_tail(a: float, rho: float) -> float:
     """The asymptotic tail series of oracle._sine_tail, one rho at a time in math."""

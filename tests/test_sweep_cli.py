@@ -76,6 +76,12 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(0.0, 1.0, 3, "cubic")
 
+    @pytest.mark.parametrize("grid", [(1.5, 0.5, 1), (1.0, 0.5, 1, "lightspeed"), (1.5, 0.5, 3)])
+    def test_min_above_max_is_refused_at_every_count(self, grid):
+        # a one-point axis is its min, so its max would go unchecked
+        with pytest.raises(ValueError, match=r"^grid needs min <= max, got \[1\.\d, 0\.5\]$"):
+            GridSpec(*grid)
+
     def test_count_must_be_a_whole_number(self):
         with pytest.raises(ValueError, match=r"^count must be a whole number, got 2\.9$"):
             GridSpec(0.0, 1.0, 2.9)
@@ -246,7 +252,7 @@ class TestRowBatches:
         rows = run_sweep(spec)
         assert rows[0].error == ""
         assert rows[-1].error.startswith("ConvergenceError: no convergence")
-        alone = [sweep_mod._sweep_task((1.0, [1.0], [v], quad))[0] for v in spec.v.points().tolist()]
+        alone = [sweep_mod._sweep_task(1.0, [1.0], [v], quad)[0] for v in spec.v.points().tolist()]
         buf_rows, buf_alone = io.StringIO(), io.StringIO()
         write_sweep_csv(rows, buf_rows)
         write_sweep_csv(alone, buf_alone)
@@ -405,8 +411,8 @@ class TestWorkers:
     def test_library_refuses_workers_before_any_task_runs(self, workers, message, real_pools,
                                                           monkeypatch):
         tasks = []
-        monkeypatch.setattr(sweep_mod, "_sweep_task", lambda task: tasks.append(task) or [])
-        monkeypatch.setattr(sweep_mod, "_region_task", lambda task: tasks.append(task) or [])
+        monkeypatch.setattr(sweep_mod, "_sweep_task", lambda *task: tasks.append(task) or [])
+        monkeypatch.setattr(sweep_mod, "_region_task", lambda *task: tasks.append(task) or [])
         with pytest.raises(ValueError) as info:
             run_sweep(small_spec(), workers=workers)
         assert str(info.value) == message
@@ -430,7 +436,7 @@ class TestPoolSize:
         # 2 d x 1 gap x (_PAIRS_PER_WORKER - short) velocities; the task is
         # stubbed out, since only the pool's size is asked for
         tasks = []
-        monkeypatch.setattr(sweep_mod, "_sweep_task", lambda task: tasks.append(task) or [])
+        monkeypatch.setattr(sweep_mod, "_sweep_task", lambda *task: tasks.append(task) or [])
         v = GridSpec(0.0, 0.9, sweep_mod._PAIRS_PER_WORKER - short)
         run_sweep(SweepSpec(GridSpec(1.0, 2.0, 2), GridSpec(0.0, 0.0, 1), v), workers=8)
         assert real_pools == sizes and len(tasks) == 2
@@ -440,14 +446,14 @@ class TestPoolSize:
         # 2 d x (_PAIRS_PER_WORKER / 64 - short) gaps x 64 scan nodes
         per_scan, rest = divmod(sweep_mod._PAIRS_PER_WORKER, model._SCAN_NODES)
         assert model._SCAN_NODES == 64 and rest == 0
-        monkeypatch.setattr(sweep_mod, "_region_task", lambda task: [])
+        monkeypatch.setattr(sweep_mod, "_region_task", lambda *task: [])
         run_region_scan(GridSpec(1.0, 2.0, 2), GridSpec(0.0, 1.0, per_scan - short), workers=8)
         assert real_pools == sizes
 
     @pytest.mark.parametrize("grid, sizes", [("coarse", [2]), ("full", [4, 8])])
     def test_determinism_check_starts_its_pools(self, real_pools, grid, sizes):
-        result = validate_mod.check_sweep_determinism(grid, QuadratureSettings())
-        assert result.passed
+        passed, *_ = validate_mod.check_sweep_determinism(grid)
+        assert passed
         assert real_pools == sizes
 
 
@@ -468,7 +474,7 @@ class TestRowLimit:
             assert str(info.value) == f"grid has {rows} rows, more than the limit of 1048576"
 
     def test_region_scan(self, monkeypatch):
-        monkeypatch.setattr(sweep_mod, "_region_task", lambda task: [])
+        monkeypatch.setattr(sweep_mod, "_region_task", lambda *task: [])
         assert run_region_scan(GridSpec(1.0, 2.0, 1024), GridSpec(0.0, 1.0, 1024)) == []
         monkeypatch.setattr(GridSpec, "points", building_an_axis_fails)
         with pytest.raises(ValueError) as info:
@@ -519,7 +525,7 @@ class TestRegionScan:
 
         task = (1.0, [0.0, 1.0, 2.0], QuadratureSettings())
         monkeypatch.setattr(sweep_mod, "_negativity_rows", broken)
-        rows = sweep_mod._region_task(task)
+        rows = sweep_mod._region_task(*task)
         assert [(row.sigma_omega, row.region, row.error) for row in rows] \
             == [(so, None, "ValueError: bad\nscan") for so in task[1]]
         monkeypatch.undo()
@@ -532,7 +538,7 @@ class TestRegionScan:
             return real(d, gap, *args)
 
         monkeypatch.setattr(sweep_mod, "_profile", broken_at_one)
-        rows = sweep_mod._region_task(task)
+        rows = sweep_mod._region_task(*task)
         assert [row.error for row in rows] == ["", "ValueError: bad\nprofile", ""]
         assert rows[1].region is None and rows[2].region is RegionLabel.PEAKED
 
@@ -547,7 +553,7 @@ class TestRegionScan:
             return real(d, vs, gaps, settings)
 
         monkeypatch.setattr(model, "_x_integrals", counted)
-        rows = sweep_mod._region_task((1.0, [0.0, 1.0, 2.0], QuadratureSettings()))
+        rows = sweep_mod._region_task(1.0, [0.0, 1.0, 2.0], QuadratureSettings())
         assert [row.region for row in rows] \
             == [RegionLabel.MONOTONE_DECREASING, RegionLabel.PEAKED, RegionLabel.PEAKED]
         assert sum(n_v for n_gaps, n_v in calls if n_gaps == 3) == 64
@@ -862,6 +868,14 @@ class TestConfigErrors:
         assert err == "ValueError: d_over_sigma grid must be > 0\n"
         assert not (tmp_path / "out.csv").exists()
 
+    def test_min_above_max_names_its_axis(self, command, tmp_path, capsys):
+        # a one-point axis is its min, so an unchecked max let v = 1.5 in
+        axis = "v" if command == "sweep" else "sigma_omega"
+        err = self.run(command, tmp_path, capsys,
+                       edit=lambda cfg: cfg.update({axis: {"min": 1.5, "max": 0.5, "count": 1}}))
+        assert err == f"ValueError: config axis {axis!r}: grid needs min <= max, got [1.5, 0.5]\n"
+        assert not (tmp_path / "out.csv").exists()
+
     def test_fractional_count(self, command, tmp_path, capsys):
         err = self.run(command, tmp_path, capsys,
                        edit=lambda cfg: cfg.update(sigma_omega={"min": 0.0, "max": 1.0, "count": 2.9}))
@@ -985,7 +999,8 @@ class TestValidationBattery:
         assert math.isfinite(check["measured"]) and check["measured"] > check["tolerance"]
 
     def test_a_crashed_check_keeps_the_name_it_passes_under(self, monkeypatch):
-        monkeypatch.setattr(validate_mod, "_CHECKS", (validate_mod.check_scale_invariance,))
+        monkeypatch.setattr(validate_mod, "_CHECKS",
+                            {"scale_invariance_zero_gap": validate_mod.check_scale_invariance})
         (passed,) = validate_mod.run_validation(grid="coarse")["checks"]
 
         def crash(*args, **kwargs):
