@@ -25,6 +25,10 @@ past that cut (the window end is no longer a setting), moved every x_*
 cell of the default-tolerance files by at most 7.4e-5 of that, and the
 failing case's converged cells by at most 0.014 of its own tolerance,
 within their error estimates; no label and no failing row moved.
+The signed-zero case has one gap and one velocity, both -0.0, which the
+validators accept and every cell of those columns writes as -0; a
+writer that formats an axis value once and reuses it must reuse it by
+position, not by value, since -0.0 == 0.0.
 The region case scans both gaps at one d in one block of X integrals
 and labels each point from its gap's row as model.velocity_profile does;
 a change to how a profile finds its peak moves only the v_star and n_star
@@ -70,6 +74,11 @@ CASES = {
         "d_over_sigma": {"min": 0.5, "max": 4.0, "count": 2, "spacing": "log"},
         "sigma_omega": {"min": 1.6, "max": 3.1, "count": 4},
         "v": {"min": 0.0, "max": 1.0 - 1e-9, "count": 5, "spacing": "lightspeed"},
+    }),
+    "golden_sweep_signed_zero.csv": ("sweep", {
+        "d_over_sigma": {"min": 0.5, "max": 4.0, "count": 3, "spacing": "log"},
+        "sigma_omega": {"min": -0.0, "max": -0.0, "count": 1},
+        "v": {"min": -0.0, "max": -0.0, "count": 1},
     }),
     "golden_region.csv": ("region", {
         "d_over_sigma": {"min": 0.5, "max": 8.0, "count": 2},
