@@ -49,21 +49,25 @@ def _quad_from_args(args: argparse.Namespace) -> QuadratureSettings:
 
 def _cmd_point(args: argparse.Namespace) -> int:
     quad = _quad_from_args(args)
-    payload = _sweep_task(args.d, [args.omega], [args.v], quad)[0]._asdict()
-    error = payload.pop("error")
-    if error:
-        print(error, file=sys.stderr)
+    block = _sweep_task(args.d, [args.omega], [args.v], quad)
+    (row,) = block.rows
+    if row.failures:
+        print(_error_text(row.failures[0]), file=sys.stderr)
         return 1
+    x = complex(row.x[0])
+    payload = {"d_over_sigma": args.d, "v": args.v, "sigma_omega": args.omega, "p": row.p,
+               "x_re": x.real, "x_im": x.imag, "x_abs": float(row.x_abs[0]), "m": float(row.m[0]),
+               "negativity": float(row.negativity[0]),
+               "x_error_estimate": float(row.x_error_estimate[0]), "spacelike": block.spacelike[0]}
     json.dump(payload, sys.stdout, indent=2)
     sys.stdout.write("\n")
     return 0
 
 
-def _write_rows(out: str, rows: list, write, *columns) -> int:
-    """Write the rows as CSV to out; exit code 1 if any row records an error."""
+def _write_rows(out: str, rows, failures: int, write, *columns) -> int:
+    """Write the rows as CSV to out; exit code 1 if any of them failed."""
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
         write(rows, fh, *columns)
-    failures = sum(1 for row in rows if row.error)
     if failures:
         print(f"{failures}/{len(rows)} points failed; see the error column", file=sys.stderr)
     return 1 if failures else 0
@@ -73,13 +77,14 @@ def _write_rows(out: str, rows: list, write, *columns) -> int:
 # where perfbench's tracer replaces them
 def _cmd_sweep(args: argparse.Namespace) -> int:
     spec = SweepSpec.from_json(args.config)
-    return _write_rows(args.out, run_sweep(spec, workers=args.workers), write_sweep_csv, spec.outputs)
+    table = run_sweep(spec, workers=args.workers)
+    return _write_rows(args.out, table, table.failed, write_sweep_csv, spec.outputs)
 
 
 def _cmd_region(args: argparse.Namespace) -> int:
     (d_grid, omega_grid), quad = _read_config(_load_json(args.config), ("d_over_sigma", "sigma_omega"))
     rows = run_region_scan(d_grid, omega_grid, quad, workers=args.workers)
-    return _write_rows(args.out, rows, write_region_csv)
+    return _write_rows(args.out, rows, sum(1 for row in rows if row.error), write_region_csv)
 
 
 def _cmd_peak(args: argparse.Namespace) -> int:

@@ -5,13 +5,16 @@ axes (each read by GridSpec), an optional `quadrature` block (read by
 QuadratureSettings) and, for a sweep, `outputs`, and no other key; every
 axis tuple is evaluated in row-major order, and each row is written as
 one CSV line whose cells are formatted by type. Rows are NamedTuples
-whose fields are the CSV columns, so `_asdict()` and `_replace()` work
-on them. A grid of more than _MAX_ROWS rows is refused before any axis
-is built. Both jobs hand each d to one task with the whole omega axis;
-the task evaluates X in blocks of its gaps times batches over v. A sweep
-task evaluates the v axis and turns each gap's row arrays into rows; a
-region task evaluates the 64 nodes of one velocity scan and labels each
-omega from its row as model.velocity_profile does.
+(SweepRow, RegionRow) whose fields are the CSV columns. A grid of more
+than _MAX_ROWS rows is refused before any axis is built. Both jobs hand
+each d to one task with the whole omega axis; the task evaluates X in
+blocks of its gaps times batches over v. A sweep task returns each gap's
+row arrays over the v axis as they are (_SweepBlock), and run_sweep
+returns a read-only sequence of SweepRow over them (_SweepTable) that
+builds a row only when one is asked for; write_sweep_csv writes the
+arrays, formatting each axis cell once per axis position. A region task
+evaluates the 64 nodes of one velocity scan and labels each omega from
+its row as model.velocity_profile does.
 `workers` is a whole number >= 1, lowered to the usable CPUs
 (_usable_workers), and a grid gets at most one worker per
 _PAIRS_PER_WORKER (omega, v) pairs of work, counted from the grid alone:
@@ -28,14 +31,16 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import IO, Callable, Iterable, NamedTuple, Optional, Sequence, get_type_hints
+from typing import IO, NamedTuple, Optional, get_type_hints
 
 import numpy as np
 
 from .model import (
     _SCAN_NODES,
+    NegativityRow,
     RegionLabel,
     _negativity_rows,
     _profile,
@@ -232,22 +237,68 @@ def _error_text(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _sweep_task(d: float, gaps: list[float], vs: list[float], quad: QuadratureSettings) -> list[SweepRow]:
-    """The rows of every (omega, v) at one d, in row-major order, X in
-    blocks over the gaps and batches over v."""
+class _SweepBlock(NamedTuple):
+    """One sweep task's result: every (omega, v) at one d, as the arrays of
+    model._negativity_rows, one NegativityRow per gap, each indexed like vs,
+    and the spacelike flag of each v."""
+
+    d: float
+    gaps: list[float]
+    vs: list[float]
+    rows: list[NegativityRow]
+    spacelike: list[bool]
+
+
+def _sweep_task(d: float, gaps: list[float], vs: list[float], quad: QuadratureSettings) -> _SweepBlock:
+    """Every (omega, v) at one d, X in blocks over the gaps and batches over v."""
     spacelike = [d >= spacelike_min_distance(v, 1.0) for v in vs]
-    rows = []
-    for so, row in zip(gaps, _negativity_rows(d, gaps, vs, quad)):
-        cells = [
-            SweepRow(d, v, so, row.p, re, im, x_abs, m, n, err, sl)
-            for v, re, im, x_abs, m, n, err, sl in zip(
-                vs, row.x.real.tolist(), row.x.imag.tolist(), row.x_abs.tolist(),
-                row.m.tolist(), row.negativity.tolist(), row.x_error_estimate.tolist(), spacelike)
-        ]
-        for i, exc in row.failures.items():
-            cells[i] = cells[i]._replace(p=math.nan, error=_error_text(exc))
-        rows += cells
-    return rows
+    return _SweepBlock(d, gaps, vs, _negativity_rows(d, gaps, vs, quad), spacelike)
+
+
+# the columns that hold one value per (omega, v) of a sweep block
+_PER_POINT = ("x_re", "x_im", "x_abs", "m", "negativity", "x_error_estimate")
+
+
+def _point_arrays(row: NegativityRow) -> tuple:
+    """The arrays of a gap's row that hold the _PER_POINT columns, in order."""
+    return row.x.real, row.x.imag, row.x_abs, row.m, row.negativity, row.x_error_estimate
+
+
+class _SweepTable(Sequence):
+    """run_sweep's result: a read-only sequence of SweepRow, in row-major
+    (d, omega, v) order, over its tasks' blocks, which all share one gap
+    axis and one v axis.
+
+    A row is built when it is asked for, with p NaN and the error text at
+    a failed index; write_sweep_csv writes the blocks without building
+    any, and `failed` counts the failed points from the failure maps.
+    """
+
+    def __init__(self, blocks: list[_SweepBlock]):
+        self.blocks = blocks
+        self._per_block = len(blocks[0].gaps) * len(blocks[0].vs) if blocks else 0
+        self._len = len(blocks) * self._per_block
+
+    @property
+    def failed(self) -> int:
+        return sum(len(row.failures) for block in self.blocks for row in block.rows)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(self._len))]
+        if not -self._len <= k < self._len:
+            raise IndexError("sweep row index out of range")
+        block_index, k = divmod(k % self._len, self._per_block)
+        block = self.blocks[block_index]
+        j, i = divmod(k, len(block.vs))
+        row = block.rows[j]
+        cells = SweepRow(block.d, block.vs[i], block.gaps[j], row.p,
+                         *[float(values[i]) for values in _point_arrays(row)], block.spacelike[i])
+        exc = row.failures.get(i)
+        return cells if exc is None else cells._replace(p=math.nan, error=_error_text(exc))
 
 
 def _region_task(d: float, gaps: list[float], quad: QuadratureSettings) -> list[RegionRow]:
@@ -293,28 +344,31 @@ def _pool_size(workers: int, pairs: int) -> int:
     return max(1, min(_usable_workers(workers), pairs // _PAIRS_PER_WORKER))
 
 
-def _run_grid(task: Callable[[float], list], ds: list[float], workers: int) -> list:
-    """The rows of task(d) for every d in ds, in order, on a pool of up to
-    `workers` threads (no more than there are d values), or serially in
-    this thread at one. The caller sizes `workers` (_pool_size)."""
+def _run_grid(task: Callable[[float], object], ds: list[float], workers: int) -> list:
+    """task(d) for every d in ds, in order, on a pool of up to `workers`
+    threads (no more than there are d values), or serially in this thread
+    at one. The caller sizes `workers` (_pool_size)."""
     workers = min(workers, len(ds))
     if workers <= 1:
-        return [row for d in ds for row in task(d)]
+        return [task(d) for d in ds]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return [row for rows in pool.map(task, ds) for row in rows]
+        return list(pool.map(task, ds))
 
 
-def _sweep_rows(spec: SweepSpec, workers: int) -> list[SweepRow]:
+def _sweep_rows(spec: SweepSpec, workers: int) -> _SweepTable:
     """The sweep's rows, one task per d, on up to `workers` threads, with no
     _pool_size rule."""
     gaps, vs = spec.sigma_omega.points().tolist(), spec.v.points().tolist()
-    return _run_grid(lambda d: _sweep_task(d, gaps, vs, spec.quad),
-                     spec.d_over_sigma.points().tolist(), workers)
+    return _SweepTable(_run_grid(lambda d: _sweep_task(d, gaps, vs, spec.quad),
+                                 spec.d_over_sigma.points().tolist(), workers))
 
 
-def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRow]:
+def run_sweep(spec: SweepSpec, workers: int = 1) -> Sequence[SweepRow]:
     """Evaluate every grid tuple in row-major (d, omega, v) order, on at most
-    _usable_workers(workers) threads and one per _PAIRS_PER_WORKER tuples."""
+    _usable_workers(workers) threads and one per _PAIRS_PER_WORKER tuples.
+
+    The result is a read-only sequence of SweepRow whose rows are built
+    when they are asked for; write_sweep_csv writes it from its arrays."""
     pairs = spec.d_over_sigma.count * spec.sigma_omega.count * spec.v.count
     return _sweep_rows(spec, _pool_size(workers, pairs))
 
@@ -339,7 +393,8 @@ def run_region_scan(
     quad = settings if settings is not None else QuadratureSettings()
     gaps = omega_grid.points().tolist()
     workers = _pool_size(workers, d_grid.count * omega_grid.count * _SCAN_NODES)
-    return _run_grid(lambda d: _region_task(d, gaps, quad), d_grid.points().tolist(), workers)
+    tasks = _run_grid(lambda d: _region_task(d, gaps, quad), d_grid.points().tolist(), workers)
+    return [row for rows in tasks for row in rows]
 
 
 def _cell(value) -> str:
@@ -356,29 +411,73 @@ def _cell(value) -> str:
     return "%.17g" % value
 
 
+def _lines(columns: Sequence[str], fixed: dict, varying: dict, floats, n: int) -> list[str]:
+    """n CSV lines of the named columns. A column in fixed has that cell
+    text on every line; any other takes its i-th cell from varying[column],
+    formatted "%.17g" if the column is in floats and as it is (text that
+    _cell made) if not. Each line is one % operation over its cells."""
+    line = ",".join([fixed[col].replace("%", "%%") if col in fixed else "%.17g" if col in floats else "%s"
+                     for col in columns]) + "\n"
+    cells = [varying[col] for col in columns if col not in fixed]
+    return [line % cell for cell in zip(*cells)] if cells else [line % ()] * n
+
+
 def _write_csv(rows: Iterable, fh: IO[str], row_type, columns: Sequence[str]) -> None:
     """One line per row with the named columns, each cell formatted as _cell does.
 
     The columns are checked as SweepSpec checks its outputs, before
     anything is written. The cells are built a column at a time: a float
     field's values go to "%.17g" as they are, every other field's through
-    _cell, and each line is one % operation over the row's cells.
+    _cell.
     """
     _check_columns(columns, row_type._fields)
     fh.write(",".join(columns) + "\n")
     rows = list(rows)
     floats = {name for name, hint in get_type_hints(row_type).items() if hint is float}
-    cells = []
+    varying = {}
     for col in columns:
         i = row_type._fields.index(col)
         values = [row[i] for row in rows]
-        cells.append(values if col in floats else [_cell(value) for value in values])
-    line = ",".join(["%.17g" if col in floats else "%s" for col in columns]) + "\n"
-    fh.write("".join([line % cell for cell in zip(*cells)]))
+        varying[col] = values if col in floats else [_cell(value) for value in values]
+    fh.write("".join(_lines(columns, {}, varying, floats, len(rows))))
 
 
 def write_sweep_csv(rows: Iterable[SweepRow], fh: IO[str], columns: Sequence[str] = SWEEP_COLUMNS) -> None:
-    _write_csv(rows, fh, SweepRow, columns)
+    """Write run_sweep's rows, or any iterable of SweepRow, as CSV lines of
+    the named columns, each cell formatted as _cell does.
+
+    run_sweep's result is written a block and a gap at a time, with no row
+    built: each d, gap, p, v and spacelike cell is formatted once per axis
+    position, and only the per-point floats once per line. A failed index
+    gets the NaN p cell and its error text; every other error cell is
+    empty. Any other iterable is written as one block in which every cell
+    varies.
+    """
+    if not isinstance(rows, _SweepTable):
+        _write_csv(rows, fh, SweepRow, columns)
+        return
+    _check_columns(columns, SWEEP_COLUMNS)
+    fh.write(",".join(columns) + "\n")
+    if not rows.blocks:
+        return
+    gap_cells = [_cell(so) for so in rows.blocks[0].gaps]
+    v_cells = [_cell(v) for v in rows.blocks[0].vs]
+    per_point = [col for col in columns if col in _PER_POINT]
+    for block in rows.blocks:
+        d_cell = _cell(block.d)
+        spacelike = [_cell(flag) for flag in block.spacelike]
+        lines = []
+        for so_cell, row in zip(gap_cells, block.rows):
+            arrays = dict(zip(_PER_POINT, _point_arrays(row)))
+            varying = {"v": v_cells, "spacelike": spacelike, **{col: arrays[col].tolist() for col in per_point}}
+            fixed = {"d_over_sigma": d_cell, "sigma_omega": so_cell, "p": _cell(row.p), "error": ""}
+            gap_lines = _lines(columns, fixed, varying, _PER_POINT, len(v_cells))
+            for i, exc in row.failures.items():
+                failed = {**fixed, "p": _cell(math.nan), "error": _cell(_error_text(exc))}
+                (gap_lines[i],) = _lines(columns, failed, {col: cells[i:i + 1] for col, cells in varying.items()},
+                                         _PER_POINT, 1)
+            lines += gap_lines
+        fh.write("".join(lines))
 
 
 def write_region_csv(rows: Iterable[RegionRow], fh: IO[str]) -> None:

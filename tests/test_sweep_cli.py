@@ -252,7 +252,8 @@ class TestRowBatches:
         rows = run_sweep(spec)
         assert rows[0].error == ""
         assert rows[-1].error.startswith("ConvergenceError: no convergence")
-        alone = [sweep_mod._sweep_task(1.0, [1.0], [v], quad)[0] for v in spec.v.points().tolist()]
+        alone = [sweep_mod._SweepTable([sweep_mod._sweep_task(1.0, [1.0], [v], quad)])[0]
+                 for v in spec.v.points().tolist()]
         buf_rows, buf_alone = io.StringIO(), io.StringIO()
         write_sweep_csv(rows, buf_rows)
         write_sweep_csv(alone, buf_alone)
@@ -411,7 +412,8 @@ class TestWorkers:
     def test_library_refuses_workers_before_any_task_runs(self, workers, message, real_pools,
                                                           monkeypatch):
         tasks = []
-        monkeypatch.setattr(sweep_mod, "_sweep_task", lambda *task: tasks.append(task) or [])
+        monkeypatch.setattr(sweep_mod, "_sweep_task",
+                            lambda d, *task: tasks.append((d, *task)) or sweep_mod._SweepBlock(d, [], [], [], []))
         monkeypatch.setattr(sweep_mod, "_region_task", lambda *task: tasks.append(task) or [])
         with pytest.raises(ValueError) as info:
             run_sweep(small_spec(), workers=workers)
@@ -436,7 +438,8 @@ class TestPoolSize:
         # 2 d x 1 gap x (_PAIRS_PER_WORKER - short) velocities; the task is
         # stubbed out, since only the pool's size is asked for
         tasks = []
-        monkeypatch.setattr(sweep_mod, "_sweep_task", lambda *task: tasks.append(task) or [])
+        monkeypatch.setattr(sweep_mod, "_sweep_task",
+                            lambda d, *task: tasks.append((d, *task)) or sweep_mod._SweepBlock(d, [], [], [], []))
         v = GridSpec(0.0, 0.9, sweep_mod._PAIRS_PER_WORKER - short)
         run_sweep(SweepSpec(GridSpec(1.0, 2.0, 2), GridSpec(0.0, 0.0, 1), v), workers=8)
         assert real_pools == sizes and len(tasks) == 2
