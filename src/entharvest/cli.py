@@ -27,9 +27,11 @@ from .model import DetectorSettings, find_peak_velocity
 from .quadrature import QuadratureError, QuadratureSettings
 from .sweep import (
     _PAIRS_PER_WORKER,
+    _PER_POINT,
     SweepSpec,
     _error_text,
     _load_json,
+    _point_arrays,
     _read_config,
     _sweep_task,
     _usable_workers,
@@ -54,11 +56,9 @@ def _cmd_point(args: argparse.Namespace) -> int:
     if row.failures:
         print(_error_text(row.failures[0]), file=sys.stderr)
         return 1
-    x = complex(row.x[0])
     payload = {"d_over_sigma": args.d, "v": args.v, "sigma_omega": args.omega, "p": row.p,
-               "x_re": x.real, "x_im": x.imag, "x_abs": float(row.x_abs[0]), "m": float(row.m[0]),
-               "negativity": float(row.negativity[0]),
-               "x_error_estimate": float(row.x_error_estimate[0]), "spacelike": block.spacelike[0]}
+               **{col: float(values[0]) for col, values in zip(_PER_POINT, _point_arrays(row))},
+               "spacelike": block.spacelike[0]}
     json.dump(payload, sys.stdout, indent=2)
     sys.stdout.write("\n")
     return 0

@@ -462,20 +462,20 @@ def write_sweep_csv(rows: Iterable[SweepRow], fh: IO[str], columns: Sequence[str
         return
     gap_cells = [_cell(so) for so in rows.blocks[0].gaps]
     v_cells = [_cell(v) for v in rows.blocks[0].vs]
-    per_point = [col for col in columns if col in _PER_POINT]
     for block in rows.blocks:
         d_cell = _cell(block.d)
         spacelike = [_cell(flag) for flag in block.spacelike]
         lines = []
         for so_cell, row in zip(gap_cells, block.rows):
-            arrays = dict(zip(_PER_POINT, _point_arrays(row)))
-            varying = {"v": v_cells, "spacelike": spacelike, **{col: arrays[col].tolist() for col in per_point}}
             fixed = {"d_over_sigma": d_cell, "sigma_omega": so_cell, "p": _cell(row.p), "error": ""}
+            varying = {"v": v_cells, "spacelike": spacelike}
+            varying.update((col, values.tolist()) for col, values in zip(_PER_POINT, _point_arrays(row))
+                           if col in columns)
             gap_lines = _lines(columns, fixed, varying, _PER_POINT, len(v_cells))
             for i, exc in row.failures.items():
-                failed = {**fixed, "p": _cell(math.nan), "error": _cell(_error_text(exc))}
-                (gap_lines[i],) = _lines(columns, failed, {col: cells[i:i + 1] for col, cells in varying.items()},
-                                         _PER_POINT, 1)
+                at_failure = {**fixed, "p": _cell(math.nan), "error": _cell(_error_text(exc))}
+                point = {col: cells[i:i + 1] for col, cells in varying.items()}
+                (gap_lines[i],) = _lines(columns, at_failure, point, _PER_POINT, 1)
             lines += gap_lines
         fh.write("".join(lines))
 
