@@ -413,7 +413,7 @@ class TestWorkers:
                                                           monkeypatch):
         tasks = []
         monkeypatch.setattr(sweep_mod, "_sweep_task",
-                            lambda d, *task: tasks.append((d, *task)) or sweep_mod._SweepBlock(d, [], [], [], []))
+                            lambda *task: tasks.append(task) or sweep_mod._SweepBlock(task[0], [], [], [], []))
         monkeypatch.setattr(sweep_mod, "_region_task", lambda *task: tasks.append(task) or [])
         with pytest.raises(ValueError) as info:
             run_sweep(small_spec(), workers=workers)
@@ -439,7 +439,7 @@ class TestPoolSize:
         # stubbed out, since only the pool's size is asked for
         tasks = []
         monkeypatch.setattr(sweep_mod, "_sweep_task",
-                            lambda d, *task: tasks.append((d, *task)) or sweep_mod._SweepBlock(d, [], [], [], []))
+                            lambda *task: tasks.append(task) or sweep_mod._SweepBlock(task[0], [], [], [], []))
         v = GridSpec(0.0, 0.9, sweep_mod._PAIRS_PER_WORKER - short)
         run_sweep(SweepSpec(GridSpec(1.0, 2.0, 2), GridSpec(0.0, 0.0, 1), v), workers=8)
         assert real_pools == sizes and len(tasks) == 2
