@@ -28,18 +28,18 @@ doubles it (see _x_integrals).
 Rows
 ----
 negativity_row() is the one path from X integrals to P, X, |X|, M and N:
-a NegativityRow of arrays, one per quantity, at every v of a row at fixed
-(d, omega), with NaN at any v that fails and that v's exception in its
-failures map; no object is built per velocity. It is the one-gap case of
-_negativity_rows(d, gaps, vs), which a sweep or region task calls for
-several gaps at once: X is integrated for a block of gaps (all of them up
-to pi, or one octave of start-panel density above pi) and a batch of
-velocities at once, in proper time s = u sqrt(1 - v^2), where the phase
-is cos(gap s) at every velocity: the cosine is evaluated once per (gap,
-node), the rest of the integrand once per (velocity, node), and each
-(gap, v) costs two multiplies per node. negativity() is the view of a
-one-gap row of one velocity, with X and its error estimate among its
-fields, that raises that velocity's failure.
+a NegativityRow of arrays, one per quantity, at every v of a row at
+fixed (d, omega), with NaN at any v that fails and that v's exception in
+its failures map; no object is built per velocity. It is the one-gap
+case of _negativity_rows(d, gaps, vs), which a sweep or region task
+calls for several gaps at once: X is integrated for a block of gaps (as
+many as the start-panel budget holds on the panels of its largest gap)
+and a batch of velocities at once, in proper time s = u sqrt(1 - v^2),
+where the phase is cos(gap s) at every velocity: the cosine is evaluated
+once per (gap, node), the rest of the integrand once per (velocity,
+node), and each (gap, v) costs two multiplies per node. negativity() is
+the view of a one-gap row of one velocity, with X and its error estimate
+among its fields, that raises that velocity's failure.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 from scipy.special import dawsn, erfcx
 
-from .quadrature import QuadratureError, QuadratureSettings, _line_capacity, integrate_line
+from .quadrature import QuadratureError, QuadratureSettings, _line_capacity, _stacks, integrate_line
 
 __all__ = [
     "DetectorSettings",
@@ -330,42 +330,28 @@ def _x_integrals(d: float, vs, gaps, settings: QuadratureSettings) -> tuple[np.n
     return x, pref * (parts.error_estimate[:km] + parts.error_estimate[km:]).reshape(shape)
 
 
-def _gap_runs(gaps) -> list[slice]:
-    """Slices of the runs of neighbouring gaps that may share an X integral:
-    every gap up to pi, then one octave of start-panel density each.
-
-    In s the start width is min(W, pi / (2 gap)), W = 2 (see _x_start),
-    which is W min(1, pi / (4 gap)): the envelope sets it up to gap pi / 4,
-    and at gap pi it is a quarter of that. An extra gap costs
-    an X integral two multiplies per (v, node), while the per-velocity part
-    of the integrand and the integral's fixed cost are paid once per block,
-    so the gaps up to pi share one run, on at most 4 times the
-    envelope-limited start panels; above pi, an ascending gap axis, as a
-    sweep's is, has one run per octave. An X integral holds gaps of one run
-    only, so a run's rows do not depend on the gaps beside it.
-    """
-    octave = np.ceil(np.log2(np.maximum(4.0, (4.0 / math.pi) * np.asarray(gaps, dtype=float))))
-    edges = [0, *(np.flatnonzero(np.diff(octave)) + 1).tolist(), octave.size]
-    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
-
-
 def _gap_blocks(d: float, batch, gaps: np.ndarray) -> list[slice]:
     """Slices of gaps, each for one X integral at the velocities of batch.
 
-    Each run of _gap_runs is cut into blocks of as many gaps as fit within
-    integrate_line's start-panel limit beside the run's largest gap. A gap
-    over the limit alone is a block of its own; integrate_line refuses it,
-    and its row falls back to single velocities.
+    A block's start panels are sized by its largest gap (see _x_start).
+    From the largest gap left over down, a block takes as many gaps as fit
+    within integrate_line's start-panel limit on that gap's own panels, at
+    2 len(batch) components each (quadrature._stacks): an extra gap costs
+    two multiplies per (v, node), while the rest of the integrand and the
+    integral's fixed cost are paid once per block. A row's values thus
+    depend on its whole gap axis. A gap over the limit alone is a block of
+    its own; integrate_line refuses it, and its row falls back to single
+    velocities.
+
+    The gaps must ascend, as a GridSpec's points do, for a block's largest
+    gap to be its last. In any other order a block can exceed the limit;
+    integrate_line then refuses it before evaluating anything, and the
+    block falls back gap by gap: correct, only slower.
     """
     if gaps.size == 1:  # a lone gap is its own block, whatever its start panels
         return [slice(0, 1)]
-    blocks = []
-    for run in _gap_runs(gaps):
-        width, max_frequency, s_b = _x_start(d, batch, gaps[run])
-        fit = _line_capacity(width, max_frequency, singularity_distance=s_b)
-        size = max(1, fit // (2 * len(batch)))
-        blocks += [slice(j, min(j + size, run.stop)) for j in range(run.start, run.stop, size)]
-    return blocks
+    components = 2 * len(batch)
+    return _stacks(gaps.size, lambda j: _line_capacity(*_x_start(d, batch, gaps[j])) // components)
 
 
 def negativity(

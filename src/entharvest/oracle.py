@@ -45,18 +45,18 @@ is exactly zero, so the relation holds for the folded integral as well.
 
 Batched inner integrals. Each outer pass hands the inner parameters of all
 its nodes (r for P; rho for X, after np.unique, so at v = 0 a pass needs a
-single inner integral) to one vector integral per octave of start-panel
-density: every member of an octave gets its own component and tolerance on
-shared panels, at most 2x finer than any member needs alone. An X
-radial integral starts on panels a quarter period of sin(r rho) wide,
-min(1, pi / (2 rho)), the rule quadrature._initial_spacing gives every
-other integrand (GK15 converges fast on panels that wide in a strip of
-analyticity), and is refined to the same tolerance as any other. Its
-integrand evaluates e^{-r^2} and F(r) once per node for the whole
-octave and sin(r rho) once per (rho, r) pair, and writes its two real
+single inner integral) to a few vector integrals, stacks cut by the budget
+below alone (quadrature._stacks, as X's gaps are): every member of a stack
+gets its own component and tolerance on the start panels of its finest
+member. An X radial integral starts on panels a quarter period of
+sin(r rho) wide, min(1, pi / (2 rho)), the rule quadrature._initial_spacing
+gives every other integrand (GK15 converges fast on panels that wide in a
+strip of analyticity), and is refined to the same tolerance as any other.
+Its integrand evaluates e^{-r^2} and F(r) once per node for the whole
+stack and sin(r rho) once per (rho, r) pair, and writes its two real
 products straight into one complex array. A call holds at most
 _PANEL_BUDGET components x start panels, so its arrays stay the size of
-one large inner integral (unbounded octaves raised validate's peak RSS by
+one large inner integral (unbounded stacks raised validate's peak RSS by
 30%); a parameter that needs more start panels than that runs alone. The
 batching changes only the loop: each inner error is charged as before.
 """
@@ -75,6 +75,7 @@ from .model import DetectorSettings, EncounterGeometry, _check_v
 from .quadrature import (
     _NEGLIGIBLE_SIGMAS,
     QuadratureSettings,
+    _stacks,
     integrate_halfline,
     integrate_interval,
     integrate_line,  # not called here: perfbench's tracer wraps this name on this module
@@ -112,25 +113,22 @@ def _inner_integrals(
 
     f takes a column of m parameters and n nodes and returns (m, n).
     spacing[i] is the start-panel width params[i] needs on its own. The
-    parameters are grouped by the octave of their start-panel density and
-    each group is cut into chunks of at most _PANEL_BUDGET components x
-    start panels; a chunk is one vector integral on its finest spacing, at
-    most 2x finer than any member's own.
+    parameters are ordered from the widest spacing to the finest and cut
+    into stacks (quadrature._stacks): from the finest one left over, a
+    stack takes as many neighbours as _PANEL_BUDGET holds on that one's
+    start panels, and is one vector integral on its spacing.
     """
     values = np.empty(params.shape, dtype=complex)
     errors = np.empty(params.shape)
     width = b - a
     order = np.argsort(-spacing, kind="stable")
-    octave = np.ceil(-np.log2(spacing[order]))
-    for group in np.split(order, np.flatnonzero(np.diff(octave)) + 1):
-        panels = max(4, math.ceil(width / min(float(spacing[group[-1]]), width)))
-        size = max(1, _PANEL_BUDGET // panels)
-        for start in range(0, group.size, size):
-            chunk = group[start:start + size]
-            res = integrate_interval(
-                partial(f, params[chunk, None]), a, b, quad, float(spacing[chunk[-1]]))
-            values[chunk] = res.value
-            errors[chunk] = res.error_estimate
+    panels = np.maximum(4, np.ceil(width / np.minimum(spacing[order], width)))
+    for stack in _stacks(order.size, lambda i: _PANEL_BUDGET // int(panels[i])):
+        chunk = order[stack]
+        res = integrate_interval(
+            partial(f, params[chunk, None]), a, b, quad, float(spacing[chunk[-1]]))
+        values[chunk] = res.value
+        errors[chunk] = res.error_estimate
     return values, errors
 
 

@@ -212,6 +212,20 @@ _MIN_WIDTH = 1e-15
 _NEGLIGIBLE_SIGMAS = math.sqrt(-math.log(np.finfo(float).eps))
 
 
+def _stacks(size: int, fit: Callable[[int], int]) -> list[slice]:
+    """Cut members 0 .. size - 1, ordered from the coarsest start panels to
+    the finest, into stacks of one vector integral each: from the finest
+    member i left over, a stack takes i and its neighbours below, fit(i)
+    members in all (as many as the start-panel budget holds on i's own
+    panels) and at least one. The slices come in ascending order."""
+    stacks, hi = [], size
+    while hi > 0:
+        lo = max(0, hi - max(1, fit(hi - 1)))
+        stacks.append(slice(lo, hi))
+        hi = lo
+    return stacks[::-1]
+
+
 def _check_start_panels(count: float, components: int) -> None:
     """Refuse count start panels for components components past the budget,
     or a count that is not a number."""

@@ -140,9 +140,9 @@ _REGION_COLUMNS = RegionRow._fields
 
 
 # The most rows a grid may have. A CLI sweep on x86-64 Linux peaked at
-# about 0.94 KB of RSS per row (92.8 MB at 40,000 rows, 167.7 MB at
-# 120,000), so 2^20 rows take about 1 GB; the largest grids in use have
-# about 10,000.
+# about 93 B of RSS per row above the import (54.6 -> 89.9 MB at 400,000
+# rows), so 2^20 rows take about 100 MB more; the largest grids in use
+# have about 10,000.
 _MAX_ROWS = 1 << 20
 
 

@@ -10,12 +10,12 @@ with N = 0 (every v at d = 4 without a gap, and the fastest v at gap
 2.5); the subset case writes some of its columns in another order; the
 failing case exhausts the subdivision budget at some points of a
 velocity batch, so those rows carry NaN cells and error text next to
-rows that converged. In the two sweep cases gaps 0 and 2.5 share a run
-of model._gap_runs (every gap up to pi), so each of their X integrals
-there is a two-gap block on start panels sized for 2.5, and gap 5 is a
-one-gap block; the failing case's gaps 0 and 4 are one-gap blocks. The
-block case puts four gaps up to pi in one run, so each of its X
-integrals is a block of four gaps on start panels sized for the largest.
+rows that converged. A block of gaps takes as many as fit the start-panel
+budget on its largest gap's panels (model._gap_blocks), so in the two
+sweep cases gaps 0, 2.5 and 5 are one block on start panels sized for 5;
+the failing case's gaps 0 and 4 are one block, which fails at every d and
+is re-run gap by gap, so its rows are the one-gap rows. The block case's
+four gaps from 1.6 to 3.1 are one block on start panels sized for 3.1.
 X is integrated in proper time s (model._x_integrals), so the abscissa
 that a failing row's error text names is an s value. Any change to how X
 is integrated moves the last digits of the x_* cells; rerun this script

@@ -217,7 +217,8 @@ class TestProperTime:
     @pytest.mark.parametrize("batch", [[0.0, 0.5, 0.9], [0.3, 0.6, 0.99, 1.0 - 1e-9]])
     def test_block_capacity_counts_the_start_panels_integrate_line_builds(
             self, monkeypatch, gaps, batch):
-        gaps = np.array(gaps)  # all up to pi, so one run and one _line_capacity call
+        # the largest gap's capacity holds them all: one block, one _line_capacity call
+        gaps = np.array(gaps)
         capacities, panels = [], []
         real_capacity, real_adaptive = model._line_capacity, quadrature._adaptive
 
@@ -318,7 +319,7 @@ class TestNegativityRow:
 
 
 class TestGapBlocks:
-    """_negativity_rows integrates a block of gaps of one run at once."""
+    """_negativity_rows integrates a block of neighbouring gaps at once."""
 
     VS = [0.0, 0.9, 1.0 - 1e-6, 1.0 - 1e-9]
 
@@ -364,10 +365,10 @@ class TestGapBlocks:
             assert (np.abs(row.x - alone.x) <= row.x_error_estimate + alone.x_error_estimate).all()
 
     def test_blocks_agree_with_one_gap_rows(self, monkeypatch):
-        # two runs: the six gaps up to pi, and {6} in the octave (pi, 2 pi]
+        # one block: the start panels of gap 6 hold all seven gaps
         gaps = [0.0, 0.5, 1.0, 1.5, 2.5, 3.0, 6.0]
         self.assert_blocks_agree_with_one_gap_rows(
-            monkeypatch, gaps, self.VS, [2 * 6 * len(self.VS), 2 * len(self.VS)])
+            monkeypatch, gaps, self.VS, [2 * len(gaps) * len(self.VS)])
 
     def test_one_block_from_gap_0_to_pi_agrees_with_one_gap_rows(self, monkeypatch):
         # every gap on start panels sized for pi, a quarter as wide as the
@@ -376,37 +377,39 @@ class TestGapBlocks:
         vs = [0.0, 0.3, 0.9, 0.99, 1.0 - 1e-6, 1.0 - 1e-9]
         self.assert_blocks_agree_with_one_gap_rows(monkeypatch, gaps, vs, [2 * len(gaps) * len(vs)])
 
-    def test_a_gap_scan_to_4_takes_two_x_integrals(self, monkeypatch):
-        # one block for the 9 gaps up to pi and one for the 3 above it
+    def test_a_gap_scan_to_4_takes_one_x_integral(self, monkeypatch):
+        # the start panels of gap 4 hold all 12 gaps at 12 velocities
         calls = self.recorded(monkeypatch)
         self.rows(np.linspace(0.0, 4.0, 12), np.linspace(0.0, 0.99, 12))
-        assert calls == [2 * 9 * 12, 2 * 3 * 12]
+        assert calls == [2 * 12 * 12]
 
-    def test_octave_runs_match_the_whole_gap_axis(self):
-        # gaps 0-4 fall in two runs, {0, 0.36, ..., 2.91} up to pi and
-        # {3.27, 3.64, 4}; no X integral spans two runs, so each run's rows
-        # are, bit for bit, the whole axis's rows for its gaps
-        gaps = np.linspace(0.0, 4.0, 12)
-        vs = GridSpec(0.0, 1.0 - 1e-9, 5, "lightspeed").points().tolist()
-        runs = model._gap_runs(gaps)
-        assert [(run.start, run.stop) for run in runs] == [(0, 9), (9, 12)]
-        whole = self.rows(gaps.tolist(), vs)
-        for run in runs:
-            for row, whole_row in zip(self.rows(gaps[run].tolist(), vs), whole[run]):
-                assert [self.bits(row, i) for i in range(len(vs))] \
-                    == [self.bits(whole_row, i) for i in range(len(vs))]
+    def test_a_wide_gap_axis_is_cut_from_the_top_by_the_budget(self):
+        # gaps 0-200 at 16 velocities: each block holds as many gaps as fit
+        # the start-panel limit on its own largest gap's panels, and could
+        # not also take the gap below it
+        gaps = np.linspace(0.0, 200.0, 40)
+        vs = np.linspace(0.0, 0.9, model._X_BATCH)
+        blocks = model._gap_blocks(1.0, vs, gaps)
+        assert len(blocks) > 2
+        assert blocks[0].start == 0 and blocks[-1].stop == gaps.size
+        assert all(lower.stop == upper.start for lower, upper in zip(blocks, blocks[1:]))
 
-    def test_gaps_above_pi_keep_their_octave_runs(self):
-        # above pi a run is one octave of start-panel density: the gaps up
-        # to 16 pi (30 to 49.1) and those above it (51.8 to 60)
-        assert [(run.start, run.stop) for run in model._gap_runs(np.linspace(30.0, 60.0, 12))] \
-            == [(0, 8), (8, 12)]
+        def fits(lo, hi):
+            start = quadrature._window_start(*model._x_start(1.0, vs, gaps[lo:hi]))
+            return (start.size - 1) * 2 * (hi - lo) * vs.size <= quadrature._MAX_START_PANELS
+
+        for block in blocks:
+            assert block.stop - block.start == 1 or fits(block.start, block.stop)
+            assert block.start == 0 or not fits(block.start - 1, block.stop)
+        for gap, row in zip(gaps, self.rows(gaps, vs)):
+            alone = negativity_row(det(omega=gap), 1.0, vs, QUAD)
+            assert not row.failures and not alone.failures
+            assert (np.abs(row.x - alone.x) <= row.x_error_estimate + alone.x_error_estimate).all()
 
     def test_a_failure_stays_with_its_gap_and_v(self, monkeypatch):
-        # two runs: {0, 0.3, 0.6} up to pi and {4, 6} in the octave (pi, 2 pi]
+        # one block of all five gaps, which fails and is re-run gap by gap
         gaps, vs = [0.0, 0.3, 0.6, 4.0, 6.0], [0.0, 0.5, 0.9]
         bad_gap, bad_v = 0.3, 0.5
-        clean = self.rows(gaps, vs)
         real = model._x_integrals
 
         def broken(d, vs, gaps, settings):
@@ -420,26 +423,23 @@ class TestGapBlocks:
         exc = rows[1].failures[1]
         assert isinstance(exc, ValueError) and str(exc) == "broken point"
         assert np.isnan(rows[1].x[1].real) and np.isnan(rows[1].negativity[1])
-        # the rest of the failed block {0, 0.3, 0.6} is each gap's one-gap row
-        for j in (0, 1, 2):
-            alone = negativity_row(det(omega=gaps[j]), 1.0, vs, QUAD)
+        # every other (gap, v) is, bit for bit, its gap's one-gap row
+        for j, gap in enumerate(gaps):
+            alone = negativity_row(det(omega=gap), 1.0, vs, QUAD)
             for i in range(len(vs)):
                 if (j, i) != (1, 1):
                     assert self.bits(rows[j], i) == self.bits(alone, i)
-        # the other block is untouched
-        for j in (3, 4):
-            assert [self.bits(rows[j], i) for i in range(len(vs))] \
-                == [self.bits(clean[j], i) for i in range(len(vs))]
 
     def test_a_block_over_the_start_panel_limit_is_split_up_front(self, monkeypatch):
-        # one octave; at gap 85 each component has 650 start panels on
-        # [0, 2c], so 16 velocities fit 3 gaps: blocks of 3 and 1, and none
-        # is refused
+        # at gap 85 each component has 650 start panels on [0, 2c], so 16
+        # velocities fit 3 gaps: from the top, blocks {65, 75, 85} and
+        # {55}, and none is refused
         gaps = [55.0, 65.0, 75.0, 85.0]
         vs = np.linspace(0.0, 0.9, model._X_BATCH)
+        assert model._gap_blocks(1.0, vs, np.array(gaps)) == [slice(0, 1), slice(1, 4)]
         calls = self.recorded(monkeypatch)
         rows = self.rows(gaps, vs)
-        assert calls == [2 * 3 * vs.size, 2 * vs.size]
+        assert calls == [2 * vs.size, 2 * 3 * vs.size]
         assert not any(row.failures for row in rows)
 
 

@@ -145,7 +145,7 @@ def _scalar_sine_tail(a: float, rho: float) -> float:
 
 
 class TestBatchedInnerIntegrals:
-    def test_one_vector_call_per_octave_within_budget(self, monkeypatch):
+    def test_vector_calls_stay_within_the_panel_budget(self, monkeypatch):
         calls = record_inner_calls(monkeypatch)
         rhos = record_tail_rhos(monkeypatch)
         x_momentum_oracle(det(1.0), EncounterGeometry(d=1.0, v=0.6))
@@ -169,9 +169,42 @@ class TestBatchedInnerIntegrals:
         expected = [_scalar_sine_tail(a, float(p)) for p in rho]
         np.testing.assert_allclose(value, expected, rtol=1e-14, atol=0.0)
 
+    def test_stacks_cover_the_parameters_finest_last_within_budget(self, monkeypatch):
+        # rho from 0.1 to 60 in no order: each stack is one call on its
+        # finest member's spacing, holds as many parameters as fit
+        # _PANEL_BUDGET on that member's start panels, and could not also
+        # take the next coarser one
+        rho = np.random.default_rng(7).permutation(np.geomspace(0.1, 60.0, 200))
+        spacing = math.pi / (2.0 * np.maximum(rho, 0.5 * math.pi))
+        a, quad = oracle._RADIAL_CUTOFF, QuadratureSettings()
+        seen, stacks = [], []
+        real = oracle.integrate_interval
+
+        def radial(p, r):
+            seen.append(p[:, 0])
+            return oracle._radial(p, r)
+
+        def recorded(f, a, b, quad, step):
+            first = len(seen)
+            res = real(f, a, b, quad, step)
+            stacks.append((seen[first], step))
+            return res
+
+        monkeypatch.setattr(oracle, "integrate_interval", recorded)
+        values, _ = oracle._inner_integrals(radial, rho, spacing, 0.0, a, quad)
+        order = np.argsort(-spacing, kind="stable")
+        assert len(stacks) > 2
+        assert np.concatenate([params for params, _ in stacks]).tobytes() == rho[order].tobytes()
+        panels = [max(4, math.ceil(a / min(step, a))) for _, step in stacks]
+        for k, ((params, step), n) in enumerate(zip(stacks, panels)):
+            assert step == spacing[rho == params[-1]][0] == spacing[np.isin(rho, params)].min()
+            assert params.size == 1 or params.size * n <= oracle._PANEL_BUDGET
+            assert k == 0 or (params.size + 1) * n > oracle._PANEL_BUDGET
+        assert np.isfinite(values).all()
+
     def test_grouped_call_matches_scalar_calls(self, monkeypatch):
-        # the oracle's quarter-period spacing; 2 rho / pi spans (1, 4]: two
-        # octaves, so two vector calls
+        # the oracle's quarter-period spacing: 46 start panels of pi / 12,
+        # the finest, hold all four under _PANEL_BUDGET, so one vector call
         rho = np.array([2.0, 3.0, 4.0, 6.0])
         spacing = np.array([_initial_spacing(1.0, p) for p in rho])
         a = oracle._RADIAL_CUTOFF
@@ -182,7 +215,7 @@ class TestBatchedInnerIntegrals:
         ]
         calls = record_inner_calls(monkeypatch)
         values, errors = oracle._inner_integrals(oracle._radial, rho, spacing, 0.0, a, quad)
-        assert [m for m, _ in calls] == [2, 2]
+        assert [m for m, _ in calls] == [4]
         for one, value, error in zip(scalar, values, errors):
             assert abs(value - one.value) <= error + one.error_estimate
 

@@ -15,6 +15,7 @@ from entharvest.quadrature import (
     integrate_interval,
     _NEGLIGIBLE_SIGMAS,
     _line_capacity,
+    _stacks,
     _window_start,
     integrate_line,
 )
@@ -378,6 +379,23 @@ class TestLineCapacity:
         freq = 65529.5 * math.pi / (2.0 * _NEGLIGIBLE_SIGMAS)
         assert _line_capacity(1.0, freq) == 1
         assert _line_capacity(1.0, freq, singularity_distance=1e-9) == 0
+
+
+class TestStacks:
+    """_stacks cuts members from the finest down by each top member's fit."""
+
+    def test_the_coarsest_stack_takes_what_is_left(self):
+        assert _stacks(10, lambda i: 3) == [slice(0, 1), slice(1, 4), slice(4, 7), slice(7, 10)]
+
+    def test_each_stack_is_sized_by_its_own_finest_member(self):
+        fit = [9, 9, 9, 9, 9, 9, 3, 3]
+        seen = []
+        assert _stacks(8, lambda i: seen.append(i) or fit[i]) == [slice(0, 5), slice(5, 8)]
+        assert seen == [7, 4]
+
+    def test_a_member_that_fits_nothing_is_a_stack_alone(self):
+        assert _stacks(3, lambda i: 0) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+        assert _stacks(0, lambda i: 1) == []
 
 
 class TestInterval:

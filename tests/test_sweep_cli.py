@@ -272,7 +272,7 @@ class TestRowBatches:
 
     @pytest.mark.usefixtures("one_pair_per_worker")
     def test_gap_blocks_match_single_points_and_across_workers(self, real_pools):
-        # gaps 1.6, 2.35 and 3.1 share a run: one X integral per d and v
+        # gaps 1.6, 2.35 and 3.1 share a block: one X integral per d and v
         # batch, on start panels sized for 3.1
         spec = SweepSpec(GridSpec(0.5, 2.0, 2), GridSpec(1.6, 3.1, 3),
                          GridSpec(0.0, 1.0 - 1e-9, 5, "lightspeed"))
@@ -596,10 +596,13 @@ class TestRegionScan:
 
     @pytest.mark.usefixtures("one_pair_per_worker")
     def test_bytes_match_across_workers(self, real_pools):
-        # one task per d, each with the gaps' two runs {0.5, 2.33} up to pi
-        # and {4.17, 6}
+        # one task per d, each with all four gaps 0.5-6 in one block per
+        # batch of scan velocities
         d_grid, omega_grid = GridSpec(1.0, 2.0, 2), GridSpec(0.5, 6.0, 4)
-        assert len(model._gap_runs(omega_grid.points())) == 2
+        for d in d_grid.points():
+            for i in range(0, model._SCAN_NODES, model._X_BATCH):
+                batch = model._scan_velocities()[i:i + model._X_BATCH]
+                assert model._gap_blocks(d, batch, omega_grid.points()) == [slice(0, 4)]
         texts = []
         for workers in (1, 2):
             buf = io.StringIO()
