@@ -27,13 +27,11 @@ from .model import DetectorSettings, find_peak_velocity
 from .quadrature import QuadratureError, QuadratureSettings
 from .sweep import (
     _PAIRS_PER_WORKER,
-    _PER_POINT,
     SweepSpec,
     _error_text,
     _load_json,
-    _point_arrays,
     _read_config,
-    _sweep_task,
+    _sweep_rows,
     _usable_workers,
     run_region_scan,
     run_sweep,
@@ -50,15 +48,14 @@ def _quad_from_args(args: argparse.Namespace) -> QuadratureSettings:
 
 
 def _cmd_point(args: argparse.Namespace) -> int:
-    quad = _quad_from_args(args)
-    block = _sweep_task(args.d, [args.omega], [args.v], quad)
-    (row,) = block.rows
-    if row.failures:
-        print(_error_text(row.failures[0]), file=sys.stderr)
+    # the row of a one-cell sweep table, without its error cell, or that
+    # error alone
+    (row,) = _sweep_rows([args.d], [args.omega], [args.v], _quad_from_args(args), 1)
+    if row.error:
+        print(row.error, file=sys.stderr)
         return 1
-    payload = {"d_over_sigma": args.d, "v": args.v, "sigma_omega": args.omega, "p": row.p,
-               **{col: float(values[0]) for col, values in zip(_PER_POINT, _point_arrays(row))},
-               "spacelike": block.spacelike[0]}
+    payload = row._asdict()
+    del payload["error"]
     json.dump(payload, sys.stdout, indent=2)
     sys.stdout.write("\n")
     return 0

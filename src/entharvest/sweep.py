@@ -8,11 +8,12 @@ one CSV line whose cells are formatted by type. Rows are NamedTuples
 (SweepRow, RegionRow) whose fields are the CSV columns. A grid of more
 than _MAX_ROWS rows is refused before any axis is built. Both jobs hand
 each d to one task with the whole omega axis; the task evaluates X in
-blocks of its gaps times batches over v. A sweep task returns each gap's
-row arrays over the v axis as they are (_SweepBlock), and run_sweep
-returns a read-only sequence of SweepRow over them (_SweepTable) that
-builds a row only when one is asked for; write_sweep_csv writes the
-arrays, formatting each axis cell once per axis position. A region task
+blocks of its gaps times batches over v. A sweep task is
+model._negativity_rows, whose row arrays over the v axis are kept as they
+are: run_sweep returns a read-only sequence of SweepRow over them
+(_SweepTable) that holds the three axes once and builds a row only when
+one is asked for; write_sweep_csv writes the arrays, formatting each axis
+cell once per axis position. A region task
 evaluates the 64 nodes of one velocity scan and labels each omega from
 its row as model.velocity_profile does.
 `workers` is a whole number >= 1, lowered to the usable CPUs
@@ -237,25 +238,7 @@ def _error_text(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-class _SweepBlock(NamedTuple):
-    """One sweep task's result: every (omega, v) at one d, as the arrays of
-    model._negativity_rows, one NegativityRow per gap, each indexed like vs,
-    and the spacelike flag of each v."""
-
-    d: float
-    gaps: list[float]
-    vs: list[float]
-    rows: list[NegativityRow]
-    spacelike: list[bool]
-
-
-def _sweep_task(d: float, gaps: list[float], vs: list[float], quad: QuadratureSettings) -> _SweepBlock:
-    """Every (omega, v) at one d, X in blocks over the gaps and batches over v."""
-    spacelike = [d >= spacelike_min_distance(v, 1.0) for v in vs]
-    return _SweepBlock(d, gaps, vs, _negativity_rows(d, gaps, vs, quad), spacelike)
-
-
-# the columns that hold one value per (omega, v) of a sweep block
+# the columns that hold one value per (omega, v) of a gap's row
 _PER_POINT = ("x_re", "x_im", "x_abs", "m", "negativity", "x_error_estimate")
 
 
@@ -266,22 +249,27 @@ def _point_arrays(row: NegativityRow) -> tuple:
 
 class _SweepTable(Sequence):
     """run_sweep's result: a read-only sequence of SweepRow, in row-major
-    (d, omega, v) order, over its tasks' blocks, which all share one gap
-    axis and one v axis.
+    (d, omega, v) order, over the three axes and, for each d, its task's
+    rows (model._negativity_rows: one NegativityRow per gap, each indexed
+    like vs).
 
-    A row is built when it is asked for, with p NaN and the error text at
-    a failed index; write_sweep_csv writes the blocks without building
-    any, and `failed` counts the failed points from the failure maps.
+    The spacelike threshold of each v is computed once, and a point is
+    spacelike where d >= it. A row is built when it is asked for, with p
+    NaN and the error text at a failed index; write_sweep_csv writes the
+    arrays without building any, and `failed` counts the failed points
+    from the failure maps.
     """
 
-    def __init__(self, blocks: list[_SweepBlock]):
-        self.blocks = blocks
-        self._per_block = len(blocks[0].gaps) * len(blocks[0].vs) if blocks else 0
-        self._len = len(blocks) * self._per_block
+    def __init__(self, ds: list[float], gaps: list[float], vs: list[float],
+                 rows: list[list[NegativityRow]]):
+        self.ds, self.gaps, self.vs, self.rows = ds, gaps, vs, rows
+        self.thresholds = [spacelike_min_distance(v, 1.0) for v in vs]
+        self._per_d = len(gaps) * len(vs)
+        self._len = len(ds) * self._per_d
 
     @property
     def failed(self) -> int:
-        return sum(len(row.failures) for block in self.blocks for row in block.rows)
+        return sum(len(row.failures) for d_rows in self.rows for row in d_rows)
 
     def __len__(self) -> int:
         return self._len
@@ -291,12 +279,11 @@ class _SweepTable(Sequence):
             return [self[i] for i in range(*k.indices(self._len))]
         if not -self._len <= k < self._len:
             raise IndexError("sweep row index out of range")
-        block_index, k = divmod(k % self._len, self._per_block)
-        block = self.blocks[block_index]
-        j, i = divmod(k, len(block.vs))
-        row = block.rows[j]
-        cells = SweepRow(block.d, block.vs[i], block.gaps[j], row.p,
-                         *[float(values[i]) for values in _point_arrays(row)], block.spacelike[i])
+        d_index, k = divmod(k % self._len, self._per_d)
+        j, i = divmod(k, len(self.vs))
+        d, row = self.ds[d_index], self.rows[d_index][j]
+        cells = SweepRow(d, self.vs[i], self.gaps[j], row.p,
+                         *[float(values[i]) for values in _point_arrays(row)], d >= self.thresholds[i])
         exc = row.failures.get(i)
         return cells if exc is None else cells._replace(p=math.nan, error=_error_text(exc))
 
@@ -355,12 +342,11 @@ def _run_grid(task: Callable[[float], object], ds: list[float], workers: int) ->
         return list(pool.map(task, ds))
 
 
-def _sweep_rows(spec: SweepSpec, workers: int) -> _SweepTable:
-    """The sweep's rows, one task per d, on up to `workers` threads, with no
-    _pool_size rule."""
-    gaps, vs = spec.sigma_omega.points().tolist(), spec.v.points().tolist()
-    return _SweepTable(_run_grid(lambda d: _sweep_task(d, gaps, vs, spec.quad),
-                                 spec.d_over_sigma.points().tolist(), workers))
+def _sweep_rows(ds: list[float], gaps: list[float], vs: list[float], quad: QuadratureSettings,
+                threads: int) -> _SweepTable:
+    """The sweep table of the three axes, one _negativity_rows task per d,
+    on up to `threads` threads, with no _pool_size rule."""
+    return _SweepTable(ds, gaps, vs, _run_grid(lambda d: _negativity_rows(d, gaps, vs, quad), ds, threads))
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> Sequence[SweepRow]:
@@ -369,8 +355,9 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> Sequence[SweepRow]:
 
     The result is a read-only sequence of SweepRow whose rows are built
     when they are asked for; write_sweep_csv writes it from its arrays."""
-    pairs = spec.d_over_sigma.count * spec.sigma_omega.count * spec.v.count
-    return _sweep_rows(spec, _pool_size(workers, pairs))
+    threads = _pool_size(workers, spec.d_over_sigma.count * spec.sigma_omega.count * spec.v.count)
+    axes = [axis.points().tolist() for axis in (spec.d_over_sigma, spec.sigma_omega, spec.v)]
+    return _sweep_rows(*axes, spec.quad, threads)
 
 
 def run_region_scan(
@@ -446,27 +433,25 @@ def write_sweep_csv(rows: Iterable[SweepRow], fh: IO[str], columns: Sequence[str
     """Write run_sweep's rows, or any iterable of SweepRow, as CSV lines of
     the named columns, each cell formatted as _cell does.
 
-    run_sweep's result is written a block and a gap at a time, with no row
+    run_sweep's result is written a d and a gap at a time, with no row
     built: each d, gap, p, v and spacelike cell is formatted once per axis
     position, and only the per-point floats once per line. A failed index
     gets the NaN p cell and its error text; every other error cell is
-    empty. Any other iterable is written as one block in which every cell
-    varies.
+    empty. Any other iterable is written by _write_csv, with every cell
+    varying.
     """
     if not isinstance(rows, _SweepTable):
         _write_csv(rows, fh, SweepRow, columns)
         return
     _check_columns(columns, SWEEP_COLUMNS)
     fh.write(",".join(columns) + "\n")
-    if not rows.blocks:
-        return
-    gap_cells = [_cell(so) for so in rows.blocks[0].gaps]
-    v_cells = [_cell(v) for v in rows.blocks[0].vs]
-    for block in rows.blocks:
-        d_cell = _cell(block.d)
-        spacelike = [_cell(flag) for flag in block.spacelike]
+    gap_cells = [_cell(so) for so in rows.gaps]
+    v_cells = [_cell(v) for v in rows.vs]
+    for d, d_rows in zip(rows.ds, rows.rows):
+        d_cell = _cell(d)
+        spacelike = [_cell(d >= threshold) for threshold in rows.thresholds]
         lines = []
-        for so_cell, row in zip(gap_cells, block.rows):
+        for so_cell, row in zip(gap_cells, d_rows):
             fixed = {"d_over_sigma": d_cell, "sigma_omega": so_cell, "p": _cell(row.p), "error": ""}
             varying = {"v": v_cells, "spacelike": spacelike}
             varying.update((col, values.tolist()) for col, values in zip(_PER_POINT, _point_arrays(row))

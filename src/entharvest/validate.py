@@ -223,12 +223,13 @@ def check_sweep_determinism(grid: str) -> tuple:
         sigma_omega=GridSpec(0.0, 4.0, counts),
         v=GridSpec(0.0, 0.99, counts),
     )
+    axes = [axis.points().tolist() for axis in (spec.d_over_sigma, spec.sigma_omega, spec.v)]
     outputs = []
     for workers in worker_sets:
         # the serial bytes are run_sweep's; each pool is started at its own
         # size, since run_sweep runs a grid this small serially (_pool_size)
         buf = io.StringIO()
-        write_sweep_csv(run_sweep(spec) if workers == 1 else _sweep_rows(spec, workers), buf)
+        write_sweep_csv(run_sweep(spec) if workers == 1 else _sweep_rows(*axes, spec.quad, workers), buf)
         outputs.append(buf.getvalue())
     identical = all(out == outputs[0] for out in outputs)
     return (identical, 0.0 if identical else 1.0, 0.0, f"{counts}^3 grid, workers {worker_sets}")

@@ -125,6 +125,24 @@ class TestSweep:
         spec = SweepSpec(GridSpec(5.0, 7.0, 2), GridSpec(0.0, 0.0, 1), GridSpec(0.0, 0.0, 1))
         rows = run_sweep(spec)
         assert [r.spacelike for r in rows] == [False, True]
+        # at v = 0.6 the threshold is 6 / sqrt(1 - v^2) = 7.5
+        spec = SweepSpec(GridSpec(7.4, 7.6, 2), GridSpec(0.0, 0.0, 1), GridSpec(0.0, 0.6, 2))
+        flags = [(r.d_over_sigma, r.v, r.spacelike) for r in run_sweep(spec)]
+        assert flags == [(7.4, 0.0, True), (7.4, 0.6, False), (7.6, 0.0, True), (7.6, 0.6, True)]
+        buf = io.StringIO()
+        write_sweep_csv(run_sweep(spec), buf, ("spacelike",))
+        assert buf.getvalue() == "spacelike\ntrue\nfalse\ntrue\ntrue\n"
+
+    def test_spacelike_threshold_once_per_v(self, monkeypatch):
+        calls = []
+        real = sweep_mod.spacelike_min_distance
+        monkeypatch.setattr(sweep_mod, "spacelike_min_distance",
+                            lambda v, sigma: calls.append(v) or real(v, sigma))
+        spec = SweepSpec(GridSpec(1.0, 7.0, 3), GridSpec(0.0, 1.0, 2), GridSpec(0.0, 0.6, 4))
+        table = run_sweep(spec)
+        write_sweep_csv(table, io.StringIO())
+        list(table)
+        assert calls == spec.v.points().tolist()
 
     def test_failure_is_flagged_not_raised(self):
         spec = SweepSpec(
@@ -252,8 +270,7 @@ class TestRowBatches:
         rows = run_sweep(spec)
         assert rows[0].error == ""
         assert rows[-1].error.startswith("ConvergenceError: no convergence")
-        alone = [sweep_mod._SweepTable([sweep_mod._sweep_task(1.0, [1.0], [v], quad)])[0]
-                 for v in spec.v.points().tolist()]
+        alone = [sweep_mod._sweep_rows([1.0], [1.0], [v], quad, 1)[0] for v in spec.v.points().tolist()]
         buf_rows, buf_alone = io.StringIO(), io.StringIO()
         write_sweep_csv(rows, buf_rows)
         write_sweep_csv(alone, buf_alone)
@@ -412,8 +429,7 @@ class TestWorkers:
     def test_library_refuses_workers_before_any_task_runs(self, workers, message, real_pools,
                                                           monkeypatch):
         tasks = []
-        monkeypatch.setattr(sweep_mod, "_sweep_task",
-                            lambda *task: tasks.append(task) or sweep_mod._SweepBlock(task[0], [], [], [], []))
+        monkeypatch.setattr(sweep_mod, "_negativity_rows", lambda *task: tasks.append(task) or [])
         monkeypatch.setattr(sweep_mod, "_region_task", lambda *task: tasks.append(task) or [])
         with pytest.raises(ValueError) as info:
             run_sweep(small_spec(), workers=workers)
@@ -438,8 +454,7 @@ class TestPoolSize:
         # 2 d x 1 gap x (_PAIRS_PER_WORKER - short) velocities; the task is
         # stubbed out, since only the pool's size is asked for
         tasks = []
-        monkeypatch.setattr(sweep_mod, "_sweep_task",
-                            lambda *task: tasks.append(task) or sweep_mod._SweepBlock(task[0], [], [], [], []))
+        monkeypatch.setattr(sweep_mod, "_negativity_rows", lambda *task: tasks.append(task) or [])
         v = GridSpec(0.0, 0.9, sweep_mod._PAIRS_PER_WORKER - short)
         run_sweep(SweepSpec(GridSpec(1.0, 2.0, 2), GridSpec(0.0, 0.0, 1), v), workers=8)
         assert real_pools == sizes and len(tasks) == 2

@@ -123,8 +123,7 @@ def test_point_prints_its_rows_json(capsys, d, v, omega, tolerances):
     flags = [arg for name, value in tolerances.items() for arg in (f"--{name.replace('_', '-')}", str(value))]
     rc = main(["point", "--d", str(d), "--v", str(v), "--omega", str(omega), *flags])
     captured = capsys.readouterr()
-    block = sweep_mod._sweep_task(d, [omega], [v], QuadratureSettings(**tolerances))
-    payload = sweep_mod._SweepTable([block])[0]._asdict()
+    payload = sweep_mod._sweep_rows([d], [omega], [v], QuadratureSettings(**tolerances), 1)[0]._asdict()
     error = payload.pop("error")
     assert rc == (1 if error else 0)
     assert captured.out == ("" if error else json.dumps(payload, indent=2) + "\n")
