@@ -36,8 +36,10 @@ calls for several gaps at once: X is integrated for a block of gaps (as
 many as the start-panel budget holds on the panels of its largest gap)
 and a batch of velocities at once, in proper time s = u sqrt(1 - v^2),
 where the phase is cos(gap s) at every velocity: the cosine is evaluated
-once per (gap, node), the rest of the integrand once per (velocity,
-node), and each (gap, v) costs two multiplies per node. negativity() is
+once per (gap, node) and the rest of the integrand once per (velocity,
+node), and integrate_line takes the two as a factor pair, whose every
+(gap, v) sum on a panel comes out of one matrix product, with no value
+formed per (gap, v, node). negativity() is
 the view of a one-gap row of one velocity, with X and its error estimate
 among its fields, that raises that velocity's failure.
 """
@@ -243,9 +245,12 @@ def _x_start(d: float, vs, gaps) -> tuple[float, float, float]:
 
 def _x_integrand(d: float, vs, gaps):
     """X's integrand in s at the velocities vs and the 1-D array of gaps
-    gaps, in sigma = 1 units; see _x_integrals. It maps n nodes to an array
-    of shape (2 m, n), m = len(gaps) * len(vs): the components R of every
-    (gap, v) in row-major order, then the components I likewise.
+    gaps, in sigma = 1 units; see _x_integrals. It maps n nodes to the
+    factor pair (h, c) of integrate_line: h of shape (2 len(vs), n) holds
+    the velocity factors R_v of every v, then the factors I_v likewise, and
+    c of shape (len(gaps), n) the cosines of every gap. Component
+    k 2 len(vs) + i, the product c_k h_i, is R at (gap k, v i) for
+    i < len(vs), and I at (gap k, v i - len(vs)) for the rest.
     """
     v = np.asarray(vs, dtype=float)[:, None]
     v2 = v * v
@@ -257,23 +262,20 @@ def _x_integrand(d: float, vs, gaps):
     jacobian = 1.0 / np.sqrt(b2)  # du/ds
     re_scale = jacobian * np.exp(-0.25 * d2 * b2)
     im_scale = jacobian * _TWO_OVER_SQRT_PI
-    phase = np.asarray(gaps, dtype=float)[:, None, None]
-    shape = (2, phase.shape[0], v.shape[0])
+    phase = np.asarray(gaps, dtype=float)[:, None]
 
-    def integrand(s: np.ndarray) -> np.ndarray:
+    def integrand(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         s2 = s * s
         q = np.sqrt(q_s2 * s2 + d2)
-        real = np.exp(re_s2 * s2)
+        h = np.empty((2, v.shape[0], s.size))
+        real, imag = h
+        np.exp(re_s2 * s2, out=real)
         real *= re_scale
         real /= q
-        imag = dawsn(dawsn_q * q)
+        dawsn(dawsn_q * q, out=imag)
         imag *= im_scale * np.exp(-0.25 * s2)
         imag /= q
-        cos = np.cos(phase * s)  # once per (gap, node), broadcast over v
-        out = np.empty((*shape, s.size))
-        np.multiply(real, cos, out=out[0])
-        np.multiply(imag, cos, out=out[1])
-        return out.reshape(-1, s.size)
+        return h.reshape(-1, s.size), np.cos(phase * s)
 
     return integrand
 
@@ -291,8 +293,11 @@ def _x_integrals(d: float, vs, gaps, settings: QuadratureSettings) -> tuple[np.n
     and X = -i (1-v^2)/(8 pi) (R + i I), with R and I the integrals of its
     real and imaginary parts times cos(f u) / q: two real components per
     (gap, v). Each is a factor of (v, s) times cos(gap s), so the cosine is
-    evaluated once per gap and node, the Gaussians, q and dawsn once per
-    velocity and node, and each (gap, v) costs two multiplies per node. The
+    evaluated once per gap and node and the Gaussians, q and dawsn once per
+    velocity and node. integrate_line gets them as the factor pair of
+    _x_integrand and contracts each panel's cosines, GK15 weights and
+    velocity factors in one matrix product; no (gap, v) product is formed,
+    except for one gap, whose products cost less than the contraction. The
     Jacobian du/ds = 1/sqrt(1-v^2), e^{-d^2 (1-v^2)/4} and 2/sqrt(pi) are
     per-velocity scales, so abs_tol still bounds the u-integral's error.
 
@@ -321,13 +326,12 @@ def _x_integrals(d: float, vs, gaps, settings: QuadratureSettings) -> tuple[np.n
                                max_frequency=max_frequency, singularity_distance=s_b)
     v = np.asarray(vs, dtype=float)
     pref = (1.0 - v) * (1.0 + v) / (8.0 * math.pi)  # times 1/i
-    shape = (len(gaps), v.size)
-    km = math.prod(shape)
-    re, im = parts.value.real[:km].reshape(shape), parts.value.real[km:].reshape(shape)
-    x = np.empty(shape, dtype=complex)
-    x.real = pref * im
-    x.imag = -pref * re
-    return x, pref * (parts.error_estimate[:km] + parts.error_estimate[km:]).reshape(shape)
+    value = parts.value.real.reshape(-1, 2, v.size)  # (gap, R then I, v)
+    err = parts.error_estimate.reshape(value.shape)
+    x = np.empty((value.shape[0], v.size), dtype=complex)
+    x.real = pref * value[:, 1]
+    x.imag = -pref * value[:, 0]
+    return x, pref * (err[:, 0] + err[:, 1])
 
 
 def _gap_blocks(d: float, batch, gaps: np.ndarray) -> list[slice]:
@@ -337,8 +341,9 @@ def _gap_blocks(d: float, batch, gaps: np.ndarray) -> list[slice]:
     From the largest gap left over down, a block takes as many gaps as fit
     within integrate_line's start-panel limit on that gap's own panels, at
     2 len(batch) components each (quadrature._stacks): an extra gap costs
-    two multiplies per (v, node), while the rest of the integrand and the
-    integral's fixed cost are paid once per block. A row's values thus
+    one cosine per node and one more row of each panel's matrix product
+    (see _x_integrals), while the rest of the integrand and the integral's
+    fixed cost are paid once per block. A row's values thus
     depend on its whole gap axis. A gap over the limit alone is a block of
     its own; integrate_line refuses it, and its row falls back to single
     velocities.

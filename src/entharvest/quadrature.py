@@ -10,9 +10,14 @@ tail bound.
 
 Integrands must be vectorized: they are called with a 1-D numpy array of
 n abscissae and return n values (real or complex), or an (m, n) array of
-m components. All components share one panel set, each is held to its own
-tolerance, and a panel is split while any unfinished component needs it;
-so one call integrates a whole family, such as X at several velocities.
+m components, or a factor pair (h, c) of real arrays of shape (I, n) and
+(J, n), for the m = I J components c_j h_i in row j I + i. A pair's
+products are never formed: on each panel the Kronrod and Gauss sums of
+every component come from one matrix product of its c, the weights and
+its h (one row of c is multiplied out instead, which costs less). All
+components share one panel set, each is held to its own tolerance, and a
+panel is split while any unfinished component needs it; so one call
+integrates a whole family, such as X at several velocities and gaps.
 Such a call returns one IntegralResult whose value and error estimate are
 arrays of shape (m,), so no object is built per component.
 Start panels are a quarter period of the fastest oscillation wide (at most
@@ -46,7 +51,7 @@ __all__ = [
     "integrate_interval",
 ]
 
-Integrand = Callable[[np.ndarray], np.ndarray]
+Integrand = Callable[[np.ndarray], np.ndarray | tuple[np.ndarray, np.ndarray]]
 
 
 def _whole_number(name: str, value) -> int:
@@ -193,6 +198,10 @@ _WG = np.array(
         0.12948496616886969327,
     ]
 )
+# The Kronrod weights, and the Gauss weights at their nodes with 0 at the
+# others, as the rows of one matrix
+_W2 = np.stack([_WK, np.zeros(15)])
+_W2[1, 1::2] = _WG
 
 
 # Start panels allowed before any evaluation, counted once per component of
@@ -201,8 +210,11 @@ _WG = np.array(
 # pi / (2 gap) wide: about 7.64 * gap start panels each, so the limit falls
 # near gap 4287 (267.9 for a batch of 16, 266.7-267.1 at d/sigma in
 # [0.5, 4] for one that reaches v = 1 - 1e-9 and so carries graded panels
-# too), where P has long underflowed to 0; past it the start arrays alone
-# would need gigabytes.
+# too), where P has long underflowed to 0. The count bounds a pass's
+# arrays: 15 values per component and panel for an (m, n) integrand, and
+# for a factor pair 2 sums per component and panel besides 15 (I + J)
+# factor values per panel. Past it the start arrays alone would need
+# gigabytes.
 _MAX_START_PANELS = 1 << 16
 
 # _adaptive splits no panel narrower than this fraction of its window.
@@ -265,20 +277,60 @@ def _start_edges(lo: float, b: float, spacing: float,
 
 def _eval_panels(f: Integrand, lo: np.ndarray, hi: np.ndarray, scale: float):
     """GK15 on every panel, times scale: (kronrod, |kronrod - gauss|), each of
-    shape (panels,) for a scalar integrand and (m, panels) for m components."""
+    shape (panels,) for a scalar integrand and (m, panels) for m components,
+    m = J I for a factor pair (see _contract)."""
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     x = center[:, None] + half[:, None] * _NODES
     flat = x.reshape(-1)
-    y = np.asarray(f(flat))
+    y = f(flat)
+    jac = scale * half
+    if isinstance(y, tuple):
+        if y[1].shape[0] > 1:
+            return _contract(*y, flat, jac)
+        y = _products(*y)  # one row of c: its products cost less than a contraction
+    y = np.asarray(y)
     y = y.reshape(*y.shape[:-1], *x.shape)
     if not np.isfinite(y).all():
         finite = np.isfinite(y).reshape(-1, flat.size).all(axis=0)
         raise NonFiniteIntegrandError(float(flat[~finite][0]))
-    jac = scale * half
     kron = (y @ _WK) * jac
     gauss = (y[..., 1::2] @ _WG) * jac
     return kron, np.abs(kron - gauss)
+
+
+def _products(h: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The components c_j h_i of the factor pair (h, c), in row j I + i."""
+    return (c[:, None, :] * h).reshape(-1, h.shape[-1])
+
+
+def _contract(h: np.ndarray, c: np.ndarray, flat: np.ndarray, jac: np.ndarray):
+    """_eval_panels of the components c_j h_i of the factor pair h (I, n),
+    c (J, n), component j I + i, without forming them: on each panel p the
+    Kronrod and Gauss sums are C_p diag(jac_p w) H_p^T, rows j and columns
+    i, from one batched matmul over the panels.
+
+    Every Kronrod weight is positive, so a non-finite node makes its
+    Kronrod sums non-finite. Only then are the factors searched, for the
+    first node where a product c_j h_i is not finite, which is the first
+    where max_j |c_j| max_i |h_i| is not. (A product that overflows where
+    jac_p w times it does not is integrated, not refused.)
+    """
+    panels, m = jac.size, h.shape[0] * c.shape[0]
+    cw = np.empty((panels, 2, c.shape[0], 15))  # c times each weight row, panel by panel
+    # an inf factor times a Gauss weight of 0 is a NaN, which the check catches
+    with np.errstate(invalid="ignore"):
+        np.multiply(c.reshape(-1, panels, 15).transpose(1, 0, 2)[:, None],
+                    (jac[:, None, None] * _W2)[:, :, None, :], out=cw)
+        sums = np.matmul(cw.reshape(panels, -1, 15), h.reshape(-1, panels, 15).transpose(1, 2, 0))
+    sums = sums.reshape(panels, 2, m)
+    kron = sums[:, 0].T
+    if not np.isfinite(kron).all():
+        with np.errstate(invalid="ignore", over="ignore"):
+            finite = np.isfinite(np.abs(c).max(axis=0) * np.abs(h).max(axis=0))
+        if not finite.all():
+            raise NonFiniteIntegrandError(float(flat[~finite][0]))
+    return kron, np.abs(kron - sums[:, 1].T)
 
 
 def _adaptive(f: Integrand, edges: np.ndarray, settings: QuadratureSettings,
@@ -386,7 +438,10 @@ def _integrate_window(
     checked before the first pass allocates."""
     start = _window_start(envelope_width, max_frequency, singularity_distance)
     a = float(start[-1])  # c w
-    edge = scale * np.abs(np.asarray(integrand(np.array([a]))))
+    edge = integrand(np.array([a]))
+    if isinstance(edge, tuple):
+        edge = _products(*edge)  # |c_j h_i| = |c_j| |h_i| at a
+    edge = scale * np.abs(np.asarray(edge))
     _check_start_panels(start.size - 1, edge.size)
     value, err = _adaptive(integrand, start, settings, scale)
     return _result(value, err + _gaussian_tail_bound(edge.sum(axis=-1), float(envelope_width), a))

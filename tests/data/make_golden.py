@@ -19,7 +19,11 @@ four gaps from 1.6 to 3.1 are one block on start panels sized for 3.1.
 X is integrated in proper time s (model._x_integrals), so the abscissa
 that a failing row's error text names is an s value. Any change to how X
 is integrated moves the last digits of the x_* cells; rerun this script
-then, and compare the old and new cells against rel_tol |X| + abs_tol.
+then. It reads each file before it writes it again, and prints for each
+how its cells moved: the largest move of an x_*, m, negativity or n_star
+cell in units of its row's rel_tol |X| + abs_tol, v_star's largest move,
+and every other cell (an axis, a label, p, an error) whose text changed;
+for the validate report, every field of a check that changed.
 Ending every window at sqrt(ln(1/eps)) envelope widths, with no panel
 past that cut (the window end is no longer a setting), moved every x_*
 cell of the default-tolerance files by at most 7.4e-5 of that, and the
@@ -42,12 +46,15 @@ and reported should leave it as it was.
 
 from __future__ import annotations
 
+import csv
 import json
 import sys
 import tempfile
 from pathlib import Path
 
 from entharvest.cli import main
+from entharvest.model import DetectorSettings, transition_probability
+from entharvest.quadrature import QuadratureSettings
 
 DATA = Path(__file__).resolve().parent
 
@@ -104,9 +111,70 @@ def run_validate(out: Path) -> int:
     return main(["validate", "--grid", "coarse", "--out", str(out)])
 
 
+def _moves(name: str, old: str, new: str) -> str:
+    """How the cells of case `name`'s CSV moved from the text old to new.
+
+    An x_*, m, negativity or n_star cell moves in units of its row's
+    rel_tol |X| + abs_tol, at the case's tolerances, with |X| = x_abs or,
+    in a region row, n_star + P; the largest move is given with its cell.
+    A v_star cell moves by its absolute change. Every other cell (axes,
+    labels, p, error) is listed where its text changed."""
+    quad = QuadratureSettings(**CASES[name][1].get("quadrature", {}))
+    old_rows, new_rows = (list(csv.DictReader(text.splitlines())) for text in (old, new))
+    if old.splitlines()[:1] != new.splitlines()[:1] or len(old_rows) != len(new_rows):
+        return "header or row count changed"
+    worst, worst_at, v_star, changed = 0.0, "", 0.0, []
+    for r, (a, b) in enumerate(zip(old_rows, new_rows), start=2):  # line numbers
+        if "x_abs" in a:
+            x_abs = float(a["x_abs"])
+        elif a.get("n_star"):
+            gap = float(a["sigma_omega"])
+            x_abs = float(a["n_star"]) + transition_probability(DetectorSettings(1.0, gap))
+        else:
+            x_abs = 0.0
+        for column, cell in a.items():
+            if cell == b[column]:
+                continue
+            if column.startswith("x_") or column in ("m", "negativity", "n_star"):
+                move = abs(float(b[column]) - float(cell)) / (quad.rel_tol * abs(x_abs) + quad.abs_tol)
+                if not move <= worst:  # a NaN move shows as nan
+                    worst, worst_at = move, f"{column}, line {r}"
+            elif column == "v_star" and cell and b[column]:
+                v_star = max(v_star, abs(float(b[column]) - float(cell)))
+            else:
+                changed.append(f"line {r} {column}: {cell!r} -> {b[column]!r}")
+    report = [f"largest move {worst:.2g} of rel_tol |X| + abs_tol" + (f" ({worst_at})" if worst_at else "")]
+    if v_star:
+        report.append(f"v_star by at most {v_star:.2g}")
+    report.extend(changed or ["no other cell changed"])
+    return "; ".join(report)
+
+
+def _report_moves(old: dict, new: dict) -> str:
+    """The checks of the validate report whose fields changed from old to new."""
+    old_checks = {c["name"]: c for c in old["checks"]}
+    changed = [f"{c['name']}.{key}: {old_checks.get(c['name'], {}).get(key)!r} -> {value!r}"
+               for c in new["checks"] for key, value in c.items()
+               if old_checks.get(c["name"], {}).get(key) != value]
+    if old["all_passed"] != new["all_passed"] or len(old["checks"]) != len(new["checks"]):
+        changed.insert(0, "all_passed or the number of checks changed")
+    return "; ".join(changed) or "no field changed"
+
+
+def _rewrite(path: Path, write, moves) -> None:
+    """Write path with write(path), then print how its content moved."""
+    old = path.read_text(encoding="utf-8") if path.exists() else None
+    write(path)
+    new = path.read_text(encoding="utf-8")
+    if old is None:
+        print(f"{path.name}: new file")
+    else:
+        print(f"{path.name}: " + ("unchanged" if old == new else moves(old, new)))
+
+
 if __name__ == "__main__":
     for case in CASES:
-        run_case(case, DATA / case)
-        print(f"wrote {DATA / case}", file=sys.stderr)
-    run_validate(DATA / VALIDATE)
-    print(f"wrote {DATA / VALIDATE}", file=sys.stderr)
+        _rewrite(DATA / case, lambda path: run_case(case, path),
+                 lambda old, new: _moves(case, old, new))
+    _rewrite(DATA / VALIDATE, run_validate,
+             lambda old, new: _report_moves(json.loads(old), json.loads(new)))

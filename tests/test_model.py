@@ -178,6 +178,14 @@ def mp_u_form(mp, d, v, gap, s):
 class TestProperTime:
     """X is integrated in proper time s = u sqrt(1 - v^2); see model._x_integrals."""
 
+    @staticmethod
+    def components(d, vs, gaps, s) -> np.ndarray:
+        """_x_integrand's components at the nodes s: every product c_k h_i of
+        its factor pair, in row k len(h) + i."""
+        s = np.asarray(s, dtype=float)
+        h, c = model._x_integrand(d, vs, gaps)(s)
+        return (c[:, None, :] * h[None, :, :]).reshape(-1, s.size)
+
     @pytest.mark.parametrize("d,v,gap,s", [
         (1.0, 0.5, 1.0, 0.7), (2.0, 0.99, 2.0, 3.1), (0.5, 1.0 - 1e-6, 1.0, 0.01),
         (0.3, 0.0, 0.5, 2.0), (1.0, 1.0 - 1e-9, 3.0, 1e-4), (4.0, 0.3, 0.0, 5.0),
@@ -187,16 +195,17 @@ class TestProperTime:
         mp = pytest.importorskip("mpmath")
         with mp.workdps(40):
             ref = [float(part) for part in mp_u_form(mp, d, v, gap, s)]
-        got = model._x_integrand(d, [v], [gap])(np.array([s]))[:, 0]
+        got = self.components(d, [v], [gap], [s])[:, 0]
         for g, r in zip(got, ref):
             assert abs(g - r) <= 16 * np.spacing(abs(r))
 
     def test_integrand_lists_r_then_i_for_every_gap_and_v(self):
+        # gap by gap, the R components of every v, then the I components
         vs, gaps, s = [0.0, 0.6, 1.0 - 1e-9], np.array([0.5, 1.0]), np.linspace(0.1, 9.0, 7)
-        block = model._x_integrand(1.0, vs, gaps)(s).reshape(2, gaps.size, len(vs), s.size)
+        block = self.components(1.0, vs, gaps, s).reshape(gaps.size, 2, len(vs), s.size)
         for k, gap in enumerate(gaps):
             for i, v in enumerate(vs):
-                assert np.array_equal(block[:, k, i], model._x_integrand(1.0, [v], [gap])(s))
+                assert np.array_equal(block[k, :, i], self.components(1.0, [v], [gap], s))
 
     @pytest.mark.parametrize("d", [0.1, 1.0, 4.0])
     @pytest.mark.parametrize("v", [0.99, 1.0 - 1e-6, 1.0 - 1e-9])
@@ -206,7 +215,7 @@ class TestProperTime:
         # 2 / sqrt(1 + v^2) of e^{-A}, at whose cut it is far above eps
         eps = np.finfo(float).eps
         width = model._x_start(d, [v], [0.0])[0]
-        imag = lambda s: model._x_integrand(d, [v], np.array([0.0]))(np.asarray(s))[1]
+        imag = lambda s: self.components(d, [v], [0.0], s)[1]
         peak = imag(np.linspace(0.0, 10.0, 2001)).max()
         assert width == 2.0
         assert imag([quadrature._NEGLIGIBLE_SIGMAS * width])[0] < eps * peak
@@ -344,7 +353,8 @@ class TestGapBlocks:
             def seen(t):
                 out = integrand(t)
                 if len(calls) == first:
-                    calls.append(out.shape[0])
+                    h, c = out  # one component per product c_k h_i
+                    calls.append(h.shape[0] * c.shape[0])
                 return out
             try:
                 return real(seen, *args, **kwargs)

@@ -588,3 +588,76 @@ class TestVector:
             integrate_line(f, 1.0, s, max_frequency=40.0)
         # the oscillating component is the one left unfinished
         assert abs(info.value.value) < 1e-6
+
+
+class TestFactorPair:
+    """An integrand may return a factor pair (h, c), h of shape (I, n) and c
+    of shape (J, n), for the I J components c_j h_i in row j I + i; their
+    panel sums are contracted from the factors, and the products are never
+    formed (quadrature._contract)."""
+
+    SHAPES = [(3, 1), (1, 4), (4, 5), (8, 12)]
+    WIDTH = 2.5  # wider than every e^{-a u^2} (1 + b u^2) below
+
+    @staticmethod
+    def factors(seed: int, i: int, j: int):
+        """Seeded positive factors: Gaussians times quadratics, and cosines
+        shifted above 0 at frequencies up to 8. Declared with no frequency,
+        the start panels are 2.5 wide, so the refinement loop runs."""
+        rng = np.random.default_rng(seed)
+        a, b = rng.uniform(0.3, 1.0, (i, 1)), rng.uniform(0.0, 2.0, (i, 1))
+        k, shift = rng.uniform(0.0, 8.0, (j, 1)), rng.uniform(1.1, 2.0, (j, 1))
+        return lambda u: (np.exp(-a * u * u) * (1.0 + b * u * u), shift + np.cos(k * u))
+
+    @staticmethod
+    def multiplied_out(pair):
+        """The (I J, n) array of pair's products, in the pair's row order."""
+        def f(u):
+            h, c = pair(u)
+            return (c[:, None, :] * h[None, :, :]).reshape(-1, u.size)
+        return f
+
+    @staticmethod
+    def counted(f, calls: list):
+        def g(u):
+            calls.append(u.size)
+            return f(u)
+        return g
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("i,j", SHAPES)
+    def test_a_pair_integrates_as_its_products(self, seed, i, j):
+        pair = self.factors(seed, i, j)
+        s = QuadratureSettings(rel_tol=1e-12, abs_tol=1e-300)
+        pair_calls, dense_calls = [], []
+        got = integrate_line(self.counted(pair, pair_calls), self.WIDTH, s)
+        want = integrate_line(self.counted(self.multiplied_out(pair), dense_calls), self.WIDTH, s)
+        assert len(pair_calls) > 2  # the window edge, the first pass, a refinement pass
+        assert pair_calls == dense_calls
+        assert got.value.shape == got.error_estimate.shape == (i * j,)
+        # every term of every sum is positive, so summing in another order
+        # moves a value by a few ulps of itself, and an error estimate, a sum
+        # of |kronrod - gauss| over panels plus the same tail bound, by a few
+        # ulps of the value
+        ulps = 8.0 * np.finfo(float).eps * np.abs(want.value)
+        assert (np.abs(got.value - want.value) <= ulps).all()
+        assert (np.abs(got.error_estimate - want.error_estimate) <= ulps).all()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("factor", ["h", "c"])
+    @pytest.mark.parametrize("j", [1, 3])
+    def test_a_non_finite_factor_names_the_dense_abscissa(self, j, factor, bad):
+        pair = self.factors(0, 4, j)
+
+        def broken(u):
+            h, c = pair(u)
+            row = (h if factor == "h" else c)[-1]
+            row[np.abs(u - 0.5) < 0.2] = bad
+            return h, c
+
+        with pytest.raises(NonFiniteIntegrandError) as got:
+            integrate_line(broken, self.WIDTH, DEFAULT)
+        with pytest.raises(NonFiniteIntegrandError) as want:
+            integrate_line(self.multiplied_out(broken), self.WIDTH, DEFAULT)
+        assert got.value.abscissa == want.value.abscissa
+        assert 0.3 < got.value.abscissa < 0.7
