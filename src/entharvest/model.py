@@ -268,7 +268,7 @@ def _x_integrand(d: float, vs, gaps):
         s2 = s * s
         q = np.sqrt(q_s2 * s2 + d2)
         h = np.empty((2, v.shape[0], s.size))
-        real, imag = h
+        real, imag = h[0], h[1]
         np.exp(re_s2 * s2, out=real)
         real *= re_scale
         real /= q

@@ -286,9 +286,10 @@ def _eval_panels(f: Integrand, lo: np.ndarray, hi: np.ndarray, scale: float):
     y = f(flat)
     jac = scale * half
     if isinstance(y, tuple):
-        if y[1].shape[0] > 1:
-            return _contract(*y, flat, jac)
-        y = _products(*y)  # one row of c: its products cost less than a contraction
+        h, c = y
+        if c.shape[0] > 1:
+            return _contract(h, c, flat, jac)
+        y = c * h  # one row of c: its products cost less than a contraction
     y = np.asarray(y)
     y = y.reshape(*y.shape[:-1], *x.shape)
     if not np.isfinite(y).all():
