@@ -338,8 +338,8 @@ def _adaptive(f: Integrand, edges: np.ndarray, settings: QuadratureSettings,
               scale: float = 1.0):
     """Globally adaptive GK15 of scale * f from the start panels between edges.
 
-    f returns n values for n nodes, or an (m, n) array of m components that
-    share one panel set. Returns (value, refinement error), scalars or of
+    f returns n values for n nodes, or an (m, n) array or a factor pair of
+    m components that share one panel set. Returns (value, refinement error), scalars or of
     shape (m,). A component is finished when its error is at most
     max(abs_tol, rel_tol * |value|); a panel splits when its error in any
     unfinished component exceeds that component's equal share. The scale is

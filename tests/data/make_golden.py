@@ -135,11 +135,13 @@ def _moves(name: str, old: str, new: str) -> str:
         for column, cell in a.items():
             if cell == b[column]:
                 continue
-            if column.startswith("x_") or column in ("m", "negativity", "n_star"):
+            if not (cell and b[column]):  # a cell that appeared or went, as n_star with a label
+                changed.append(f"line {r} {column}: {cell!r} -> {b[column]!r}")
+            elif column.startswith("x_") or column in ("m", "negativity", "n_star"):
                 move = abs(float(b[column]) - float(cell)) / (quad.rel_tol * abs(x_abs) + quad.abs_tol)
                 if not move <= worst:  # a NaN move shows as nan
                     worst, worst_at = move, f"{column}, line {r}"
-            elif column == "v_star" and cell and b[column]:
+            elif column == "v_star":
                 v_star = max(v_star, abs(float(b[column]) - float(cell)))
             else:
                 changed.append(f"line {r} {column}: {cell!r} -> {b[column]!r}")
