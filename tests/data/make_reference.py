@@ -2,7 +2,7 @@
 
 Run from the repository root; it needs mpmath, one of the test extras:
 
-    python tests/data/make_reference.py                    # every point
+    python tests/data/make_reference.py                    # every point, about 2 min
     python tests/data/make_reference.py --points 1 --out first.csv
 
 The second form writes the first point alone, as CI does to show that the
@@ -115,7 +115,6 @@ def main(argv=None) -> int:
             writer.writerow([repr(d), repr(v), repr(gap), dps,
                              mp.nstr(x.real, 25, min_fixed=1, max_fixed=0),
                              mp.nstr(x.imag, 25, min_fixed=1, max_fixed=0)])
-            fh.flush()
             print(f"d={d:.4g} v={v!r} gap={gap:.4g}: {dps} digits", file=sys.stderr)
     return 0
 

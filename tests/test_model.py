@@ -182,9 +182,7 @@ class TestProperTime:
     def components(d, vs, gaps, s) -> np.ndarray:
         """_x_integrand's components at the nodes s: every product c_k h_i of
         its factor pair, in row k len(h) + i."""
-        s = np.asarray(s, dtype=float)
-        h, c = model._x_integrand(d, vs, gaps)(s)
-        return (c[:, None, :] * h[None, :, :]).reshape(-1, s.size)
+        return quadrature._products(*model._x_integrand(d, vs, gaps)(np.asarray(s, dtype=float)))
 
     @pytest.mark.parametrize("d,v,gap,s", [
         (1.0, 0.5, 1.0, 0.7), (2.0, 0.99, 2.0, 3.1), (0.5, 1.0 - 1e-6, 1.0, 0.01),
