@@ -59,6 +59,14 @@ _PANEL_BUDGET components x start panels, so its arrays stay the size of
 one large inner integral (unbounded stacks raised validate's peak RSS by
 30%); a parameter that needs more start panels than that runs alone. The
 batching changes only the loop: each inner error is charged as before.
+
+Gap axis. X's inner integrals depend on u through rho alone, not on the
+gap, so _x_oracle integrates X at a whole axis of gaps in one outer
+integral, one component per gap on start panels sized for the largest:
+each outer pass computes the inner integrals and the sine tail once for
+every gap, and each gap is charged its own outer error plus the inner
+bound they share. x_momentum_oracle is its one-gap view. The P oracle's
+inner integrand depends on the gap, so it stays one gap per call.
 """
 
 from __future__ import annotations
@@ -200,12 +208,12 @@ def _radial(rho: np.ndarray, r: np.ndarray) -> np.ndarray:
     return out
 
 
-def x_momentum_oracle(det: DetectorSettings, geom: EncounterGeometry) -> tuple[complex, float]:
-    """Correlation term X from the nested momentum integral; (value, error)."""
+def _x_oracle(d: float, v: float, gaps) -> tuple[np.ndarray, np.ndarray]:
+    """X and its error estimate at every gap in gaps from one outer integral,
+    in sigma = 1 units (d is d/sigma, a gap sigma*omega): a complex and a
+    float array indexed like gaps. See the module docstring's gap axis."""
     quad = QuadratureSettings()
-    d = geom.d / det.sigma
-    v = geom.v
-    g = det.gap
+    phase = np.asarray(gaps, dtype=float)[:, None]
     b2 = 1.0 - v * v
     d2_over_gamma2 = d * d * b2
     inner_err_max = 0.0
@@ -219,13 +227,19 @@ def x_momentum_oracle(det: DetectorSettings, geom: EncounterGeometry) -> tuple[c
         val, err = _inner_integrals(_radial, rho, spacing, 0.0, _RADIAL_CUTOFF, quad)
         tail, tail_bound = _sine_tail(_RADIAL_CUTOFF, rho)
         inner_err_max = max(inner_err_max, float(((err + tail_bound) / rho).max()))
-        weight = 2.0 * np.exp(-0.25 * u * u) * np.cos(g * u) / rho[inverse]
+        weight = 2.0 * np.exp(-0.25 * u * u) * np.cos(phase * u) / rho[inverse]
         return weight * (val + 1j * tail)[inverse]
 
-    res = integrate_halfline(outer, 2.0, quad, max_frequency=g)
+    res = integrate_halfline(outer, 2.0, quad, max_frequency=float(phase.max()))
     pref = _SQRT_PI * b2 / (4.0 * math.pi * math.pi)
     # inner errors enter through the outer weight; 2 sqrt(pi) bounds the
     # Gaussian weight's integral
     err = pref * (res.error_estimate + inner_err_max * 2.0 * _SQRT_PI)
     # land in the fast path's phase convention (see module docstring)
-    return complex(pref * res.value.conjugate()), err
+    return pref * res.value.conjugate(), err
+
+
+def x_momentum_oracle(det: DetectorSettings, geom: EncounterGeometry) -> tuple[complex, float]:
+    """Correlation term X from the nested momentum integral; (value, error)."""
+    x, err = _x_oracle(geom.d / det.sigma, geom.v, [det.gap])
+    return complex(x[0]), float(err[0])

@@ -6,8 +6,11 @@ names each check; run_validation runs them in that order and collects
 their results into a machine-readable report, a check that raises as a
 failed one under its name. The fast path and the momentum-space oracles it
 is checked against both run at the QuadratureSettings() defaults, the
-settings the pass bounds assume. The "coarse" grid shrinks the sweep axes
-for a quick smoke run; "full" runs the complete desk-scale grids.
+settings the pass bounds assume. A check that needs the fast path at
+several points of one d takes them from one row call (_rows), and the X
+oracle check integrates each (d, v) once over its whole gap axis. The
+"coarse" grid shrinks the sweep axes for a quick smoke run; "full" runs
+the complete desk-scale grids.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ from . import oracle as oracle_mod
 from .model import (
     DetectorSettings,
     EncounterGeometry,
+    NegativityRow,
+    _negativity_rows,
     find_peak_velocity,
     negativity,
     omega_peak_threshold,
@@ -61,6 +66,16 @@ def check_p_closed_form_limits(grid: str) -> tuple:
                   f"gap=0 dev {dev0:.2e} (tol 1e-12); gap=1 dev {dev1:.2e} (tol 1e-7)")
 
 
+def _rows(d: float, gaps, vs) -> list[NegativityRow]:
+    """The fast path at sigma = 1 on gaps x vs at one d, from one
+    _negativity_rows call; a point that fails raises, as in negativity."""
+    rows = _negativity_rows(d, gaps, vs)
+    for row in rows:
+        for exc in row.failures.values():
+            raise exc
+    return rows
+
+
 def _x_grid(grid: str):
     if grid == "full":
         return (0.5, 1.0, 2.0, 4.0), (0.0, 0.3, 0.6, 0.9), (0.0, 0.5, 1.0, 2.0, 4.0)
@@ -71,28 +86,23 @@ def check_x_oracle_vs_fast_path(grid: str) -> tuple:
     ds, vs, gaps = _x_grid(grid)
     worst = 0.0
     for d in ds:
-        for gap in gaps:
-            det = DetectorSettings(1.0, gap)
-            for v in vs:
-                geom = EncounterGeometry(d, v)
-                fast = negativity(det, geom).x
-                slow, _ = oracle_mod.x_momentum_oracle(det, geom)
-                dev = abs(slow - fast) / max(abs(fast), 1e-5)  # floor 1e-10 / 1e-5
-                worst = max(worst, dev)
+        fast = np.array([row.x for row in _rows(d, gaps, vs)])  # (gap, v)
+        for j, v in enumerate(vs):
+            slow, _ = oracle_mod._x_oracle(d, v, gaps)
+            dev = np.abs(slow - fast[:, j]) / np.maximum(np.abs(fast[:, j]), 1e-5)  # floor 1e-10 / 1e-5
+            worst = max(worst, float(dev.max()))
     return _check(worst, 1e-5,
                   f"{len(ds) * len(vs) * len(gaps)} (d, v, gap) points, relative with 1e-10 floor")
 
 
 def check_static_reduction(grid: str) -> tuple:
-    ds = np.linspace(0.25, 6.0, 5)
-    gaps = np.linspace(0.0, 4.0, 5)
+    ds = np.linspace(0.25, 6.0, 5).tolist()
+    gaps = np.linspace(0.0, 4.0, 5).tolist()
     worst = 0.0
     for d in ds:
-        for gap in gaps:
-            det = DetectorSettings(1.0, float(gap))
-            closed = static_x_abs(det, float(d))
-            x = negativity(det, EncounterGeometry(float(d), 0.0)).x
-            worst = max(worst, abs(abs(x) - closed) / closed)
+        for gap, row in zip(gaps, _rows(d, gaps, [0.0])):
+            closed = static_x_abs(DetectorSettings(1.0, gap), d)
+            worst = max(worst, abs(float(row.x_abs[0]) - closed) / closed)
     n = negativity(DetectorSettings(1.0, 0.0), EncounterGeometry(1.0, 0.0))
     n_dev = abs(n.negativity - 0.049378)
     ok = worst <= 1e-8 and n_dev <= 1e-6
@@ -103,9 +113,7 @@ def check_degenerate_gap_extinction(grid: str) -> tuple:
     det = DetectorSettings(1.0, 0.0)
     n_points = 50 if grid == "full" else 10
     vs = np.linspace(0.0, 0.99, n_points)
-    worst = max(
-        negativity(det, EncounterGeometry(2.0, float(v))).negativity for v in vs
-    )
+    worst = float(_rows(2.0, [det.gap], vs)[0].negativity.max())
     n_small = negativity(det, EncounterGeometry(0.5, 0.0)).negativity
     ok = worst == 0.0 and n_small > 0.0
     return (ok, worst, 0.0,
@@ -123,10 +131,8 @@ def check_scale_invariance(grid: str) -> tuple:
 
 def _fd_slope(d: float, gap: float) -> float:
     """Finite difference of |X|^2 in v^2 at v = 0, step 1e-3, quadrature-based."""
-    det = DetectorSettings(1.0, gap)
-    x0 = abs(negativity(det, EncounterGeometry(d, 0.0)).x) ** 2
-    xh = abs(negativity(det, EncounterGeometry(d, math.sqrt(1e-3))).x) ** 2
-    return (xh - x0) / 1e-3
+    x0, xh = _rows(d, [gap], [0.0, math.sqrt(1e-3)])[0].x_abs ** 2
+    return float(xh - x0) / 1e-3
 
 
 def _bisect_gap_threshold(d: float) -> float:
@@ -176,11 +182,9 @@ def check_peak_phenomenology(grid: str) -> tuple:
     ds, _vs, gaps = _x_grid(grid)
     v_deep = 1.0 - 1e-12
     for d in ds:
-        for gap in gaps:
-            det = DetectorSettings(1.0, gap)
-            if static_negativity(det, d) <= 0.0:
-                continue
-            n_deep = negativity(det, EncounterGeometry(d, v_deep)).negativity
+        live = [gap for gap in gaps if static_negativity(DetectorSettings(1.0, gap), d) > 0.0]
+        for gap, row in zip(live, _rows(d, live, [v_deep])):
+            n_deep = float(row.negativity[0])
             if n_deep != 0.0:
                 return (False, n_deep, 0.0, f"no extinction by v = {v_deep} at (d={d}, gap={gap})")
     return (True, 0.0, 0.0, "peak at (1,1), monotone at (1,0.5), extinction on the grid")

@@ -130,6 +130,47 @@ class TestXOracle:
         assert abs(a - b) <= 1e-8 * abs(a)
 
 
+class TestGapAxis:
+    @pytest.mark.parametrize("v", [0.0, 0.9, 0.999999])
+    def test_agrees_with_one_gap_oracles(self, monkeypatch, v):
+        # one outer integral for every gap, on start panels sized for gap 4
+        gaps = [0.0, 1.0, 4.0]
+        rhos = record_tail_rhos(monkeypatch)
+        values, errors = oracle._x_oracle(1.0, v, gaps)
+        if v == 0.0:  # every outer node has the same rho
+            assert [rho.size for rho in rhos] == [1] * len(rhos)
+        assert values.shape == errors.shape == (3,)
+        for gap, value, error in zip(gaps, values, errors):
+            one, one_err = x_momentum_oracle(det(gap), EncounterGeometry(d=1.0, v=v))
+            assert abs(value - one) <= error + one_err
+
+    def test_one_outer_integral_shares_each_pass_inner_integrals(self, monkeypatch):
+        # the inner integrals depend on rho alone: one outer integral holds
+        # every gap, each of its passes takes the sine tail once, and no
+        # rho is integrated twice
+        rhos = record_tail_rhos(monkeypatch)
+        outer_calls, passes = [], []
+        real = oracle.integrate_halfline
+
+        def recorded(f, *args, **kwargs):
+            outer_calls.append(f)
+            return real(lambda u: passes.append(u.size) or f(u), *args, **kwargs)
+
+        monkeypatch.setattr(oracle, "integrate_halfline", recorded)
+        oracle._x_oracle(1.0, 0.6, [0.0, 1.0, 4.0])
+        assert len(outer_calls) == 1 and len(passes) == len(rhos) > 1
+        rho = np.sort(np.concatenate(rhos))
+        assert rho.size > 100 and np.all(np.diff(rho) > 1e-12 * rho[1:])
+
+    @pytest.mark.parametrize("d,v,gap", [(1.0, 0.0, 1.0), (0.5, 0.9, 4.0), (1.0, 1.0 - 1e-9, 0.5)])
+    def test_one_gap_is_the_public_oracle_bit_for_bit(self, d, v, gap):
+        # sigma = 2 scales d and the gap by powers of 2, exactly
+        values, errors = oracle._x_oracle(d, v, [gap])
+        value, err = x_momentum_oracle(det(gap / 2.0, sigma=2.0), EncounterGeometry(d=2.0 * d, v=v))
+        assert values.tobytes() == np.array([value]).tobytes()
+        assert errors.tobytes() == np.array([err]).tobytes()
+
+
 def _scalar_sine_tail(a: float, rho: float) -> float:
     """The asymptotic tail series of oracle._sine_tail, one rho at a time in math."""
     x = a * rho

@@ -1005,13 +1005,14 @@ class TestValidationBattery:
         assert len(names) == len(report["checks"])  # unique names
 
     def test_detects_corrupted_prefactor(self, monkeypatch):
-        real = validate_mod.oracle_mod.x_momentum_oracle
+        # the check calls the oracle once per (d, v), over its gap axis
+        real = validate_mod.oracle_mod._x_oracle
 
         def corrupted(*args, **kwargs):
             value, err = real(*args, **kwargs)
             return value * 1.001, err
 
-        monkeypatch.setattr(validate_mod.oracle_mod, "x_momentum_oracle", corrupted)
+        monkeypatch.setattr(validate_mod.oracle_mod, "_x_oracle", corrupted)
         report = validate_mod.run_validation(grid="coarse")
         assert not report["all_passed"]
         failed = {c["name"]: c for c in report["checks"] if not c["passed"]}
