@@ -32,9 +32,11 @@ a NegativityRow of arrays, one per quantity, at every v of a row at
 fixed (d, omega), with NaN at any v that fails and that v's exception in
 its failures map; no object is built per velocity. It is the one-gap
 case of _negativity_rows(d, gaps, vs), which a sweep or region task
-calls for several gaps at once: X is integrated for a block of gaps (as
-many as the start-panel budget holds on the panels of its largest gap)
-and a batch of velocities at once, in proper time s = u sqrt(1 - v^2),
+calls for several gaps at once: X is integrated for a batch of
+velocities (as many as the start-panel budget holds with the whole gap
+axis on the panels of the batch's fastest velocity, and at least 16) and
+a block of its gaps (as many as the budget holds on the panels of the
+block's largest gap) at once, in proper time s = u sqrt(1 - v^2),
 where the phase is cos(gap s) at every velocity: the cosine is evaluated
 once per (gap, node) and the rest of the integrand once per (velocity,
 node), and integrate_line takes the two as a factor pair, whose every
@@ -220,10 +222,15 @@ def transition_probability(det: DetectorSettings) -> float:
     return math.exp(-a * a) * (1.0 - _SQRT_PI * a * float(erfcx(a))) / (4.0 * math.pi)
 
 
-# Velocities per X integral. A batch shares one panel set, so every member
-# is also evaluated where another one needs refining; the cap keeps a row's
-# scan in a few batches of neighbouring velocities.
-_X_BATCH = 16
+# The fewest velocities per X integral (see _v_batches): a batch holds as
+# many as the start-panel budget takes with the row's whole gap axis, and
+# never fewer than this. Where the budget holds fewer (large gaps),
+# _gap_blocks cuts the gap axis of a batch of this many instead. Without
+# the floor, a 1 x 40 x 16 sweep with gaps up to 200 and a 1 x 20 x 50 one
+# with gaps up to 30 took 2.4 and 1.39 times as long as with it
+# (process-time medians of 30 alternated in-process runs, 2-CPU x86-64
+# host).
+_MIN_V_BATCH = 16
 
 
 def _x_start(d: float, vs, gaps) -> tuple[float, float, float]:
@@ -281,9 +288,10 @@ def _x_integrand(d: float, vs, gaps):
 
 
 def _x_integrals(d: float, vs, gaps, settings: QuadratureSettings) -> tuple[np.ndarray, np.ndarray]:
-    """X and its error estimate at up to _X_BATCH velocities and a 1-D
+    """X and its error estimate at a batch of velocities vs and a 1-D
     array of gaps from one integral, in sigma = 1 units: a complex and a
-    float array of shape (len(gaps), len(vs)).
+    float array of shape (len(gaps), len(vs)). _v_batches and _gap_blocks
+    size the batch and the block for the start-panel budget.
 
     X is integrated in proper time s = u sqrt(1 - v^2) = u / gamma. There
     the phase cos(f u), f = gap sqrt(1-v^2), is cos(gap s) at every
@@ -297,7 +305,8 @@ def _x_integrals(d: float, vs, gaps, settings: QuadratureSettings) -> tuple[np.n
     velocity and node. integrate_line gets them as the factor pair of
     _x_integrand and contracts each panel's cosines, GK15 weights and
     velocity factors in one matrix product; no (gap, v) product is formed,
-    except for one gap, whose products cost less than the contraction. The
+    except for one gap at up to 8 velocities, whose products cost less
+    than the contraction (quadrature._MULTIPLY_OUT_ROWS). The
     Jacobian du/ds = 1/sqrt(1-v^2), e^{-d^2 (1-v^2)/4} and 2/sqrt(pi) are
     per-velocity scales, so abs_tol still bounds the u-integral's error.
 
@@ -365,6 +374,37 @@ def _gap_blocks(d: float, batch, gaps: np.ndarray) -> list[slice]:
     return _stacks(gaps.size, lambda j: _line_capacity(*_x_start(d, batch, gaps[j])) // components)
 
 
+def _v_batches(d: float, vs, gaps: np.ndarray) -> list[slice]:
+    """Slices of vs, each for the X integrals of one batch of velocities.
+
+    A batch's start panels are graded from its largest velocity's s_b (see
+    _x_start). From the fastest velocity left over down, a batch takes as
+    many velocities as fit within integrate_line's start-panel limit on
+    that velocity's own panels together with the whole gap axis, at
+    2 len(gaps) components each (quadrature._stacks), and at least
+    _MIN_V_BATCH: an extra velocity is two more rows of each panel's
+    matrix product (see _x_integrals), while the cosines and the
+    integral's fixed cost are paid once per batch. Where the budget binds,
+    _gap_blocks cuts the gaps of the batch of _MIN_V_BATCH. A row's values
+    thus depend on its whole velocity axis.
+
+    The velocities must ascend, as a GridSpec's points and a velocity
+    scan's nodes do, for a batch's fastest velocity to be its last. In any
+    other order a batch can exceed the limit; integrate_line then refuses
+    it before evaluating anything, and its velocities fall back to one at
+    a time: correct, only slower.
+    """
+    components = 2 * gaps.size
+
+    def fit(i: int) -> int:
+        # at the floor the batch reaches vs[0]; with no gap, nothing is integrated
+        if i < _MIN_V_BATCH or gaps.size == 0:
+            return _MIN_V_BATCH
+        return max(_MIN_V_BATCH, _line_capacity(*_x_start(d, [vs[i]], gaps)) // components)
+
+    return _stacks(len(vs), fit)
+
+
 def negativity(
     det: DetectorSettings,
     geom: EncounterGeometry,
@@ -388,11 +428,13 @@ def negativity_row(
 ) -> NegativityRow:
     """negativity at (d, v) for every v in vs, batched over v, as arrays.
 
-    Velocities go in batches of _X_BATCH. A batch that fails is re-run one
-    v at a time, so each failure stays with its own v and every value in
-    that batch is the one the v gets alone. A v that fails holds NaN and
-    its exception in failures. |X| is np.hypot of its parts, which is the
-    value abs() gives a Python complex.
+    Velocities go in batches as large as the start-panel budget allows,
+    and at least _MIN_V_BATCH (see _v_batches), so a row that fits the
+    budget is one X integral; the plan assumes that vs ascends. A batch
+    that fails is re-run one v at a time, so each failure stays with its
+    own v and every value in that batch is the one the v gets alone. A v
+    that fails holds NaN and its exception in failures. |X| is np.hypot
+    of its parts, which is the value abs() gives a Python complex.
     """
     return _negativity_rows(d / det.sigma, [det.gap], vs, settings)[0]
 
@@ -402,11 +444,13 @@ def _negativity_rows(d: float, gaps, vs, settings: QuadratureSettings | None = N
     d/sigma, a gap sigma*omega), with X in blocks over the gaps and batches
     over v.
 
-    Each batch of velocities is integrated for a block of gaps at once
-    (_gap_blocks). A block that fails is re-run as each of its gaps alone,
-    which then falls back to single velocities as in negativity_row, so
-    each failure stays with its own (omega, v) and every value in a failed
-    block is the one it gets alone.
+    X is integrated for a batch of velocities (_v_batches) and a block of
+    gaps (_gap_blocks) at once, so a row that fits the start-panel budget
+    is one X integral; both plans assume ascending axes. With vs empty
+    there is no batch, and every row is empty. A block that fails is
+    re-run as each of its gaps alone, which then falls back to single
+    velocities as in negativity_row, so each failure stays with its own
+    (omega, v) and every value in a failed block is the one it gets alone.
     """
     if settings is None:
         settings = QuadratureSettings()
@@ -434,10 +478,10 @@ def _negativity_rows(d: float, gaps, vs, settings: QuadratureSettings | None = N
                 failures[block.start][i] = exc
                 x[block, i], err[block, i] = complex(math.nan, math.nan), math.nan
 
-    for i in range(0, len(vs), _X_BATCH):
-        batch = vs[i:i + _X_BATCH]
+    for cut in _v_batches(d, vs, gaps):
+        batch = vs[cut]
         for block in _gap_blocks(d, batch, gaps):
-            run(block, i, batch)
+            run(block, cut.start, batch)
     rows = []
     for p, x_j, err_j, failed in zip(ps, x, err, failures):
         x_abs = np.hypot(x_j.real, x_j.imag)

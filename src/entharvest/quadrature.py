@@ -14,7 +14,8 @@ m components, or a factor pair (h, c) of real arrays of shape (I, n) and
 (J, n), for the m = I J components c_j h_i in row j I + i. A pair's
 products are never formed: on each panel the Kronrod and Gauss sums of
 every component come from one matrix product of its c, the weights and
-its h (one row of c is multiplied out instead, which costs less). All
+its h (one row of c with at most _MULTIPLY_OUT_ROWS rows of h is
+multiplied out instead, which costs less there). All
 components share one panel set, each is held to its own tolerance, and a
 panel is split while any unfinished component needs it; so one call
 integrates a whole family, such as X at several velocities and gaps.
@@ -217,6 +218,15 @@ _W2[1, 1::2] = _WG
 # gigabytes.
 _MAX_START_PANELS = 1 << 16
 
+# The most rows of h for which a factor pair with one row of c is
+# multiplied out rather than contracted (_eval_panels): so a one-gap X
+# integral at up to 8 velocities, a one-point negativity among them. On a
+# 2-CPU x86-64 host, at 16 panels (timeit minima, seeded factors), c h
+# took 9.4, 11.6, 14.9, 19.0, 22.6 and 58.5 us at 2, 8, 16, 24, 32 and 128
+# rows, the contraction 15.2, 15.2, 15.9, 17.0, 18.6 and 32.7 us; the two
+# met near 24 rows at 6 panels and between 8 and 16 rows at 30.
+_MULTIPLY_OUT_ROWS = 16
+
 # _adaptive splits no panel narrower than this fraction of its window.
 _MIN_WIDTH = 1e-15
 
@@ -287,9 +297,9 @@ def _eval_panels(f: Integrand, lo: np.ndarray, hi: np.ndarray, scale: float):
     jac = scale * half
     if isinstance(y, tuple):
         h, c = y
-        if c.shape[0] > 1:
+        if c.shape[0] > 1 or h.shape[0] > _MULTIPLY_OUT_ROWS:
             return _contract(h, c, flat, jac)
-        y = c * h  # one row of c: its products cost less than a contraction
+        y = c * h  # one row of c and few of h: the products cost less
     y = np.asarray(y)
     y = y.reshape(*y.shape[:-1], *x.shape)
     if not np.isfinite(y).all():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from entharvest import model, quadrature
+from entharvest import sweep as sweep_mod
 from entharvest.model import (
     DetectorSettings,
     EncounterGeometry,
@@ -396,7 +397,7 @@ class TestGapBlocks:
         # the start-panel limit on its own largest gap's panels, and could
         # not also take the gap below it
         gaps = np.linspace(0.0, 200.0, 40)
-        vs = np.linspace(0.0, 0.9, model._X_BATCH)
+        vs = np.linspace(0.0, 0.9, model._MIN_V_BATCH)
         blocks = model._gap_blocks(1.0, vs, gaps)
         assert len(blocks) > 2
         assert blocks[0].start == 0 and blocks[-1].stop == gaps.size
@@ -415,9 +416,9 @@ class TestGapBlocks:
             assert (np.abs(row.x - alone.x) <= row.x_error_estimate + alone.x_error_estimate).all()
 
     def test_a_failure_stays_with_its_gap_and_v(self, monkeypatch):
-        # one block of all five gaps, which fails and is re-run gap by gap
-        gaps, vs = [0.0, 0.3, 0.6, 4.0, 6.0], [0.0, 0.5, 0.9]
-        bad_gap, bad_v = 0.3, 0.5
+        # one block of all five gaps, which fails and is re-run gap by gap;
+        # at 3 velocities, and at 24 in one whole-row batch
+        gaps, bad_gap, bad_v = [0.0, 0.3, 0.6, 4.0, 6.0], 0.3, 0.5
         real = model._x_integrals
 
         def broken(d, vs, gaps, settings):
@@ -425,30 +426,96 @@ class TestGapBlocks:
                 raise ValueError("broken point")
             return real(d, vs, gaps, settings)
 
-        monkeypatch.setattr(model, "_x_integrals", broken)
-        rows = self.rows(gaps, vs)
-        assert [list(row.failures) for row in rows] == [[], [1], [], [], []]
-        exc = rows[1].failures[1]
-        assert isinstance(exc, ValueError) and str(exc) == "broken point"
-        assert np.isnan(rows[1].x[1].real) and np.isnan(rows[1].negativity[1])
-        # every other (gap, v) is, bit for bit, its gap's one-gap row
-        for j, gap in enumerate(gaps):
-            alone = negativity_row(det(omega=gap), 1.0, vs, QUAD)
-            for i in range(len(vs)):
-                if (j, i) != (1, 1):
-                    assert self.bits(rows[j], i) == self.bits(alone, i)
+        for vs in ([0.0, 0.5, 0.9], sorted([0.5, *np.linspace(0.0, 0.99, 23)])):
+            bad = vs.index(bad_v)
+            assert model._v_batches(1.0, vs, np.array(gaps)) == [slice(0, len(vs))]
+            monkeypatch.setattr(model, "_x_integrals", broken)
+            rows = self.rows(gaps, vs)
+            assert [list(row.failures) for row in rows] == [[], [bad], [], [], []]
+            exc = rows[1].failures[bad]
+            assert isinstance(exc, ValueError) and str(exc) == "broken point"
+            assert np.isnan(rows[1].x[bad].real) and np.isnan(rows[1].negativity[bad])
+            # every other (gap, v) is, bit for bit, its gap's one-gap row,
+            # and the failed gap's velocities each its single-velocity value
+            for j, gap in enumerate(gaps):
+                alone = negativity_row(det(omega=gap), 1.0, vs, QUAD)
+                for i, v in enumerate(vs):
+                    if (j, i) != (1, bad):
+                        assert self.bits(rows[j], i) == self.bits(alone, i)
+                    if j == 1 and i != bad:
+                        single = negativity_row(det(omega=gap), 1.0, [v], QUAD)
+                        assert self.bits(rows[j], i) == self.bits(single, 0)
+            monkeypatch.undo()
 
     def test_a_block_over_the_start_panel_limit_is_split_up_front(self, monkeypatch):
         # at gap 85 each component has 650 start panels on [0, 2c], so 16
         # velocities fit 3 gaps: from the top, blocks {65, 75, 85} and
         # {55}, and none is refused
         gaps = [55.0, 65.0, 75.0, 85.0]
-        vs = np.linspace(0.0, 0.9, model._X_BATCH)
+        vs = np.linspace(0.0, 0.9, model._MIN_V_BATCH)
         assert model._gap_blocks(1.0, vs, np.array(gaps)) == [slice(0, 1), slice(1, 4)]
         calls = self.recorded(monkeypatch)
         rows = self.rows(gaps, vs)
         assert calls == [2 * vs.size, 2 * 3 * vs.size]
         assert not any(row.failures for row in rows)
+
+
+class TestVelocityBatches:
+    """_negativity_rows integrates as many velocities at once as the
+    start-panel budget holds with the whole gap axis, and at least 16."""
+
+    recorded = staticmethod(TestGapBlocks.recorded)
+
+    @pytest.mark.parametrize("gaps", [[1.0], [0.0, 1.0, 2.0]])
+    def test_an_empty_velocity_axis_gives_empty_rows(self, monkeypatch, gaps):
+        assert model._v_batches(1.0, [], np.array(gaps)) == []
+        calls = self.recorded(monkeypatch)
+        rows = model._negativity_rows(1.0, gaps, [], QUAD)
+        assert calls == [] and len(rows) == len(gaps)
+        for row in rows:
+            assert not row.failures
+            assert all(a.shape == (0,) for a in (row.x, row.x_abs, row.x_error_estimate,
+                                                  row.m, row.negativity))
+
+    def test_a_region_task_integrates_its_scan_in_one_call(self, monkeypatch):
+        # region-map's axes: each d's 3 gaps x 64 scan velocities in one X
+        # integral; a peak adds one at v_star, a refinement one for its
+        # midpoints
+        gaps = [0.0, 1.0, 2.0]
+        for d in (0.5, 1.75, 3.0):
+            calls = self.recorded(monkeypatch)
+            sweep_mod._region_task(d, gaps, QUAD)
+            monkeypatch.undo()
+            scan = 2 * len(gaps) * model._SCAN_NODES
+            assert calls[0] == scan and calls.count(scan) == 1
+            assert set(calls[1:]) <= {2, 2 * (model._SCAN_NODES - 1), 2 * 2 * (model._SCAN_NODES - 1)}
+
+    def test_a_budget_bound_row_is_cut_from_the_top_by_the_floor(self):
+        # at gap 85 one velocity's two components have 650 start panels,
+        # so the budget holds 12 velocities with four gaps: batches of 16
+        # from the top down, the remainder lowest, each cut over the gaps
+        gaps, vs = np.array([55.0, 65.0, 75.0, 85.0]), np.linspace(0.0, 0.9, 40)
+        assert quadrature._line_capacity(*model._x_start(1.0, vs[-1:], gaps)) // (2 * gaps.size) \
+            < model._MIN_V_BATCH
+        batches = model._v_batches(1.0, vs, gaps)
+        assert batches == [slice(0, 8), slice(8, 24), slice(24, 40)]
+        for batch in batches:
+            for block in model._gap_blocks(1.0, vs[batch], gaps):
+                start = quadrature._window_start(*model._x_start(1.0, vs[batch], gaps[block]))
+                components = 2 * (block.stop - block.start) * (batch.stop - batch.start)
+                assert (start.size - 1) * components <= quadrature._MAX_START_PANELS
+
+    def test_a_multi_batch_row_agrees_with_single_velocities(self):
+        # gap 30's start panels hold 47 velocities with three gaps, so the
+        # row takes two batches; at gaps 0.5 and 2 every |X| is above 1e-3
+        gaps, vs = [0.5, 2.0, 30.0], np.linspace(0.0, 0.99, 60)
+        assert model._v_batches(1.0, vs, np.array(gaps)) == [slice(0, 13), slice(13, 60)]
+        for gap, row in zip(gaps, model._negativity_rows(1.0, gaps, vs, QUAD)):
+            assert not row.failures
+            for i, v in enumerate(vs):
+                q = negativity(det(omega=gap), EncounterGeometry(d=1.0, v=v), QUAD)
+                assert row.p == q.p
+                assert abs(row.x[i] - q.x) <= row.x_error_estimate[i] + q.x_error_estimate
 
 
 class TestNegativityRowContract:

@@ -596,7 +596,8 @@ class TestFactorPair:
     panel sums are contracted from the factors, and the products are never
     formed (quadrature._contract)."""
 
-    SHAPES = [(3, 1), (1, 4), (4, 5), (8, 12)]
+    # one row of c is multiplied out at 3 rows of h and contracted at 20
+    SHAPES = [(3, 1), (20, 1), (1, 4), (4, 5), (8, 12)]
     WIDTH = 2.5  # wider than every e^{-a u^2} (1 + b u^2) below
 
     @staticmethod

@@ -303,8 +303,11 @@ class TestRowBatches:
 
     @pytest.mark.usefixtures("one_pair_per_worker")
     def test_long_v_axis_bytes_match_across_workers(self, real_pools):
-        spec = SweepSpec(GridSpec(0.5, 2.0, 2), GridSpec(0.0, 1.0, 2), GridSpec(0.0, 0.999, 20))
-        assert spec.v.count > model._X_BATCH
+        # at gaps 55-85 the start-panel budget binds: each d's 40 velocities
+        # take several batches, each cut into blocks of gaps
+        spec = SweepSpec(GridSpec(0.5, 2.0, 2), GridSpec(55.0, 85.0, 4), GridSpec(0.0, 0.9, 40))
+        for d in spec.d_over_sigma.points():
+            assert len(model._v_batches(d, spec.v.points(), spec.sigma_omega.points())) > 1
         assert sweep_text(spec, workers=2) == sweep_text(spec, workers=1)
         assert real_pools == [2]
 
@@ -611,13 +614,13 @@ class TestRegionScan:
 
     @pytest.mark.usefixtures("one_pair_per_worker")
     def test_bytes_match_across_workers(self, real_pools):
-        # one task per d, each with all four gaps 0.5-6 in one block per
-        # batch of scan velocities
+        # one task per d, each with all four gaps 0.5-6 and all 64 scan
+        # velocities in one X integral
         d_grid, omega_grid = GridSpec(1.0, 2.0, 2), GridSpec(0.5, 6.0, 4)
+        scan = model._scan_velocities()
         for d in d_grid.points():
-            for i in range(0, model._SCAN_NODES, model._X_BATCH):
-                batch = model._scan_velocities()[i:i + model._X_BATCH]
-                assert model._gap_blocks(d, batch, omega_grid.points()) == [slice(0, 4)]
+            assert model._v_batches(d, scan, omega_grid.points()) == [slice(0, model._SCAN_NODES)]
+            assert model._gap_blocks(d, scan, omega_grid.points()) == [slice(0, 4)]
         texts = []
         for workers in (1, 2):
             buf = io.StringIO()
