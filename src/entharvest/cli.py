@@ -10,15 +10,16 @@ a `--workers` that sweep._usable_workers refuses), a bad config, a file
 that cannot be read or written, or a failed integral ends a command with
 one `Type: message` line on stderr and exit code 1.
 
-Each tolerance has one source per command: `sweep` and `region` read
-theirs from the config's `quadrature` block, `point` and `peak` from
-`--rel-tol`, `--abs-tol` and `--max-subdivisions`, and `validate` runs at
-the QuadratureSettings() defaults its pass bounds assume.
+Tolerances have one source, the `quadrature` block of a `sweep` or
+`region` config; `point`, `peak` and `validate` run at the
+QuadratureSettings() defaults that validate's pass bounds assume. A point
+or a peak at other tolerances is a one-cell `sweep` or `region` config.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -41,16 +42,10 @@ from .sweep import (
 from .validate import run_validation
 
 
-def _quad_from_args(args: argparse.Namespace) -> QuadratureSettings:
-    """The tolerance flags that are given, and the defaults for the rest."""
-    values = {name: getattr(args, name) for name in ("rel_tol", "abs_tol", "max_subdivisions")}
-    return QuadratureSettings(**{name: v for name, v in values.items() if v is not None})
-
-
 def _cmd_point(args: argparse.Namespace) -> int:
     # the row of a one-cell sweep table, without its error cell, or that
     # error alone
-    (row,) = _sweep_rows([args.d], [args.omega], [args.v], _quad_from_args(args), 1)
+    (row,) = _sweep_rows([args.d], [args.omega], [args.v], QuadratureSettings(), 1)
     if row.error:
         print(row.error, file=sys.stderr)
         return 1
@@ -85,8 +80,7 @@ def _cmd_region(args: argparse.Namespace) -> int:
 
 
 def _cmd_peak(args: argparse.Namespace) -> int:
-    quad = _quad_from_args(args)
-    peak = find_peak_velocity(DetectorSettings(1.0, args.omega), args.d, quad)
+    peak = find_peak_velocity(DetectorSettings(1.0, args.omega), args.d)
     payload = {"d_over_sigma": args.d, "sigma_omega": args.omega,
                "peak": None if peak is None else asdict(peak)}
     json.dump(payload, sys.stdout, indent=2)
@@ -127,14 +121,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     number, path = {"type": float, "required": True}, {"required": True}
-    # the tolerances of point and peak; a grid job reads its config's
-    tolerances = (("--rel-tol", {"type": float}), ("--abs-tol", {"type": float}),
-                  ("--max-subdivisions", {"type": int}))
     _add_command(sub, "point", _cmd_point, "evaluate one parameter point, JSON to stdout",
-                 ("--d", number), ("--v", number), ("--omega", number), *tolerances)
+                 ("--d", number), ("--v", number), ("--omega", number))
     _add_command(sub, "sweep", _cmd_sweep, "grid sweep to CSV", ("--config", path), ("--out", path))
     _add_command(sub, "peak", _cmd_peak, "velocity maximizer at one (d, omega)",
-                 ("--d", number), ("--omega", number), *tolerances)
+                 ("--d", number), ("--omega", number))
     _add_command(sub, "region", _cmd_region, "(d, omega) region classification to CSV",
                  ("--config", path), ("--out", path))
     _add_command(sub, "validate", _cmd_validate, "run the self-check battery",
@@ -142,8 +133,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first call to main and reused by every later one
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         args.workers = _usable_workers(args.workers)
         return args.func(args)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import dawsn, sici
 
-from entharvest import oracle
+from entharvest import oracle, quadrature
 from entharvest.model import (
     DetectorSettings,
     EncounterGeometry,
@@ -48,6 +48,11 @@ def record_x_spacing(monkeypatch, rule=None):
     return calls
 
 
+def start_panels(a: float, b: float, spacing: float) -> int:
+    """Start panels integrate_interval builds on [a, b] at this spacing."""
+    return len(quadrature._start_edges(a, b, min(spacing, b - a))) - 1
+
+
 def record_inner_calls(monkeypatch):
     """(components, start panels) of every inner integrate_interval call."""
     calls = []
@@ -55,9 +60,7 @@ def record_inner_calls(monkeypatch):
 
     def recorded(f, a, b, quad, spacing):
         res = real(f, a, b, quad, spacing)
-        width = b - a
-        panels = max(4, math.ceil(width / min(spacing, width)))
-        calls.append((np.size(res.value), panels))
+        calls.append((np.size(res.value), start_panels(a, b, spacing)))
         return res
 
     monkeypatch.setattr(oracle, "integrate_interval", recorded)
@@ -236,7 +239,7 @@ class TestBatchedInnerIntegrals:
         order = np.argsort(-spacing, kind="stable")
         assert len(stacks) > 2
         assert np.concatenate([params for params, _ in stacks]).tobytes() == rho[order].tobytes()
-        panels = [max(4, math.ceil(a / min(step, a))) for _, step in stacks]
+        panels = [start_panels(0.0, a, step) for _, step in stacks]
         for k, ((params, step), n) in enumerate(zip(stacks, panels)):
             assert step == spacing[rho == params[-1]][0] == spacing[np.isin(rho, params)].min()
             assert params.size == 1 or params.size * n <= oracle._PANEL_BUDGET

@@ -1,4 +1,6 @@
+import argparse
 import contextlib
+import csv
 import io
 import json
 import math
@@ -10,6 +12,7 @@ from hypothesis import assume, given, settings as hyp_settings, strategies as st
 
 from entharvest import model
 from entharvest import sweep as sweep_mod
+from entharvest import cli
 from entharvest import validate as validate_mod
 from entharvest.cli import main
 from entharvest.model import (
@@ -672,15 +675,22 @@ class TestCli:
         assert info.value.code == 2
         assert "unrecognized arguments: --sigma 2" in capsys.readouterr().err
 
-    def test_point_quad_flag(self, capsys):
-        rc = main(["point", "--d", "1.0", "--v", "0.3", "--omega", "1.0",
-                   "--rel-tol", "1e-6"])
-        assert rc == 0
-        loose = json.loads(capsys.readouterr().out)
-        main(["point", "--d", "1.0", "--v", "0.3", "--omega", "1.0"])
+    def test_point_quad_flag(self, tmp_path, capsys):
+        # a point at other tolerances is a one-cell sweep with a quadrature
+        # block; `point` runs at the defaults
+        cfg = {"d_over_sigma": {"min": 1.0, "max": 1.0, "count": 1},
+               "sigma_omega": {"min": 1.0, "max": 1.0, "count": 1},
+               "v": {"min": 0.3, "max": 0.3, "count": 1},
+               "quadrature": {"rel_tol": 1e-6}}
+        config, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+        config.write_text(json.dumps(cfg))
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+        with out.open(encoding="utf-8") as fh:
+            (loose,) = csv.DictReader(fh)
+        assert main(["point", "--d", "1.0", "--v", "0.3", "--omega", "1.0"]) == 0
         tight = json.loads(capsys.readouterr().out)
-        assert loose["x_abs"] == pytest.approx(tight["x_abs"], rel=1e-5)
-        assert loose["x_error_estimate"] >= tight["x_error_estimate"]
+        assert float(loose["x_abs"]) == pytest.approx(tight["x_abs"], rel=1e-5)
+        assert float(loose["x_error_estimate"]) >= tight["x_error_estimate"]
 
     def test_sweep(self, tmp_path, capsys):
         cfg = {
@@ -704,12 +714,13 @@ class TestCli:
         assert 0.25 < payload["peak"]["v_star"] < 0.35
 
     def test_peak_failed_integral_goes_to_stderr(self, capsys):
-        rc = main(["peak", "--d", "1", "--omega", "4", "--max-subdivisions", "1",
-                   "--rel-tol", "1e-14", "--abs-tol", "1e-300"])
+        # at omega = 1e4 the X window needs more start panels than the limit
+        rc = main(["peak", "--d", "1", "--omega", "1e4"])
         captured = capsys.readouterr()
         assert rc == 1
         assert captured.out == ""
-        assert captured.err.startswith("ConvergenceError: no convergence")
+        assert captured.err.startswith("QuadratureError: ")
+        assert "start panels exceed the limit" in captured.err
         assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("command", [
@@ -730,17 +741,37 @@ class TestCli:
 
     @pytest.mark.parametrize("flag", ["--rel-tol", "--abs-tol", "--max-subdivisions"])
     @pytest.mark.parametrize("command", [
+        ["point", "--d", "1", "--v", "0.5", "--omega", "1"],
+        ["peak", "--d", "1", "--omega", "1"],
         ["sweep", "--config", "c.json", "--out", "o.csv"],
         ["region", "--config", "c.json", "--out", "o.csv"],
         ["validate"],
     ], ids=lambda argv: argv[0])
-    def test_only_point_and_peak_take_tolerance_flags(self, capsys, command, flag):
-        # a grid job reads its tolerances from its config's quadrature block,
-        # and validate runs at the defaults its pass bounds assume
+    def test_no_subcommand_takes_tolerance_flags(self, capsys, command, flag):
+        # a grid job reads its tolerances from its config's quadrature block;
+        # point, peak and validate run at the defaults validate's pass
+        # bounds assume
         with pytest.raises(SystemExit) as info:
             main([*command, flag, "1"])
         assert info.value.code == 2
         assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+    def test_later_calls_build_no_parser(self, monkeypatch, capsys):
+        # main builds its parser on its first call in a process, and only then
+        argv = ["point", "--d", "1", "--v", "1.5", "--omega", "0"]
+        main(argv)
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert [main(argv) for _ in range(3)] == [1, 1, 1]
+        assert built == []
+        assert cli.build_parser() is not None and built
+        assert capsys.readouterr().err == "ValueError: v must satisfy 0 <= v < 1, got 1.5\n" * 4
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("d, v", [("1e200", "0.5"), ("1", str(1.0 - 1e-12))])

@@ -108,27 +108,24 @@ def test_the_view_is_a_read_only_sequence():
     assert single.negativity == pytest.approx(0.049378, abs=1e-6)
 
 
-_FAILING = {"rel_tol": 1e-14, "abs_tol": 1e-300, "max_subdivisions": 1}
-
-
-@pytest.mark.parametrize("d, v, omega, tolerances", [
-    (1.0, 0.5, 1.0, {}),
-    (7.0, 0.0, 0.0, {}),
-    (1.0, 0.999999999, 3.0, {}),
-    (0.5, 0.9, 4.0, _FAILING),
+@pytest.mark.parametrize("d, v, omega", [
+    (1.0, 0.5, 1.0),
+    (7.0, 0.0, 0.0),
+    (1.0, 0.999999999, 3.0),
+    (1.0, 0.5, 1e4),
 ], ids=["plain", "spacelike", "lightspeed", "failing"])
-def test_point_prints_its_rows_json(capsys, d, v, omega, tolerances):
+def test_point_prints_its_rows_json(capsys, d, v, omega):
     # the JSON is that of the point's SweepRow without its error cell, and
-    # a failed point prints the error cell alone, to stderr
-    flags = [arg for name, value in tolerances.items() for arg in (f"--{name.replace('_', '-')}", str(value))]
-    rc = main(["point", "--d", str(d), "--v", str(v), "--omega", str(omega), *flags])
+    # a failed point prints the error cell alone, to stderr; at omega = 1e4
+    # the X window needs more start panels than the limit
+    rc = main(["point", "--d", str(d), "--v", str(v), "--omega", str(omega)])
     captured = capsys.readouterr()
-    payload = sweep_mod._sweep_rows([d], [omega], [v], QuadratureSettings(**tolerances), 1)[0]._asdict()
+    payload = sweep_mod._sweep_rows([d], [omega], [v], QuadratureSettings(), 1)[0]._asdict()
     error = payload.pop("error")
     assert rc == (1 if error else 0)
     assert captured.out == ("" if error else json.dumps(payload, indent=2) + "\n")
     assert captured.err == (error + "\n" if error else "")
-    assert bool(error) == (tolerances is _FAILING)
+    assert bool(error) == (omega == 1e4)
     assert payload["spacelike"] == (d == 7.0)
 
 
