@@ -75,7 +75,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_region(args: argparse.Namespace) -> int:
     (d_grid, omega_grid), quad = _read_config(_load_json(args.config), ("d_over_sigma", "sigma_omega"))
-    rows = run_region_scan(d_grid, omega_grid, quad, workers=args.workers)
+    rows = run_region_scan(d_grid, omega_grid, quad)
     return _write_rows(args.out, rows, sum(1 for row in rows if row.error), write_region_csv)
 
 
@@ -116,8 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Negativity harvested by two inertially moving detectors",
     )
     parser.add_argument("--workers", type=int, default=1,
-                        help="upper bound on parallel worker threads, lowered to the usable CPUs; "
-                             f"a grid gets at most one per {_PAIRS_PER_WORKER} pairs of work")
+                        help="upper bound on a sweep's worker threads, lowered to the usable CPUs and to "
+                             f"one per {_PAIRS_PER_WORKER} grid points; a region scan runs in one thread")
     sub = parser.add_subparsers(dest="command", required=True)
 
     number, path = {"type": float, "required": True}, {"required": True}

@@ -191,7 +191,8 @@ class PeakResult:
 
 class VelocityProfile(NamedTuple):
     """One velocity scan at fixed (d, omega): its nodes v (64, or 127 or 253
-    where a peak needed more), N there, the label and the peak."""
+    where a peak needed more), N there, the label and the peak. An
+    unrefined scan's v is the shared read-only _SCAN_VELOCITIES."""
 
     v: np.ndarray
     n: np.ndarray
@@ -580,6 +581,12 @@ def _velocity(theta):
     return -np.expm1(math.log(1e-4) * np.sin(0.5 * theta) ** 2) + 0.0
 
 
+# The _SCAN_NODES velocities of an unrefined velocity scan, from 0 up:
+# computed once and read-only, since every scan shares it
+_SCAN_VELOCITIES = _velocity(np.pi * np.arange(_SCAN_NODES) / (_SCAN_NODES - 1))
+_SCAN_VELOCITIES.flags.writeable = False
+
+
 def _chebyshev_coefficients(values: np.ndarray) -> np.ndarray:
     """The Chebyshev series through values at the Lobatto points, from one
     real FFT of their even extension (Trefethen, ATAP, ch. 3)."""
@@ -612,11 +619,6 @@ def _series_max(coeffs: np.ndarray, i: int) -> float:
     return theta if f_theta > f_theta_i else theta_i
 
 
-def _scan_velocities() -> np.ndarray:
-    """The _SCAN_NODES velocities of an unrefined velocity scan, from 0 up."""
-    return _velocity(np.pi * np.arange(_SCAN_NODES) / (_SCAN_NODES - 1))
-
-
 def velocity_profile(
     det: DetectorSettings,
     d: float,
@@ -637,16 +639,16 @@ def velocity_profile(
     if settings is None:
         settings = QuadratureSettings()
     d, gap = d / det.sigma, det.gap
-    return _profile(d, gap, _negativity_rows(d, [gap], _scan_velocities(), settings)[0], settings)
+    return _profile(d, gap, _negativity_rows(d, [gap], _SCAN_VELOCITIES, settings)[0], settings)
 
 
 def _profile(d: float, gap: float, row: NegativityRow, settings: QuadratureSettings) -> VelocityProfile:
     """velocity_profile's label, refinement and peak from its scan row at
-    the _scan_velocities() nodes, in sigma = 1 units.
+    the _SCAN_VELOCITIES nodes, in sigma = 1 units.
 
     A region task hands each gap's row of one _negativity_rows scan here.
     """
-    v = _scan_velocities()
+    v = _SCAN_VELOCITIES
     x_abs, n_vals, failures = row.x_abs, row.negativity, row.failures
     while True:
         if failures:

@@ -4,27 +4,26 @@ Both grid jobs share one pipeline: a JSON config object holds the job's
 axes (each read by GridSpec), an optional `quadrature` block (read by
 QuadratureSettings) and, for a sweep, `outputs`, and no other key; every
 axis tuple is evaluated in row-major order, and each row is written as
-one CSV line whose cells are formatted by type. Rows are NamedTuples
-(SweepRow, RegionRow) whose fields are the CSV columns. A grid of more
-than _MAX_ROWS rows is refused before any axis is built. Both jobs hand
-each d to one task with the whole omega axis; the task evaluates X in
+one CSV line whose cells are formatted by type (_cell). Rows are
+NamedTuples (SweepRow, RegionRow) whose fields are the CSV columns. A grid
+of more than _MAX_ROWS rows is refused before any axis is built. Both jobs
+hand each d to one task with the whole omega axis; the task evaluates X in
 blocks of its gaps times batches over v. A sweep task is
 model._negativity_rows, whose row arrays over the v axis are kept as they
 are: run_sweep returns a read-only sequence of SweepRow over them
 (_SweepTable) that holds the three axes once and builds a row only when
 one is asked for; write_sweep_csv writes the arrays, formatting each axis
-cell once per axis position. A region task
-evaluates the 64 nodes of one velocity scan and labels each omega from
-its row as model.velocity_profile does.
-`workers` is a whole number >= 1, lowered to the usable CPUs
-(_usable_workers), and a grid gets at most one worker per
-_PAIRS_PER_WORKER (omega, v) pairs of work, counted from the grid alone:
-a sweep's d x omega x v points, a region scan's d x omega x 64 scan
-nodes. Below two shares it runs in the calling thread, from two on its
-tasks run on a pool of threads. No row depends on the thread or on the
-task it is in, and results keep their row-major order, so output is
-byte-identical for any worker count. Per-point failures of any kind are
-recorded in the error column instead of aborting the grid.
+cell once per axis position. A region task evaluates the 64 nodes of one
+velocity scan and labels each omega from its row as
+model.velocity_profile does; a region scan runs its tasks in order in the
+calling thread. A sweep's `workers` is a whole number >= 1, lowered to
+the usable CPUs (_usable_workers), and a sweep gets at most one worker
+per _PAIRS_PER_WORKER (d, omega, v) points: below two shares it runs in
+the calling thread, from two on its tasks run on a pool of threads. No row
+depends on the thread or on the task it is in, and results keep their
+row-major order, so output is byte-identical for any worker count.
+Per-point failures of any kind are recorded in the error column instead
+of aborting the grid.
 """
 
 from __future__ import annotations
@@ -32,20 +31,19 @@ from __future__ import annotations
 import json
 import math
 import os
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import IO, NamedTuple, Optional, get_type_hints
+from typing import IO, NamedTuple, Optional
 
 import numpy as np
 
 from .model import (
-    _SCAN_NODES,
+    _SCAN_VELOCITIES,
     NegativityRow,
     RegionLabel,
     _negativity_rows,
     _profile,
-    _scan_velocities,
     # not called here: perfbench's tracer wraps these three names on this module
     classify_region,
     find_peak_velocity,
@@ -292,7 +290,7 @@ def _region_task(d: float, gaps: list[float], quad: QuadratureSettings) -> list[
     """The rows of every omega at one d, each labelled from its gap's row of
     one velocity scan, X in blocks over the gaps and batches over v."""
     try:
-        scans = _negativity_rows(d, gaps, _scan_velocities(), quad)
+        scans = _negativity_rows(d, gaps, _SCAN_VELOCITIES, quad)
     except Exception as exc:  # any per-point failure is recorded, never raised
         return [RegionRow(d, so, error=_error_text(exc)) for so in gaps]
     rows = []
@@ -308,11 +306,12 @@ def _region_task(d: float, gaps: list[float], quad: QuadratureSettings) -> list[
     return rows
 
 
-# The measured break-even of two threads: on a 2-CPU x86-64 host that gives
-# about one CPU of throughput, they were 5-16% slower than serial at 1536
-# and 1728 pairs of work, within 10% of it either way at 4096 and 6400, and
-# faster at 9216 (in-process medians of alternated runs), since numpy's loops
-# release the GIL. So a grid needs two shares, 8192 pairs, to start a pool.
+# The measured break-even of two threads on a sweep: on a 2-CPU x86-64
+# host that gives about one CPU of throughput, they were 5-16% slower than
+# serial at 1536 and 1728 points, within 10% of it either way at 4096 and
+# 6400, and faster at 9216 (in-process medians of alternated runs), since
+# numpy's loops release the GIL. So a sweep needs two shares, 8192 points,
+# to start a pool.
 _PAIRS_PER_WORKER = 4096
 
 
@@ -331,22 +330,19 @@ def _pool_size(workers: int, pairs: int) -> int:
     return max(1, min(_usable_workers(workers), pairs // _PAIRS_PER_WORKER))
 
 
-def _run_grid(task: Callable[[float], object], ds: list[float], workers: int) -> list:
-    """task(d) for every d in ds, in order, on a pool of up to `workers`
-    threads (no more than there are d values), or serially in this thread
-    at one. The caller sizes `workers` (_pool_size)."""
-    workers = min(workers, len(ds))
-    if workers <= 1:
-        return [task(d) for d in ds]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(task, ds))
-
-
 def _sweep_rows(ds: list[float], gaps: list[float], vs: list[float], quad: QuadratureSettings,
                 threads: int) -> _SweepTable:
     """The sweep table of the three axes, one _negativity_rows task per d,
-    on up to `threads` threads, with no _pool_size rule."""
-    return _SweepTable(ds, gaps, vs, _run_grid(lambda d: _negativity_rows(d, gaps, vs, quad), ds, threads))
+    in order, on a pool of up to `threads` threads (no more than there are
+    d values), or in this thread at one, with no _pool_size rule."""
+    def task(d: float) -> list[NegativityRow]:
+        return _negativity_rows(d, gaps, vs, quad)
+
+    threads = min(threads, len(ds))
+    if threads <= 1:
+        return _SweepTable(ds, gaps, vs, [task(d) for d in ds])
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return _SweepTable(ds, gaps, vs, list(pool.map(task, ds)))
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> Sequence[SweepRow]:
@@ -364,24 +360,20 @@ def run_region_scan(
     d_grid: GridSpec,
     omega_grid: GridSpec,
     settings: QuadratureSettings | None = None,
-    workers: int = 1,
 ) -> list[RegionRow]:
     """Classify every (d, omega) grid point in row-major order; failures
     flagged per point.
 
-    One task per d, as for a sweep, on at most _usable_workers(workers)
-    threads and one per _PAIRS_PER_WORKER scan nodes. A task scans its
-    omegas at the 64 velocities of model.velocity_profile in one
-    _negativity_rows call and labels each omega from its row as
+    One task per d, as for a sweep, run in order in the calling thread. A
+    task scans its omegas at the 64 velocities of model.velocity_profile
+    in one _negativity_rows call and labels each omega from its row as
     velocity_profile does, refining that omega alone where its peak needs
     more nodes.
     """
     _check_axes(d_grid, omega_grid)
     quad = settings if settings is not None else QuadratureSettings()
     gaps = omega_grid.points().tolist()
-    workers = _pool_size(workers, d_grid.count * omega_grid.count * _SCAN_NODES)
-    tasks = _run_grid(lambda d: _region_task(d, gaps, quad), d_grid.points().tolist(), workers)
-    return [row for rows in tasks for row in rows]
+    return [row for d in d_grid.points().tolist() for row in _region_task(d, gaps, quad)]
 
 
 def _cell(value) -> str:
@@ -398,52 +390,40 @@ def _cell(value) -> str:
     return "%.17g" % value
 
 
-def _lines(columns: Sequence[str], fixed: dict, varying: dict, floats, n: int) -> list[str]:
-    """n CSV lines of the named columns. A column in fixed has that cell
-    text on every line; any other takes its i-th cell from varying[column],
-    formatted "%.17g" if the column is in floats and as it is (text that
-    _cell made) if not. Each line is one % operation over its cells."""
-    line = ",".join([fixed[col].replace("%", "%%") if col in fixed else "%.17g" if col in floats else "%s"
+def _lines(columns: Sequence[str], fixed: dict, varying: dict, n: int) -> list[str]:
+    """n CSV lines of the named columns of a sweep table. A column in fixed
+    has that cell text on every line; any other takes its i-th cell from
+    varying[column], formatted "%.17g" if the column is in _PER_POINT and
+    as it is (text that _cell made) if not. Each line is one % operation
+    over its cells."""
+    line = ",".join([fixed[col].replace("%", "%%") if col in fixed else "%.17g" if col in _PER_POINT else "%s"
                      for col in columns]) + "\n"
     cells = [varying[col] for col in columns if col not in fixed]
     return [line % cell for cell in zip(*cells)] if cells else [line % ()] * n
 
 
-def _write_csv(rows: Iterable, fh: IO[str], row_type, columns: Sequence[str]) -> None:
-    """One line per row with the named columns, each cell formatted as _cell does.
-
-    The columns are checked as SweepSpec checks its outputs, before
-    anything is written. The cells are built a column at a time: a float
-    field's values go to "%.17g" as they are, every other field's through
-    _cell.
-    """
-    _check_columns(columns, row_type._fields)
+def _write_csv(rows: Iterable, fh: IO[str], columns: Sequence[str]) -> None:
+    """A header and one line per row with the named columns, each cell
+    formatted by _cell; the caller checks the columns."""
     fh.write(",".join(columns) + "\n")
-    rows = list(rows)
-    floats = {name for name, hint in get_type_hints(row_type).items() if hint is float}
-    varying = {}
-    for col in columns:
-        i = row_type._fields.index(col)
-        values = [row[i] for row in rows]
-        varying[col] = values if col in floats else [_cell(value) for value in values]
-    fh.write("".join(_lines(columns, {}, varying, floats, len(rows))))
+    fh.write("".join([",".join([_cell(getattr(row, col)) for col in columns]) + "\n" for row in rows]))
 
 
 def write_sweep_csv(rows: Iterable[SweepRow], fh: IO[str], columns: Sequence[str] = SWEEP_COLUMNS) -> None:
     """Write run_sweep's rows, or any iterable of SweepRow, as CSV lines of
-    the named columns, each cell formatted as _cell does.
+    the named columns, each cell formatted as _cell does. The columns are
+    checked as SweepSpec checks its outputs, before anything is written.
 
     run_sweep's result is written a d and a gap at a time, with no row
     built: each d, gap, p, v and spacelike cell is formatted once per axis
     position, and only the per-point floats once per line. A failed index
     gets the NaN p cell and its error text; every other error cell is
-    empty. Any other iterable is written by _write_csv, with every cell
-    varying.
+    empty. Any other iterable is written by _write_csv, a row at a time.
     """
-    if not isinstance(rows, _SweepTable):
-        _write_csv(rows, fh, SweepRow, columns)
-        return
     _check_columns(columns, SWEEP_COLUMNS)
+    if not isinstance(rows, _SweepTable):
+        _write_csv(rows, fh, columns)
+        return
     fh.write(",".join(columns) + "\n")
     gap_cells = [_cell(so) for so in rows.gaps]
     v_cells = [_cell(v) for v in rows.vs]
@@ -456,14 +436,14 @@ def write_sweep_csv(rows: Iterable[SweepRow], fh: IO[str], columns: Sequence[str
             varying = {"v": v_cells, "spacelike": spacelike}
             varying.update((col, values.tolist()) for col, values in zip(_PER_POINT, _point_arrays(row))
                            if col in columns)
-            gap_lines = _lines(columns, fixed, varying, _PER_POINT, len(v_cells))
+            gap_lines = _lines(columns, fixed, varying, len(v_cells))
             for i, exc in row.failures.items():
                 at_failure = {**fixed, "p": _cell(math.nan), "error": _cell(_error_text(exc))}
                 point = {col: cells[i:i + 1] for col, cells in varying.items()}
-                (gap_lines[i],) = _lines(columns, at_failure, point, _PER_POINT, 1)
+                (gap_lines[i],) = _lines(columns, at_failure, point, 1)
             lines += gap_lines
         fh.write("".join(lines))
 
 
 def write_region_csv(rows: Iterable[RegionRow], fh: IO[str]) -> None:
-    _write_csv(rows, fh, RegionRow, _REGION_COLUMNS)
+    _write_csv(rows, fh, _REGION_COLUMNS)

@@ -1,8 +1,11 @@
-"""The column-at-a-time CSV writer against the cell-by-cell one it replaced.
+"""The CSV writer of row lists against a frozen cell-by-cell reference.
 
-`_cell` and `_write_csv` below are the earlier writer, kept verbatim as
-the reference: every row and any accepted choice of columns must give
-the same bytes through `write_sweep_csv` and `write_region_csv`.
+`_cell` and `_write_csv` below are the reference writer, kept verbatim:
+every row and any accepted choice of columns must give the same bytes
+through `write_sweep_csv` and `write_region_csv`, so a change to how
+either formats a cell shows up here. (`write_sweep_csv` writes
+`run_sweep`'s table by another route, which tests/test_sweep_table.py
+checks against this reference.)
 """
 
 import io

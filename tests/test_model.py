@@ -677,6 +677,14 @@ class TestVelocityProfile:
             bounds=(v_star - 0.01, v_star + 0.01), method="bounded", options={"xatol": 1e-12})
         assert abs(v_star - best.x) <= 5e-5
 
+    def test_an_unrefined_scan_shares_one_read_only_axis(self):
+        first = velocity_profile(det(omega=1.0), 1.0, QUAD)
+        second = velocity_profile(det(omega=0.5), 8.0, QUAD)
+        assert first.v is second.v is model._SCAN_VELOCITIES
+        assert first.v.tolist() == model._velocity(np.pi * np.arange(64) / 63).tolist()
+        with pytest.raises(ValueError, match="read-only"):
+            first.v[1] = 0.5
+
     def test_refined_nodes_nest(self):
         coarse = velocity_profile(det(omega=1.0), 1.0, QUAD)
         fine = velocity_profile(det(omega=1.25), 0.25, QUAD)
@@ -772,6 +780,22 @@ class TestInputValidation:
     def test_rejects_bad_scale(self, call, value):
         with pytest.raises(ValueError):
             call(value)
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"p": -1e-3}, "p must be finite and >= 0, got -0.001"),
+        ({"p": math.inf}, "p must be finite and >= 0, got inf"),
+        ({"p": math.nan}, "p must be finite and >= 0, got nan"),
+        ({"negativity": 0.5}, "negativity must equal max(m, 0)"),
+        ({"m": -0.01}, "negativity must equal max(m, 0)"),
+        ({"m": math.inf, "negativity": math.inf}, "m must be finite, got inf"),
+        ({"m": -math.inf, "negativity": 0.0}, "m must be finite, got -inf"),
+    ])
+    def test_harvest_quantities_refuse_inconsistent_fields(self, fields, message):
+        good = {"p": 0.01, "x": 0.02j, "m": 0.01, "negativity": 0.01, "x_error_estimate": 0.0}
+        assert model.HarvestQuantities(**good).negativity == 0.01
+        with pytest.raises(ValueError) as info:
+            model.HarvestQuantities(**{**good, **fields})
+        assert str(info.value) == message
 
     def test_detector(self):
         with pytest.raises(ValueError):

@@ -311,6 +311,15 @@ class TestWindowStart:
         exact = TWO_SQRT_PI * math.exp(-g * g)
         assert abs(res.value - exact) <= max(s.abs_tol, s.rel_tol * exact)
 
+    @pytest.mark.parametrize("width", [0.0, -1.0, math.nan, math.inf])
+    def test_a_width_not_finite_and_positive_is_refused_before_any_call(self, width):
+        calls = []
+        for integrate in (integrate_line, integrate_halfline):
+            with pytest.raises(ValueError) as info:
+                integrate(lambda u: calls.append(u) or np.exp(-u * u), width, DEFAULT)
+            assert str(info.value) == f"envelope_width must be finite and > 0, got {width!r}"
+        assert calls == []
+
     @pytest.mark.parametrize("singularity_distance, passes", [(math.inf, 2), (1e-3, 1)])
     def test_no_node_but_the_edge_lies_past_the_cut(self, singularity_distance, passes):
         # at g = 4, abs_tol 1e-300 holds the value 4e-7 to 4e-16, which on
@@ -406,6 +415,14 @@ class TestInterval:
     def test_complex_exponential(self):
         res = integrate_interval(lambda t: np.exp(1j * t), 0.0, math.pi, DEFAULT)
         assert res.value == pytest.approx(complex(0.0, 2.0), abs=1e-10)
+
+    @pytest.mark.parametrize("a, b", [(1.0, 1.0), (2.0, 1.0), (0.0, math.nan), (math.inf, math.inf)])
+    def test_an_empty_interval_is_refused_before_any_call(self, a, b):
+        calls = []
+        with pytest.raises(ValueError) as info:
+            integrate_interval(lambda t: calls.append(t) or t, a, b, DEFAULT)
+        assert str(info.value) == f"empty integration interval [{a!r}, {b!r}]"
+        assert calls == []
 
 
 @given(a=st.floats(-3.0, 3.0, allow_nan=False),

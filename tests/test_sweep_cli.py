@@ -5,6 +5,7 @@ import io
 import json
 import math
 import threading
+import types
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from entharvest.model import (
     negativity,
     velocity_profile,
 )
-from entharvest.quadrature import ConvergenceError, QuadratureSettings
+from entharvest.quadrature import ConvergenceError, QuadratureError, QuadratureSettings
 from entharvest.sweep import (
     SWEEP_COLUMNS,
     GridSpec,
@@ -84,6 +85,12 @@ class TestGridSpec:
         # a one-point axis is its min, so its max would go unchecked
         with pytest.raises(ValueError, match=r"^grid needs min <= max, got \[1\.\d, 0\.5\]$"):
             GridSpec(*grid)
+
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_count_must_be_at_least_one(self, count):
+        with pytest.raises(ValueError) as info:
+            GridSpec(0.0, 1.0, count)
+        assert str(info.value) == f"count must be >= 1, got {count}"
 
     def test_count_must_be_a_whole_number(self):
         with pytest.raises(ValueError, match=r"^count must be a whole number, got 2\.9$"):
@@ -217,6 +224,12 @@ class TestSweep:
         assert captured.err == (
             f"ValueError: outputs must be a sequence of column names, got {tuple(outputs)!r}\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("v", [GridSpec(-0.5, 0.5, 2), GridSpec(0.0, 1.0, 2), GridSpec(1.0, 1.0, 1)])
+    def test_v_axis_must_lie_below_light_speed(self, v):
+        with pytest.raises(ValueError) as info:
+            SweepSpec(GridSpec(1.0, 1.0, 1), GridSpec(0.0, 0.0, 1), v)
+        assert str(info.value) == "v grid must lie in [0, 1)"
 
     def test_rejects_unknown_columns(self):
         with pytest.raises(ValueError):
@@ -373,8 +386,8 @@ class TestDeterminism:
 
 @pytest.mark.usefixtures("one_pair_per_worker")
 class TestWorkers:
-    """A grid's pool has no more threads than tasks or usable CPUs, and none
-    outlive the grid; `workers` is checked by one rule, in Python as on the
+    """A sweep's pool has no more threads than tasks or usable CPUs, and none
+    outlive the sweep; `workers` is checked by one rule, in Python as on the
     CLI."""
 
     @staticmethod
@@ -396,8 +409,7 @@ class TestWorkers:
     def test_threads_end_with_the_grid(self, real_pools):
         before = threading.active_count()
         run_sweep(small_spec(), workers=2)
-        run_region_scan(GridSpec(1.0, 2.0, 2), GridSpec(0.5, 1.0, 2), workers=2)
-        assert real_pools == [2, 2]
+        assert real_pools == [2]
         assert threading.active_count() == before
 
     def test_cli_lowers_workers_to_the_usable_cpus(self, real_pools, monkeypatch, tmp_path, capsys):
@@ -412,8 +424,7 @@ class TestWorkers:
         monkeypatch.setattr(sweep_mod.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         spec = SweepSpec(GridSpec(1.0, 2.0, 3), GridSpec(0.0, 1.0, 2), GridSpec(0.0, 0.5, 2))
         assert sweep_text(spec, workers=1000) == sweep_text(spec)
-        run_region_scan(GridSpec(1.0, 2.0, 4), GridSpec(0.5, 0.5, 1), workers=1000)
-        assert real_pools == [3, 3]
+        assert real_pools == [3]
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_cli_rejects_fewer_than_one_worker(self, workers, real_pools, tmp_path, capsys):
@@ -436,19 +447,16 @@ class TestWorkers:
                                                           monkeypatch):
         tasks = []
         monkeypatch.setattr(sweep_mod, "_negativity_rows", lambda *task: tasks.append(task) or [])
-        monkeypatch.setattr(sweep_mod, "_region_task", lambda *task: tasks.append(task) or [])
         with pytest.raises(ValueError) as info:
             run_sweep(small_spec(), workers=workers)
-        assert str(info.value) == message
-        with pytest.raises(ValueError) as info:
-            run_region_scan(GridSpec(1.0, 2.0, 2), GridSpec(0.5, 1.0, 2), workers=workers)
         assert str(info.value) == message
         assert tasks == [] and real_pools == []
 
 
 @pytest.mark.usefixtures("eight_cpus")
 class TestPoolSize:
-    """A grid gets at most one worker per sweep._PAIRS_PER_WORKER pairs of work."""
+    """A sweep gets at most one worker per sweep._PAIRS_PER_WORKER grid
+    points, and a region scan none."""
 
     def test_small_grid_starts_no_pool(self, real_pools):
         spec = small_spec()
@@ -465,14 +473,20 @@ class TestPoolSize:
         run_sweep(SweepSpec(GridSpec(1.0, 2.0, 2), GridSpec(0.0, 0.0, 1), v), workers=8)
         assert real_pools == sizes and len(tasks) == 2
 
-    @pytest.mark.parametrize("short, sizes", [(0, [2]), (1, [])])
-    def test_a_region_point_counts_its_scan_nodes(self, real_pools, monkeypatch, short, sizes):
-        # 2 d x (_PAIRS_PER_WORKER / 64 - short) gaps x 64 scan nodes
-        per_scan, rest = divmod(sweep_mod._PAIRS_PER_WORKER, model._SCAN_NODES)
-        assert model._SCAN_NODES == 64 and rest == 0
-        monkeypatch.setattr(sweep_mod, "_region_task", lambda *task: [])
-        run_region_scan(GridSpec(1.0, 2.0, 2), GridSpec(0.0, 1.0, per_scan - short), workers=8)
-        assert real_pools == sizes
+    @pytest.mark.usefixtures("one_pair_per_worker")
+    def test_region_starts_no_pool_at_any_workers(self, real_pools, tmp_path, capsys):
+        # one pair of work is a worker's share here, yet a region scan runs
+        # its two tasks in the calling thread
+        config = tmp_path / "region.json"
+        config.write_text(json.dumps({"d_over_sigma": {"min": 1.0, "max": 2.0, "count": 2},
+                                      "sigma_omega": {"min": 0.5, "max": 1.0, "count": 2}}))
+        texts = []
+        for workers in ("8", "1"):
+            out = tmp_path / f"region-{workers}.csv"
+            assert main(["--workers", workers, "region", "--config", str(config), "--out", str(out)]) == 0
+            texts.append(out.read_bytes())
+        assert real_pools == []
+        assert texts[0] == texts[1] and len(texts[0].splitlines()) == 1 + 2 * 2
 
     @pytest.mark.parametrize("grid, sizes", [("coarse", [2]), ("full", [4, 8])])
     def test_determinism_check_starts_its_pools(self, real_pools, grid, sizes):
@@ -615,22 +629,14 @@ class TestRegionScan:
             assert row == RegionRow(1.0, row.sigma_omega, profile.label,
                                     peak and peak.v_star, peak and peak.n_star)
 
-    @pytest.mark.usefixtures("one_pair_per_worker")
-    def test_bytes_match_across_workers(self, real_pools):
+    def test_one_scan_batch_and_one_gap_block_per_d(self):
         # one task per d, each with all four gaps 0.5-6 and all 64 scan
         # velocities in one X integral
         d_grid, omega_grid = GridSpec(1.0, 2.0, 2), GridSpec(0.5, 6.0, 4)
-        scan = model._scan_velocities()
+        scan = model._SCAN_VELOCITIES
         for d in d_grid.points():
             assert model._v_batches(d, scan, omega_grid.points()) == [slice(0, model._SCAN_NODES)]
             assert model._gap_blocks(d, scan, omega_grid.points()) == [slice(0, 4)]
-        texts = []
-        for workers in (1, 2):
-            buf = io.StringIO()
-            write_region_csv(run_region_scan(d_grid, omega_grid, workers=workers), buf)
-            texts.append(buf.getvalue())
-        assert texts[0] == texts[1]
-        assert real_pools == [2]
 
     @pytest.mark.parametrize("d, gap", [(1.0, 1.0), (1.0, 2.0)])
     def test_n_star_is_negativity_at_v_star(self, d, gap):
@@ -1074,3 +1080,128 @@ class TestValidationBattery:
         assert "PASS" in err
         assert report["all_passed"]
 
+    @pytest.mark.parametrize("passed", [True, False])
+    def test_without_out_the_report_goes_to_stdout(self, coarse_cli_run, passed, monkeypatch,
+                                                   tmp_path, capsys):
+        # the bytes that --out writes, and the same PASS/FAIL lines and exit code
+        _, _, report = coarse_cli_run
+        report = {**report, "all_passed": passed,
+                  "checks": [{**report["checks"][0], "passed": passed}]}
+        monkeypatch.setattr(cli, "run_validation", lambda grid: report)
+        out = tmp_path / "report.json"
+        rc_file = main(["validate", "--grid", "coarse", "--out", str(out)])
+        to_file = capsys.readouterr()
+        rc = main(["validate", "--grid", "coarse"])
+        captured = capsys.readouterr()
+        assert rc == rc_file == (0 if passed else 1)
+        assert to_file.out == "" and captured.out == out.read_text()
+        name = report["checks"][0]["name"]
+        assert captured.err == to_file.err == f"{'PASS' if passed else 'FAIL'} {name}\n"
+
+
+def failed_check(monkeypatch, name: str) -> dict:
+    """The report entry of check `name`, run alone by run_validation on the
+    coarse grid, which must have failed."""
+    monkeypatch.setattr(validate_mod, "_CHECKS", {name: validate_mod._CHECKS[name]})
+    report = validate_mod.run_validation(grid="coarse")
+    (check,) = report["checks"]
+    assert check["name"] == name and check["passed"] is False and report["all_passed"] is False
+    return check
+
+
+class TestEachCheckCanFail:
+    """Every failure return of the battery, forced by replacing what its
+    check calls, reports passed False with its own detail; a check that can
+    no longer fail shows up here."""
+
+    def test_a_failed_point_in_a_row_call_fails_its_check(self, monkeypatch):
+        # _rows raises a point's failure, as negativity does
+        real = validate_mod._negativity_rows
+
+        def failing(d, gaps, vs):
+            rows = real(d, gaps, vs)
+            rows[-1].failures[0] = QuadratureError("forced failure")
+            return rows
+
+        monkeypatch.setattr(validate_mod, "_negativity_rows", failing)
+        check = failed_check(monkeypatch, "static_reduction")
+        assert (check["measured"], check["detail"]) == (math.inf, "QuadratureError: forced failure")
+
+    def test_no_sign_flip_of_the_second_derivative(self, monkeypatch):
+        monkeypatch.setattr(validate_mod, "second_derivative_at_rest", lambda det, d: 1.0)
+        check = failed_check(monkeypatch, "threshold_equivalence")
+        assert (check["measured"], check["tolerance"], check["detail"]) \
+            == (math.inf, 1e-2, "no sign flip at d = 1.0")
+
+    def test_an_unbracketed_threshold(self, monkeypatch):
+        monkeypatch.setattr(validate_mod, "_fd_slope", lambda d, gap: 1.0)
+        check = failed_check(monkeypatch, "threshold_equivalence")
+        assert (check["measured"], check["detail"]) \
+            == (math.inf, "ValueError: threshold not bracketed on [0.3, 1.5] at d = 1.0")
+
+    @pytest.mark.parametrize("peak", [None, model.PeakResult(0.3, 1e-9)])
+    def test_no_peak_above_n0_at_d1_gap1(self, monkeypatch, peak):
+        monkeypatch.setattr(validate_mod, "find_peak_velocity", lambda det, d: peak)
+        check = failed_check(monkeypatch, "peak_phenomenology")
+        assert (check["measured"], check["detail"]) \
+            == (math.inf, "(d=1, gap=1) must show an interior peak above N(0) > 0")
+
+    def test_a_peak_at_d1_gap05(self, monkeypatch):
+        real = validate_mod.velocity_profile
+        monkeypatch.setattr(validate_mod, "velocity_profile",
+                            lambda det, d: real(det, d)._replace(peak=model.PeakResult(0.5, 1.0)))
+        check = failed_check(monkeypatch, "peak_phenomenology")
+        assert (check["measured"], check["detail"]) \
+            == (math.inf, "(d=1, gap=0.5) must be monotone with N(0) > 0")
+
+    def test_a_rising_scan_at_d1_gap05(self, monkeypatch):
+        real = validate_mod.velocity_profile
+
+        def reversed_scan(det, d):
+            profile = real(det, d)
+            return profile._replace(n=profile.n[::-1])
+
+        monkeypatch.setattr(validate_mod, "velocity_profile", reversed_scan)
+        check = failed_check(monkeypatch, "peak_phenomenology")
+        assert (check["measured"], check["detail"]) \
+            == (math.inf, "(d=1, gap=0.5) scan is not non-increasing")
+
+    def test_no_extinction_near_light_speed(self, monkeypatch):
+        real = validate_mod._rows
+        monkeypatch.setattr(validate_mod, "_rows", lambda d, gaps, vs: [
+            row._replace(negativity=row.negativity + 1e-3) for row in real(d, gaps, vs)])
+        check = failed_check(monkeypatch, "peak_phenomenology")
+        assert check["measured"] == 1e-3
+        assert check["detail"] == "no extinction by v = 0.999999999999 at (d=0.5, gap=0.0)"
+
+    def test_the_spacelike_distance_at_v08(self, monkeypatch):
+        real = validate_mod.spacelike_min_distance
+        monkeypatch.setattr(validate_mod, "spacelike_min_distance",
+                            lambda v, sigma: real(v, sigma) * (1.0 + 1e-9))
+        check = failed_check(monkeypatch, "spacelike_criterion")
+        assert (check["measured"], check["detail"]) \
+            == (math.inf, "spacelike_min_distance(0.8) != 10 sigma (to roundoff)")
+
+    def test_spacelike_flags_that_disagree(self, monkeypatch):
+        real = validate_mod.spacelike_min_distance
+        monkeypatch.setattr(validate_mod, "spacelike_min_distance",
+                            lambda v, sigma: real(v, sigma) * (1.0 if v == 0.8 else 2.0))
+        check = failed_check(monkeypatch, "spacelike_criterion")
+        mismatches, rest = check["detail"].split(" ", 1)
+        assert rest == "flag mismatches out of 1000"
+        assert check["measured"] == int(mismatches) > 0
+
+    def test_no_spacelike_harvesting_at_gap_4(self, monkeypatch):
+        monkeypatch.setattr(validate_mod, "negativity",
+                            lambda det, geom: types.SimpleNamespace(negativity=0.0))
+        check = failed_check(monkeypatch, "spacelike_criterion")
+        assert (check["measured"], check["detail"]) \
+            == (math.inf, "no spacelike harvesting point found at gap 4")
+
+    def test_an_unknown_grid_is_refused_before_any_check_runs(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(validate_mod, "_CHECKS", {"any": lambda grid: ran.append(grid)})
+        with pytest.raises(ValueError) as info:
+            validate_mod.run_validation(grid="medium")
+        assert str(info.value) == "grid must be 'coarse' or 'full', got 'medium'"
+        assert ran == []
