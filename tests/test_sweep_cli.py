@@ -473,6 +473,20 @@ class TestPoolSize:
         run_sweep(SweepSpec(GridSpec(1.0, 2.0, 2), GridSpec(0.0, 0.0, 1), v), workers=8)
         assert real_pools == sizes and len(tasks) == 2
 
+    @pytest.mark.parametrize("short, sizes", [(0, []), (1, [])])
+    def test_a_region_point_counts_its_scan_nodes(self, real_pools, monkeypatch, short, sizes):
+        # 2 d x (_PAIRS_PER_WORKER / 64 - short) gaps x 64 scan nodes: two
+        # workers' shares of pairs, or one gap short, and still no pool; each
+        # d's task gets all its gaps in the calling thread
+        per_scan, rest = divmod(sweep_mod._PAIRS_PER_WORKER, model._SCAN_NODES)
+        assert model._SCAN_NODES == 64 and rest == 0
+        tasks = []
+        monkeypatch.setattr(sweep_mod, "_region_task",
+                            lambda d, gaps, quad: tasks.append((d, len(gaps), threading.get_ident())) or [])
+        run_region_scan(GridSpec(1.0, 2.0, 2), GridSpec(0.0, 1.0, per_scan - short))
+        assert real_pools == sizes
+        assert tasks == [(d, per_scan - short, threading.get_ident()) for d in (1.0, 2.0)]
+
     @pytest.mark.usefixtures("one_pair_per_worker")
     def test_region_starts_no_pool_at_any_workers(self, real_pools, tmp_path, capsys):
         # one pair of work is a worker's share here, yet a region scan runs
