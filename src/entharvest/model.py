@@ -361,16 +361,9 @@ def _gap_blocks(d: float, batch, gaps: np.ndarray) -> list[slice]:
     The gaps must ascend, as a GridSpec's points do, for a block's largest
     gap to be its last. In any other order a block can exceed the limit;
     integrate_line then refuses it before evaluating anything, and the
-    block falls back gap by gap: correct, only slower.
+    block falls back gap by gap: correct, only slower. A lone gap is one
+    block, which _stacks returns without sizing it.
     """
-    # A lone gap is its own block, whatever its start panels; the shortcut
-    # skips sizing it, which every one-gap call (negativity, a peak search)
-    # would pay for nothing. Without it, on a 2-CPU x86-64 host, one-point
-    # negativity took 0.163 ms instead of 0.143, and in-process region-map
-    # and validate --grid coarse 8.08 and 57.3 ms instead of 7.72 and 56.3
-    # (process-time medians of 6 alternated processes).
-    if gaps.size == 1:
-        return [slice(0, 1)]
     components = 2 * len(batch)
     return _stacks(gaps.size, lambda j: _line_capacity(*_x_start(d, batch, gaps[j])) // components)
 

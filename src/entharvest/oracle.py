@@ -14,16 +14,17 @@ integral,
 
 in sigma = 1 units with g = sigma*omega.
 
-X oracle: outer integral over the proper-time difference u >= 0 with
-weight 2 e^{-u^2/4} cos(g u) / rho, rho = sqrt(u^2 v^2 + d^2 (1-v^2)),
-inner radial integral
+X oracle: outer integral over the proper-time difference u with weight
+e^{-u^2/4} cos(g u) / rho, rho = sqrt(u^2 v^2 + d^2 (1-v^2)), inner
+radial integral
 
     int_0^inf [e^{-r^2} + i (2/sqrt(pi)) F(r)] sin(r rho) dr
 
 with prefactor -sqrt(pi) (1-v^2) / (4 pi^2). This is the line integral
-with weight e^{-u^2/4} e^{-i g u} / rho folded in half: rho and the inner
-integral are even in u, so the sine half of the phase is odd and drops
-out, and each inner integral serves both +u and -u. The imaginary part
+with weight e^{-u^2/4} e^{-i g u} / rho: rho and the inner integral are
+even in u, so the sine half of the phase is odd and drops out, and the
+even rest is integrate_line's fold, u >= 0 weighted twice, so each inner
+integral serves both +u and -u. The imaginary part
 of the inner integrand decays only like 1/r, so the radial integral stops
 at the fixed cutoff _RADIAL_CUTOFF and is supplemented by an analytic tail
 computed from the asymptotic Dawson series and the sine integral;
@@ -86,7 +87,7 @@ from .quadrature import (
     _stacks,
     integrate_halfline,
     integrate_interval,
-    integrate_line,  # not called here: perfbench's tracer wraps this name on this module
+    integrate_line,
 )
 
 __all__ = ["p_momentum_oracle", "x_momentum_oracle"]
@@ -227,10 +228,10 @@ def _x_oracle(d: float, v: float, gaps) -> tuple[np.ndarray, np.ndarray]:
         val, err = _inner_integrals(_radial, rho, spacing, 0.0, _RADIAL_CUTOFF, quad)
         tail, tail_bound = _sine_tail(_RADIAL_CUTOFF, rho)
         inner_err_max = max(inner_err_max, float(((err + tail_bound) / rho).max()))
-        weight = 2.0 * np.exp(-0.25 * u * u) * np.cos(phase * u) / rho[inverse]
+        weight = np.exp(-0.25 * u * u) * np.cos(phase * u) / rho[inverse]
         return weight * (val + 1j * tail)[inverse]
 
-    res = integrate_halfline(outer, 2.0, quad, max_frequency=float(phase.max()))
+    res = integrate_line(outer, 2.0, quad, max_frequency=float(phase.max()))
     pref = _SQRT_PI * b2 / (4.0 * math.pi * math.pi)
     # inner errors enter through the outer weight; 2 sqrt(pi) bounds the
     # Gaussian weight's integral

@@ -13,8 +13,9 @@ model._negativity_rows, whose row arrays over the v axis are kept as they
 are: run_sweep returns a read-only sequence of SweepRow over them
 (_SweepTable) that holds the three axes once and builds a row only when
 one is asked for; write_sweep_csv writes the arrays, formatting each axis
-cell once per axis position. A region task evaluates the 64 nodes of one
-velocity scan and labels each omega from its row as
+cell once per axis position, and writes a failed point's line from its
+row, as a list of rows is written (_line). A region task evaluates the
+64 nodes of one velocity scan and labels each omega from its row as
 model.velocity_profile does; a region scan runs its tasks in order in the
 calling thread. A sweep's `workers` is a whole number >= 1, lowered to
 the usable CPUs (_usable_workers), and a sweep gets at most one worker
@@ -252,10 +253,10 @@ class _SweepTable(Sequence):
     like vs).
 
     The spacelike threshold of each v is computed once, and a point is
-    spacelike where d >= it. A row is built when it is asked for, with p
-    NaN and the error text at a failed index; write_sweep_csv writes the
-    arrays without building any, and `failed` counts the failed points
-    from the failure maps.
+    spacelike where d >= it. A row is built (_row) when it is asked for,
+    with p NaN and the error text at a failed index; write_sweep_csv
+    writes the arrays and builds the rows of failed points alone, and
+    `failed` counts the failed points from the failure maps.
     """
 
     def __init__(self, ds: list[float], gaps: list[float], vs: list[float],
@@ -278,7 +279,10 @@ class _SweepTable(Sequence):
         if not -self._len <= k < self._len:
             raise IndexError("sweep row index out of range")
         d_index, k = divmod(k % self._len, self._per_d)
-        j, i = divmod(k, len(self.vs))
+        return self._row(d_index, *divmod(k, len(self.vs)))
+
+    def _row(self, d_index: int, j: int, i: int) -> SweepRow:
+        """The row of the d_index-th d, the j-th gap and the i-th v."""
         d, row = self.ds[d_index], self.rows[d_index][j]
         cells = SweepRow(d, self.vs[i], self.gaps[j], row.p,
                          *[float(values[i]) for values in _point_arrays(row)], d >= self.thresholds[i])
@@ -390,23 +394,15 @@ def _cell(value) -> str:
     return "%.17g" % value
 
 
-def _lines(columns: Sequence[str], fixed: dict, varying: dict, n: int) -> list[str]:
-    """n CSV lines of the named columns of a sweep table. A column in fixed
-    has that cell text on every line; any other takes its i-th cell from
-    varying[column], formatted "%.17g" if the column is in _PER_POINT and
-    as it is (text that _cell made) if not. Each line is one % operation
-    over its cells."""
-    line = ",".join([fixed[col].replace("%", "%%") if col in fixed else "%.17g" if col in _PER_POINT else "%s"
-                     for col in columns]) + "\n"
-    cells = [varying[col] for col in columns if col not in fixed]
-    return [line % cell for cell in zip(*cells)] if cells else [line % ()] * n
+def _line(row, columns: Sequence[str]) -> str:
+    """One CSV line of the named columns of row, each cell formatted by _cell."""
+    return ",".join([_cell(getattr(row, col)) for col in columns]) + "\n"
 
 
 def _write_csv(rows: Iterable, fh: IO[str], columns: Sequence[str]) -> None:
-    """A header and one line per row with the named columns, each cell
-    formatted by _cell; the caller checks the columns."""
+    """A header and one _line per row; the caller checks the columns."""
     fh.write(",".join(columns) + "\n")
-    fh.write("".join([",".join([_cell(getattr(row, col)) for col in columns]) + "\n" for row in rows]))
+    fh.write("".join([_line(row, columns) for row in rows]))
 
 
 def write_sweep_csv(rows: Iterable[SweepRow], fh: IO[str], columns: Sequence[str] = SWEEP_COLUMNS) -> None:
@@ -414,11 +410,13 @@ def write_sweep_csv(rows: Iterable[SweepRow], fh: IO[str], columns: Sequence[str
     the named columns, each cell formatted as _cell does. The columns are
     checked as SweepSpec checks its outputs, before anything is written.
 
-    run_sweep's result is written a d and a gap at a time, with no row
-    built: each d, gap, p, v and spacelike cell is formatted once per axis
-    position, and only the per-point floats once per line. A failed index
-    gets the NaN p cell and its error text; every other error cell is
-    empty. Any other iterable is written by _write_csv, a row at a time.
+    run_sweep's result is written a d and a gap at a time: the d, gap and
+    p cells and an empty error cell go into one line template, each v and
+    spacelike cell is formatted once per axis position, and only the
+    per-point floats once per line, by one % operation over the line's
+    other cells. A
+    failed point's line is its row's _line, as _write_csv writes it. Any
+    other iterable is written by _write_csv, a row at a time.
     """
     _check_columns(columns, SWEEP_COLUMNS)
     if not isinstance(rows, _SweepTable):
@@ -427,20 +425,21 @@ def write_sweep_csv(rows: Iterable[SweepRow], fh: IO[str], columns: Sequence[str
     fh.write(",".join(columns) + "\n")
     gap_cells = [_cell(so) for so in rows.gaps]
     v_cells = [_cell(v) for v in rows.vs]
-    for d, d_rows in zip(rows.ds, rows.rows):
-        d_cell = _cell(d)
-        spacelike = [_cell(d >= threshold) for threshold in rows.thresholds]
+    for d_index, (d, d_rows) in enumerate(zip(rows.ds, rows.rows)):
+        # %-free cells: numbers, and the error cell of a point that did not fail
+        fixed = {"d_over_sigma": _cell(d), "error": ""}
+        varying = {"v": v_cells, "spacelike": [_cell(d >= threshold) for threshold in rows.thresholds]}
         lines = []
-        for so_cell, row in zip(gap_cells, d_rows):
-            fixed = {"d_over_sigma": d_cell, "sigma_omega": so_cell, "p": _cell(row.p), "error": ""}
-            varying = {"v": v_cells, "spacelike": spacelike}
+        for j, (so_cell, row) in enumerate(zip(gap_cells, d_rows)):
+            fixed.update(sigma_omega=so_cell, p=_cell(row.p))
             varying.update((col, values.tolist()) for col, values in zip(_PER_POINT, _point_arrays(row))
                            if col in columns)
-            gap_lines = _lines(columns, fixed, varying, len(v_cells))
-            for i, exc in row.failures.items():
-                at_failure = {**fixed, "p": _cell(math.nan), "error": _cell(_error_text(exc))}
-                point = {col: cells[i:i + 1] for col, cells in varying.items()}
-                (gap_lines[i],) = _lines(columns, at_failure, point, 1)
+            line = ",".join([fixed[col] if col in fixed else "%.17g" if col in _PER_POINT else "%s"
+                             for col in columns]) + "\n"
+            cells = [varying[col] for col in columns if col not in fixed]
+            gap_lines = [line % cell for cell in zip(*cells)] if cells else [line] * len(v_cells)
+            for i in row.failures:
+                gap_lines[i] = _line(rows._row(d_index, j, i), columns)
             lines += gap_lines
         fh.write("".join(lines))
 

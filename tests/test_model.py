@@ -459,6 +459,17 @@ class TestGapBlocks:
         assert calls == [2 * vs.size, 2 * 3 * vs.size]
         assert not any(row.failures for row in rows)
 
+    def test_a_lone_gap_is_one_block_unsized(self, monkeypatch):
+        # quadrature._stacks returns a lone gap's block without sizing it,
+        # so a one-point negativity never asks for a start-panel capacity
+        def capacity(*args, **kwargs):
+            raise AssertionError("_line_capacity called for a lone gap")
+
+        monkeypatch.setattr(model, "_line_capacity", capacity)
+        assert model._gap_blocks(1.0, self.VS, np.array([1.0])) == [slice(0, 1)]
+        res = negativity(det(omega=1.0), EncounterGeometry(d=1.0, v=0.5), QUAD)
+        assert res.x_error_estimate > 0.0
+
 
 class TestVelocityBatches:
     """_negativity_rows integrates as many velocities at once as the

@@ -153,13 +153,13 @@ class TestGapAxis:
         # rho is integrated twice
         rhos = record_tail_rhos(monkeypatch)
         outer_calls, passes = [], []
-        real = oracle.integrate_halfline
+        real = oracle.integrate_line
 
         def recorded(f, *args, **kwargs):
             outer_calls.append(f)
             return real(lambda u: passes.append(u.size) or f(u), *args, **kwargs)
 
-        monkeypatch.setattr(oracle, "integrate_halfline", recorded)
+        monkeypatch.setattr(oracle, "integrate_line", recorded)
         oracle._x_oracle(1.0, 0.6, [0.0, 1.0, 4.0])
         assert len(outer_calls) == 1 and len(passes) == len(rhos) > 1
         rho = np.sort(np.concatenate(rhos))

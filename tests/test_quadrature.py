@@ -95,14 +95,12 @@ class TestHalfline:
         assert res.value.real == pytest.approx(math.sqrt(math.pi) / 2.0, abs=1e-9)
 
     def test_gaussian_sine(self):
-        res = integrate_halfline(lambda r: np.exp(-r * r) * np.sin(2.0 * r),
-                                 1.0, DEFAULT, max_frequency=2.0)
+        res = integrate_halfline(lambda r: np.exp(-r * r) * np.sin(2.0 * r), 1.0, DEFAULT)
         assert res.value.real == pytest.approx(HALFLINE_SIN, abs=1e-6)
 
     def test_complex_phase(self):
         # the one complex-valued integrand: its cosine half is (sqrt(pi)/2) e^{-1}
-        res = integrate_halfline(lambda r: np.exp(-r * r) * np.exp(2j * r),
-                                 1.0, DEFAULT, max_frequency=2.0)
+        res = integrate_halfline(lambda r: np.exp(-r * r) * np.exp(2j * r), 1.0, DEFAULT)
         exact = complex(0.5 * math.sqrt(math.pi) / math.e, HALFLINE_SIN)
         assert abs(res.value - exact) <= max(res.error_estimate, 1e-15)
         assert abs(res.value - exact) <= 1e-9
@@ -405,6 +403,12 @@ class TestStacks:
     def test_a_member_that_fits_nothing_is_a_stack_alone(self):
         assert _stacks(3, lambda i: 0) == [slice(0, 1), slice(1, 2), slice(2, 3)]
         assert _stacks(0, lambda i: 1) == []
+
+    def test_a_lone_member_is_one_stack_unsized(self):
+        def fit(i):
+            raise AssertionError(f"fit({i}) called for a lone member")
+
+        assert _stacks(1, fit) == [slice(0, 1)]
 
 
 class TestInterval:

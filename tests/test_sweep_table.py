@@ -17,7 +17,7 @@ import pytest
 from entharvest import model
 from entharvest import sweep as sweep_mod
 from entharvest.cli import main
-from entharvest.quadrature import QuadratureSettings
+from entharvest.quadrature import QuadratureError, QuadratureSettings
 from entharvest.sweep import SWEEP_COLUMNS, GridSpec, SweepSpec, run_sweep, write_sweep_csv
 from test_csv_writer import reference
 from test_golden import make_golden
@@ -63,6 +63,28 @@ def test_both_routes_give_the_reference_bytes(case):
     if case in make_golden.CASES:
         golden = (make_golden.DATA / case).read_text(encoding="utf-8")
         assert text(table, spec.outputs) == golden
+
+
+@pytest.mark.parametrize("columns", [SWEEP_COLUMNS, ("error", "v", "p"), ("p", "error", "d_over_sigma")])
+def test_an_error_text_with_percent_signs_is_written_as_it_is(monkeypatch, columns):
+    # every X integral that reaches gap 2 fails with a message holding %
+    # signs, a comma and a line break: gap 2's lines must be the reference
+    # writer's, the other gaps' lines too
+    real = model.integrate_line
+
+    def failing(integrand, width, settings, max_frequency=0.0, **kwargs):
+        if max_frequency >= 2.0:
+            raise QuadratureError("100%s of 2%d, or 50%\nleft %(x)s %")
+        return real(integrand, width, settings, max_frequency=max_frequency, **kwargs)
+
+    monkeypatch.setattr(model, "integrate_line", failing)
+    spec = SweepSpec(GridSpec(0.5, 1.0, 2), GridSpec(0.0, 2.0, 3), GridSpec(0.0, 0.9, 3), outputs=columns)
+    table = run_sweep(spec)
+    rows = list(table)
+    assert table.failed == 6
+    assert {row.sigma_omega for row in rows if row.error} == {2.0}
+    assert all("%" in row.error for row in rows if row.error)
+    assert text(table, columns) == text(rows, columns) == reference(rows, columns)
 
 
 @pytest.mark.parametrize("case", sorted(SPECS))
